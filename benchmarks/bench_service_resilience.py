@@ -68,7 +68,7 @@ from repro.service import (  # noqa: E402
     serve_forever,
 )
 from repro.snitch.engine import ENGINE_VERSION  # noqa: E402
-from repro.tune.faults import FaultInjector, Injection  # noqa: E402
+from repro.tune import FaultInjector, Injection  # noqa: E402
 
 RESULTS_PATH = os.path.join(
     os.path.dirname(__file__),

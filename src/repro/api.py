@@ -18,6 +18,8 @@ import numpy as np
 
 from .compiler import CompiledKernel, Compiler
 from .dialects.builtin import ModuleOp
+from .ir.printer import print_op
+from .runtime.store import compile_key
 from .snitch.machine import SnitchMachine
 from .snitch.memory import TCDM
 from .snitch.trace import ExecutionTrace
@@ -36,21 +38,23 @@ class KernelRun:
     profile: object | None = None
 
 
-def _store_fast_path(store, module: ModuleOp, compiler: Compiler, extra=""):
-    """(key, cached kernel or None) for a content-addressed compile.
+def _compile_through_store(
+    store, module: ModuleOp, compiler: Compiler, extra="", **compile_args
+) -> CompiledKernel:
+    """A content-addressed compile: rehydrate on a hit, else compile
+    and persist.
 
     The key is taken *before* compilation (the pipeline lowers the
     module in place): sha256 of the canonical module text, the
     compiler's canonical pipeline spec, and the engine version.
     """
-    from .ir.printer import print_op
-    from .service.store import compile_key
-
     key = compile_key(print_op(module), compiler.pipeline_spec + extra)
     payload = store.get("kernel", key)
     if payload is not None:
-        return key, CompiledKernel.from_json(payload)
-    return key, None
+        return CompiledKernel.from_json(payload)
+    compiled = compiler.compile(module, **compile_args)
+    store.put("kernel", key, compiled.to_json())
+    return compiled
 
 
 def compile_linalg(
@@ -80,12 +84,7 @@ def compile_linalg(
     )
     if store is None or snapshots:
         return compiler.compile(module)
-    key, cached = _store_fast_path(store, module, compiler)
-    if cached is not None:
-        return cached
-    compiled = compiler.compile(module)
-    store.put("kernel", key, compiled.to_json())
-    return compiled
+    return _compile_through_store(store, module, compiler)
 
 
 def compile_lowlevel(
@@ -105,14 +104,9 @@ def compile_lowlevel(
     compiler = Compiler("lowlevel", verify_input=False)
     if store is None:
         return compiler.compile(module, entry=entry)
-    key, cached = _store_fast_path(
-        store, module, compiler, extra=f"|entry={entry}"
+    return _compile_through_store(
+        store, module, compiler, extra=f"|entry={entry}", entry=entry
     )
-    if cached is not None:
-        return cached
-    compiled = compiler.compile(module, entry=entry)
-    store.put("kernel", key, compiled.to_json())
-    return compiled
 
 
 def run_kernel(

@@ -50,7 +50,7 @@ class CompiledKernel:
     needs (assembly, entry symbol, pass timings/stats) and
     :meth:`from_json` rehydrates a runnable kernel *without
     recompiling* — the content-addressed artifact store
-    (:mod:`repro.service.store`) persists kernels in exactly this
+    (:mod:`repro.runtime.store`) persists kernels in exactly this
     form.  A rehydrated kernel has no lowered module
     (:attr:`rehydrated` is true), so IR-level introspection such as
     :meth:`register_usage` is unavailable on it; simulation is not —

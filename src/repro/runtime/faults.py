@@ -2,10 +2,8 @@
 
 Candidate evaluation is a small distributed system: a compile, a
 simulation, and a numpy check running in a worker process that can be
-killed, hang, or raise.  Before this module, every failure collapsed
-into a bare string (and a bare ``null`` in the persistent cache) —
-indistinguishable, unretryable, and without provenance.  Here each
-failure becomes a :class:`Fault` value with
+killed, hang, or raise.  Each failure becomes a :class:`Fault` value
+with
 
 * a **kind** (``compile``, ``verify``, ``sim``, ``timeout``,
   ``worker-crash``, ``unknown`` — plus the service-lifecycle kinds
@@ -15,7 +13,7 @@ failure becomes a :class:`Fault` value with
   not compile will never compile) are final, transient faults (a
   killed worker, a wall-clock timeout on a loaded machine) earn a
   bounded retry with exponential backoff in
-  :class:`~repro.tune.workers.HardenedPool`;
+  :class:`~repro.runtime.workers.HardenedPool`;
 * **provenance**: the candidate's config key, the evaluation stage,
   and how many dispatch attempts were consumed.
 
@@ -28,23 +26,21 @@ The second half is the **deterministic fault-injection harness** the
 chaos test suite drives: a :class:`FaultInjector` holds a plan of
 :class:`Injection` actions keyed by measurement sequence number —
 kill the worker (SIGKILL), delay a candidate past its deadline, raise
-mid-measure, corrupt cache bytes — installable per search
-(``tune_kernel(injector=...)``) or via the ``REPRO_TUNE_FAULTS``
-environment variable (the CLI/CI hook).
+mid-measure, corrupt cache bytes, drop a connection, crash the
+server — installable per search (``tune_kernel(injector=...)``), per
+server (``serve_forever(injector=...)``) or via the ``REPRO_FAULTS``
+environment variable (the CLI/CI hook).  One plan can mix tuner and
+service actions: each harness picks out its own.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-#: Environment variable the CLI consults for an injection plan.
-FAULTS_ENV = "REPRO_TUNE_FAULTS"
-
-#: Environment variable the *service* consults for an injection plan
-#: (same grammar, service-scoped actions; see ``SERVICE_ACTIONS``).
-SERVICE_FAULTS_ENV = "REPRO_SERVICE_FAULTS"
+#: Environment variable both CLIs consult for an injection plan.
+FAULTS_ENV = "REPRO_FAULTS"
 
 
 class InjectedError(RuntimeError):
@@ -120,12 +116,7 @@ class Fault:
 
     def with_attempts(self, attempts: int) -> "Fault":
         """The same fault with its attempt count updated."""
-        return type(self)(
-            message=self.message,
-            candidate=self.candidate,
-            stage=self.stage,
-            attempts=attempts,
-        )
+        return replace(self, attempts=attempts)
 
 
 class CompileFault(Fault):
@@ -181,8 +172,8 @@ class WorkerCrash(Fault):
 
 
 class UnknownFault(Fault):
-    """A failure with no recorded provenance — schema-1 cache entries
-    (bare ``null``) migrate to this kind."""
+    """A failure with no recorded provenance: an exception no stage
+    claims, or a persisted fault of a kind this build does not know."""
 
     KIND = "unknown"
     RETRYABLE = False
@@ -245,7 +236,7 @@ def classify_error(
     bucket.  Anything unrecognized becomes :class:`UnknownFault` —
     never a bare string, never ``null``.
     """
-    # Imported lazily: machine -> engine -> ... must not import tune.
+    # Imported lazily: machine -> engine -> ... must not import runtime.
     from ..snitch.machine import DeadlineExceeded, SimulationError
 
     message = f"{type(error).__name__}: {error}"
@@ -273,7 +264,7 @@ TUNE_ACTIONS = ("crash", "delay", "raise", "interrupt")
 
 #: Injection actions the *service* harness understands (applied at the
 #: wire/admission layer, keyed by request sequence number — see
-#: :meth:`FaultInjector.for_request` and ``repro.service.client``):
+#: :meth:`FaultInjector.for_request` and ``repro.service.wire``):
 #:
 #: * ``drop-connection`` — close the client's connection before
 #:   replying (the client observes EOF mid-call);
@@ -394,8 +385,8 @@ class FaultInjector:
         return None
 
     @classmethod
-    def from_env(cls, var: str = FAULTS_ENV) -> "FaultInjector | None":
-        """Build an injector from ``REPRO_TUNE_FAULTS``, or None.
+    def from_env(cls) -> "FaultInjector | None":
+        """Build an injector from ``REPRO_FAULTS``, or None.
 
         Grammar (``;`` or ``,`` separated)::
 
@@ -403,7 +394,7 @@ class FaultInjector:
 
         e.g. ``crash@2;delay@1=0.5;raise@3:sticky``.
         """
-        text = os.environ.get(var, "").strip()
+        text = os.environ.get(FAULTS_ENV, "").strip()
         if not text:
             return None
         plan = []
@@ -428,7 +419,7 @@ class FaultInjector:
                 )
             except ValueError as error:
                 raise ValueError(
-                    f"bad {var} entry {part!r}: {error}"
+                    f"bad {FAULTS_ENV} entry {part!r}: {error}"
                 ) from None
         return cls(plan)
 
@@ -455,7 +446,6 @@ __all__ = [
     "FAULTS_ENV",
     "INJECTION_ACTIONS",
     "SERVICE_ACTIONS",
-    "SERVICE_FAULTS_ENV",
     "TUNE_ACTIONS",
     "CancelledFault",
     "CompileFault",

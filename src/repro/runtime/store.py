@@ -19,11 +19,10 @@ content addressing:
   sha256 of its canonical payload JSON; a mismatch (torn write, bit
   rot, hand edit) quarantines the file to ``<name>.corrupt`` and
   reports a miss, never a wrong artifact;
-* **flock + atomic rename writes** — payloads are written to a
-  pid-tagged temp file, fsynced, and renamed into place under a
-  store-wide advisory lock, so a SIGKILL mid-write leaves at most a
-  stale temp file (cleaned up by the next writer), never a truncated
-  entry;
+* **flock + atomic rename writes** — the shared durable-write idiom
+  (:mod:`repro.runtime.atomic_file`) under a store-wide lock: a
+  SIGKILL mid-write leaves at most a stale temp file (cleaned up by
+  the next writer), never a truncated entry;
 * **LRU size cap** — ``max_bytes`` bounds the store; eviction removes
   least-recently-*used* entries (reads refresh an entry's mtime) and
   is accounted in :meth:`stats`.
@@ -39,16 +38,15 @@ import hashlib
 import json
 import os
 import threading
-import time
-import warnings
 from pathlib import Path
 
 from ..snitch.engine import ENGINE_VERSION
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
+from .atomic_file import (
+    exclusive_lock,
+    quarantine,
+    sweep_stale_tmp,
+    write_atomic,
+)
 
 
 class StoreError(ValueError):
@@ -104,16 +102,6 @@ def _payload_digest(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
-
-
 class ArtifactStore:
     """Content-addressed (kind, key) -> JSON payload store (see
     module docstring).
@@ -154,31 +142,9 @@ class ArtifactStore:
             )
         return self.objects_dir / kind / key[:2] / f"{key}.json"
 
-    def _lock_path(self) -> Path:
-        return self.root / "store.lock"
-
     def _flock(self):
-        """Advisory exclusive store lock (no-op without fcntl)."""
-
-        class _Lock:
-            def __init__(self, path: Path):
-                self.path = path
-                self.handle = None
-
-            def __enter__(self):
-                if fcntl is None:
-                    return self
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self.handle = open(self.path, "w")
-                fcntl.flock(self.handle, fcntl.LOCK_EX)
-                return self
-
-            def __exit__(self, *exc):
-                if self.handle is not None:
-                    fcntl.flock(self.handle, fcntl.LOCK_UN)
-                    self.handle.close()
-
-        return _Lock(self._lock_path())
+        """The store-wide advisory write lock (``store.lock``)."""
+        return exclusive_lock(self.root / "store")
 
     # -- core API -------------------------------------------------------------
 
@@ -212,16 +178,11 @@ class ArtifactStore:
         }
         path.parent.mkdir(parents=True, exist_ok=True)
         text = json.dumps(entry, indent=2, sort_keys=True) + "\n"
-        tmp = path.with_suffix(f".json.{os.getpid()}.tmp")
         with self._flock():
-            with open(tmp, "w") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            tmp.replace(path)
+            write_atomic(path, text)
         with self._lock:
             self.puts += 1
-        self._sweep_stale_tmp(path.parent)
+        sweep_stale_tmp(path.parent)
         if self.max_bytes is not None:
             self.gc(self.max_bytes)
         return path
@@ -285,20 +246,9 @@ class ArtifactStore:
         return payload
 
     def _quarantine(self, path: Path, reason: str) -> None:
-        corrupt = path.with_suffix(path.suffix + ".corrupt")
-        try:
-            path.replace(corrupt)
-            where = str(corrupt)
-        except OSError:
-            where = "(quarantine rename failed; file left in place)"
         with self._lock:
             self.quarantined += 1
-        warnings.warn(
-            f"artifact {path.name} is corrupt ({reason}); "
-            f"quarantined to {where}",
-            RuntimeWarning,
-            stacklevel=4,
-        )
+        quarantine(path, f"artifact {path.name} is corrupt ({reason})")
 
     # -- maintenance ----------------------------------------------------------
 
@@ -315,28 +265,6 @@ class ArtifactStore:
             out.append((path, stat.st_size, stat.st_mtime))
         return out
 
-    def _sweep_stale_tmp(self, directory: Path) -> None:
-        """Remove pid-tagged temp files whose writer died (SIGKILL
-        mid-write); live writers' temps are left alone."""
-        try:
-            candidates = list(directory.glob("*.tmp"))
-        except OSError:
-            return
-        for tmp in candidates:
-            parts = tmp.name.rsplit(".", 2)
-            if len(parts) != 3 or parts[2] != "tmp":
-                continue
-            try:
-                pid = int(parts[1])
-            except ValueError:
-                continue
-            if pid == os.getpid() or _pid_alive(pid):
-                continue
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - raced away
-                pass
-
     def gc(self, max_bytes: int | None = None) -> dict:
         """Evict least-recently-used entries down to ``max_bytes``.
 
@@ -350,7 +278,7 @@ class ArtifactStore:
                 for directory in {
                     p.parent for p in self.objects_dir.rglob("*.tmp")
                 }:
-                    self._sweep_stale_tmp(directory)
+                    sweep_stale_tmp(directory)
             entries = self._entries()
             total = sum(size for _, size, _ in entries)
             before = {"entries": len(entries), "bytes": total}
@@ -421,144 +349,9 @@ class ArtifactStore:
             }
 
 
-class RequestJournal:
-    """Crash-safe record of accepted-but-unfinished requests.
-
-    The server journals every request it admits for *computation*
-    (store hits never touch the journal) and removes the entry once
-    the result is persisted or faulted.  A server that dies mid-batch
-    — SIGKILL, OOM, power loss — therefore leaves behind exactly the
-    entries it never finished; on restart, :meth:`sweep` returns
-    those interrupted records (entries whose recorded writer pid is
-    dead) and clears them, so the new server can report what was lost
-    and clients can resubmit (completed keys come back as cheap store
-    hits).
-
-    Durability follows the store's idioms: one JSON file, rewritten
-    via pid-tagged temp + fsync + atomic rename under an advisory
-    ``flock`` (``<path>.lock``), so a crash mid-journal-write leaves
-    the previous consistent state, never a truncated file.
-    """
-
-    SCHEMA = 1
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._mutex = threading.Lock()
-
-    def _flock(self):
-        class _Lock:
-            def __init__(self, path: Path):
-                self.path = path
-                self.handle = None
-
-            def __enter__(self):
-                if fcntl is None:
-                    return self
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self.handle = open(self.path, "w")
-                fcntl.flock(self.handle, fcntl.LOCK_EX)
-                return self
-
-            def __exit__(self, *exc):
-                if self.handle is not None:
-                    fcntl.flock(self.handle, fcntl.LOCK_UN)
-                    self.handle.close()
-
-        return _Lock(self.path.with_suffix(self.path.suffix + ".lock"))
-
-    def _read(self) -> dict:
-        """Entry-id -> record; unreadable/corrupt journals degrade to
-        empty (the store's contract: never raise on bad durable
-        state)."""
-        try:
-            data = json.loads(self.path.read_text())
-        except (OSError, ValueError):
-            return {}
-        if (
-            not isinstance(data, dict)
-            or data.get("schema") != self.SCHEMA
-            or not isinstance(data.get("entries"), dict)
-        ):
-            return {}
-        return data["entries"]
-
-    def _write(self, entries: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(
-            {"schema": self.SCHEMA, "entries": entries},
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-        tmp = self.path.with_suffix(
-            f"{self.path.suffix}.{os.getpid()}.tmp"
-        )
-        with open(tmp, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        tmp.replace(self.path)
-
-    def begin(self, kind: str, key: str, label: str = "") -> str:
-        """Record one accepted-but-unfinished request; returns its
-        entry id."""
-        entry_id = f"{kind}/{key}"
-        with self._mutex, self._flock():
-            entries = self._read()
-            entries[entry_id] = {
-                "kind": kind,
-                "key": key,
-                "label": label,
-                "pid": os.getpid(),
-                "started": time.time(),
-            }
-            self._write(entries)
-        return entry_id
-
-    def finish(self, entry_id: str) -> None:
-        """Drop a completed (persisted or faulted) request's entry."""
-        with self._mutex, self._flock():
-            entries = self._read()
-            if entries.pop(entry_id, None) is not None:
-                self._write(entries)
-
-    def sweep(self) -> list[dict]:
-        """Interrupted work left by dead writers, cleared on return.
-
-        An entry whose recorded pid is still alive belongs to a live
-        server sharing the journal and is left alone.
-        """
-        with self._mutex, self._flock():
-            entries = self._read()
-            interrupted = [
-                record
-                for record in entries.values()
-                if not _pid_alive(record.get("pid", -1))
-            ]
-            if interrupted:
-                survivors = {
-                    entry_id: record
-                    for entry_id, record in entries.items()
-                    if _pid_alive(record.get("pid", -1))
-                }
-                self._write(survivors)
-        return sorted(
-            interrupted, key=lambda r: (r.get("kind", ""), r.get("key", ""))
-        )
-
-    def pending(self) -> list[dict]:
-        """Current unfinished entries (no sweep, no mutation)."""
-        with self._mutex:
-            return sorted(
-                self._read().values(),
-                key=lambda r: (r.get("kind", ""), r.get("key", "")),
-            )
-
-
 __all__ = [
     "ArtifactStore",
     "KNOWN_KINDS",
-    "RequestJournal",
     "StoreError",
     "compile_key",
     "content_key",

@@ -1,14 +1,11 @@
-"""Hardened worker pool for candidate evaluation.
+"""Hardened worker pool for candidate evaluation and service jobs.
 
-PR 5's parallel evaluation was a bare ``ProcessPoolExecutor.map``:
-one crashed fork worker aborted the whole search with
-``BrokenProcessPool``, a hung candidate blocked its batch forever, and
-there was no retry.  :class:`HardenedPool` replaces it with the
+:class:`HardenedPool` fans work out over forked processes with the
 retry/timeout/degradation semantics of a real evaluation service:
 
 * **watchdog timeouts** — every in-flight candidate has a wall-clock
   deadline; a worker that blows it is SIGKILLed and the candidate
-  recorded as a :class:`~repro.tune.faults.TimeoutFault` (or retried —
+  recorded as a :class:`~repro.runtime.faults.TimeoutFault` (or retried —
   timeouts are transient);
 * **bounded retry with exponential backoff** — transient faults
   (worker crashes, timeouts) are re-dispatched up to ``retries`` extra
@@ -31,17 +28,32 @@ per-attempt injections.  Workers are fork-started (they inherit the
 loaded package; platforms without fork run serially) and communicate
 over one pipe each, which is what makes per-worker kill-and-respawn
 possible at all — a shared queue cannot attribute a death to a task.
+
+The pool carries the **trace context** across the process boundary
+it owns: a forked worker cannot read the caller's recorder or
+correlation id from ``contextvars``, so a parallel
+:meth:`HardenedPool.map` captures both at dispatch, the worker records
+under them and ships its span events back beside the result, and the
+parent absorbs them.  Task functions just open their own span; results
+never carry spans in-band, so nothing a caller persists can contain
+them.  (Serially the caller's context is already in scope.)
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 
+from ..obs.tracing import (
+    absorb,
+    correlation,
+    correlation_id,
+    recording,
+    tracing_enabled,
+)
 from .faults import Fault, TimeoutFault, WorkerCrash
 
 #: Fork-start workers inherit the already-imported package (no
@@ -71,6 +83,26 @@ class PoolConfig:
     respawn_limit: int = 4
 
 
+#: Connections that must not leak into worker processes.  A server
+#: prestarts its pool before accepting (:meth:`HardenedPool.prestart`
+#: says why), but a worker *respawned* after a crash still forks
+#: mid-connection, so every worker closes the tracked connections
+#: first thing.  A listener must NOT be tracked: ``Listener.close``
+#: unlinks the socket file, which would yank it out from under the
+#: parent.
+_GUARDED_CONNECTIONS: set = set()
+
+
+def guard_connection(connection) -> None:
+    """Have workers forked from now on close ``connection``."""
+    _GUARDED_CONNECTIONS.add(connection)
+
+
+def unguard_connection(connection) -> None:
+    """Stop tracking a connection its owner is about to close."""
+    _GUARDED_CONNECTIONS.discard(connection)
+
+
 def _default_decorate(payload, seq, attempt, serial):
     return (payload, None)
 
@@ -81,18 +113,34 @@ def _worker_main(conn, task_fn) -> None:
     ``task_fn`` classifies its own failures; anything that still
     escapes (a bug, an injected exception outside the measure path) is
     reported as a structured worker fault rather than poisoning the
-    pipe protocol.  A ``None`` task or a closed pipe shuts the worker
-    down.
+    pipe protocol.  A ``None`` message or a closed pipe shuts the
+    worker down.
+
+    A message is ``(task, traced, corr_id)`` and the reply
+    ``(result, span events or None)``: a traced task runs under a
+    local recorder and the dispatcher's correlation id, and its spans
+    travel back beside the result — a faulted task's included.
     """
+    for connection in _GUARDED_CONNECTIONS:
+        try:
+            connection.close()
+        except OSError:
+            pass
     while True:
         try:
-            task = conn.recv()
+            message = conn.recv()
         except (EOFError, OSError):
             return
-        if task is None:
+        if message is None:
             return
+        task, traced, corr_id = message
+        recorder = None
         try:
-            result = task_fn(task)
+            if traced:
+                with recording() as recorder, correlation(corr_id):
+                    result = task_fn(task)
+            else:
+                result = task_fn(task)
         except KeyboardInterrupt:
             return
         except BaseException as error:  # belt: never break the protocol
@@ -106,8 +154,9 @@ def _worker_main(conn, task_fn) -> None:
                     stage="worker",
                 ).to_json(),
             )
+        events = recorder.events_json() if recorder is not None else None
         try:
-            conn.send(result)
+            conn.send((result, events))
         except (BrokenPipeError, OSError):
             return
 
@@ -315,6 +364,10 @@ class HardenedPool:
 
     def _map_parallel(self, items, results) -> None:
         config = self.config
+        # The caller's trace context, captured once per map: workers
+        # are other processes and cannot read it from contextvars.
+        traced = tracing_enabled()
+        corr_id = correlation_id()
         pending = deque(items)
         retry_queue: deque = deque()
         while len(results) < len(items):
@@ -341,7 +394,7 @@ class HardenedPool:
                     item.payload, item.seq, item.attempts, False
                 )
                 try:
-                    worker.conn.send(task)
+                    worker.conn.send((task, traced, corr_id))
                 except (BrokenPipeError, OSError):
                     # Died while idle: respawn, re-dispatch next round.
                     item.attempts -= 1
@@ -394,7 +447,7 @@ class HardenedPool:
                     continue
                 item = worker.item
                 try:
-                    cycles, fault = conn.recv()
+                    (cycles, fault), events = conn.recv()
                 except (EOFError, OSError):
                     # The worker died mid-measure (SIGKILL, OOM...).
                     worker.item = None
@@ -418,6 +471,7 @@ class HardenedPool:
                     )
                     continue
                 worker.item = None
+                absorb(events)
                 if fault is not None:
                     fault = Fault.from_json(fault)
                     self._finish_or_retry(
@@ -471,4 +525,10 @@ class HardenedPool:
         self.close()
 
 
-__all__ = ["HardenedPool", "PoolConfig", "_FORK_AVAILABLE"]
+__all__ = [
+    "HardenedPool",
+    "PoolConfig",
+    "guard_connection",
+    "unguard_connection",
+    "_FORK_AVAILABLE",
+]

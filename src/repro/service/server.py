@@ -1,25 +1,28 @@
 """The long-lived compile-and-tune batch server.
 
 :class:`CompileServer` is the in-process serving core (the Unix-socket
-front end lives in :mod:`repro.service.client`).  Every request is one
+front end lives in :mod:`repro.service.wire`).  Every request is one
 deterministic job — compile a kernel through a pipeline spec, or
 measure a schedule config's cycles — and resolution is store-first:
 
 1. the request is mapped to its content address (sha256 of canonical
    module text, canonical pipeline spec / config key, engine version);
-2. the :class:`~repro.service.store.ArtifactStore` is consulted — a
+2. the :class:`~repro.runtime.store.ArtifactStore` is consulted — a
    hit rehydrates the artifact without touching a worker;
 3. misses are **single-flight deduplicated**: identical keys within a
    batch collapse to one job, and a key another thread is already
    computing is awaited instead of recomputed;
 4. remaining jobs fan out across a
-   :class:`~repro.tune.workers.HardenedPool` (watchdog timeouts,
+   :class:`~repro.runtime.workers.HardenedPool` (watchdog timeouts,
    bounded retry, crash respawn, degradation to serial — PR 6's
    service-grade worker tier);
 5. results are persisted to the store; failures come back as
-   structured :class:`~repro.tune.faults.Fault` values on the result,
+   structured :class:`~repro.runtime.faults.Fault` values on the result,
    never as exceptions — a batch always returns one result per
    request.
+
+:meth:`CompileServer.submit` is a batch of one, so a request behaves
+identically alone and in a batch.
 
 The server is thread-safe: concurrent :meth:`submit` calls from many
 threads share in-flight work and serialize on the worker pool.
@@ -36,34 +39,28 @@ from collections import deque
 from dataclasses import dataclass, field, replace as _replace
 
 from ..compiler import CompiledKernel, Compiler
+from ..ir.printer import print_op
 from ..kernels import networks
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracing import (
-    absorb,
-    correlation,
-    correlation_id,
-    recording,
-    span,
-    tracing_enabled,
-)
-from ..snitch import engine
-from ..tune.faults import (
+from ..obs.tracing import correlation_id, span
+from ..runtime.faults import (
     CancelledFault,
     Fault,
     OverloadFault,
     TimeoutFault,
     classify_error,
 )
-from ..tune.schedule import ScheduleConfig, resolve_kernel
-from ..tune.search import evaluate_config
-from ..tune.workers import HardenedPool, PoolConfig
-from .store import (
+from ..runtime.store import (
     ArtifactStore,
-    RequestJournal,
     StoreError,
     compile_key,
     content_key,
 )
+from ..runtime.workers import HardenedPool, PoolConfig
+from ..snitch import engine
+from ..tune.schedule import ScheduleConfig, resolve_kernel
+from ..tune.search import evaluate_config
+from .journal import RequestJournal
 
 #: Request kinds the server understands.
 REQUEST_KINDS = ("compile", "measure")
@@ -200,8 +197,6 @@ def request_key(request: ServiceRequest) -> tuple[str, str]:
     pipeline spec, engine version), so a server-filled store also
     serves direct API users and vice versa.
     """
-    from ..ir.printer import print_op
-
     builder, sizes = resolve_kernel(request.kernel, request.sizes)
     module, _ = builder(*sizes)
     text = print_op(module)
@@ -218,50 +213,30 @@ def request_key(request: ServiceRequest) -> tuple[str, str]:
 
 def _service_task(task) -> tuple[dict | None, dict | None]:
     """One job in a pool worker: (payload, fault_json), never raises.
-
-    When the payload asks for tracing (``trace`` + ``corr_id``), the
-    worker records its spans locally — pool workers are forked
-    processes, so the caller's recorder is out of reach — and smuggles
-    them back inside the artifact dict under ``"__spans__"``, which
-    :class:`CompileServer` pops (and re-emits) before persisting the
-    artifact to the store.
-    """
-    payload, _injection = task
-    deadline = payload.get("deadline")
+    (The pool carries the ``worker.job`` span home from a forked
+    worker; the artifact itself never holds spans.)"""
+    (request, deadline), _injection = task
     stage: list[str] = ["prepare"]
-
-    def job() -> dict:
-        request = ServiceRequest.from_json(payload["request"])
-        if request.kind == "compile":
-            stage[:] = ["compile"]
-            builder, sizes = resolve_kernel(
-                request.kernel, request.sizes
-            )
-            module, _ = builder(*sizes)
-            compiled = Compiler(request.pipeline).compile(module)
-            return compiled.to_json()
-        cycles = evaluate_config(
-            request.kernel,
-            request.sizes,
-            request.config,
-            seed=request.seed,
-            validate=request.validate,
-            deadline_seconds=deadline,
-            stage_out=stage,
-        )
-        return {"cycles": cycles}
-
     try:
-        if not payload.get("trace"):
-            return job(), None
-        with recording() as recorder:
-            with correlation(payload.get("corr_id")):
-                with span("worker.job", label=payload["request"].get("kernel")):
-                    artifact = job()
-        artifact["__spans__"] = recorder.events_json()
-        return artifact, None
-    except KeyboardInterrupt:
-        raise
+        with span("worker.job", label=request.kernel):
+            if request.kind == "compile":
+                stage[:] = ["compile"]
+                builder, sizes = resolve_kernel(
+                    request.kernel, request.sizes
+                )
+                module, _ = builder(*sizes)
+                compiled = Compiler(request.pipeline).compile(module)
+                return compiled.to_json(), None
+            cycles = evaluate_config(
+                request.kernel,
+                request.sizes,
+                request.config,
+                seed=request.seed,
+                validate=request.validate,
+                deadline_seconds=deadline,
+                stage_out=stage,
+            )
+            return {"cycles": cycles}, None
     except Exception as error:  # classify, don't propagate
         fault = classify_error(
             error, stage=stage[0] if stage else None
@@ -282,7 +257,7 @@ class _InFlight:
 class CompileServer:
     """Store-first, single-flight, pool-backed job server (see
     module docstring).  One server owns one
-    :class:`~repro.tune.workers.HardenedPool`; call :meth:`close`
+    :class:`~repro.runtime.workers.HardenedPool`; call :meth:`close`
     (or use as a context manager) when done."""
 
     def __init__(
@@ -320,9 +295,7 @@ class CompileServer:
                 retries=retries,
             ),
         )
-        # Fork workers before any connection exists — a worker forked
-        # mid-connection inherits the connection fds and can pin a
-        # closed same-process peer open forever (no EOF).
+        # Fork workers before any connection exists (prestart says why).
         self.pool.prestart()
         self.started_at = time.monotonic()
         self._mutex = threading.Lock()
@@ -406,13 +379,28 @@ class CompileServer:
             error, stage=stage, candidate=request.label()
         )
         self._record_fault(fault)
+        return self._result(
+            request, artifact_kind, key, t0, "failed", fault=fault
+        )
+
+    @staticmethod
+    def _result(
+        request: ServiceRequest,
+        artifact_kind: str,
+        key: str,
+        t0: float,
+        source: str,
+        payload: dict | None = None,
+        fault: Fault | None = None,
+    ) -> ServiceResult:
+        """A result stamped with its submit-to-now latency."""
         return ServiceResult(
             request=request,
             artifact_kind=artifact_kind,
             key=key,
-            payload=None,
+            payload=payload,
             fault=fault,
-            source="failed",
+            source=source,
             latency=time.monotonic() - t0,
         )
 
@@ -461,15 +449,7 @@ class CompileServer:
                 stage="admission",
             )
         self._record_fault(fault)
-        return ServiceResult(
-            request=request,
-            artifact_kind="",
-            key="",
-            payload=None,
-            fault=fault,
-            source="rejected",
-            latency=time.monotonic() - t0,
-        )
+        return self._result(request, "", "", t0, "rejected", fault=fault)
 
     def reject(
         self, request: ServiceRequest, reason: str = "overload"
@@ -496,19 +476,25 @@ class CompileServer:
             or result.latency <= budget
         ):
             return result
-        fault = TimeoutFault(
-            message=(
-                f"request exceeded its {budget:g}s wall-clock "
-                f"deadline (took {result.latency:.3f}s)"
-            ),
-            candidate=result.request.label(),
-            stage="request",
+        fault = self._deadline_fault(
+            result.request,
+            f"request exceeded its {budget:g}s wall-clock deadline "
+            f"(took {result.latency:.3f}s)",
         )
-        self._record_fault(fault)
-        self._count("deadline_expired")
         return _replace(
             result, payload=None, fault=fault, source="failed"
         )
+
+    def _deadline_fault(
+        self, request: ServiceRequest, message: str
+    ) -> TimeoutFault:
+        """Record (and return) one request's missed-deadline fault."""
+        fault = TimeoutFault(
+            message=message, candidate=request.label(), stage="request"
+        )
+        self._record_fault(fault)
+        self._count("deadline_expired")
+        return fault
 
     def _job_deadline(self, deadline_at: float | None) -> float | None:
         """The evaluation deadline to ride into a worker: the pool's
@@ -540,21 +526,10 @@ class CompileServer:
         by closing connections/pool.
         """
         self.begin_drain()
-        deadline_at = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
         with self._idle:
-            while self._inflight_requests > 0:
-                remaining = (
-                    deadline_at - time.monotonic()
-                    if deadline_at is not None
-                    else None
-                )
-                if remaining is not None and remaining <= 0:
-                    return False
-                if not self._idle.wait(remaining):
-                    return False
-        return True
+            return self._idle.wait_for(
+                lambda: self._inflight_requests <= 0, timeout
+            )
 
     # -- request resolution ---------------------------------------------------
 
@@ -564,7 +539,7 @@ class CompileServer:
         deadline: float | None = None,
     ) -> ServiceResult:
         """Resolve one request (admission -> store -> in-flight join
-        -> compute).
+        -> compute) — a batch of one.
 
         Thread-safe and single-flight: if another thread is already
         computing the same content address, this call waits for that
@@ -576,183 +551,10 @@ class CompileServer:
         in-flight high-water mark or draining, the request is refused
         with a retryable structured fault, never queued unboundedly.
         """
-        t0 = time.monotonic()
-        self._count("requests")
-        budget = (
-            self.request_deadline if deadline is None else deadline
+        [result] = self._serve(
+            [request], deadline, "server.submit", label=request.label()
         )
-        reason = self._admit(1)
-        if reason is not None:
-            return self._finish(self._refuse(request, reason, t0))
-        try:
-            with span("server.submit", label=request.label()):
-                result = self._resolve(request, t0, budget)
-        finally:
-            self._release(1)
-        return self._finish(self._enforce_deadline(result, budget))
-
-    def _resolve(
-        self,
-        request: ServiceRequest,
-        t0: float,
-        budget: float | None,
-    ) -> ServiceResult:
-        deadline_at = t0 + budget if budget is not None else None
-        try:
-            kind, key = request_key(request)
-        except Exception as error:
-            return self._fail(request, error, "prepare", t0)
-        payload = self.store.get(kind, key)
-        if payload is not None:
-            self._count("store_hits")
-            return ServiceResult(
-                request=request,
-                artifact_kind=kind,
-                key=key,
-                payload=payload,
-                fault=None,
-                source="store",
-                latency=time.monotonic() - t0,
-            )
-        record, owner = self._claim((kind, key))
-        if not owner:
-            wait_budget = (
-                max(0.0, deadline_at - time.monotonic())
-                if deadline_at is not None
-                else None
-            )
-            if not record.event.wait(wait_budget):
-                fault = TimeoutFault(
-                    message=(
-                        "request deadline expired while waiting on "
-                        "another caller's in-flight computation"
-                    ),
-                    candidate=request.label(),
-                    stage="request",
-                )
-                self._record_fault(fault)
-                self._count("deadline_expired")
-                return ServiceResult(
-                    request=request,
-                    artifact_kind=kind,
-                    key=key,
-                    payload=None,
-                    fault=fault,
-                    source="failed",
-                    latency=time.monotonic() - t0,
-                )
-            self._count("joined_inflight")
-            shared = record.result
-            if shared is None:  # owner died without publishing
-                return self._fail(
-                    request,
-                    RuntimeError(
-                        "in-flight computation vanished without a "
-                        "result"
-                    ),
-                    "prepare",
-                    t0,
-                    kind,
-                    key,
-                )
-            result = _replace(
-                shared,
-                request=request,
-                source=(
-                    "inflight" if shared.ok else shared.source
-                ),
-                latency=time.monotonic() - t0,
-            )
-            if shared.fault is not None:
-                self._record_fault(shared.fault)
-            return result
-        result: ServiceResult | None = None
-        try:
-            result = self._compute(request, kind, key, t0, deadline_at)
-        finally:
-            record.result = result
-            with self._mutex:
-                self._inflight.pop((kind, key), None)
-            record.event.set()
         return result
-
-    def _claim(
-        self, key: tuple[str, str]
-    ) -> tuple[_InFlight, bool]:
-        with self._mutex:
-            record = self._inflight.get(key)
-            if record is not None:
-                return record, False
-            record = _InFlight()
-            self._inflight[key] = record
-            return record, True
-
-    @staticmethod
-    def _pop_spans(payload):
-        """Strip (and re-emit) worker spans smuggled in an artifact —
-        they must never be persisted to the content-addressed store."""
-        if isinstance(payload, dict):
-            absorb(payload.pop("__spans__", None))
-        return payload
-
-    def _compute(
-        self,
-        request: ServiceRequest,
-        kind: str,
-        key: str,
-        t0: float,
-        deadline_at: float | None = None,
-    ) -> ServiceResult:
-        """Run one job on the pool and persist its artifact.
-
-        The job is journalled while in flight (when the server has a
-        journal): a server killed here leaves a record a restarted
-        server sweeps and reports.
-        """
-        task_payload = {
-            "request": request.to_json(),
-            "deadline": self._job_deadline(deadline_at),
-            "trace": tracing_enabled(),
-            "corr_id": correlation_id(),
-        }
-        entry_id = (
-            self.journal.begin(kind, key, request.label())
-            if self.journal is not None
-            else None
-        )
-        try:
-            with self._pool_mutex:
-                [(payload, fault_json)] = self.pool.map(
-                    [(0, request.label(), task_payload)]
-                )
-            payload = self._pop_spans(payload)
-            if fault_json is None:
-                self.store.put(kind, key, payload)
-        finally:
-            if entry_id is not None:
-                self.journal.finish(entry_id)
-        if fault_json is not None:
-            fault = Fault.from_json(fault_json)
-            self._record_fault(fault)
-            return ServiceResult(
-                request=request,
-                artifact_kind=kind,
-                key=key,
-                payload=None,
-                fault=fault,
-                source="failed",
-                latency=time.monotonic() - t0,
-            )
-        self._count("computed")
-        return ServiceResult(
-            request=request,
-            artifact_kind=kind,
-            key=key,
-            payload=payload,
-            fault=None,
-            source="computed",
-            latency=time.monotonic() - t0,
-        )
 
     def batch(
         self,
@@ -769,12 +571,23 @@ class CompileServer:
         per request, in order — faults are reported on the result,
         never raised.
 
-        Admission control and the per-request wall-clock ``deadline``
-        apply exactly as in :meth:`submit`: a batch past the in-flight
-        high-water mark (the whole batch counts) is refused with
-        retryable faults, and each result is checked against the
-        budget on completion.
+        Admission control (the whole batch counts against the
+        in-flight high-water mark) and the per-request wall-clock
+        ``deadline`` apply exactly as in :meth:`submit`.
         """
+        return self._serve(
+            requests, deadline, "server.batch", size=len(requests)
+        )
+
+    def _serve(
+        self,
+        requests: list[ServiceRequest],
+        deadline: float | None,
+        span_name: str,
+        **span_attrs,
+    ) -> list[ServiceResult]:
+        """The one request path: count -> admit or refuse -> resolve
+        under a span -> release -> enforce the deadline -> finish."""
         t0 = time.monotonic()
         self._count("requests", len(requests))
         if not requests:
@@ -789,7 +602,7 @@ class CompileServer:
                 for request in requests
             ]
         try:
-            with span("server.batch", size=len(requests)):
+            with span(span_name, **span_attrs):
                 results = self._resolve_batch(requests, t0, budget)
         finally:
             self._release(len(requests))
@@ -797,6 +610,17 @@ class CompileServer:
             self._finish(self._enforce_deadline(result, budget))
             for result in results
         ]
+
+    def _claim(
+        self, key: tuple[str, str]
+    ) -> tuple[_InFlight, bool]:
+        with self._mutex:
+            record = self._inflight.get(key)
+            if record is not None:
+                return record, False
+            record = _InFlight()
+            self._inflight[key] = record
+            return record, True
 
     def _resolve_batch(
         self,
@@ -806,205 +630,156 @@ class CompileServer:
     ) -> list[ServiceResult]:
         deadline_at = t0 + budget if budget is not None else None
         results: list[ServiceResult | None] = [None] * len(requests)
-        #: (kind, key) -> positions in the batch that want it.
+        #: (kind, key) -> positions in the batch that want it; the
+        #: first position's request stands for the key.
         wanted: dict[tuple[str, str], list[int]] = {}
-        keyed: dict[tuple[str, str], ServiceRequest] = {}
         for pos, request in enumerate(requests):
             try:
-                kind, key = request_key(request)
+                kk = request_key(request)
             except Exception as error:
                 results[pos] = self._fail(
                     request, error, "prepare", t0
                 )
                 continue
-            wanted.setdefault((kind, key), []).append(pos)
-            keyed.setdefault((kind, key), request)
-        duplicate_count = sum(
-            len(slots) - 1 for slots in wanted.values()
-        )
-        self._count("deduped_in_batch", duplicate_count)
+            wanted.setdefault(kk, []).append(pos)
+        duplicates = sum(map(len, wanted.values())) - len(wanted)
+        if duplicates:
+            self._count("deduped_in_batch", duplicates)
 
-        # Store pass.
-        misses: list[tuple[str, str]] = []
-        for (kind, key), slots in wanted.items():
-            payload = self.store.get(kind, key)
+        # Store pass; misses are claimed, or — when another thread is
+        # already computing the key — awaited below.
+        owned: list[tuple[tuple[str, str], _InFlight, ServiceRequest]] = []
+        awaited: list[tuple[tuple[str, str], _InFlight]] = []
+        for kk, slots in wanted.items():
+            payload = self.store.get(*kk)
             if payload is None:
-                misses.append((kind, key))
+                record, owner = self._claim(kk)
+                if owner:
+                    owned.append((kk, record, requests[slots[0]]))
+                else:
+                    awaited.append((kk, record))
                 continue
             self._count("store_hits", len(slots))
-            elapsed = time.monotonic() - t0
             for pos in slots:
-                results[pos] = ServiceResult(
-                    request=requests[pos],
-                    artifact_kind=kind,
-                    key=key,
-                    payload=payload,
-                    fault=None,
-                    source="store",
-                    latency=elapsed,
+                results[pos] = self._result(
+                    requests[pos], *kk, t0, "store", payload=payload
                 )
 
-        # Claim misses; keys in flight elsewhere are awaited below.
-        owned: list[tuple[str, str]] = []
-        awaited: list[tuple[tuple[str, str], _InFlight]] = []
-        for kk in misses:
-            record, owner = self._claim(kk)
-            if owner:
-                owned.append(kk)
-            else:
-                awaited.append((kk, record))
+        if owned:
+            self._run_owned(owned, t0, deadline_at)
 
-        # Fan owned jobs out across the pool in one map.  Each owned
-        # job is journalled while in flight: a server killed here
-        # leaves per-key records the restarted server sweeps.
-        records = {kk: self._inflight[kk] for kk in owned}
+        # Fill the remaining slots: owned results (shared by duplicate
+        # slots in this batch) and keys awaited from other threads.
+        for kk, record, _ in owned:
+            for pos in wanted[kk]:
+                results[pos] = self._view(
+                    record.result, requests[pos], kk, t0
+                )
+        for kk, record in awaited:
+            slots = wanted[kk]
+            wait_budget = (
+                max(0.0, deadline_at - time.monotonic())
+                if deadline_at is not None
+                else None
+            )
+            if record.event.wait(wait_budget):
+                self._count("joined_inflight", len(slots))
+                for pos in slots:
+                    results[pos] = self._view(
+                        record.result, requests[pos], kk, t0, joined=True
+                    )
+                continue
+            for pos in slots:
+                fault = self._deadline_fault(
+                    requests[pos],
+                    "request deadline expired while waiting on "
+                    "another caller's in-flight computation",
+                )
+                results[pos] = self._result(
+                    requests[pos], *kk, t0, "failed", fault=fault
+                )
+        return results  # type: ignore[return-value]
+
+    def _run_owned(
+        self,
+        jobs: list[tuple[tuple[str, str], _InFlight, ServiceRequest]],
+        t0: float,
+        deadline_at: float | None,
+    ) -> None:
+        """Fan the jobs this call owns out across the pool in one
+        map, persist the artifacts and publish each key's result on
+        its in-flight record.  Each job is journalled while in
+        flight: a server killed here leaves per-key records the
+        restarted server sweeps."""
         journal_ids: list[str] = []
         try:
             tasks = []
             job_deadline = self._job_deadline(deadline_at)
-            trace = tracing_enabled()
-            corr_id = correlation_id()
-            for seq, (kind, key) in enumerate(owned):
-                request = keyed[(kind, key)]
+            for seq, (kk, _, request) in enumerate(jobs):
                 if self.journal is not None:
                     journal_ids.append(
-                        self.journal.begin(kind, key, request.label())
+                        self.journal.begin(*kk, request.label())
                     )
                 tasks.append(
-                    (
-                        seq,
-                        request.label(),
-                        {
-                            "request": request.to_json(),
-                            "deadline": job_deadline,
-                            "trace": trace,
-                            "corr_id": corr_id,
-                        },
-                    )
+                    (seq, request.label(), (request, job_deadline))
                 )
-            if tasks:
-                with self._pool_mutex:
-                    outcomes = self.pool.map(tasks)
-            else:
-                outcomes = []
-            for (kind, key), (payload, fault_json) in zip(
-                owned, outcomes
+            with self._pool_mutex:
+                outcomes = self.pool.map(tasks)
+            for (kk, record, request), (payload, fault_json) in zip(
+                jobs, outcomes
             ):
-                elapsed = time.monotonic() - t0
                 if fault_json is not None:
                     fault = Fault.from_json(fault_json)
                     self._record_fault(fault)
-                    result = ServiceResult(
-                        request=keyed[(kind, key)],
-                        artifact_kind=kind,
-                        key=key,
-                        payload=None,
-                        fault=fault,
-                        source="failed",
-                        latency=elapsed,
+                    record.result = self._result(
+                        request, *kk, t0, "failed", fault=fault
                     )
                 else:
-                    payload = self._pop_spans(payload)
-                    self.store.put(kind, key, payload)
+                    self.store.put(*kk, payload)
                     self._count("computed")
-                    result = ServiceResult(
-                        request=keyed[(kind, key)],
-                        artifact_kind=kind,
-                        key=key,
-                        payload=payload,
-                        fault=None,
-                        source="computed",
-                        latency=elapsed,
+                    record.result = self._result(
+                        request, *kk, t0, "computed", payload=payload
                     )
-                records[(kind, key)].result = result
         finally:
             for entry_id in journal_ids:
                 self.journal.finish(entry_id)
             with self._mutex:
-                for kk in owned:
+                for kk, _, _ in jobs:
                     self._inflight.pop(kk, None)
-            for kk in owned:
-                records[kk].event.set()
+            for _, record, _ in jobs:
+                record.event.set()
 
-        # Fill remaining slots: owned results (shared by duplicate
-        # slots in this batch) and keys awaited from other threads.
-        joined = dict(awaited)
-        for (kind, key), slots in wanted.items():
-            if results[slots[0]] is not None:
-                continue
-            record = records.get((kind, key))
-            from_other_thread = record is None
-            if from_other_thread:
-                record = joined[(kind, key)]
-                wait_budget = (
-                    max(0.0, deadline_at - time.monotonic())
-                    if deadline_at is not None
-                    else None
-                )
-                if not record.event.wait(wait_budget):
-                    for pos in slots:
-                        fault = TimeoutFault(
-                            message=(
-                                "request deadline expired while "
-                                "waiting on another caller's "
-                                "in-flight computation"
-                            ),
-                            candidate=requests[pos].label(),
-                            stage="request",
-                        )
-                        self._record_fault(fault)
-                        self._count("deadline_expired")
-                        results[pos] = ServiceResult(
-                            request=requests[pos],
-                            artifact_kind=kind,
-                            key=key,
-                            payload=None,
-                            fault=fault,
-                            source="failed",
-                            latency=time.monotonic() - t0,
-                        )
-                    continue
-                self._count("joined_inflight", len(slots))
-            shared = record.result
-            for pos in slots:
-                if shared is None:
-                    results[pos] = self._fail(
-                        requests[pos],
-                        RuntimeError(
-                            "in-flight computation vanished without "
-                            "a result"
-                        ),
-                        "prepare",
-                        t0,
-                        kind,
-                        key,
-                    )
-                    continue
-                if shared.request is requests[pos]:
-                    continue  # the owned slot already holds it
-                results[pos] = _replace(
-                    shared,
-                    request=requests[pos],
-                    source=(
-                        "inflight"
-                        if shared.ok and from_other_thread
-                        else shared.source
-                    ),
-                    latency=time.monotonic() - t0,
-                )
-                if shared.fault is not None and from_other_thread:
-                    self._record_fault(shared.fault)
-        for pos, result in enumerate(results):
-            if result is None:  # owned slot: take the shared result
-                shared = records[
-                    next(
-                        kk
-                        for kk, slots in wanted.items()
-                        if pos in slots
-                    )
-                ].result
-                results[pos] = shared
-        return results  # type: ignore[return-value]
+    def _view(
+        self,
+        shared: ServiceResult | None,
+        request: ServiceRequest,
+        kk: tuple[str, str],
+        t0: float,
+        joined: bool = False,
+    ) -> ServiceResult:
+        """One slot's view of a computation it shares: this batch's
+        own (the owning slot takes the result itself) or, ``joined``,
+        another caller's."""
+        if shared is None:  # owner died without publishing
+            return self._fail(
+                request,
+                RuntimeError(
+                    "in-flight computation vanished without a result"
+                ),
+                "prepare",
+                t0,
+                *kk,
+            )
+        if not joined and shared.request is request:
+            return shared
+        if joined and shared.fault is not None:
+            self._record_fault(shared.fault)
+        return _replace(
+            shared,
+            request=request,
+            source="inflight" if shared.ok and joined else shared.source,
+            latency=time.monotonic() - t0,
+        )
 
     # -- introspection --------------------------------------------------------
 

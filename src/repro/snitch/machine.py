@@ -76,7 +76,7 @@ class DeadlineExceeded(SimulationError):
 
     Raised by both engines when ``deadline_seconds`` was given and the
     wall clock passes it mid-run — a *structured* failure the tuning
-    layer maps to :class:`~repro.tune.faults.TimeoutFault`, so a
+    layer maps to :class:`~repro.runtime.faults.TimeoutFault`, so a
     pathological candidate stalls a worker for a bounded time instead
     of hanging it.  The check is cooperative (every few thousand
     instructions / every FREP iteration), so the trip point is

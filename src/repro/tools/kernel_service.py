@@ -42,9 +42,10 @@ import sys
 
 from ..kernels.builders import KERNEL_BUILDERS
 from ..obs.tracing import correlation, new_correlation_id
-from ..service.client import ServiceClient, ServiceError, serve_forever
+from ..runtime.store import ArtifactStore, StoreError
+from ..service.client import ServiceClient, ServiceError
 from ..service.server import CompileServer, ServiceRequest
-from ..service.store import ArtifactStore, StoreError
+from ..service.wire import serve_forever
 from ..ir.core import IRError
 from ..transforms.interchange import parse_permutation
 from ..tune.schedule import ScheduleConfig

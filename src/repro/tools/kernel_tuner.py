@@ -21,7 +21,7 @@ Evaluation is fault-tolerant (see ``docs/ROBUSTNESS.md``): with
 transient faults, respawns crashed workers, and SIGKILLs candidates
 past ``--deadline``; Ctrl-C or SIGTERM checkpoints the cache, saves
 the best-so-far schedule, and exits with a distinct code.  The
-``REPRO_TUNE_FAULTS`` environment variable installs a deterministic
+``REPRO_FAULTS`` environment variable installs a deterministic
 fault-injection plan (``ACTION@INDEX[=VALUE][:sticky]``; actions:
 crash, delay, raise, interrupt) for chaos drills.
 """
@@ -33,6 +33,7 @@ import signal
 import sys
 
 from ..kernels.builders import KERNEL_BUILDERS
+from ..runtime.store import ArtifactStore
 from ..tune import (
     FaultInjector,
     ScheduleError,
@@ -259,8 +260,6 @@ def main(argv=None) -> int:
     cache = TuneCache(None if args.no_cache else args.cache)
     store = None
     if args.store is not None:
-        from ..service.store import ArtifactStore
-
         store = ArtifactStore(args.store)
     try:
         result = tune_kernel(

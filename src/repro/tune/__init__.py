@@ -18,20 +18,21 @@ predicting it.  This package closes that loop:
 * :mod:`repro.tune.cache` — a crash-safe persistent JSON cycle cache
   keyed by (kernel, shape, config, engine version) so repeated tuning
   runs and CI are incremental (corrupt files quarantine, concurrent
-  savers merge);
-* :mod:`repro.tune.faults` — the structured fault taxonomy every
-  evaluation failure is classified into, plus the deterministic
-  fault-injection harness the chaos tests drive;
-* :mod:`repro.tune.workers` — :class:`HardenedPool`, the
-  retry/timeout/respawn/degrade worker pool candidate evaluation runs
-  on.
+  savers merge).
+
+What the tuner shares with the service lives one layer down, in
+:mod:`repro.runtime`, and is re-exported here where it is part of the
+tuner's API: the structured fault taxonomy every evaluation failure
+is classified into plus the deterministic fault-injection harness the
+chaos tests drive (:mod:`repro.runtime.faults`), and
+:class:`HardenedPool`, the retry/timeout/respawn/degrade worker pool
+candidate evaluation runs on (:mod:`repro.runtime.workers`).
 
 See ``docs/TUNING.md``, ``docs/ROBUSTNESS.md`` and
 ``python -m repro.tools.kernel_tuner``.
 """
 
-from .cache import TuneCache
-from .faults import (
+from ..runtime.faults import (
     FAULT_KINDS,
     CancelledFault,
     CompileFault,
@@ -48,6 +49,8 @@ from .faults import (
     WorkerCrash,
     classify_error,
 )
+from ..runtime.workers import HardenedPool, PoolConfig
+from .cache import TuneCache
 from .schedule import (
     ScheduleConfig,
     ScheduleError,
@@ -64,7 +67,6 @@ from .search import (
     evaluate_config,
     tune_kernel,
 )
-from .workers import HardenedPool, PoolConfig
 
 __all__ = [
     "FAULT_KINDS",

@@ -13,156 +13,80 @@ The store is a flat JSON file (schema 2)::
                  "<key>": {"fault": {"kind": "compile", ...}}, ...}}
 
 A *failed* config is cached as its structured
-:class:`~repro.tune.faults.Fault` — kind, stage, message, attempt
+:class:`~repro.runtime.faults.Fault` — kind, stage, message, attempt
 count — never as a bare ``null``, so reruns skip it with full
 provenance.  Only **deterministic** faults (compile / verify / sim)
 are persisted; transient ones (worker crashes, timeouts) are not,
-because a later run on a healthier machine may well succeed.  Schema-1
-files (``null`` failures) migrate on load: the ``null`` becomes an
-``unknown``-kind fault.  The engine version is part of every key — a
-timing-model change silently starts a fresh keyspace instead of
-serving stale cycles.
+because a later run on a healthier machine may well succeed.  A file
+of any other schema is handled like any unreadable file (this is a
+cache: quarantine and re-measure).  The engine version is part of
+every key — a timing-model change silently starts a fresh keyspace
+instead of serving stale cycles.
 
-Durability guarantees:
+Every load and save goes through the shared durable-write idiom
+(:mod:`repro.runtime.atomic_file`: sidecar ``flock``, pid-tagged temp
+file + fsync + atomic rename, dead-writer temp sweep, quarantine of
+an unreadable file to ``<path>.corrupt``).  The *format* is this
+module's own — the artifact store overwrites one idempotent file per
+content address; this file is union-merged, once per batch:
 
-* **corruption is quarantined, never silently eaten** — an unreadable
-  file is renamed to ``<path>.corrupt`` with a warning, so the bytes
-  survive for inspection and the next save cannot clobber the only
-  evidence;
-* **merge-on-save** — ``save()`` takes an exclusive ``flock`` on a
-  sidecar lock file, re-reads the store, unions the on-disk entries
-  with this process's, fsyncs, and atomically renames.  Two tuner
-  processes sharing one store therefore *union* their work instead of
-  last-writer-wins clobbering;
+* **merge-on-save** — ``save()`` takes the lock, re-reads the store,
+  unions the on-disk entries with this process's and renames the
+  result into place.  Two tuner processes sharing one store therefore
+  *union* their work instead of last-writer-wins clobbering;
 * **checkpointing** — with ``checkpoint_every=N`` the cache persists
   itself every N new measurements, so an interrupt loses at most one
-  batch of work;
-* **abnormal-exit hygiene** — pid-tagged temp files abandoned by a
-  SIGKILLed writer are swept on the next load/save (the embedded pid
-  proves ownership), and a leftover ``.lock`` file never blocks the
-  next run: the kernel releases a dead process's ``flock``
-  automatically.
+  batch of work.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
-import warnings
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
+from ..runtime.atomic_file import (
+    exclusive_lock,
+    fsync_dir,
+    quarantine,
+    sweep_stale_tmp,
+    write_atomic,
+)
+from ..runtime.faults import Fault
 from ..snitch.engine import ENGINE_VERSION
-from .faults import Fault, UnknownFault
 from .schedule import ScheduleConfig
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
 
 #: Internal miss sentinel (a cached failure is a *hit* with a fault).
 _MISS = object()
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # someone else's live process
-        return True
-    except OSError:
-        return False
-    return True
-
-
-def _sweep_stale_tmp(path: Path) -> None:
-    """Remove abandoned ``<name>.<pid>.tmp`` siblings of ``path``.
-
-    A SIGKILLed (or OOM-killed) writer leaves its pid-tagged temp file
-    behind; since the pid names the owner, a dead pid proves the file
-    is garbage.  The sidecar ``.lock`` file needs no such sweep — the
-    kernel drops a dead process's ``flock`` automatically, so a
-    leftover lock file can never block the next run (and unlinking it
-    would race live lockers onto different inodes).
-    """
-    prefix = path.name + "."
-    try:
-        siblings = list(path.parent.iterdir())
-    except OSError:
-        return
-    for candidate in siblings:
-        name = candidate.name
-        if not (name.startswith(prefix) and name.endswith(".tmp")):
-            continue
-        pid_text = name[len(prefix) : -len(".tmp")]
-        if not pid_text.isdigit() or _pid_alive(int(pid_text)):
-            continue
-        try:
-            candidate.unlink()
-        except OSError:
-            pass
-
-
-@contextmanager
-def _exclusive_lock(path: Path):
-    """Advisory exclusive lock on ``<path>.lock`` (no-op sans fcntl)."""
-    if fcntl is None:
-        yield
-        return
-    lock_path = path.with_suffix(path.suffix + ".lock")
-    with open(lock_path, "w") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
-
-
 def _parse_entries(payload) -> dict[str, int | Fault] | None:
-    """Entries of a schema-1 or schema-2 payload; None if unreadable.
+    """Entries of a schema-2 payload; None if unreadable.
 
-    Schema-1 ``null`` failures migrate to an ``unknown`` fault (the
-    old format recorded no provenance).  Individually malformed
-    entries are dropped; a structurally alien payload returns None so
-    the caller can quarantine the file.
+    Individually malformed entries are dropped; a structurally alien
+    payload (any other schema included) returns None so the caller can
+    quarantine the file.
     """
     if not isinstance(payload, dict):
         return None
     raw = payload.get("entries")
     if not isinstance(raw, dict):
         return None
-    schema = payload.get("schema")
+    if payload.get("schema") != TuneCache.SCHEMA:
+        return None
     entries: dict[str, int | Fault] = {}
-    if schema == 1:
-        for key, cycles in raw.items():
-            if cycles is None:
-                entries[str(key)] = UnknownFault(
-                    message=(
-                        "schema-1 cached failure (no provenance "
-                        "recorded)"
-                    ),
-                    candidate=None,
-                )
-            elif isinstance(cycles, int) and not isinstance(cycles, bool):
-                entries[str(key)] = cycles
-        return entries
-    if schema == TuneCache.SCHEMA:
-        for key, value in raw.items():
-            if isinstance(value, bool):
+    for key, value in raw.items():
+        if isinstance(value, bool):
+            continue
+        if isinstance(value, int):
+            entries[str(key)] = value
+        elif isinstance(value, dict):
+            try:
+                entries[str(key)] = Fault.from_json(value["fault"])
+            except (KeyError, ValueError):
                 continue
-            if isinstance(value, int):
-                entries[str(key)] = value
-            elif isinstance(value, dict):
-                try:
-                    entries[str(key)] = Fault.from_json(value["fault"])
-                except (KeyError, ValueError):
-                    continue
-        return entries
-    return None
+    return entries
 
 
 class TuneCache:
@@ -190,39 +114,28 @@ class TuneCache:
         if self.path is not None:
             self._entries = self._load()
 
-    def _load(self) -> dict[str, int | Fault]:
-        _sweep_stale_tmp(self.path)
+    def _read_disk(self) -> dict[str, int | Fault] | None:
+        """The entries on disk: none when there is no file yet, None
+        when the file is unreadable (undecodable bytes, bad JSON, an
+        alien schema)."""
         try:
-            text = self.path.read_text()
+            return _parse_entries(json.loads(self.path.read_text()))
         except OSError:
-            return {}  # missing file: a fresh store
-        except ValueError:  # undecodable bytes: corrupt
-            self._quarantine()
             return {}
-        try:
-            payload = json.loads(text)
         except ValueError:
-            payload = None
-        entries = _parse_entries(payload)
+            return None
+
+    def _load(self) -> dict[str, int | Fault]:
+        sweep_stale_tmp(self.path.parent, self.path.name + ".")
+        entries = self._read_disk()
         if entries is None:
-            self._quarantine()
+            quarantine(
+                self.path,
+                f"tune cache {self.path} is corrupt, starting from an "
+                "empty store",
+            )
             return {}
         return entries
-
-    def _quarantine(self) -> None:
-        """Set a corrupt store aside as ``<path>.corrupt`` + warn."""
-        corrupt = self.path.with_suffix(self.path.suffix + ".corrupt")
-        try:
-            self.path.replace(corrupt)
-            where = str(corrupt)
-        except OSError:
-            where = "(quarantine rename failed; file left in place)"
-        warnings.warn(
-            f"tune cache {self.path} is corrupt; quarantined to "
-            f"{where} and starting from an empty store",
-            RuntimeWarning,
-            stacklevel=4,
-        )
 
     @staticmethod
     def key(
@@ -248,18 +161,8 @@ class TuneCache:
                 return True, None, value
             return True, value, None
 
-    def put(self, key: str, cycles: int | None) -> None:
-        """Record a measurement.
-
-        ``None`` (the legacy failure form) is upgraded to an
-        ``unknown`` fault; prefer :meth:`put_failure` with a real one.
-        """
-        if cycles is None:
-            self.put_failure(
-                key,
-                UnknownFault(message="recorded failure (no provenance)"),
-            )
-            return
+    def put(self, key: str, cycles: int) -> None:
+        """Record a measurement (failures: :meth:`put_failure`)."""
         self._store(key, cycles)
 
     def put_failure(self, key: str, fault: Fault) -> None:
@@ -299,13 +202,10 @@ class TuneCache:
         if not self._dirty:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with _exclusive_lock(self.path):
+        with exclusive_lock(self.path):
             # Merge-on-save: union entries another process persisted
             # since our load, instead of last-writer-wins clobbering.
-            try:
-                disk = _parse_entries(json.loads(self.path.read_text()))
-            except (OSError, ValueError):
-                disk = None
+            disk = self._read_disk()
             if disk:
                 merged = dict(disk)
                 merged.update(self._entries)
@@ -319,23 +219,11 @@ class TuneCache:
                 for key, value in sorted(self._entries.items())
             }
             payload = {"schema": self.SCHEMA, "entries": serialized}
-            tmp = self.path.with_suffix(
-                f"{self.path.suffix}.{os.getpid()}.tmp"
+            write_atomic(
+                self.path, json.dumps(payload, indent=2) + "\n"
             )
-            with open(tmp, "w") as handle:
-                handle.write(json.dumps(payload, indent=2) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            tmp.replace(self.path)
-            try:
-                dir_fd = os.open(self.path.parent, os.O_RDONLY)
-                try:
-                    os.fsync(dir_fd)
-                finally:
-                    os.close(dir_fd)
-            except OSError:  # pragma: no cover - fs without dir fsync
-                pass
-            _sweep_stale_tmp(self.path)
+            fsync_dir(self.path.parent)
+            sweep_stale_tmp(self.path.parent, self.path.name + ".")
         self._dirty = False
         self._puts_since_save = 0
 

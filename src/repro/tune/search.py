@@ -14,12 +14,12 @@ strategies share one evaluation harness:
 
 Candidates evaluate serially by default; ``workers > 1`` fans a batch
 out across the fault-tolerant
-:class:`~repro.tune.workers.HardenedPool` (compile + simulate is
+:class:`~repro.runtime.workers.HardenedPool` (compile + simulate is
 pure-Python CPU work, so threads would serialize on the GIL;
 fork-style workers inherit the loaded package for free, and platforms
 without fork stay serial).  Every failure — compile error, oracle
 mismatch, killed worker, blown deadline — surfaces as a structured
-:class:`~repro.tune.faults.Fault` on the candidate's outcome;
+:class:`~repro.runtime.faults.Fault` on the candidate's outcome;
 transient faults are retried by the pool, deterministic ones are
 persisted in the :class:`~repro.tune.cache.TuneCache` so reruns skip
 them with provenance.  The compiler default is always measured, so the
@@ -42,18 +42,18 @@ import numpy as np
 
 from .. import api
 from ..compiler import Compiler
-from ..obs.tracing import (
-    absorb,
-    correlation,
-    correlation_id,
-    recording,
-    span,
-    tracing_enabled,
+from ..obs.tracing import span
+from ..runtime.faults import (
+    Fault,
+    FaultInjector,
+    InjectedError,
+    classify_error,
 )
+from ..runtime.store import content_key
+from ..runtime.workers import HardenedPool, PoolConfig
 from ..snitch.cluster import run_row_partitioned
 from ..snitch.engine import ENGINE_VERSION
 from .cache import TuneCache
-from .faults import Fault, FaultInjector, InjectedError, classify_error
 from .schedule import (
     ScheduleConfig,
     ScheduleError,
@@ -62,7 +62,6 @@ from .schedule import (
     cluster_plan,
     resolve_kernel,
 )
-from .workers import HardenedPool, PoolConfig
 
 STRATEGIES = ("exhaustive", "random", "greedy")
 
@@ -105,48 +104,31 @@ def _apply_injection(injection, serial: bool, deadline) -> None:
         raise KeyboardInterrupt
 
 
-def _measure_task(task) -> tuple[int | dict | None, dict | None]:
+def _measure_task(task) -> tuple[int | None, dict | None]:
     """(cycles, fault_json) for one config — the pool's work item.
 
     Never raises (except ``KeyboardInterrupt``): every failure is
     classified into the fault taxonomy so the pool can apply retry
-    policy and the cache can persist provenance.
-
-    When the dispatching search runs under tracing, the payload
-    carries the correlation ID (its seventh element); the measurement
-    then records per-candidate spans into a local recorder — workers
-    are separate processes, so span context cannot ride the
-    ``contextvars`` — and smuggles them back through the pool's
-    2-tuple result protocol as ``({"cycles": ..., "spans": [...]},
-    fault_json)``, which :meth:`_SearchDriver._absorb` unwraps.
+    policy and the cache can persist provenance.  (The pool carries
+    the ``tune.candidate`` span home from a forked worker.)
     """
     payload, injection, serial = task
-    kernel, sizes, config, seed, validate, deadline = payload[:6]
-    trace_ctx = payload[6] if len(payload) > 6 else None
+    kernel, sizes, config, seed, validate, deadline = payload
     stage: list[str] = ["inject"] if injection is not None else []
-
-    def measure() -> int:
-        if injection is not None:
-            _apply_injection(injection, serial, deadline)
-        return evaluate_config(
-            kernel,
-            sizes,
-            config,
-            seed=seed,
-            validate=validate,
-            deadline_seconds=deadline,
-            stage_out=stage,
-        )
-
     try:
-        if trace_ctx is None:
-            return measure(), None
-        with recording() as recorder, correlation(trace_ctx):
-            with span("tune.candidate", candidate=config.key()):
-                cycles = measure()
-        return {"cycles": cycles, "spans": recorder.events_json()}, None
-    except KeyboardInterrupt:
-        raise
+        with span("tune.candidate", candidate=config.key()):
+            if injection is not None:
+                _apply_injection(injection, serial, deadline)
+            cycles = evaluate_config(
+                kernel,
+                sizes,
+                config,
+                seed=seed,
+                validate=validate,
+                deadline_seconds=deadline,
+                stage_out=stage,
+            )
+        return cycles, None
     except Exception as error:  # classify, don't rank
         fault = classify_error(
             error,
@@ -429,11 +411,6 @@ class _SearchDriver:
                 pending.append((key, config))
 
         tasks = []
-        # When the caller is tracing, ship the correlation ID with each
-        # task so worker-side candidate spans join this trace.
-        trace_ctx = (
-            (correlation_id() or "") if tracing_enabled() else None
-        )
         for _, config in pending:
             payload = (
                 self.space.kernel,
@@ -442,7 +419,6 @@ class _SearchDriver:
                 self.seed,
                 self.validate,
                 self.deadline,
-                trace_ctx,
             )
             tasks.append((self._seq, config.key(), payload))
             self._seq += 1
@@ -469,11 +445,6 @@ class _SearchDriver:
     ) -> None:
         """Record one fresh measurement and apply the cache policy."""
         cycles, fault_json = result
-        if isinstance(cycles, dict):
-            # Traced measurement: unwrap the smuggled worker spans into
-            # this context's recorder (see ``_measure_task``).
-            absorb(cycles.get("spans"))
-            cycles = cycles.get("cycles")
         fault = (
             Fault.from_json(fault_json) if fault_json is not None else None
         )
@@ -615,7 +586,7 @@ def tune_kernel(
     used, and saved) or an existing :class:`TuneCache` (saved but kept
     open, so several kernels can share one store).  ``workers > 1``
     evaluates each batch across the fault-tolerant
-    :class:`~repro.tune.workers.HardenedPool` — worth it for large
+    :class:`~repro.runtime.workers.HardenedPool` — worth it for large
     kernels or budgets; the default (serial) is fastest for the Table 1
     micro-shapes.
 
@@ -647,9 +618,6 @@ def tune_kernel(
     space = ScheduleSpace.for_kernel(kernel, sizes, core_counts)
     store_key = None
     if store is not None:
-        # Lazy import: repro.service depends on this module.
-        from ..service.store import content_key
-
         store_key = content_key(
             "tuned-schedule",
             kernel,

@@ -8,7 +8,9 @@ in the opt-in request log.
 """
 
 import json
+import os
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -17,28 +19,42 @@ from repro.obs.tracing import (
     new_correlation_id,
     recording,
 )
-from repro.service.client import ServiceClient, serve_forever
+from repro.service.client import ServiceClient
 from repro.service.server import CompileServer, ServiceRequest
-from repro.service.store import ArtifactStore
+from repro.runtime.store import ArtifactStore
+from repro.service.wire import serve_forever
 from repro.tools import kernel_service
 
 
-@pytest.fixture()
-def live_server(tmp_path):
+#: Serial pool (jobs run in the server process) and forked pool
+#: (a batch of distinct misses fans out to worker processes).
+WORKERS = pytest.mark.parametrize("workers", [1, 2])
+
+
+@contextmanager
+def _serving(tmp_path, workers):
     sock = tmp_path / "svc.sock"
     ready = threading.Event()
     thread = threading.Thread(
         target=serve_forever,
         args=(tmp_path / "store", sock),
-        kwargs={"workers": 1, "ready": lambda _addr: ready.set()},
+        kwargs={"workers": workers, "ready": lambda _addr: ready.set()},
         daemon=True,
     )
     thread.start()
     assert ready.wait(10)
     client = ServiceClient(sock)
-    yield client
-    client.shutdown()
-    thread.join(10)
+    try:
+        yield client
+    finally:
+        client.shutdown()
+        thread.join(10)
+
+
+@pytest.fixture()
+def live_server(tmp_path):
+    with _serving(tmp_path, workers=1) as client:
+        yield client
 
 
 class TestServiceCorrelation:
@@ -95,6 +111,45 @@ class TestServiceCorrelation:
             for event in parsed["traceEvents"]
         )
 
+    @WORKERS
+    def test_batch_trace_reaches_every_worker_job(
+        self, tmp_path, workers
+    ):
+        """One traced batch: a ``worker.job`` span per computed job
+        under the call's correlation id — from forked workers too,
+        and for the job that faults."""
+        with _serving(tmp_path, workers) as client, recording() as recorder:
+            results = client.batch(
+                [
+                    ServiceRequest("measure", "relu", (4, 8)),
+                    ServiceRequest("measure", "sum", (4, 8)),
+                    # Parses, but lowers to nothing: faults in the
+                    # worker, at compile time.
+                    ServiceRequest(
+                        "compile", "fill", (4, 8), pipeline="canonicalize"
+                    ),
+                ]
+            )
+        assert [r["source"] for r in results] == [
+            "computed",
+            "computed",
+            "failed",
+        ]
+        events = recorder.events_json()
+        jobs = [e for e in events if e["name"] == "worker.job"]
+        assert sorted(e["args"]["label"] for e in jobs) == [
+            "fill",
+            "relu",
+            "sum",
+        ]
+        cid = results[0]["correlation_id"]
+        assert {e["args"]["correlation_id"] for e in events} == {cid}
+        assert {"client.batch", "server.batch", "sim.run"} <= {
+            e["name"] for e in events
+        }
+        in_process = {e["pid"] for e in jobs} == {os.getpid()}
+        assert in_process == (workers == 1)
+
     def test_batch_shares_one_correlation_id(self, live_server):
         results = live_server.batch(
             [
@@ -109,7 +164,7 @@ class TestServiceCorrelation:
         result = live_server.submit(
             ServiceRequest("measure", "relu", (4, 8))
         )
-        assert "__spans__" not in (result["payload"] or {})
+        assert set(result["payload"]) == {"cycles"}
 
     def test_request_log_greps_by_corr_id(
         self, live_server, monkeypatch, capsys
@@ -139,8 +194,42 @@ class TestStoreHygiene:
             )
         assert first.source == "computed"
         assert second.source == "store"
-        assert "__spans__" not in first.payload
-        assert "__spans__" not in second.payload
+        assert set(first.payload) == set(second.payload) == {"cycles"}
+
+    @WORKERS
+    def test_traced_and_untraced_stores_are_byte_identical(
+        self, tmp_path, workers
+    ):
+        """Spans travel beside the result, never inside it: what a
+        traced run persists equals what an untraced run persists."""
+        requests = [
+            ServiceRequest("measure", "sum", (4, 8)),
+            ServiceRequest("measure", "relu", (4, 8)),
+        ]
+        stored = {}
+        for name in ("traced", "untraced"):
+            store = ArtifactStore(tmp_path / name)
+            with CompileServer(store, workers=workers) as server:
+                if name == "traced":
+                    with recording() as recorder:
+                        results = server.batch(requests)
+                    assert "worker.job" in {
+                        e["name"] for e in recorder.events_json()
+                    }
+                else:
+                    results = server.batch(requests)
+                again = server.batch(requests)
+            assert [r.source for r in results] == ["computed"] * 2
+            assert [r.source for r in again] == ["store"] * 2
+            assert [r.payload for r in again] == [
+                r.payload for r in results
+            ]
+            stored[name] = {
+                str(path.relative_to(store.root)): path.read_bytes()
+                for path in store.objects_dir.rglob("*.json")
+            }
+        assert len(stored["traced"]) == 2
+        assert stored["traced"] == stored["untraced"]
 
     def test_request_key_ignores_correlation(self, tmp_path):
         """Correlation ids must not break content addressing."""

@@ -17,21 +17,23 @@ from repro import api, kernels
 from repro.compiler import CompiledKernel, Compiler
 from repro.kernels import lowlevel, networks
 from repro.kernels.builders import KERNEL_BUILDERS
+from repro.obs.tracing import correlation, recording
 from repro.service import (
     ArtifactStore,
     CompileServer,
+    RequestJournal,
     ServiceClient,
     ServiceRequest,
     StoreError,
     serve_forever,
 )
 from repro.service.server import request_key
-from repro.service.store import compile_key, content_key
+from repro.runtime.store import compile_key, content_key
 from repro.snitch import engine
 from repro.tools import kernel_service
 from repro.tune import TuneCache, evaluate_config, tune_kernel
 from repro.tune.schedule import ScheduleConfig
-from repro.tune.workers import HardenedPool, PoolConfig
+from repro.runtime.workers import HardenedPool, PoolConfig
 
 #: Table 1 kernels at small, fast shapes.
 TABLE1 = (
@@ -378,6 +380,153 @@ class TestCompileServer:
         assert "layer_memo" in stats["caches"]
         assert stats["pool"]["workers"] == 1
         assert "store" in stats
+
+
+class _SpyJournal(RequestJournal):
+    """A journal that also logs its traffic."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.traffic = []
+
+    def begin(self, kind, key, label=""):
+        self.traffic.append(("begin", kind, key, label))
+        return super().begin(kind, key, label)
+
+    def finish(self, entry_id):
+        self.traffic.append(("finish", entry_id))
+        super().finish(entry_id)
+
+
+class TestSubmitIsBatchOfOne:
+    """``submit(r)`` and ``batch([r])[0]`` are one code path: same
+    result (all fields but latency), same counters, same journal
+    traffic — only the span name tells them apart."""
+
+    #: A measure job: its payload (cycles) is deterministic, where a
+    #: compile payload embeds wall-clock pass timings.
+    GOOD = ServiceRequest("measure", "relu", (2, 4))
+    BAD = ServiceRequest("compile", "relu", (2, 4), pipeline="no-such-pass")
+
+    @staticmethod
+    def _observe(tmp_path, entry, request, prepare=None, **server_args):
+        """Everything one call leaves behind, on a fresh server."""
+        root = tmp_path / entry
+        journal = _SpyJournal(root / "journal.json")
+        with CompileServer(
+            ArtifactStore(root), journal=journal, **server_args
+        ) as server:
+            if prepare is not None:
+                prepare(server)
+            journal.traffic.clear()
+            before = server.stats()["counters"]
+            with recording() as recorder, correlation("0123456789abcdef"):
+                if entry == "submit":
+                    result = server.submit(request)
+                else:
+                    [result] = server.batch([request])
+            after = server.stats()["counters"]
+        fields = result.to_json()
+        assert fields.pop("latency") >= 0
+        return {
+            "result": fields,
+            "counters": {
+                name: after[name] - before[name] for name in after
+            },
+            "journal": journal.traffic,
+            "spans": sorted(
+                event["name"]
+                for event in recorder.events_json()
+                if event["name"].startswith("server.")
+            ),
+        }
+
+    def _both(self, tmp_path, request, admitted=True, **kwargs):
+        one = self._observe(tmp_path, "submit", request, **kwargs)
+        many = self._observe(tmp_path, "batch", request, **kwargs)
+        # A refusal happens before any span opens.
+        assert one.pop("spans") == ["server.submit"] * admitted
+        assert many.pop("spans") == ["server.batch"] * admitted
+        assert one == many
+        return one
+
+    def test_computed(self, tmp_path):
+        seen = self._both(tmp_path, self.GOOD)
+        assert seen["result"]["source"] == "computed"
+        assert seen["result"]["correlation_id"] == "0123456789abcdef"
+        assert seen["counters"]["computed"] == 1
+        assert [step[0] for step in seen["journal"]] == ["begin", "finish"]
+
+    def test_store_hit(self, tmp_path):
+        seen = self._both(
+            tmp_path,
+            self.GOOD,
+            prepare=lambda server: server.submit(self.GOOD),
+        )
+        assert seen["result"]["source"] == "store"
+        assert seen["counters"]["store_hits"] == 1
+        assert seen["journal"] == []
+
+    def test_faulted(self, tmp_path):
+        seen = self._both(tmp_path, self.BAD)
+        assert seen["result"]["source"] == "failed"
+        assert seen["result"]["fault"]["kind"] in ("compile", "unknown")
+        assert seen["counters"]["faults"] == 1
+
+    def test_refused_overload(self, tmp_path):
+        seen = self._both(
+            tmp_path, self.GOOD, admitted=False, max_inflight=0
+        )
+        assert seen["result"]["source"] == "rejected"
+        assert seen["result"]["fault"]["kind"] == "overload"
+        assert seen["counters"]["rejected_overload"] == 1
+
+    def test_refused_draining(self, tmp_path):
+        seen = self._both(
+            tmp_path,
+            self.GOOD,
+            admitted=False,
+            prepare=lambda server: server.begin_drain(),
+        )
+        assert seen["result"]["fault"]["kind"] == "cancelled"
+        assert seen["counters"]["rejected_draining"] == 1
+
+    def test_joined_inflight(self, tmp_path):
+        """While another caller computes the key, both entry points
+        wait for that result instead of recomputing."""
+        holder = []
+
+        def hold_the_key(server):
+            started, release = threading.Event(), threading.Event()
+            real_map, real_claim = server.pool.map, server._claim
+
+            def slow_map(tasks):
+                started.set()
+                assert release.wait(10)
+                return real_map(tasks)
+
+            def claim(key):
+                record, owner = real_claim(key)
+                if not owner:
+                    release.set()  # the joiner is committed to waiting
+                return record, owner
+
+            server.pool.map, server._claim = slow_map, claim
+            owner = threading.Thread(
+                target=server.submit, args=(self.GOOD,)
+            )
+            owner.start()
+            assert started.wait(10)
+            holder.append(owner)
+
+        seen = self._both(tmp_path, self.GOOD, prepare=hold_the_key)
+        for owner in holder:
+            owner.join(10)
+            assert not owner.is_alive()
+        assert seen["result"]["source"] == "inflight"
+        assert seen["result"]["payload"]["cycles"] > 0
+        assert seen["counters"]["joined_inflight"] == 1
+        assert seen["counters"]["computed"] <= 1  # the owner's, if any
 
 
 def _race_batch_worker(store_dir, shapes, queue):

@@ -1,7 +1,7 @@
 """Resilient service lifecycle tests: request deadlines, admission
 backpressure, client retry + circuit breaker, graceful drain, the
 crash-safe request journal, and service-level chaos (the
-``REPRO_SERVICE_FAULTS`` injection layer).
+``REPRO_FAULTS`` injection layer).
 
 The drills at the bottom are the headline guarantees: a kill -9'd
 server restarts cleanly (stale socket cleared, journal swept, zero
@@ -38,15 +38,16 @@ from repro.service import (
     ServiceUnavailable,
     serve_forever,
 )
-from repro.service.client import _clear_stale_socket
-from repro.service.server import request_key
-from repro.tune.faults import (
+from repro.runtime.faults import (
     FAULT_KINDS,
+    FAULTS_ENV,
     SERVICE_ACTIONS,
-    SERVICE_FAULTS_ENV,
     FaultInjector,
     Injection,
 )
+from repro.service.server import request_key
+from repro.service import wire
+from repro.service.wire import _clear_stale_socket
 
 #: A tiny request that compiles in milliseconds.
 TINY = ServiceRequest("compile", "sum", (2, 4))
@@ -297,6 +298,42 @@ class TestDrain:
         assert code_box == [EXIT_OK]
         assert not socket_path.exists()
 
+    def test_connection_tracking_is_bounded(self, tmp_path, monkeypatch):
+        """Regression: the serve loop kept one ``Thread`` object per
+        connection *ever served* (a client opens one per call), so a
+        long-lived server's bookkeeping grew without bound.  Only
+        open connections are tracked now."""
+        states = []
+
+        class SpyState(wire._ServeState):
+            def __init__(self, listener):
+                super().__init__(listener)
+                states.append(self)
+
+        monkeypatch.setattr(wire, "_ServeState", SpyState)
+        socket_path, thread, _ = _spawn_server(tmp_path)
+        client = ServiceClient(socket_path)
+        for _ in range(40):
+            assert client.ping()
+        (state,) = states
+        deadline = time.monotonic() + 10
+        while state.connections and time.monotonic() < deadline:
+            time.sleep(0.01)  # the last call's thread is still exiting
+        assert state.connections == {}
+        assert not hasattr(state, "threads")  # nothing else to grow
+        held = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            held.connect(str(socket_path))
+            assert client.ping()  # accepted after ``held``
+            while len(state.connections) != 1 and (
+                time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert len(state.connections) == 1  # the one still open
+        finally:
+            held.close()
+        _stop(client, thread)
+
     def test_sigterm_drains_and_exits_143(self, tmp_path):
         """Satellite drill: a real CLI server process, SIGTERM'd,
         drains and exits with the documented code."""
@@ -380,7 +417,8 @@ class TestRequestJournal:
     def test_corrupt_journal_degrades_to_empty(self, tmp_path):
         journal = RequestJournal(tmp_path / "journal.json")
         journal.path.write_text("{not json")
-        assert journal.pending() == []
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert journal.pending() == []
         assert journal.sweep() == []
 
     def test_server_reports_interrupted_on_restart(self, tmp_path):
@@ -432,11 +470,11 @@ class TestRequestJournal:
 class TestServiceInjection:
     def test_env_grammar_parses_service_actions(self, monkeypatch):
         monkeypatch.setenv(
-            SERVICE_FAULTS_ENV,
+            FAULTS_ENV,
             "reject-admission@0;delay-response@1=0.05;"
             "drop-connection@2;crash-server@3",
         )
-        injector = FaultInjector.from_env(SERVICE_FAULTS_ENV)
+        injector = FaultInjector.from_env()
         assert injector.for_request(0).action == "reject-admission"
         assert injector.for_request(1).value == 0.05
         assert injector.for_request(3).action == "crash-server"

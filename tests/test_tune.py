@@ -13,6 +13,7 @@ from repro.snitch.machine import SnitchMachine
 from repro.snitch.memory import TCDM
 from repro.tools import kernel_tuner
 from repro.tune import (
+    CompileFault,
     ScheduleConfig,
     ScheduleError,
     ScheduleSpace,
@@ -250,13 +251,14 @@ class TestCache:
         path = tmp_path / "cache.json"
         cache = TuneCache(path)
         key = TuneCache.key("matmul", (4, 4, 4), ScheduleConfig())
-        cache.put(key, None)
+        cache.put_failure(key, CompileFault(message="does not lower"))
         cache.save()
         reopened = TuneCache(path)
         hit, cycles, fault = reopened.lookup(key)
         assert hit and cycles is None
         # Schema 2 never stores a bare null: the failure is structured.
-        assert fault is not None and fault.kind == "unknown"
+        assert fault == CompileFault(message="does not lower")
+        assert None not in json.loads(path.read_text())["entries"].values()
 
 
 class TestTunedSchedule:

@@ -114,7 +114,7 @@ class TestFaultTaxonomy:
 class TestInjectionPlans:
     def test_from_env_grammar(self, monkeypatch):
         monkeypatch.setenv(
-            "REPRO_TUNE_FAULTS", "crash@2; delay@1=0.5, raise@3:sticky"
+            "REPRO_FAULTS", "crash@2; delay@1=0.5, raise@3:sticky"
         )
         injector = FaultInjector.from_env()
         assert injector.plan == (
@@ -124,11 +124,11 @@ class TestInjectionPlans:
         )
 
     def test_from_env_absent(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TUNE_FAULTS", raising=False)
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         assert FaultInjector.from_env() is None
 
     def test_from_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TUNE_FAULTS", "explode@1")
+        monkeypatch.setenv("REPRO_FAULTS", "explode@1")
         with pytest.raises(ValueError, match="explode"):
             FaultInjector.from_env()
 
@@ -290,7 +290,7 @@ class TestHardenedPool:
         assert any("degrading to serial" in e for e in pool.events)
 
     def test_no_fork_means_serial_from_the_start(self, monkeypatch):
-        from repro.tune import workers as workers_mod
+        from repro.runtime import workers as workers_mod
 
         monkeypatch.setattr(workers_mod, "_FORK_AVAILABLE", False)
         with HardenedPool(_ok_task, PoolConfig(workers=4)) as pool:
@@ -303,25 +303,23 @@ class TestHardenedPool:
 
 
 class TestCrashSafeCache:
-    def test_schema_1_migrates_on_load(self, tmp_path):
+    def test_schema_1_is_quarantined(self, tmp_path):
+        """No migration path is kept for its own sake: a file of any
+        schema but the current one is a corrupt cache — set aside,
+        re-measured."""
         path = tmp_path / "cache.json"
-        path.write_text(
-            json.dumps(
-                {"schema": 1, "entries": {"good": 42, "bad": None}}
-            )
+        text = json.dumps(
+            {"schema": 1, "entries": {"good": 42, "bad": None}}
         )
-        cache = TuneCache(path)
-        assert cache.lookup("good") == (True, 42, None)
-        hit, cycles, fault = cache.lookup("bad")
-        assert hit and cycles is None
-        assert fault.kind == "unknown" and "schema-1" in fault.message
-        # A save upgrades the file: schema 2, no bare nulls.
+        path.write_text(text)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            cache = TuneCache(path)
+        assert cache.lookup("good") == (False, None, None)
+        assert path.with_suffix(".json.corrupt").read_text() == text
         cache.put("new", 7)
         cache.save()
         stored = json.loads(path.read_text())
-        assert stored["schema"] == TuneCache.SCHEMA
-        assert None not in stored["entries"].values()
-        assert stored["entries"]["bad"]["fault"]["kind"] == "unknown"
+        assert stored == {"schema": TuneCache.SCHEMA, "entries": {"new": 7}}
 
     def test_corrupted_bytes_quarantine(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -458,7 +456,7 @@ class TestInjectedSearch:
 
 class TestTunerCLIExitCodes:
     def test_interrupt_exits_130(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TUNE_FAULTS", "interrupt@2")
+        monkeypatch.setenv("REPRO_FAULTS", "interrupt@2")
         code = kernel_tuner.main(
             ["matmul", "4", "4", "4", "--cache", str(tmp_path / "c.json")]
         )
@@ -468,7 +466,7 @@ class TestTunerCLIExitCodes:
         assert "partial" in captured.out  # best-so-far report printed
 
     def test_no_baseline_exits_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TUNE_FAULTS", "raise@0:sticky")
+        monkeypatch.setenv("REPRO_FAULTS", "raise@0:sticky")
         code = kernel_tuner.main(
             ["matmul", "4", "4", "4", "--cache", str(tmp_path / "c.json")]
         )
