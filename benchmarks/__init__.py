@@ -1,2 +1,3 @@
 """Benchmark harness regenerating every table and figure of the paper's
-evaluation (see DESIGN.md Section 4 for the experiment index)."""
+evaluation (one ``bench_<figure or table>.py`` per experiment; README.md
+"Tests and benchmarks" has the commands)."""

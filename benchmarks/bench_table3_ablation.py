@@ -4,9 +4,10 @@ Applies the pipeline stages cumulatively — Baseline, + Streams,
 + Scalar Replacement, + FRep, + Fuse Fill, + Unroll-and-Jam — and
 reports registers, executed memory operations, FMA count, static FREP
 count, cycles and FPU occupancy, mirroring the paper's table row for
-row.  Two extra ablations cover design choices called out in DESIGN.md:
-the unroll factor (the stall cliff below 4) and the stream-pattern
-simplification (configuration instruction savings).
+row.  Two extra ablations cover design choices called out in
+docs/MACHINE_MODEL.md: the unroll factor (the stall cliff below
+``FP_LATENCY`` = 4, §3) and the stream-pattern simplification
+(configuration instruction savings, §5).
 """
 
 import numpy as np
@@ -64,7 +65,7 @@ def bench_stage(benchmark, report, label, pipeline):
 
 @pytest.mark.parametrize("factor", (1, 2, 4, 5))
 def bench_unroll_factor_ablation(benchmark, report, factor):
-    """DESIGN.md ablation: the FPU pipeline needs an interleave of >= 4
+    """docs/MACHINE_MODEL.md §3: the FPU pipeline needs an interleave of >= 4
     (paper Section 3.4); smaller factors stall on the accumulator."""
 
     def once():
@@ -89,7 +90,7 @@ def bench_unroll_factor_ablation(benchmark, report, factor):
 
 
 def bench_stream_config_simplification(benchmark, report):
-    """DESIGN.md ablation: contiguous-dim collapsing and the zero-stride
+    """docs/MACHINE_MODEL.md §5: contiguous-dim collapsing and the zero-stride
     repetition keep the stream setup short — count the scfgwi writes the
     full MatMul kernel needs (2 per hardware dim + repeat + pointer)."""
 

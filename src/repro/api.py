@@ -127,9 +127,9 @@ def run_kernel(
     instead of monopolising the process.
 
     ``profile=True`` attaches the cycle-attribution profiler
-    (:mod:`repro.obs.profiler`) and runs on the reference interpreter
-    (bit-exact with the engine, slower); ``KernelRun.profile`` then
-    carries the per-bucket breakdown and FPU utilization.
+    (:mod:`repro.obs.profiler`) to the same engine run, with the issue
+    timeline recorded; ``KernelRun.profile`` then carries the
+    per-bucket breakdown and FPU utilization.
     """
     memory = TCDM()
     int_args: dict[str, int] = {}
@@ -160,14 +160,11 @@ def run_kernel(
         from .obs.profiler import CycleProfiler
 
         profiler = CycleProfiler.attach(machine)
-        trace = machine.run_reference(
-            compiled.entry, int_args=int_args, float_args=float_args
-        )
+    trace = machine.run(
+        compiled.entry, int_args=int_args, float_args=float_args
+    )
+    if profile:
         cycle_profile = profiler.finalize(machine)
-    else:
-        trace = machine.run(
-            compiled.entry, int_args=int_args, float_args=float_args
-        )
     arrays: list[np.ndarray | None] = []
     for placement in placements:
         if placement is None:

@@ -5,9 +5,9 @@ labeled instruments.  Instruments are created on first use
 (``registry.counter("requests", kind="compile")``) and shared by every
 subsequent lookup with the same name and labels, so call sites never
 coordinate.  All mutation goes through a per-instrument lock — the
-fix for the pre-PR-10 thread-safety hole where ``DECODE_STATS`` and
-``REWRITE_STATS`` were bumped with unlocked ``+=`` under the
-thread-per-connection service loop.
+fix for the pre-PR-10 thread-safety hole where the engine's decode
+counts and ``REWRITE_STATS`` were bumped with unlocked ``+=`` under
+the thread-per-connection service loop.
 
 The process-wide default registry is :data:`METRICS`.  Long-lived
 components that need isolated numbers (one :class:`CompileServer` per
@@ -299,8 +299,8 @@ class MetricsRegistry:
                     del self._instruments[key]
 
 
-#: The process-wide default registry.  Module-level telemetry
-#: (``DECODE_STATS``, ``REWRITE_STATS``) lives here; components that
+#: The process-wide default registry.  Module-level telemetry (the
+#: engine's decode counts, ``REWRITE_STATS``) lives here; components that
 #: need isolated numbers construct their own ``MetricsRegistry``.
 METRICS = MetricsRegistry()
 

@@ -44,26 +44,25 @@ the ``frep_body`` region, everything else to ``scalar`` — separating
 the streamed inner loop from its scalar prologue/epilogue, as the
 paper does when explaining utilization gaps.
 
-Usage: the profiler rides the *reference* interpreter
-(:meth:`SnitchMachine.run_reference`), which is bit-exact with the
-closure engine, so profiled numbers are the real numbers::
+Usage: the profiler rides either engine — both report every step
+through :meth:`CycleProfiler.step` with the same numbers, so the
+profile does not depend on which one ran::
 
     machine = SnitchMachine(program, record_timeline=True)
     profiler = CycleProfiler.attach(machine)
-    machine.run_reference(entry, ...)
+    machine.run(entry, ...)
     profile = profiler.finalize(machine)
 
 or simply ``run_kernel(compiled, args, profile=True)``.  The default
-``machine.profiler`` is ``None`` and the hot interpreter loop checks
-it once per run — zero cost when disabled.
+``machine.profiler`` is ``None`` and each engine checks it once per
+run — zero cost when disabled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..snitch.isa import BRANCHES, FP_ARITH_FLOPS, FPU_INSTRUCTIONS
-from ..snitch.machine import BRANCH_TAKEN_PENALTY
+from ..snitch.isa import ISA, KIND_BRANCH, KIND_JUMP
 
 #: Bucket names in report order.
 BUCKETS = (
@@ -147,13 +146,13 @@ class CycleProfile:
 
 
 class CycleProfiler:
-    """Collects per-step claims from the reference interpreter.
+    """Collects per-step claims from whichever engine runs.
 
     Attach before the run (``record_timeline`` must be on: the FPU
     side is reconstructed from the issue timeline), then
-    :meth:`finalize` after it.  The hooks only read machine state —
-    the observer-effect-freedom test asserts profiled runs stay
-    bit-identical.
+    :meth:`finalize` after it.  The hook is handed numbers, never the
+    machine — the observer-effect-freedom test asserts profiled runs
+    stay bit-identical.
     """
 
     def __init__(self):
@@ -161,8 +160,6 @@ class CycleProfiler:
         self._int_claims: list[tuple[int, int, str]] = []
         #: [tl0, tl1) timeline-row windows covering FREP body issues.
         self._frep_windows: list[tuple[int, int]] = []
-        self._it0 = 0
-        self._tl0 = 0
 
     @classmethod
     def attach(cls, machine) -> "CycleProfiler":
@@ -176,30 +173,30 @@ class CycleProfiler:
         machine.profiler = profiler
         return profiler
 
-    # -- interpreter hooks -------------------------------------------------------
+    # -- engine hook -------------------------------------------------------------
 
-    def before_step(self, machine) -> None:
-        self._it0 = machine.int_time
-        self._tl0 = len(machine.timeline)
-
-    def after_step(self, machine, inst, pc_before: int, pc_next: int) -> None:
-        it0, it1 = self._it0, machine.int_time
-        mnemonic = inst.mnemonic
-        if mnemonic == "frep.o":
+    def step(
+        self, inst, pc: int, pc_next: int,
+        it0: int, it1: int, tl0: int, tl1: int,
+    ) -> None:
+        """One executed instruction (``frep.o`` with its whole replay
+        is one step): the integer timeline moved ``it0 -> it1`` and the
+        issue timeline grew from ``tl0`` to ``tl1`` rows."""
+        op = ISA[inst.mnemonic]
+        if inst.mnemonic == "frep.o":
             # frep.o issue + body dispatch into the sequencer; the FPU
             # rows appended during this step are the FREP body.
             self._int_claims.append((it0, it1, "int_core"))
-            tl1 = len(machine.timeline)
-            if tl1 > self._tl0:
-                self._frep_windows.append((self._tl0, tl1))
-        elif mnemonic in BRANCHES or mnemonic == "j":
-            if pc_next != pc_before + 1:  # taken: trailing penalty
-                split = it1 - BRANCH_TAKEN_PENALTY
+            if tl1 > tl0:
+                self._frep_windows.append((tl0, tl1))
+        elif op.unit in (KIND_BRANCH, KIND_JUMP):
+            if pc_next != pc + 1:  # taken: trailing penalty
+                split = it1 - op.latency
                 self._int_claims.append((it0, split, "int_core"))
                 self._int_claims.append((split, it1, "branch_bubble"))
             else:
                 self._int_claims.append((it0, it1, "int_core"))
-        elif mnemonic == "csrci":
+        elif inst.mnemonic == "csrci":
             # One issue cycle, then the stream-disable drain: the
             # integer core parks until the FPU catches up.
             self._int_claims.append((it0, it0 + 1, "int_core"))
@@ -248,7 +245,7 @@ class CycleProfiler:
             if issue > prev_end:
                 claim(prev_end, issue, region, "fpu_stall")
             op = text.split(None, 1)[0]
-            bucket = "fpu_arith" if op in FP_ARITH_FLOPS else "fpu_nonarith"
+            bucket = "fpu_arith" if ISA[op].flops else "fpu_nonarith"
             claim(issue, issue + 1, region, bucket)
             prev_end = issue + 1
 

@@ -2,7 +2,7 @@
 
 The paper evaluates on a Verilator-generated RTL simulator of the Snitch
 cluster; this package substitutes a cycle-approximate architectural model
-of one Snitch core (DESIGN.md Section 2): an in-order single-issue integer
+of one Snitch core (``docs/MACHINE_MODEL.md``): an in-order single-issue integer
 core, a 3-stage FPU behind a sequencer (pseudo-dual-issue under FREP),
 three stream semantic registers with 4-dimensional affine address
 generators, and a flat TCDM.  All quantities the paper measures — cycle

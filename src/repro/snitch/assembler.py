@@ -13,15 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from ..backend.registers import is_float_register, is_int_register
-from .isa import (
-    BRANCHES,
-    FP_LOADS,
-    FP_STORES,
-    FPU_INSTRUCTIONS,
-    INT_LOADS,
-    INT_STORES,
-    Inst,
-)
+from .isa import ISA, Inst
 
 
 class AssemblerError(Exception):
@@ -264,52 +256,9 @@ def _parse_rd_acc_rs(mnemonic, ops, line):
     )
 
 
+#: mnemonic -> shape parser, from the ISA table's ``shape`` column.
 _PARSERS = {
-    "add": _parse_rd_rs_rs,
-    "sub": _parse_rd_rs_rs,
-    "mul": _parse_rd_rs_rs,
-    "addi": _parse_rd_rs_imm,
-    "slli": _parse_rd_rs_imm,
-    "li": _parse_rd_imm,
-    "mv": _parse_rd_rs,
-    "fmv.d": _parse_rd_rs,
-    "fcvt.d.w": _parse_rd_rs,
-    "vfcpka.s.s": _parse_rd_rs_rs,
-    "lw": _parse_load,
-    "fld": _parse_load,
-    "flw": _parse_load,
-    "sw": _parse_store,
-    "fsd": _parse_store,
-    "fsw": _parse_store,
-    "fadd.d": _parse_rd_rs_rs,
-    "fsub.d": _parse_rd_rs_rs,
-    "fmul.d": _parse_rd_rs_rs,
-    "fdiv.d": _parse_rd_rs_rs,
-    "fmax.d": _parse_rd_rs_rs,
-    "fmin.d": _parse_rd_rs_rs,
-    "fadd.s": _parse_rd_rs_rs,
-    "fsub.s": _parse_rd_rs_rs,
-    "fmul.s": _parse_rd_rs_rs,
-    "fmax.s": _parse_rd_rs_rs,
-    "fmin.s": _parse_rd_rs_rs,
-    "fmadd.d": _parse_fma,
-    "fmadd.s": _parse_fma,
-    "vfadd.s": _parse_rd_rs_rs,
-    "vfmul.s": _parse_rd_rs_rs,
-    "vfmax.s": _parse_rd_rs_rs,
-    "vfmac.s": _parse_rd_acc_rs,
-    "vfsum.s": _parse_rd_acc_rs,
-    "blt": _parse_branch2,
-    "bge": _parse_branch2,
-    "bne": _parse_branch2,
-    "beq": _parse_branch2,
-    "bnez": _parse_branch1,
-    "j": _parse_jump,
-    "ret": _parse_none,
-    "csrsi": _parse_csr,
-    "csrci": _parse_csr,
-    "scfgwi": _parse_scfgwi,
-    "frep.o": _parse_frep,
+    mnemonic: globals()[f"_parse_{op.shape}"] for mnemonic, op in ISA.items()
 }
 
 #: Mnemonics the assembler understands (exported for tests).

@@ -15,12 +15,20 @@ everything resolvable at decode time already resolved:
   TCDM byte array;
 * ``frep.o`` becomes a true macro-op: the body is legality-checked and
   decoded once, then replayed in a tight loop with the sequencer
-  timing model applied incrementally;
-* SSR address generation is incremental (add the innermost stride,
-  carry on wrap) instead of re-summing over all dimensions per element.
+  timing model applied incrementally.
 
-Semantics are bit-exact with the reference interpreter
-(:meth:`SnitchMachine.run_reference`): cycle counts, every
+The closure factories are not written by hand: the factory of a row of
+:data:`repro.snitch.isa.ISA` is *generated* from one of three source
+templates (integer, branch, FPU) with the row's compute expression,
+latency, FLOPs and counters substituted in — once per process, the
+first time the mnemonic is decoded — so an instruction's semantics are
+stated once — in the table — and the closure executes them inline,
+with no per-instruction call.  Only structural instructions
+(``frep.o``, ``ret``, ``j``, ``csrsi``/``csrci``, ``scfgwi``) have
+handwritten closures.
+
+Semantics are bit-exact with the reference interpreter in
+:mod:`.machine`, which evaluates the same rows: cycle counts, every
 :class:`~repro.snitch.trace.ExecutionTrace` counter, recorded
 timelines, and final memory contents are identical — the differential
 test suite asserts this on randomized programs and on the paper's
@@ -32,57 +40,40 @@ a cluster (and repeated runs of one kernel) share one decode.
 
 from __future__ import annotations
 
+import linecache
 import threading
 import weakref
 from collections import OrderedDict
-from collections.abc import Mapping
 from time import monotonic
-
-import numpy as np
 
 from ..backend.registers import FLOAT_REGISTERS, INT_REGISTERS
 from ..obs.metrics import METRICS
 from ..obs.tracing import span
 from .assembler import AssemblerError, Program
-from .isa import (
-    FP_ARITH_FLOPS,
-    FP_LOADS,
-    FP_STORES,
-    FPU_INSTRUCTIONS,
-    Inst,
+from .isa import (  # noqa: F401 - the codecs are named by generated code
+    ISA,
     KIND_BRANCH,
     KIND_FPU,
     KIND_FREP,
     KIND_INT,
     KIND_JUMP,
     KIND_RET,
-    SSR_COUNT,
-    SSR_MAX_DIMS,
-    WORD_BOUND_BASE,
-    WORD_READ_POINTER_BASE,
-    WORD_REPEAT,
-    WORD_STRIDE_BASE,
-    WORD_WRITE_POINTER_BASE,
-    classify,
-    scfg_decode,
-)
-from .machine import (
-    BRANCH_TAKEN_PENALTY,
-    FP_LATENCY,
-    FP_LOAD_LATENCY,
-    INT_LOAD_LATENCY,
-    MUL_LATENCY,
-    STREAM_REGISTERS,
-    DeadlineExceeded,
+    PACK_D,
+    PACK_Q,
+    UNPACK_D,
+    UNPACK_FF,
+    UNPACK_Q,
+    Inst,
+    Op,
     SimulationError,
-    SnitchMachine,
-    _SCALAR_OPS,
-    bits_to_f32,
-    f32_to_bits,
+    compute_source,
+    frep_body,
     pack_f32x2,
-    unpack_f32x2,
+    round_f32,
+    scfg_action,
 )
-from .memory import U32, U64, F64, out_of_bounds
+from .machine import STREAM_REGISTERS, SnitchMachine, budget_error
+from .memory import U32, U64, out_of_bounds
 
 #: Unified register name space: the reference interpreter keys its
 #: integer and FP register files by *name*, accepting any register name
@@ -94,58 +85,16 @@ _REG_INDEX = {name: i for i, name in enumerate(_REG_NAMES)}
 #: Data-mover index by unified register index (ft0..ft2 only).
 _STREAM_MOVER = {_REG_INDEX[n]: k for k, n in enumerate(STREAM_REGISTERS)}
 
-_TAKEN = 1 + BRANCH_TAKEN_PENALTY
-
-# Prebound codecs (compiled once in memory.py).
+# Prebound codecs (compiled once in memory.py), by access width.
 _LOAD_U64 = U64.unpack_from
 _STORE_U64 = U64.pack_into
 _LOAD_U32 = U32.unpack_from
 _STORE_U32 = U32.pack_into
-_PACK_D = F64.pack
-_UNPACK_D = F64.unpack
-_PACK_Q = U64.pack
-_UNPACK_Q = U64.unpack
+_LOADER = {4: "_LOAD_U32", 8: "_LOAD_U64"}
+_STORER = {4: "_STORE_U32", 8: "_STORE_U64"}
 
-_compute_packed = SnitchMachine._compute_packed
-
-class _DecodeStats(Mapping):
-    """Read-through view over the decode counters in the obs registry.
-
-    Keeps the historical ``DECODE_STATS["programs_decoded"]`` reading
-    idiom while the actual counts live in
-    :data:`repro.obs.metrics.METRICS` as atomic counters
-    (``engine_programs_decoded`` / ``engine_instructions_decoded``) —
-    the PR-10 fix for unlocked ``+=`` on a module dict under the
-    service's thread-per-connection loop.
-    """
-
-    def __init__(self):
-        self._counters = {
-            "programs_decoded": METRICS.counter(
-                "engine_programs_decoded"
-            ),
-            "instructions_decoded": METRICS.counter(
-                "engine_instructions_decoded"
-            ),
-        }
-
-    def __getitem__(self, key: str) -> int:
-        return self._counters[key].value
-
-    def __iter__(self):
-        return iter(self._counters)
-
-    def __len__(self) -> int:
-        return len(self._counters)
-
-    def increment(self, key: str, amount: int = 1) -> None:
-        self._counters[key].inc(amount)
-
-
-#: Decode telemetry: bumped once per (cache-missing) decode; the
-#: perf-smoke suite budgets these to prove decoding happens once per
-#: program, not once per core or per run.
-DECODE_STATS = _DecodeStats()
+_PROGRAMS_DECODED = METRICS.counter("engine_programs_decoded")
+_INSTRUCTIONS_DECODED = METRICS.counter("engine_instructions_decoded")
 
 #: Version of the engine's timing semantics.  The schedule-space
 #: autotuner persists measured cycle counts keyed on this value — bump
@@ -233,68 +182,11 @@ def _u(name: str) -> int:
     return index
 
 
-def _src_meta(name: str) -> tuple[int, bool, int]:
-    """(unified index, is-FP-named, data-mover index or -1)."""
+
+def _src_meta(name: str) -> tuple[int, int]:
+    """(unified index, data-mover index or -1) of an FPU source."""
     u = _u(name)
-    return u, name.startswith("f"), _STREAM_MOVER.get(u, -1)
-
-
-class _FastMover:
-    """Incremental-address twin of :class:`machine.DataMover`.
-
-    Maintains the invariant ``addr == base + sum(index[d] * strides[d]
-    for d in range(dims))`` across advances, so each element costs one
-    add instead of a sum over all dimensions.
-    """
-
-    __slots__ = (
-        "bounds", "strides", "repeat", "direction", "dims", "base",
-        "index", "repeat_count", "exhausted", "addr",
-    )
-
-    def __init__(self):
-        self.bounds = [0] * SSR_MAX_DIMS
-        self.strides = [0] * SSR_MAX_DIMS
-        self.repeat = 0
-        self.direction = None
-        self.dims = 0
-        self.base = 0
-        self.index = [0] * SSR_MAX_DIMS
-        self.repeat_count = 0
-        self.exhausted = False
-        self.addr = 0
-
-    def arm(self, direction: str, dims: int, base: int) -> None:
-        self.direction = direction
-        self.dims = dims
-        self.base = base
-        self.index = [0] * SSR_MAX_DIMS
-        self.repeat_count = 0
-        self.exhausted = False
-        self.addr = base
-
-    def resync(self) -> None:
-        """Recompute ``addr`` after a stride config write mid-pattern."""
-        self.addr = self.base + sum(
-            self.index[d] * self.strides[d] for d in range(self.dims)
-        )
-
-    def wrap(self) -> None:
-        """Advance with carry (innermost dimension has hit its bound)."""
-        index = self.index
-        bounds = self.bounds
-        strides = self.strides
-        addr = self.addr
-        for d in range(self.dims):
-            i = index[d]
-            if i < bounds[d]:
-                index[d] = i + 1
-                self.addr = addr + strides[d]
-                return
-            index[d] = 0
-            addr -= i * strides[d]
-        self.addr = addr
-        self.exhausted = True
+    return u, _STREAM_MOVER.get(u, -1)
 
 
 class _State:
@@ -303,12 +195,16 @@ class _State:
     __slots__ = (
         "xs", "fs", "xready", "fready", "int_time", "fpu_time",
         "streaming", "movers", "trace", "timeline", "executed",
-        "max_instructions", "data", "size", "deadline",
+        "max_instructions", "memory", "data", "size", "deadline",
+        "deadline_seconds",
     )
 
 
 def make_state(machine: SnitchMachine) -> _State:
-    """Seed a flat state from a machine's architectural dictionaries."""
+    """Seed a flat state from a machine's architectural dictionaries.
+
+    Data movers, trace, timeline and memory are the machine's own
+    objects; only the name-keyed register files are flattened."""
     s = _State()
     int_regs = machine.int_regs
     float_regs = machine.float_regs
@@ -321,25 +217,14 @@ def make_state(machine: SnitchMachine) -> _State:
     s.int_time = machine.int_time
     s.fpu_time = machine.fpu_time
     s.streaming = machine.streaming
-    s.movers = []
-    for dm in machine.movers:
-        fm = _FastMover()
-        fm.bounds = list(dm.bounds)
-        fm.strides = list(dm.strides)
-        fm.repeat = dm.repeat
-        fm.direction = dm.direction
-        fm.dims = dm.dims
-        fm.base = dm.base
-        fm.index = list(dm.index)
-        fm.repeat_count = dm.repeat_count
-        fm.exhausted = dm.exhausted
-        fm.resync()
-        s.movers.append(fm)
+    s.movers = machine.movers
     s.trace = machine.trace
     s.timeline = machine.timeline if machine.record_timeline else None
     s.executed = machine._executed
     s.max_instructions = machine.max_instructions
     s.deadline = machine._deadline
+    s.deadline_seconds = machine.deadline_seconds
+    s.memory = machine.memory
     s.data = machine.memory.data
     s.size = machine.memory.size
     return s
@@ -372,258 +257,268 @@ def sync_state(machine: SnitchMachine, s: _State) -> None:
     machine.fpu_time = s.fpu_time
     machine.streaming = s.streaming
     machine._executed = s.executed
-    for dm, fm in zip(machine.movers, s.movers):
-        dm.bounds = list(fm.bounds)
-        dm.strides = list(fm.strides)
-        dm.repeat = fm.repeat
-        dm.direction = fm.direction
-        dm.dims = fm.dims
-        dm.base = fm.base
-        dm.index = list(fm.index)
-        dm.repeat_count = fm.repeat_count
-        dm.exhausted = fm.exhausted
 
 
-# -- SSR element transport ------------------------------------------------------
-
-
-def _ssr_pop(s: _State, tr, m: _FastMover) -> int:
-    """Pop the next element of a read stream (with incremental advance)."""
-    if m.exhausted:
-        raise SimulationError("stream read past end of pattern")
-    addr = m.addr
-    if addr < 0 or addr + 8 > s.size:
-        raise out_of_bounds(addr, 8)
-    bits = _LOAD_U64(s.data, addr)[0]
-    if m.repeat_count < m.repeat:
-        m.repeat_count += 1
-    else:
-        m.repeat_count = 0
-        i = m.index[0]
-        if i < m.bounds[0]:
-            m.index[0] = i + 1
-            m.addr = addr + m.strides[0]
-        else:
-            m.wrap()
-    tr.ssr_reads += 1
-    return bits
-
-
-def _ssr_push(s: _State, tr, m: _FastMover, bits: int) -> None:
-    """Push the next element of a write stream."""
-    if m.exhausted:
-        raise SimulationError("stream write past end of pattern")
-    addr = m.addr
-    if addr < 0 or addr + 8 > s.size:
-        raise out_of_bounds(addr, 8)
-    _STORE_U64(s.data, addr, bits)
-    if m.repeat_count < m.repeat:
-        m.repeat_count += 1
-    else:
-        m.repeat_count = 0
-        i = m.index[0]
-        if i < m.bounds[0]:
-            m.index[0] = i + 1
-            m.addr = addr + m.strides[0]
-        else:
-            m.wrap()
-    tr.ssr_writes += 1
-
-
-# -- integer-core closures ------------------------------------------------------
+# -- closure factories, generated from the ISA table ----------------------------
 #
-# Every factory burns the reference interpreter's exact sequence into a
-# closure: bump the dynamic histogram, count the instruction, compute
-# the issue cycle from the source-ready times, record the timeline row,
-# advance the integer timeline, execute, publish the result-ready time.
-# Writes to ``zero`` (unified index 0) are dropped, but its ready time
-# is still published — exactly as the reference does.
+# Each generator below returns the body of one closure as source lines,
+# burning the reference interpreter's exact sequence in: bump the
+# dynamic histogram, count the instruction, compute the issue cycle
+# from the source-ready times, record the timeline row, advance the
+# unit's timeline, evaluate the row's expression inline, bump its
+# counters, publish the result-ready time.  Writes to ``zero`` (unified
+# index 0) are dropped, but its ready time is still published — exactly
+# as the reference does.  A register file is aliased to a local only
+# when the closure touches it at least twice.
+
+_RECORD = (
+    "tr = s.trace",
+    "h = tr.histogram",
+    "h[{mn!r}] = h.get({mn!r}, 0) + 1",
+    "tr.int_instructions += 1",
+)
 
 
-def _make_li(rd, imm, next_pc, text):
-    def op(s):
-        tr = s.trace
-        h = tr.histogram
-        h["li"] = h.get("li", 0) + 1
-        tr.int_instructions += 1
-        issue = s.int_time
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "int", text))
-        s.int_time = issue + 1
-        if rd:
-            s.xs[rd] = imm
-        s.xready[rd] = issue + 1
-        return next_pc
-
-    return op
+def _int_issue_lines(sources: int, shared: bool) -> list[str]:
+    """Integer-core issue cycle: in order, after every source is ready."""
+    xready = "xready" if shared else "s.xready"
+    lines = ["xready = s.xready"] if shared else []
+    lines.append("issue = s.int_time")
+    for i in range(sources):
+        lines += [f"r = {xready}[u{i}]", "if r > issue:", "    issue = r"]
+    return lines
 
 
-def _make_mv(rd, a, next_pc, text):
-    def op(s):
-        tr = s.trace
-        h = tr.histogram
-        h["mv"] = h.get("mv", 0) + 1
-        tr.int_instructions += 1
-        xready = s.xready
-        issue = s.int_time
-        r = xready[a]
-        if r > issue:
-            issue = r
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "int", text))
-        s.int_time = issue + 1
-        xs = s.xs
-        if rd:
-            xs[rd] = xs[a]
-        xready[rd] = issue + 1
-        return next_pc
-
-    return op
+def _memory_lines(op: Op, address: str, data: str) -> list[str]:
+    """Bounds-checked TCDM access of a load/store row; a load's value,
+    ``_LOADER[width](s.data, addr)[0]``, is left to the caller."""
+    width = op.load or op.store
+    lines = [
+        f"addr = {address}",
+        f"if addr < 0 or addr + {width} > s.size:",
+        f"    raise out_of_bounds(addr, {width})",
+    ]
+    if op.store:
+        mask = " & 0xFFFFFFFF" if width == 4 else ""
+        lines.append(f"{_STORER[width]}(s.data, addr, {data}{mask})")
+    return lines
 
 
-def _make_alu2(mn, rd, a, b, combine, next_pc, text):
-    """add/sub: two register sources, single-cycle result."""
-
-    def op(s):
-        tr = s.trace
-        h = tr.histogram
-        h[mn] = h.get(mn, 0) + 1
-        tr.int_instructions += 1
-        xready = s.xready
-        issue = s.int_time
-        r = xready[a]
-        if r > issue:
-            issue = r
-        r = xready[b]
-        if r > issue:
-            issue = r
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "int", text))
-        s.int_time = issue + 1
-        xs = s.xs
-        if rd:
-            xs[rd] = combine(xs[a], xs[b])
-        xready[rd] = issue + 1
-        return next_pc
-
-    return op
+def _counter_lines(op: Op) -> list[str]:
+    lines = [f"tr.{counter} += 1" for counter in op.counters]
+    if op.flops:
+        lines.append(f"tr.flops += {op.flops}")
+    return lines
 
 
-def _make_mul(rd, a, b, next_pc, text):
-    def op(s):
-        tr = s.trace
-        h = tr.histogram
-        h["mul"] = h.get("mul", 0) + 1
-        tr.int_instructions += 1
-        xready = s.xready
-        issue = s.int_time
-        r = xready[a]
-        if r > issue:
-            issue = r
-        r = xready[b]
-        if r > issue:
-            issue = r
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "int", text))
-        s.int_time = issue + 1
-        xs = s.xs
-        if rd:
-            xs[rd] = xs[a] * xs[b]
-        xready[rd] = issue + MUL_LATENCY
-        return next_pc
-
-    return op
-
-
-def _make_alu1i(mn, rd, a, imm, shift, next_pc, text):
-    """addi/slli: one register source plus an immediate."""
-
-    def op(s):
-        tr = s.trace
-        h = tr.histogram
-        h[mn] = h.get(mn, 0) + 1
-        tr.int_instructions += 1
-        xready = s.xready
-        issue = s.int_time
-        r = xready[a]
-        if r > issue:
-            issue = r
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "int", text))
-        s.int_time = issue + 1
-        xs = s.xs
-        if rd:
-            xs[rd] = (xs[a] << imm) if shift else (xs[a] + imm)
-        xready[rd] = issue + 1
-        return next_pc
-
-    return op
+def _int_source(mn: str, op: Op) -> tuple[str, list[str]]:
+    """``make(rd, srcs, imm, next_pc, text)`` -> ``op(s)`` returning
+    the next pc."""
+    sources = len(op.reads)
+    has_rd = not op.store
+    shared = sources + has_rd >= 2
+    xs, xready = ("xs", "xready") if shared else ("s.xs", "s.xready")
+    body = [line.format(mn=mn) for line in _RECORD]
+    body += _int_issue_lines(sources, shared)
+    body += [
+        "tl = s.timeline",
+        "if tl is not None:",
+        '    tl.append((issue, "int", text))',
+        "s.int_time = issue + 1",
+    ]
+    if shared:
+        body.append("xs = s.xs")
+    _, value = compute_source(op, [f"{xs}[u{i}]" for i in range(sources)])
+    if op.load or op.store:
+        body += _memory_lines(op, value, f"{xs}[u0]")
+    if op.load:
+        value = f"{_LOADER[op.load]}(s.data, addr)[0]"
+    if has_rd:
+        body += ["if rd:", f"    {xs}[rd] = {value}"]
+    body += _counter_lines(op)
+    if has_rd:
+        body.append(f"{xready}[rd] = issue + {op.latency}")
+    body.append("return next_pc")
+    return "rd, srcs, imm, next_pc, text", body
 
 
-def _make_lw(rd, base, imm, next_pc, text):
-    def op(s):
-        tr = s.trace
-        h = tr.histogram
-        h["lw"] = h.get("lw", 0) + 1
-        tr.int_instructions += 1
-        xready = s.xready
-        issue = s.int_time
-        r = xready[base]
-        if r > issue:
-            issue = r
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "int", text))
-        s.int_time = issue + 1
-        xs = s.xs
-        addr = xs[base] + imm
-        if addr < 0 or addr + 4 > s.size:
-            raise out_of_bounds(addr, 4)
-        if rd:
-            xs[rd] = _LOAD_U32(s.data, addr)[0]
-        tr.loads += 1
-        xready[rd] = issue + INT_LOAD_LATENCY
-        return next_pc
-
-    return op
+def _branch_source(mn: str, op: Op) -> tuple[str, list[str]]:
+    """``make(srcs, target_pc, target, next_pc)`` -> ``op(s)``.
+    Branches leave no timeline row (nor does the reference)."""
+    sources = len(op.reads)
+    shared = sources >= 2
+    xs = "xs" if shared else "s.xs"
+    body = [line.format(mn=mn) for line in _RECORD]
+    body += _int_issue_lines(sources, shared)
+    if shared:
+        body.append("xs = s.xs")
+    _, taken = compute_source(op, [f"{xs}[u{i}]" for i in range(sources)])
+    body += [
+        f"if {taken}:",
+        f"    s.int_time = issue + {1 + op.latency}",
+        "    if target_pc is None:",
+        '        raise AssemblerError(f"undefined label {target!r}")',
+        "    return target_pc",
+        "s.int_time = issue + 1",
+        "return next_pc",
+    ]
+    return "srcs, target_pc, target, next_pc", body
 
 
-def _make_sw(value, base, imm, next_pc, text):
-    def op(s):
-        tr = s.trace
-        h = tr.histogram
-        h["sw"] = h.get("sw", 0) + 1
-        tr.int_instructions += 1
-        xready = s.xready
-        issue = s.int_time
-        r = xready[value]
-        if r > issue:
-            issue = r
-        r = xready[base]
-        if r > issue:
-            issue = r
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "int", text))
-        s.int_time = issue + 1
-        xs = s.xs
-        addr = xs[base] + imm
-        if addr < 0 or addr + 4 > s.size:
-            raise out_of_bounds(addr, 4)
-        _STORE_U32(s.data, addr, xs[value] & 0xFFFFFFFF)
-        tr.stores += 1
-        return next_pc
+def _fpu_source(mn: str, op: Op) -> tuple[str, list[str]]:
+    """``make(rd, rd_k, srcs, imm, text)`` -> ``op(s, dispatch)``.
 
-    return op
+    The integer core's dispatch cycle is an argument so the same
+    closure serves both the standalone case (dispatch = integer issue
+    slot) and FREP replay (dispatch pre-computed for the first
+    iteration, 0 afterwards).  ``f`` operands resolve their read
+    stream once (``m<i>``), skip the scoreboard when streaming (stream
+    data is prefetched) and pop the stream inline; rd goes to an armed
+    write stream or to the register file.
+    """
+    reads = op.reads
+    fp = [i for i, mode in enumerate(reads) if mode != "x"]
+    to_stream = not (op.load or op.store)
+    shared = len(fp) + (not op.store) >= 2
+    fs = "fs" if shared else "s.fs"
+    fready = "fready" if fp else "s.fready"
+    body = ["tr = s.trace", "tr.fpu_instructions += 1"]
+    if fp or to_stream:
+        body += ["streaming = s.streaming", "movers = s.movers"]
+    if fp:
+        body += [
+            "fready = s.fready",
+            " = ".join(f"m{i}" for i in fp) + " = None",
+            "if streaming:",
+        ]
+        for i in fp:
+            body += [
+                f"    if k{i} >= 0:",
+                f"        m = movers[k{i}]",
+                '        if m.direction == "read":',
+                f"            m{i} = m",
+            ]
+    body.append("ready = dispatch")
+    for i, mode in enumerate(reads):
+        if mode == "x":
+            body += [f"r = s.xready[u{i}]", "if r > ready:", "    ready = r"]
+        else:
+            body += [
+                f"if m{i} is None:",
+                f"    r = fready[u{i}]",
+                "    if r > ready:",
+                "        ready = r",
+            ]
+    body += [
+        "ft = s.fpu_time",
+        "issue = ready if ready > ft else ft",
+        "if issue > ft:",
+        "    tr.fpu_stall_cycles += issue - ft",
+        "tl = s.timeline",
+        "if tl is not None:",
+        '    tl.append((issue, "fpu", text))',
+        "s.fpu_time = issue + 1",
+    ]
+    if shared:
+        body.append("fs = s.fs")
+    operands = []
+    for i, mode in enumerate(reads):
+        if mode == "f":
+            body += [
+                f"if m{i} is not None:",
+                f"    v{i} = m{i}.next_read(s.memory)",
+                "    tr.ssr_reads += 1",
+                f"    fs[u{i}] = v{i}",
+                "else:",
+                f"    v{i} = fs[u{i}]",
+            ]
+        operands.append(
+            {"x": f"s.xs[u{i}]", "r": f"{fs}[u{i}]", "f": f"v{i}"}[mode]
+        )
+    prelude, value = compute_source(op, operands)
+    body += prelude
+    if op.load or op.store:
+        body += _memory_lines(op, value, operands[0])
+    if op.load:
+        body.append(f"{fs}[rd] = {_LOADER[op.load]}(s.data, addr)[0]")
+    elif to_stream and not value.isidentifier():
+        body.append(f"res = {value}")
+        value = "res"
+    body += _counter_lines(op)
+    if op.load:
+        body.append(f"{fready}[rd] = issue + {op.latency}")
+    elif to_stream:
+        body += [
+            "if (",
+            "    rd_k >= 0",
+            "    and streaming",
+            '    and movers[rd_k].direction == "write"',
+            "):",
+            f"    movers[rd_k].next_write(s.memory, {value})",
+            "    tr.ssr_writes += 1",
+            "else:",
+            f"    {fs}[rd] = {value}",
+            f"    {fready}[rd] = issue + {op.latency}",
+        ]
+    return "rd, rd_k, srcs, imm, text", body
 
 
-def _make_scfgwi(src, action, next_pc, text):
-    """SSR config write; ``action`` is pre-decoded from the immediate."""
+#: unit -> (generator, closure parameters, what one of ``srcs`` unpacks to).
+_TEMPLATES = {
+    KIND_INT: (_int_source, "s", "u{i}"),
+    KIND_BRANCH: (_branch_source, "s", "u{i}"),
+    KIND_FPU: (_fpu_source, "s, dispatch", "(u{i}, k{i})"),
+}
+
+
+class _Factories(dict):
+    """mnemonic -> closure factory, generated from the ISA row and
+    compiled the first time a decode needs it, then kept: a process
+    pays (0.1-0.5 ms each) for the mnemonics it simulates and nothing
+    at import.  Only touched under :data:`_DECODE_LOCK`."""
+
+    def __missing__(self, mn: str):
+        op = ISA[mn]
+        generate, closure_params, source = _TEMPLATES[op.unit]
+        params, body = generate(mn, op)
+        unpack = "".join(
+            source.format(i=i) + ", " for i in range(len(op.reads))
+        )
+        lines = [
+            f"def make({params}):",
+            *([f"    {unpack}= srcs"] if unpack else []),
+            f"    def op({closure_params}):",
+            *("        " + line for line in body),
+            "    return op",
+        ]
+        text = "\n".join(lines) + "\n"
+        filename = f"<repro.snitch.engine: generated for {mn}>"
+        # Registered so tracebacks through the closure show its source.
+        linecache.cache[filename] = (
+            len(text), None, text.splitlines(True), filename,
+        )
+        scope: dict = {}
+        exec(compile(text, filename, "exec"), globals(), scope)
+        self[mn] = scope["make"]
+        return scope["make"]
+
+
+_FACTORIES = _Factories()
+
+
+# -- structural closures ----------------------------------------------------------
+
+
+def _make_scfgwi(inst: Inst, next_pc: int):
+    """SSR config write, pre-decoded from the immediate; a bad word
+    raises when executed (after the issue bookkeeping), not at decode."""
+    src = _u(inst.sources[0])
+    text = str(inst)
+    mover = field = dimension = error = None
+    try:
+        mover, field, dimension = scfg_action(inst.imm)
+    except SimulationError as exc:
+        error = exc
 
     def op(s):
         tr = s.trace
@@ -638,31 +533,18 @@ def _make_scfgwi(src, action, next_pc, text):
         if tl is not None:
             tl.append((issue, "int", text))
         s.int_time = issue + 1
-        tag = action[0]
-        if tag == "badmover":
-            raise SimulationError(f"scfgwi: no data mover {action[1]}")
-        if tag == "badword":
-            raise SimulationError(
-                f"scfgwi: unknown config word {action[1]}"
-            )
-        value = s.xs[src]
-        m = s.movers[action[1]]
-        if tag == "bound":
-            m.bounds[action[2]] = value
-        elif tag == "stride":
-            m.strides[action[2]] = value
-            m.resync()
-        elif tag == "repeat":
-            m.repeat = value
-        else:  # arm
-            m.arm(action[2], action[3], value)
+        if error is not None:
+            raise error
+        s.movers[mover].configure(field, dimension, s.xs[src])
         return next_pc
 
     return op
 
 
-def _make_csr(mn, csr, next_pc, text):
-    supported = csr == "ssrcfg"
+def _make_csr(inst: Inst, next_pc: int):
+    mn = inst.mnemonic
+    csr = inst.csr
+    text = str(inst)
     enable = mn == "csrsi"
 
     def op(s):
@@ -675,7 +557,7 @@ def _make_csr(mn, csr, next_pc, text):
         if tl is not None:
             tl.append((issue, "int", text))
         s.int_time = issue + 1
-        if not supported:
+        if csr != "ssrcfg":
             raise SimulationError(f"unsupported CSR {csr!r}")
         if enable:
             s.streaming = True
@@ -689,82 +571,21 @@ def _make_csr(mn, csr, next_pc, text):
     return op
 
 
-def _make_int_unhandled(mn, srcs, text):
-    """The reference raises after the issue bookkeeping; mirror that."""
+_STRUCTURAL = {
+    "scfgwi": _make_scfgwi,
+    "csrsi": _make_csr,
+    "csrci": _make_csr,
+}
+
+
+def _make_j(inst: Inst, target_pc: int | None):
+    target = inst.target
+    cost = 1 + ISA["j"].latency
 
     def op(s):
-        tr = s.trace
-        h = tr.histogram
-        h[mn] = h.get(mn, 0) + 1
-        tr.int_instructions += 1
-        xready = s.xready
-        issue = s.int_time
-        for u in srcs:
-            r = xready[u]
-            if r > issue:
-                issue = r
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "int", text))
-        s.int_time = issue + 1
-        raise SimulationError(f"unhandled instruction {mn!r}")
-
-    return op
-
-
-def _make_bnez(a, target_pc, target, next_pc, text):
-    def op(s):
-        tr = s.trace
-        h = tr.histogram
-        h["bnez"] = h.get("bnez", 0) + 1
-        tr.int_instructions += 1
-        issue = s.int_time
-        r = s.xready[a]
-        if r > issue:
-            issue = r
-        if s.xs[a] != 0:
-            s.int_time = issue + _TAKEN
-            if target_pc is None:
-                raise AssemblerError(f"undefined label {target!r}")
-            return target_pc
-        s.int_time = issue + 1
-        return next_pc
-
-    return op
-
-
-def _make_branch2(mn, a, b, compare, target_pc, target, next_pc, text):
-    def op(s):
-        tr = s.trace
-        h = tr.histogram
-        h[mn] = h.get(mn, 0) + 1
-        tr.int_instructions += 1
-        xready = s.xready
-        issue = s.int_time
-        r = xready[a]
-        if r > issue:
-            issue = r
-        r = xready[b]
-        if r > issue:
-            issue = r
-        xs = s.xs
-        if compare(xs[a], xs[b]):
-            s.int_time = issue + _TAKEN
-            if target_pc is None:
-                raise AssemblerError(f"undefined label {target!r}")
-            return target_pc
-        s.int_time = issue + 1
-        return next_pc
-
-    return op
-
-
-def _make_j(target_pc, target, text):
-    def op(s):
-        tr = s.trace
-        h = tr.histogram
+        h = s.trace.histogram
         h["j"] = h.get("j", 0) + 1
-        s.int_time += _TAKEN
+        s.int_time += cost
         if target_pc is None:
             raise AssemblerError(f"undefined label {target!r}")
         return target_pc
@@ -776,499 +597,20 @@ def _ret_op(s):
     return None
 
 
-_BRANCH_COMPARE = {
-    "blt": lambda lhs, rhs: lhs < rhs,
-    "bge": lambda lhs, rhs: lhs >= rhs,
-    "bne": lambda lhs, rhs: lhs != rhs,
-    "beq": lambda lhs, rhs: lhs == rhs,
-}
+def _wrap_fpu(mn, fn, next_pc):
+    """Standalone FPU instruction: one integer-core dispatch slot, then
+    hand off to the FPU closure."""
 
-
-# -- FPU-side closures ----------------------------------------------------------
-#
-# FPU closures have signature ``fn(state, dispatch)`` — the integer
-# core's dispatch cycle is an argument so the same closure serves both
-# the standalone case (dispatch = integer issue slot) and FREP replay
-# (dispatch pre-computed for the first iteration, 0 afterwards).
-
-
-def _make_fp_load(mn, rd, src, imm, text):
-    u0, isfp0, k0 = src
-    double = mn == "fld"
-    width = 8 if double else 4
-    loader = _LOAD_U64 if double else _LOAD_U32
-
-    def fn(s, dispatch):
+    def op(s):
         tr = s.trace
-        tr.fpu_instructions += 1
-        ready = dispatch
-        if isfp0:
-            if not (
-                k0 >= 0
-                and s.streaming
-                and s.movers[k0].direction == "read"
-            ):
-                r = s.fready[u0]
-                if r > ready:
-                    ready = r
-        else:
-            r = s.xready[u0]
-            if r > ready:
-                ready = r
-        ft = s.fpu_time
-        issue = ready if ready > ft else ft
-        if issue > ft:
-            tr.fpu_stall_cycles += issue - ft
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "fpu", text))
-        s.fpu_time = issue + 1
-        addr = s.xs[u0] + imm
-        if addr < 0 or addr + width > s.size:
-            raise out_of_bounds(addr, width)
-        s.fs[rd] = loader(s.data, addr)[0]
-        tr.loads += 1
-        s.fready[rd] = issue + FP_LOAD_LATENCY
+        h = tr.histogram
+        h[mn] = h.get(mn, 0) + 1
+        d = s.int_time
+        s.int_time = d + 1
+        fn(s, d)
+        return next_pc
 
-    return fn
-
-
-def _make_fp_store(mn, value, base, imm, text):
-    uv, isfpv, kv = value
-    ub, isfpb, kb = base
-    double = mn == "fsd"
-    width = 8 if double else 4
-
-    def fn(s, dispatch):
-        tr = s.trace
-        tr.fpu_instructions += 1
-        streaming = s.streaming
-        movers = s.movers
-        ready = dispatch
-        if isfpv:
-            if not (
-                kv >= 0 and streaming and movers[kv].direction == "read"
-            ):
-                r = s.fready[uv]
-                if r > ready:
-                    ready = r
-        else:
-            r = s.xready[uv]
-            if r > ready:
-                ready = r
-        if isfpb:
-            if not (
-                kb >= 0 and streaming and movers[kb].direction == "read"
-            ):
-                r = s.fready[ub]
-                if r > ready:
-                    ready = r
-        else:
-            r = s.xready[ub]
-            if r > ready:
-                ready = r
-        ft = s.fpu_time
-        issue = ready if ready > ft else ft
-        if issue > ft:
-            tr.fpu_stall_cycles += issue - ft
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "fpu", text))
-        s.fpu_time = issue + 1
-        addr = s.xs[ub] + imm
-        if addr < 0 or addr + width > s.size:
-            raise out_of_bounds(addr, width)
-        bits = s.fs[uv]
-        if double:
-            _STORE_U64(s.data, addr, bits)
-        else:
-            _STORE_U32(s.data, addr, bits & 0xFFFFFFFF)
-        tr.stores += 1
-
-    return fn
-
-
-def _make_fcvt(rd, rd_k, src, text):
-    u0, isfp0, k0 = src
-
-    def fn(s, dispatch):
-        tr = s.trace
-        tr.fpu_instructions += 1
-        streaming = s.streaming
-        ready = dispatch
-        if isfp0:
-            if not (
-                k0 >= 0
-                and streaming
-                and s.movers[k0].direction == "read"
-            ):
-                r = s.fready[u0]
-                if r > ready:
-                    ready = r
-        else:
-            r = s.xready[u0]
-            if r > ready:
-                ready = r
-        ft = s.fpu_time
-        issue = ready if ready > ft else ft
-        if issue > ft:
-            tr.fpu_stall_cycles += issue - ft
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "fpu", text))
-        s.fpu_time = issue + 1
-        res = _UNPACK_Q(_PACK_D(float(s.xs[u0])))[0]
-        if (
-            rd_k >= 0
-            and streaming
-            and s.movers[rd_k].direction == "write"
-        ):
-            _ssr_push(s, tr, s.movers[rd_k], res)
-        else:
-            s.fs[rd] = res
-            s.fready[rd] = issue + 1
-
-    return fn
-
-
-def _make_fmadd_d(rd, rd_k, s0, s1, s2, text):
-    """The GEMM workhorse: ``fmadd.d`` with inline stream handling."""
-    u0, _, k0 = s0
-    u1, _, k1 = s1
-    u2, _, k2 = s2
-
-    def fn(s, dispatch):
-        tr = s.trace
-        tr.fpu_instructions += 1
-        streaming = s.streaming
-        movers = s.movers
-        fready = s.fready
-        m0 = m1 = m2 = None
-        if streaming:
-            if k0 >= 0:
-                m = movers[k0]
-                if m.direction == "read":
-                    m0 = m
-            if k1 >= 0:
-                m = movers[k1]
-                if m.direction == "read":
-                    m1 = m
-            if k2 >= 0:
-                m = movers[k2]
-                if m.direction == "read":
-                    m2 = m
-        ready = dispatch
-        if m0 is None:
-            r = fready[u0]
-            if r > ready:
-                ready = r
-        if m1 is None:
-            r = fready[u1]
-            if r > ready:
-                ready = r
-        if m2 is None:
-            r = fready[u2]
-            if r > ready:
-                ready = r
-        ft = s.fpu_time
-        issue = ready if ready > ft else ft
-        if issue > ft:
-            tr.fpu_stall_cycles += issue - ft
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "fpu", text))
-        s.fpu_time = issue + 1
-        fs = s.fs
-        if m0 is not None:
-            b0 = _ssr_pop(s, tr, m0)
-            fs[u0] = b0
-        else:
-            b0 = fs[u0]
-        if m1 is not None:
-            b1 = _ssr_pop(s, tr, m1)
-            fs[u1] = b1
-        else:
-            b1 = fs[u1]
-        if m2 is not None:
-            b2 = _ssr_pop(s, tr, m2)
-            fs[u2] = b2
-        else:
-            b2 = fs[u2]
-        res = _UNPACK_Q(_PACK_D(
-            _UNPACK_D(_PACK_Q(b0))[0] * _UNPACK_D(_PACK_Q(b1))[0]
-            + _UNPACK_D(_PACK_Q(b2))[0]
-        ))[0]
-        tr.fpu_arith_cycles += 1
-        tr.flops += 2
-        tr.fmadd += 1
-        if (
-            rd_k >= 0
-            and streaming
-            and movers[rd_k].direction == "write"
-        ):
-            _ssr_push(s, tr, movers[rd_k], res)
-        else:
-            fs[rd] = res
-            fready[rd] = issue + FP_LATENCY
-
-    return fn
-
-
-_ARITH2_D = {
-    "fadd.d": lambda a, b: a + b,
-    "fsub.d": lambda a, b: a - b,
-    "fmul.d": lambda a, b: a * b,
-    "fdiv.d": lambda a, b: a / b,
-    "fmax.d": max,
-    "fmin.d": min,
-}
-
-
-def _make_arith2_d(mn, rd, rd_k, s0, s1, text):
-    """Two-source scalar-double arithmetic with inline bit codecs."""
-    u0, _, k0 = s0
-    u1, _, k1 = s1
-    combine = _ARITH2_D[mn]
-    flops = FP_ARITH_FLOPS[mn]
-
-    def fn(s, dispatch):
-        tr = s.trace
-        tr.fpu_instructions += 1
-        streaming = s.streaming
-        movers = s.movers
-        fready = s.fready
-        m0 = m1 = None
-        if streaming:
-            if k0 >= 0:
-                m = movers[k0]
-                if m.direction == "read":
-                    m0 = m
-            if k1 >= 0:
-                m = movers[k1]
-                if m.direction == "read":
-                    m1 = m
-        ready = dispatch
-        if m0 is None:
-            r = fready[u0]
-            if r > ready:
-                ready = r
-        if m1 is None:
-            r = fready[u1]
-            if r > ready:
-                ready = r
-        ft = s.fpu_time
-        issue = ready if ready > ft else ft
-        if issue > ft:
-            tr.fpu_stall_cycles += issue - ft
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "fpu", text))
-        s.fpu_time = issue + 1
-        fs = s.fs
-        if m0 is not None:
-            b0 = _ssr_pop(s, tr, m0)
-            fs[u0] = b0
-        else:
-            b0 = fs[u0]
-        if m1 is not None:
-            b1 = _ssr_pop(s, tr, m1)
-            fs[u1] = b1
-        else:
-            b1 = fs[u1]
-        res = _UNPACK_Q(_PACK_D(combine(
-            _UNPACK_D(_PACK_Q(b0))[0], _UNPACK_D(_PACK_Q(b1))[0]
-        )))[0]
-        tr.fpu_arith_cycles += 1
-        tr.flops += flops
-        if (
-            rd_k >= 0
-            and streaming
-            and movers[rd_k].direction == "write"
-        ):
-            _ssr_push(s, tr, movers[rd_k], res)
-        else:
-            fs[rd] = res
-            fready[rd] = issue + FP_LATENCY
-
-    return fn
-
-
-def _make_fmv_d(rd, rd_k, s0, text):
-    """``fmv.d``: a counted register copy (1 FLOP per paper Table 1)."""
-    u0, _, k0 = s0
-
-    def fn(s, dispatch):
-        tr = s.trace
-        tr.fpu_instructions += 1
-        streaming = s.streaming
-        movers = s.movers
-        fready = s.fready
-        m0 = None
-        if streaming and k0 >= 0:
-            m = movers[k0]
-            if m.direction == "read":
-                m0 = m
-        ready = dispatch
-        if m0 is None:
-            r = fready[u0]
-            if r > ready:
-                ready = r
-        ft = s.fpu_time
-        issue = ready if ready > ft else ft
-        if issue > ft:
-            tr.fpu_stall_cycles += issue - ft
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "fpu", text))
-        s.fpu_time = issue + 1
-        fs = s.fs
-        if m0 is not None:
-            res = _ssr_pop(s, tr, m0)
-            fs[u0] = res
-        else:
-            res = fs[u0]
-        tr.fpu_arith_cycles += 1
-        tr.flops += 1
-        if (
-            rd_k >= 0
-            and streaming
-            and movers[rd_k].direction == "write"
-        ):
-            _ssr_push(s, tr, movers[rd_k], res)
-        else:
-            fs[rd] = res
-            fready[rd] = issue + FP_LATENCY
-
-    return fn
-
-
-def _compute_fn(mn):
-    """Bit-level compute function for the generic FPU closure, matching
-    :meth:`SnitchMachine._compute_fp` branch for branch."""
-    if mn == "fmv.d":
-        return lambda bits: bits[0]
-    if mn == "vfcpka.s.s":
-        return lambda bits: pack_f32x2(
-            bits_to_f32(bits[0] & 0xFFFFFFFF),
-            bits_to_f32(bits[1] & 0xFFFFFFFF),
-        )
-    if mn.endswith(".d"):
-        scalar = _SCALAR_OPS[mn[:-2]]
-
-        def compute(bits):
-            values = [_UNPACK_D(_PACK_Q(b))[0] for b in bits]
-            return _UNPACK_Q(_PACK_D(scalar(values)))[0]
-
-        return compute
-    if mn.startswith("vf"):
-        return lambda bits: _compute_packed(
-            mn, [unpack_f32x2(b) for b in bits]
-        )
-    if mn.endswith(".s"):
-        scalar = _SCALAR_OPS[mn[:-2]]
-
-        def compute(bits):
-            values = [bits_to_f32(b & 0xFFFFFFFF) for b in bits]
-            return f32_to_bits(np.float32(scalar(values)))
-
-        return compute
-
-    def unhandled(bits):
-        raise SimulationError(f"unhandled FP instruction {mn!r}")
-
-    return unhandled
-
-
-def _make_fp_generic(mn, rd, rd_k, srcs, text):
-    """Arity-agnostic arithmetic/move closure (``.s``, packed SIMD...)."""
-    compute = _compute_fn(mn)
-    arith = mn in FP_ARITH_FLOPS
-    flops = FP_ARITH_FLOPS.get(mn, 0)
-    latency = FP_LATENCY if arith else 1
-    is_fmadd = mn in ("fmadd.d", "fmadd.s")
-
-    def fn(s, dispatch):
-        tr = s.trace
-        tr.fpu_instructions += 1
-        streaming = s.streaming
-        movers = s.movers
-        fready = s.fready
-        xready = s.xready
-        ready = dispatch
-        for u, isfp, k in srcs:
-            if isfp:
-                if (
-                    k >= 0
-                    and streaming
-                    and movers[k].direction == "read"
-                ):
-                    continue
-                r = fready[u]
-            else:
-                r = xready[u]
-            if r > ready:
-                ready = r
-        ft = s.fpu_time
-        issue = ready if ready > ft else ft
-        if issue > ft:
-            tr.fpu_stall_cycles += issue - ft
-        tl = s.timeline
-        if tl is not None:
-            tl.append((issue, "fpu", text))
-        s.fpu_time = issue + 1
-        fs = s.fs
-        bits = []
-        for u, isfp, k in srcs:
-            if isfp and k >= 0 and streaming:
-                m = movers[k]
-                if m.direction == "read":
-                    b = _ssr_pop(s, tr, m)
-                    fs[u] = b
-                    bits.append(b)
-                    continue
-            bits.append(fs[u])
-        res = compute(bits)
-        if arith:
-            tr.fpu_arith_cycles += 1
-            tr.flops += flops
-            if is_fmadd:
-                tr.fmadd += 1
-        if rd is not None:
-            if (
-                rd_k >= 0
-                and streaming
-                and movers[rd_k].direction == "write"
-            ):
-                _ssr_push(s, tr, movers[rd_k], res)
-            else:
-                fs[rd] = res
-                fready[rd] = issue + latency
-
-    return fn
-
-
-def _make_fpu_fn(inst: Inst):
-    """Select and build the execute closure for one FPU instruction."""
-    mn = inst.mnemonic
-    text = str(inst)
-    srcs = tuple(_src_meta(name) for name in inst.sources)
-    rd = _u(inst.rd) if inst.rd is not None else None
-    rd_k = _STREAM_MOVER.get(rd, -1) if rd is not None else -1
-    if mn in FP_LOADS and rd is not None and len(srcs) == 1:
-        return _make_fp_load(mn, rd, srcs[0], inst.imm or 0, text)
-    if mn in FP_STORES and len(srcs) == 2:
-        return _make_fp_store(mn, srcs[0], srcs[1], inst.imm or 0, text)
-    if mn == "fcvt.d.w" and rd is not None and len(srcs) == 1:
-        return _make_fcvt(rd, rd_k, srcs[0], text)
-    all_fp = all(isfp for _, isfp, _ in srcs)
-    if rd is not None and all_fp:
-        if mn == "fmadd.d" and len(srcs) == 3:
-            return _make_fmadd_d(rd, rd_k, *srcs, text)
-        if mn in _ARITH2_D and len(srcs) == 2:
-            return _make_arith2_d(mn, rd, rd_k, *srcs, text)
-        if mn == "fmv.d" and len(srcs) == 1:
-            return _make_fmv_d(rd, rd_k, srcs[0], text)
-    return _make_fp_generic(mn, rd, rd_k, srcs, text)
+    return op
 
 
 # -- FREP macro-op --------------------------------------------------------------
@@ -1310,18 +652,15 @@ def _make_frep(rs, length, body, next_pc):
             first = True
             for _ in range(iterations):
                 if deadline is not None and monotonic() > deadline:
-                    raise DeadlineExceeded(
-                        "wall-clock deadline exceeded after "
-                        f"{executed} instructions (inside frep)"
+                    raise budget_error(
+                        executed, s.deadline_seconds, in_frep=True
                     )
                 d = base
                 for fn, mn in body:
                     h[mn] = h.get(mn, 0) + 1
                     executed += 1
                     if executed > maxi:
-                        raise SimulationError(
-                            "instruction budget exceeded inside frep"
-                        )
+                        raise budget_error(executed, in_frep=True)
                     if first:
                         fn(s, d)
                         d += 1
@@ -1336,110 +675,18 @@ def _make_frep(rs, length, body, next_pc):
 
 
 def _decode_frep(inst: Inst, pc: int, insts, fpu_fns):
-    length = inst.frep_length or 0
-    if length <= 0:
-        return _raising_after_record(
-            "frep.o",
-            SimulationError("frep.o with non-positive body length"),
-        )
-    body_start = pc + 1
-    if body_start + length > len(insts):
-        return _raising_after_record(
-            "frep.o",
-            SimulationError("frep.o body runs past end of program"),
-        )
-    for binst in insts[body_start : body_start + length]:
-        if binst.mnemonic not in FPU_INSTRUCTIONS:
-            return _raising_after_record(
-                "frep.o",
-                SimulationError(
-                    f"illegal instruction in FREP body: {binst.mnemonic}"
-                ),
-            )
+    try:
+        length = len(frep_body(insts, pc))
+    except SimulationError as error:
+        return _raising_after_record("frep.o", error)
     body = tuple(
         (fpu_fns[i], insts[i].mnemonic)
-        for i in range(body_start, body_start + length)
+        for i in range(pc + 1, pc + 1 + length)
     )
     return _make_frep(_u(inst.sources[0]), length, body, pc + 1 + length)
 
 
 # -- decode driver --------------------------------------------------------------
-
-
-def _decode_int(inst: Inst, next_pc: int):
-    mn = inst.mnemonic
-    text = str(inst)
-    if mn == "li":
-        return _make_li(_u(inst.rd), inst.imm, next_pc, text)
-    if mn == "mv":
-        return _make_mv(_u(inst.rd), _u(inst.sources[0]), next_pc, text)
-    if mn == "add":
-        return _make_alu2(
-            mn, _u(inst.rd), _u(inst.sources[0]), _u(inst.sources[1]),
-            lambda a, b: a + b, next_pc, text,
-        )
-    if mn == "sub":
-        return _make_alu2(
-            mn, _u(inst.rd), _u(inst.sources[0]), _u(inst.sources[1]),
-            lambda a, b: a - b, next_pc, text,
-        )
-    if mn == "mul":
-        return _make_mul(
-            _u(inst.rd), _u(inst.sources[0]), _u(inst.sources[1]),
-            next_pc, text,
-        )
-    if mn in ("addi", "slli"):
-        return _make_alu1i(
-            mn, _u(inst.rd), _u(inst.sources[0]), inst.imm,
-            mn == "slli", next_pc, text,
-        )
-    if mn == "lw":
-        return _make_lw(
-            _u(inst.rd), _u(inst.sources[0]), inst.imm or 0,
-            next_pc, text,
-        )
-    if mn == "sw":
-        return _make_sw(
-            _u(inst.sources[0]), _u(inst.sources[1]), inst.imm or 0,
-            next_pc, text,
-        )
-    if mn == "scfgwi":
-        return _make_scfgwi(
-            _u(inst.sources[0]), _scfg_action(inst.imm), next_pc, text
-        )
-    if mn in ("csrsi", "csrci"):
-        return _make_csr(mn, inst.csr, next_pc, text)
-    return _make_int_unhandled(
-        mn, tuple(_u(name) for name in inst.sources), text
-    )
-
-
-def _scfg_action(imm: int) -> tuple:
-    """Pre-decode an ``scfgwi`` immediate into an action tuple."""
-    mover_index, word = scfg_decode(imm)
-    if not 0 <= mover_index < SSR_COUNT:
-        return ("badmover", mover_index)
-    if WORD_BOUND_BASE <= word < WORD_BOUND_BASE + SSR_MAX_DIMS:
-        return ("bound", mover_index, word - WORD_BOUND_BASE)
-    if WORD_STRIDE_BASE <= word < WORD_STRIDE_BASE + SSR_MAX_DIMS:
-        return ("stride", mover_index, word - WORD_STRIDE_BASE)
-    if word == WORD_REPEAT:
-        return ("repeat", mover_index)
-    if (
-        WORD_READ_POINTER_BASE
-        <= word
-        < WORD_READ_POINTER_BASE + SSR_MAX_DIMS
-    ):
-        return ("arm", mover_index, "read", word - WORD_READ_POINTER_BASE + 1)
-    if (
-        WORD_WRITE_POINTER_BASE
-        <= word
-        < WORD_WRITE_POINTER_BASE + SSR_MAX_DIMS
-    ):
-        return (
-            "arm", mover_index, "write", word - WORD_WRITE_POINTER_BASE + 1
-        )
-    return ("badword", word)
 
 
 class DecodedProgram:
@@ -1502,46 +749,49 @@ def _decode_locked(program: Program) -> DecodedProgram:
 
 def _decode_miss(program: Program) -> DecodedProgram:
     insts = program.instructions
+    labels = program.labels
     code: list = [None] * len(insts)
     fpu_fns: list = [None] * len(insts)
     freps = []
     for pc, inst in enumerate(insts):
-        kind = inst.kind or classify(inst.mnemonic)
+        kind = inst.kind
+        mn = inst.mnemonic
         next_pc = pc + 1
         if kind == KIND_RET:
             code[pc] = _ret_op
-        elif kind == KIND_FPU:
-            fn = _make_fpu_fn(inst)
-            fpu_fns[pc] = fn
-            code[pc] = _wrap_fpu(inst.mnemonic, fn, next_pc)
-        elif kind == KIND_BRANCH:
-            target_pc = program.labels.get(inst.target)
-            if inst.mnemonic == "bnez":
-                code[pc] = _make_bnez(
-                    _u(inst.sources[0]), target_pc, inst.target,
-                    next_pc, str(inst),
-                )
-            else:
-                code[pc] = _make_branch2(
-                    inst.mnemonic,
-                    _u(inst.sources[0]), _u(inst.sources[1]),
-                    _BRANCH_COMPARE[inst.mnemonic],
-                    target_pc, inst.target, next_pc, str(inst),
-                )
-        elif kind == KIND_JUMP:
-            code[pc] = _make_j(
-                program.labels.get(inst.target), inst.target, str(inst)
-            )
         elif kind == KIND_FREP:
-            freps.append(pc)
+            freps.append(pc)  # after the loop: needs its body's closures
+        elif kind == KIND_JUMP:
+            code[pc] = _make_j(inst, labels.get(inst.target))
+        elif kind == KIND_FPU:
+            rd = _u(inst.rd) if inst.rd is not None else None
+            fn = fpu_fns[pc] = _FACTORIES[mn](
+                rd,
+                _STREAM_MOVER.get(rd, -1),
+                tuple(_src_meta(name) for name in inst.sources),
+                inst.imm,
+                str(inst),
+            )
+            code[pc] = _wrap_fpu(mn, fn, next_pc)
         else:
-            code[pc] = _decode_int(inst, next_pc)
+            srcs = tuple(_u(name) for name in inst.sources)
+            if kind == KIND_BRANCH:
+                code[pc] = _FACTORIES[mn](
+                    srcs, labels.get(inst.target), inst.target, next_pc
+                )
+            elif mn in _STRUCTURAL:
+                code[pc] = _STRUCTURAL[mn](inst, next_pc)
+            else:
+                rd = _u(inst.rd) if inst.rd is not None else None
+                code[pc] = _FACTORIES[mn](
+                    rd, srcs, inst.imm, next_pc, str(inst)
+                )
     for pc in freps:
         code[pc] = _decode_frep(insts[pc], pc, insts, fpu_fns)
     decoded = DecodedProgram(program, code)
     program._decoded = decoded
-    DECODE_STATS.increment("programs_decoded")
-    DECODE_STATS.increment("instructions_decoded", len(insts))
+    _PROGRAMS_DECODED.inc()
+    _INSTRUCTIONS_DECODED.inc(len(insts))
     key = id(program)
     _DECODE_LRU[key] = weakref.ref(program)
     _DECODE_LRU.move_to_end(key)
@@ -1549,20 +799,29 @@ def _decode_miss(program: Program) -> DecodedProgram:
     return decoded
 
 
-def _wrap_fpu(mn, fn, next_pc):
-    """Standalone FPU instruction: one integer-core dispatch slot, then
-    hand off to the FPU closure."""
+def _observed(decoded: DecodedProgram, machine: SnitchMachine) -> list:
+    """The decoded ops, each wrapped to report its step to the
+    machine's profiler — the same call, with the same numbers, as the
+    reference interpreter makes (``frep.o`` is one step; ``ret`` none)."""
+    profiler = machine.profiler
+    timeline = machine.timeline
 
-    def op(s):
-        tr = s.trace
-        h = tr.histogram
-        h[mn] = h.get(mn, 0) + 1
-        d = s.int_time
-        s.int_time = d + 1
-        fn(s, d)
-        return next_pc
+    def observe(op, inst, pc):
+        def step(s):
+            it0 = s.int_time
+            tl0 = len(timeline)
+            nxt = op(s)
+            profiler.step(
+                inst, pc, nxt, it0, s.int_time, tl0, len(timeline)
+            )
+            return nxt
 
-    return op
+        return step
+
+    return [
+        op if inst.kind == KIND_RET else observe(op, inst, pc)
+        for pc, (op, inst) in enumerate(zip(decoded.code, decoded.insts))
+    ]
 
 
 def execute(machine: SnitchMachine, entry: str):
@@ -1575,6 +834,8 @@ def execute(machine: SnitchMachine, entry: str):
     """
     decoded = decode(machine.program)
     code = decoded.code
+    if machine.profiler is not None:
+        code = _observed(decoded, machine)
     n = decoded.n
     pc = machine.program.entry(entry)
     s = make_state(machine)
@@ -1587,18 +848,13 @@ def execute(machine: SnitchMachine, entry: str):
             ex = s.executed + 1
             s.executed = ex
             if ex > maxi:
-                raise SimulationError(
-                    "instruction budget exceeded (infinite loop?)"
-                )
+                raise budget_error(ex)
             if (
                 deadline is not None
                 and (ex & 4095) == 0
                 and monotonic() > deadline
             ):
-                raise DeadlineExceeded(
-                    "wall-clock deadline exceeded after "
-                    f"{ex} instructions"
-                )
+                raise budget_error(ex, s.deadline_seconds)
             nxt = code[pc](s)
             if nxt is None:
                 break
@@ -1608,7 +864,6 @@ def execute(machine: SnitchMachine, entry: str):
 
 
 __all__ = [
-    "DECODE_STATS",
     "ENGINE_VERSION",
     "DecodedProgram",
     "clear_decode_cache",

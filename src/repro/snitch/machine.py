@@ -1,6 +1,7 @@
 """Cycle-approximate model of one Snitch core.
 
-Architecture modelled (paper Figure 3):
+Architecture modelled (paper Figure 3; ``docs/MACHINE_MODEL.md`` is the
+written-down timing model):
 
 * an in-order, single-issue **integer core** that executes integer
   ALU/memory/branch instructions and dispatches FP instructions to the
@@ -25,50 +26,49 @@ produces the utilization behaviours the paper measures: explicit
 loads/stores and loop control throttle the FPU in the baselines, while
 SSR+FREP code approaches one FP instruction per cycle.
 
-Execution is split decode/execute: :meth:`SnitchMachine.run` drives the
-predecoded closure engine in :mod:`repro.snitch.engine` (decode once
-per program, specialized closures, FREP replayed as a macro-op), while
-:meth:`SnitchMachine.run_reference` keeps this module's original
-decode-as-you-go interpreter as the semantic oracle.  The two are
-bit-exact: cycles, every trace counter, timelines, and memory contents
-are asserted identical by the differential test suite.
+What an instruction *is* — operands, semantics, latency, counters —
+lives in the :data:`repro.snitch.isa.ISA` table.  :meth:`SnitchMachine.run`
+executes closures the engine (:mod:`repro.snitch.engine`) generates
+from that table (decode once per program, FREP replayed as a
+macro-op); :meth:`SnitchMachine.run_reference` interprets the same rows
+one instruction at a time and is the differential oracle: cycles, every
+trace counter, timelines, and memory contents are asserted identical
+by the differential test suite.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from time import monotonic
 
-import numpy as np
-
 from .assembler import Program
 from .isa import (
-    BRANCHES,
-    FP_ARITH_FLOPS,
-    FP_LOADS,
-    FP_MOVES,
-    FP_STORES,
-    FPU_INSTRUCTIONS,
-    INT_ALU,
-    INT_LOADS,
-    INT_STORES,
+    BRANCH_TAKEN_PENALTY,
+    FP_LATENCY,
+    FP_LOAD_LATENCY,
+    INT_LOAD_LATENCY,
+    ISA,
+    KIND_BRANCH,
+    KIND_FPU,
+    KIND_FREP,
+    KIND_JUMP,
+    MUL_LATENCY,
     Inst,
+    Op,
     SSR_COUNT,
     SSR_MAX_DIMS,
-    WORD_BOUND_BASE,
-    WORD_READ_POINTER_BASE,
-    WORD_REPEAT,
-    WORD_STRIDE_BASE,
-    WORD_WRITE_POINTER_BASE,
-    scfg_decode,
+    SimulationError,
+    bits_to_f32,
+    bits_to_f64,
+    f32_to_bits,
+    f64_to_bits,
+    frep_body,
+    pack_f32x2,
+    scfg_action,
+    unpack_f32x2,
 )
-from .memory import TCDM
+from .memory import TCDM, U64, out_of_bounds
 from .trace import ExecutionTrace
-
-
-class SimulationError(Exception):
-    """Raised on illegal programs (bad streams, runaway execution...)."""
 
 
 class DeadlineExceeded(SimulationError):
@@ -85,54 +85,35 @@ class DeadlineExceeded(SimulationError):
     """
 
 
-# -- timing parameters (DESIGN.md Section 5) -----------------------------------
+def budget_error(
+    executed: int,
+    deadline_seconds: float | None = None,
+    in_frep: bool = False,
+) -> SimulationError:
+    """The runaway-execution error of both engines' main loops and FREP
+    replays: the wall-clock deadline when ``deadline_seconds`` is
+    given, the instruction budget otherwise."""
+    if deadline_seconds is None:
+        where = "inside frep" if in_frep else "(infinite loop?)"
+        return SimulationError(f"instruction budget exceeded {where}")
+    return DeadlineExceeded(
+        f"wall-clock deadline of {deadline_seconds:g}s exceeded after "
+        f"{executed} instructions" + (" (inside frep)" if in_frep else "")
+    )
 
-#: Cycles after issue until an FP arithmetic result is usable.
-FP_LATENCY = 4
-#: Cycles after issue until an FP load's data is usable.
-FP_LOAD_LATENCY = 3
-#: Cycles after issue until an integer load's data is usable.
-INT_LOAD_LATENCY = 3
-#: Cycles after issue until an integer multiply's result is usable.
-MUL_LATENCY = 3
-#: Extra cycles a taken branch costs (fetch bubble; no predictor).
-BRANCH_TAKEN_PENALTY = 2
 
 #: Stream-register names by data-mover index.
 STREAM_REGISTERS = ("ft0", "ft1", "ft2")
 
+#: Explicit load/store accessors by access width in bytes.
+_LOAD = {4: TCDM.load_u32, 8: TCDM.load_u64}
+_STORE = {4: TCDM.store_u32, 8: TCDM.store_u64}
 
-def f64_to_bits(value: float) -> int:
-    """IEEE-754 bits of a double."""
-    return struct.unpack("<Q", struct.pack("<d", value))[0]
-
-
-def bits_to_f64(bits: int) -> float:
-    """Double from IEEE-754 bits."""
-    return struct.unpack("<d", struct.pack("<Q", bits & (2**64 - 1)))[0]
+_LOAD_U64 = U64.unpack_from
+_STORE_U64 = U64.pack_into
 
 
-def f32_to_bits(value: float) -> int:
-    """IEEE-754 bits of a single."""
-    return struct.unpack("<I", struct.pack("<f", np.float32(value)))[0]
-
-
-def bits_to_f32(bits: int) -> float:
-    """Single from IEEE-754 bits."""
-    return struct.unpack("<f", struct.pack("<I", bits & 0xFFFFFFFF))[0]
-
-
-def pack_f32x2(lane0: float, lane1: float) -> int:
-    """Pack two singles into one 64-bit register image."""
-    return f32_to_bits(lane0) | (f32_to_bits(lane1) << 32)
-
-
-def unpack_f32x2(bits: int) -> tuple[float, float]:
-    """Unpack the two single-precision lanes of a register image."""
-    return bits_to_f32(bits & 0xFFFFFFFF), bits_to_f32(bits >> 32)
-
-
-@dataclass
+@dataclass(slots=True)  # attribute access is the engine's stream hot path
 class DataMover:
     """One SSR address generator (paper Section 2.4, [65])."""
 
@@ -150,6 +131,10 @@ class DataMover:
     index: list[int] = field(default_factory=lambda: [0] * SSR_MAX_DIMS)
     repeat_count: int = 0
     exhausted: bool = False
+    #: Address of the next element, kept incrementally: always ``base +
+    #: sum(index[d] * strides[d] for d in range(dims))``, so an element
+    #: costs one add instead of a sum over all dimensions.
+    addr: int = 0
 
     def arm(self, direction: str, dims: int, base: int) -> None:
         """Arm the mover: set the base pointer and start the pattern."""
@@ -157,46 +142,84 @@ class DataMover:
             raise SimulationError(f"SSR dims out of range: {dims}")
         self.direction = direction
         self.dims = dims
-        self.base = base
+        self.base = self.addr = base
         self.index = [0] * SSR_MAX_DIMS
         self.repeat_count = 0
         self.exhausted = False
 
-    def _address(self) -> int:
-        return self.base + sum(
-            self.index[d] * self.strides[d] for d in range(self.dims)
-        )
+    def configure(self, field: str, dimension: int, value: int) -> None:
+        """Apply one decoded ``scfgwi`` (:func:`~.isa.scfg_action`)."""
+        if field == "bound":
+            self.bounds[dimension] = value
+        elif field == "stride":
+            self.strides[dimension] = value
+            self.addr = self.base + sum(  # may land mid-pattern
+                self.index[d] * self.strides[d] for d in range(self.dims)
+            )
+        elif field == "repeat":
+            self.repeat = value
+        else:
+            self.arm(field, dimension + 1, value)
 
-    def _advance(self) -> None:
-        if self.repeat_count < self.repeat:
-            self.repeat_count += 1
-            return
-        self.repeat_count = 0
+    def _carry(self) -> None:
+        """Advance past an innermost dimension that has hit its bound."""
+        index = self.index
+        strides = self.strides
+        addr = self.addr
         for d in range(self.dims):
-            if self.index[d] < self.bounds[d]:
-                self.index[d] += 1
+            i = index[d]
+            if i < self.bounds[d]:
+                index[d] = i + 1
+                self.addr = addr + strides[d]
                 return
-            self.index[d] = 0
+            index[d] = 0
+            addr -= i * strides[d]
+        self.addr = addr
         self.exhausted = True
+
+    # ``next_read``/``next_write`` are the simulator's hottest calls
+    # (one per streamed element, both engines), hence the inlined
+    # bounds check, codec and innermost-dimension advance.  The caller
+    # has already matched ``direction``.
 
     def next_read(self, memory: TCDM) -> int:
         """Pop the next element (as raw 64-bit data)."""
-        if self.direction != "read":
-            raise SimulationError("stream register read but not armed")
         if self.exhausted:
             raise SimulationError("stream read past end of pattern")
-        value = memory.load_u64(self._address())
-        self._advance()
-        return value
+        addr = self.addr
+        if addr < 0 or addr + 8 > memory.size:
+            raise out_of_bounds(addr, 8)
+        bits = _LOAD_U64(memory.data, addr)[0]
+        if self.repeat_count < self.repeat:
+            self.repeat_count += 1
+        else:
+            self.repeat_count = 0
+            i = self.index[0]
+            if i < self.bounds[0]:
+                self.index[0] = i + 1
+                self.addr = addr + self.strides[0]
+            else:
+                self._carry()
+        return bits
 
     def next_write(self, memory: TCDM, bits: int) -> None:
         """Push the next element (raw 64-bit data)."""
-        if self.direction != "write":
-            raise SimulationError("stream register written but not armed")
         if self.exhausted:
             raise SimulationError("stream write past end of pattern")
-        memory.store_u64(self._address(), bits)
-        self._advance()
+        addr = self.addr
+        if addr < 0 or addr + 8 > memory.size:
+            raise out_of_bounds(addr, 8)
+        _STORE_U64(memory.data, addr, bits)
+        if self.repeat_count < self.repeat:
+            self.repeat_count += 1
+        else:
+            self.repeat_count = 0
+            i = self.index[0]
+            if i < self.bounds[0]:
+                self.index[0] = i + 1
+                self.addr = addr + self.strides[0]
+            else:
+                self._carry()
 
 
 class SnitchMachine:
@@ -223,8 +246,8 @@ class SnitchMachine:
         #: post-processing (Section 4.1).
         self.record_timeline = record_timeline
         self.timeline: list[tuple[int, str, str]] = []
-        #: Optional :class:`repro.obs.profiler.CycleProfiler`; consulted
-        #: only by :meth:`run_reference` (None = no profiling cost).
+        #: Optional :class:`repro.obs.profiler.CycleProfiler`, told
+        #: about every step by both engines (None = no profiling cost).
         self.profiler = None
         self.int_regs: dict[str, int] = {"zero": 0}
         self.float_regs: dict[str, int] = {}
@@ -258,8 +281,6 @@ class SnitchMachine:
         """Set an FP register from a raw 64-bit image."""
         self.float_regs[name] = bits & (2**64 - 1)
 
-    # -- stream helpers -----------------------------------------------------------
-
     def _mover_for(self, reg: str, direction: str) -> DataMover | None:
         """The armed data mover behind ``reg``, if streaming applies."""
         if not self.streaming or reg not in STREAM_REGISTERS:
@@ -268,23 +289,6 @@ class SnitchMachine:
         if mover.direction != direction:
             return None
         return mover
-
-    def _read_fp_operand(self, reg: str) -> int:
-        mover = self._mover_for(reg, "read")
-        if mover is not None:
-            bits = mover.next_read(self.memory)
-            self.trace.ssr_reads += 1
-            self.write_float_bits(reg, bits)
-            return bits
-        return self.read_float_bits(reg)
-
-    def _write_fp_result(self, reg: str, bits: int) -> None:
-        mover = self._mover_for(reg, "write")
-        if mover is not None:
-            mover.next_write(self.memory, bits)
-            self.trace.ssr_writes += 1
-            return
-        self.write_float_bits(reg, bits)
 
     # -- public API -------------------------------------------------------------------
 
@@ -308,11 +312,7 @@ class SnitchMachine:
         from ..obs.tracing import span
         from .engine import execute
 
-        for name, value in (int_args or {}).items():
-            self.write_int(name, value)
-        for name, value in (float_args or {}).items():
-            self.write_float_bits(name, f64_to_bits(value))
-        self._arm_deadline()
+        self._start(int_args, float_args)
         with span("sim.run", entry=entry):
             execute(self, entry)
         self.trace.cycles = max(self.int_time, self.fpu_time)
@@ -324,19 +324,15 @@ class SnitchMachine:
         int_args: dict[str, int] | None = None,
         float_args: dict[str, float] | None = None,
     ) -> ExecutionTrace:
-        """The original per-instruction interpreter (decode-as-you-go).
+        """Interpret the ISA table one instruction at a time.
 
-        Kept as the semantic oracle for :meth:`run` — differential
-        tests execute randomized and paper programs on both engines and
+        The differential oracle for :meth:`run` and only that — tests
+        execute randomized and paper programs on both engines and
         assert identical cycles, counters, timelines, and memory.
         """
         from ..obs.tracing import span
 
-        for name, value in (int_args or {}).items():
-            self.write_int(name, value)
-        for name, value in (float_args or {}).items():
-            self.write_float_bits(name, f64_to_bits(value))
-        self._arm_deadline()
+        self._start(int_args, float_args)
         deadline = self._deadline
         profiler = self.profiler
         pc = self.program.entry(entry)
@@ -348,61 +344,83 @@ class SnitchMachine:
                 inst = instructions[pc]
                 self._executed += 1
                 if self._executed > self.max_instructions:
-                    raise SimulationError(
-                        "instruction budget exceeded (infinite loop?)"
-                    )
+                    raise budget_error(self._executed)
                 if (
                     deadline is not None
                     and (self._executed & 4095) == 0
                     and monotonic() > deadline
                 ):
-                    raise DeadlineExceeded(
-                        f"wall-clock deadline of "
-                        f"{self.deadline_seconds:g}s exceeded after "
-                        f"{self._executed} instructions"
+                    raise budget_error(
+                        self._executed, self.deadline_seconds
                     )
                 if inst.mnemonic == "ret":
                     break
                 if profiler is None:
                     pc = self._step(inst, pc)
                 else:
-                    profiler.before_step(self)
+                    it0, tl0 = self.int_time, len(self.timeline)
                     pc_next = self._step(inst, pc)
-                    profiler.after_step(self, inst, pc, pc_next)
+                    profiler.step(
+                        inst, pc, pc_next,
+                        it0, self.int_time, tl0, len(self.timeline),
+                    )
                     pc = pc_next
         self.trace.cycles = max(self.int_time, self.fpu_time)
         return self.trace
 
-    def _arm_deadline(self) -> None:
-        """Fix the absolute wall-clock deadline for the coming run."""
+    def _start(self, int_args, float_args) -> None:
+        """Seed argument registers; fix the absolute wall-clock
+        deadline for the coming run."""
+        for name, value in (int_args or {}).items():
+            self.write_int(name, value)
+        for name, value in (float_args or {}).items():
+            self.write_float_bits(name, f64_to_bits(value))
         self._deadline = (
             monotonic() + self.deadline_seconds
             if self.deadline_seconds is not None
             else None
         )
 
-    # -- execution -----------------------------------------------------------------------
+    # -- the reference interpreter: one ISA row at a time ---------------------------
 
     def _step(self, inst: Inst, pc: int) -> int:
-        mnemonic = inst.mnemonic
-        self.trace.record(mnemonic)
-        if mnemonic == "frep.o":
+        op = ISA[inst.mnemonic]
+        trace = self.trace
+        trace.record(inst.mnemonic)
+        if op.unit == KIND_FREP:
             self._exec_frep(inst, pc)
-            return pc + 1 + (inst.frep_length or 0)
-        if mnemonic in FPU_INSTRUCTIONS:
+            return pc + 1 + inst.frep_length
+        if op.unit == KIND_FPU:
             dispatch = self.int_time
             self.int_time += 1  # dispatch slot on the integer core
-            self._exec_fpu(inst, dispatch)
+            self._exec_fpu(inst, op, dispatch)
             return pc + 1
-        if mnemonic in BRANCHES:
-            return self._exec_branch(inst, pc)
-        if mnemonic == "j":
-            self.int_time += 1 + BRANCH_TAKEN_PENALTY
+        if op.unit == KIND_JUMP:
+            self.int_time += 1 + op.latency
             return self.program.entry(inst.target)
-        self._exec_int(inst)
+        trace.int_instructions += 1
+        issue = self._int_issue(inst.sources)
+        values = [self.read_int(reg) for reg in inst.sources]
+        if op.unit == KIND_BRANCH:
+            if op.compute(*values):
+                self.int_time = issue + 1 + op.latency
+                return self.program.entry(inst.target)
+            self.int_time = issue + 1
+            return pc + 1
+        if self.record_timeline:
+            self.timeline.append((issue, "int", str(inst)))
+        self.int_time = issue + 1
+        if op.shape == "scfgwi":
+            mover, field, dimension = scfg_action(inst.imm)
+            self.movers[mover].configure(field, dimension, values[0])
+        elif op.shape == "csr":
+            self._exec_csr(inst)
+        else:
+            value = self._compute(op, values, inst.imm)
+            if inst.rd is not None:
+                self.write_int(inst.rd, value)
+                self.int_ready[inst.rd] = issue + op.latency
         return pc + 1
-
-    # integer side --------------------------------------------------------------
 
     def _int_issue(self, sources: tuple[str, ...]) -> int:
         issue = self.int_time
@@ -410,114 +428,19 @@ class SnitchMachine:
             issue = max(issue, self.int_ready.get(reg, 0))
         return issue
 
-    def _exec_int(self, inst: Inst) -> None:
-        mnemonic = inst.mnemonic
-        self.trace.int_instructions += 1
-        issue = self._int_issue(inst.sources)
-        if self.record_timeline:
-            self.timeline.append((issue, "int", str(inst)))
-        self.int_time = issue + 1
-        if mnemonic == "li":
-            self.write_int(inst.rd, inst.imm)
-        elif mnemonic == "mv":
-            self.write_int(inst.rd, self.read_int(inst.sources[0]))
-        elif mnemonic == "add":
-            self.write_int(
-                inst.rd,
-                self.read_int(inst.sources[0])
-                + self.read_int(inst.sources[1]),
-            )
-        elif mnemonic == "sub":
-            self.write_int(
-                inst.rd,
-                self.read_int(inst.sources[0])
-                - self.read_int(inst.sources[1]),
-            )
-        elif mnemonic == "mul":
-            self.write_int(
-                inst.rd,
-                self.read_int(inst.sources[0])
-                * self.read_int(inst.sources[1]),
-            )
-            self.int_ready[inst.rd] = issue + MUL_LATENCY
-            return
-        elif mnemonic == "addi":
-            self.write_int(
-                inst.rd, self.read_int(inst.sources[0]) + inst.imm
-            )
-        elif mnemonic == "slli":
-            self.write_int(
-                inst.rd, self.read_int(inst.sources[0]) << inst.imm
-            )
-        elif mnemonic == "lw":
-            address = self.read_int(inst.sources[0]) + inst.imm
-            self.write_int(inst.rd, self.memory.load_u32(address))
-            self.trace.loads += 1
-            self.int_ready[inst.rd] = issue + INT_LOAD_LATENCY
-            return
-        elif mnemonic == "sw":
-            address = self.read_int(inst.sources[1]) + inst.imm
-            self.memory.store_u32(address, self.read_int(inst.sources[0]))
-            self.trace.stores += 1
-            return
-        elif mnemonic == "scfgwi":
-            self._exec_scfgwi(inst)
-            return
-        elif mnemonic in ("csrsi", "csrci"):
-            self._exec_csr(inst)
-            return
-        else:
-            raise SimulationError(f"unhandled instruction {mnemonic!r}")
-        if inst.rd is not None:
-            self.int_ready[inst.rd] = issue + 1
-
-    def _exec_branch(self, inst: Inst, pc: int) -> int:
-        self.trace.int_instructions += 1
-        issue = self._int_issue(inst.sources)
-        mnemonic = inst.mnemonic
-        if mnemonic == "bnez":
-            taken = self.read_int(inst.sources[0]) != 0
-        else:
-            lhs = self.read_int(inst.sources[0])
-            rhs = self.read_int(inst.sources[1])
-            taken = {
-                "blt": lhs < rhs,
-                "bge": lhs >= rhs,
-                "bne": lhs != rhs,
-                "beq": lhs == rhs,
-            }[mnemonic]
-        if taken:
-            self.int_time = issue + 1 + BRANCH_TAKEN_PENALTY
-            return self.program.entry(inst.target)
-        self.int_time = issue + 1
-        return pc + 1
-
-    def _exec_scfgwi(self, inst: Inst) -> None:
-        mover_index, word = scfg_decode(inst.imm)
-        if not 0 <= mover_index < SSR_COUNT:
-            raise SimulationError(f"scfgwi: no data mover {mover_index}")
-        mover = self.movers[mover_index]
-        value = self.read_int(inst.sources[0])
-        if WORD_BOUND_BASE <= word < WORD_BOUND_BASE + SSR_MAX_DIMS:
-            mover.bounds[word - WORD_BOUND_BASE] = value
-        elif WORD_STRIDE_BASE <= word < WORD_STRIDE_BASE + SSR_MAX_DIMS:
-            mover.strides[word - WORD_STRIDE_BASE] = value
-        elif word == WORD_REPEAT:
-            mover.repeat = value
-        elif (
-            WORD_READ_POINTER_BASE
-            <= word
-            < WORD_READ_POINTER_BASE + SSR_MAX_DIMS
-        ):
-            mover.arm("read", word - WORD_READ_POINTER_BASE + 1, value)
-        elif (
-            WORD_WRITE_POINTER_BASE
-            <= word
-            < WORD_WRITE_POINTER_BASE + SSR_MAX_DIMS
-        ):
-            mover.arm("write", word - WORD_WRITE_POINTER_BASE + 1, value)
-        else:
-            raise SimulationError(f"scfgwi: unknown config word {word}")
+    def _compute(self, op: Op, values: list[int], imm: int | None):
+        """Evaluate a row: its expression, the memory access of a
+        load/store row, its counters.  Returns rd's value."""
+        value = op.compute(*values, imm=imm)
+        if op.load:
+            value = _LOAD[op.load](self.memory, value)
+        elif op.store:
+            _STORE[op.store](self.memory, value, values[0])
+        trace = self.trace
+        for counter in op.counters:
+            setattr(trace, counter, getattr(trace, counter) + 1)
+        trace.flops += op.flops
+        return value
 
     def _exec_csr(self, inst: Inst) -> None:
         if inst.csr != "ssrcfg":
@@ -530,149 +453,59 @@ class SnitchMachine:
         self.int_time = max(self.int_time, self.fpu_time)
         self.streaming = False
 
-    # FPU side ---------------------------------------------------------------------
-
-    def _fp_operand_ready(self, reg: str) -> int:
-        if self._mover_for(reg, "read") is not None:
-            return 0  # stream data is prefetched by the address generator
-        return self.fp_ready.get(reg, 0)
-
-    def _exec_fpu(self, inst: Inst, dispatch: int) -> None:
-        mnemonic = inst.mnemonic
-        self.trace.fpu_instructions += 1
+    def _exec_fpu(self, inst: Inst, op: Op, dispatch: int) -> None:
+        trace = self.trace
+        trace.fpu_instructions += 1
+        operands = list(zip(inst.sources, op.reads))
         ready = dispatch
-        for reg in inst.sources:
-            if reg.startswith("f"):
-                ready = max(ready, self._fp_operand_ready(reg))
-            else:
+        for reg, mode in operands:
+            if mode == "x":
                 ready = max(ready, self.int_ready.get(reg, 0))
+            elif self._mover_for(reg, "read") is None:
+                ready = max(ready, self.fp_ready.get(reg, 0))
+            # else: stream data is prefetched by the address generator
         issue = max(self.fpu_time, ready)
-        self.trace.fpu_stall_cycles += max(0, issue - self.fpu_time)
+        trace.fpu_stall_cycles += issue - self.fpu_time
         if self.record_timeline:
             self.timeline.append((issue, "fpu", str(inst)))
         self.fpu_time = issue + 1
 
-        if mnemonic in FP_LOADS:
-            address = self.read_int(inst.sources[0]) + inst.imm
-            if mnemonic == "fld":
-                bits = self.memory.load_u64(address)
-            else:  # flw
-                bits = self.memory.load_u32(address)
-            self.write_float_bits(inst.rd, bits)
-            self.trace.loads += 1
-            self.fp_ready[inst.rd] = issue + FP_LOAD_LATENCY
+        values = []
+        for reg, mode in operands:
+            mover = self._mover_for(reg, "read") if mode == "f" else None
+            if mover is not None:
+                values.append(mover.next_read(self.memory))
+                trace.ssr_reads += 1
+                self.write_float_bits(reg, values[-1])
+            elif mode == "x":
+                values.append(self.read_int(reg))
+            else:
+                values.append(self.read_float_bits(reg))
+        result = self._compute(op, values, inst.imm)
+        if inst.rd is None:
             return
-        if mnemonic in FP_STORES:
-            address = self.read_int(inst.sources[1]) + inst.imm
-            bits = self.read_float_bits(inst.sources[0])
-            if mnemonic == "fsd":
-                self.memory.store_u64(address, bits)
-            else:  # fsw
-                self.memory.store_u32(address, bits)
-            self.trace.stores += 1
-            return
-
-        if mnemonic == "fcvt.d.w":
-            value = float(self.read_int(inst.sources[0]))
-            self._write_fp_result(inst.rd, f64_to_bits(value))
-            if self._mover_for(inst.rd, "write") is None:
-                self.fp_ready[inst.rd] = issue + 1
-            return
-
-        # Arithmetic and moves: read operands (popping streams), compute,
-        # write result (pushing streams).
-        operand_bits = [self._read_fp_operand(r) for r in inst.sources]
-        result = self._compute_fp(mnemonic, operand_bits)
-        if mnemonic in FP_ARITH_FLOPS:
-            self.trace.fpu_arith_cycles += 1
-            self.trace.flops += FP_ARITH_FLOPS[mnemonic]
-            if mnemonic in ("fmadd.d", "fmadd.s"):
-                self.trace.fmadd += 1
-            latency = FP_LATENCY
+        mover = None if op.load else self._mover_for(inst.rd, "write")
+        if mover is not None:
+            mover.next_write(self.memory, result)
+            trace.ssr_writes += 1
         else:
-            latency = 1
-        if inst.rd is not None:
-            self._write_fp_result(inst.rd, result)
-            if self._mover_for(inst.rd, "write") is None:
-                self.fp_ready[inst.rd] = issue + latency
-
-    def _compute_fp(self, mnemonic: str, bits: list[int]) -> int:
-        if mnemonic == "fmv.d":
-            return bits[0]
-        if mnemonic == "vfcpka.s.s":
-            return pack_f32x2(
-                bits_to_f32(bits[0] & 0xFFFFFFFF),
-                bits_to_f32(bits[1] & 0xFFFFFFFF),
-            )
-        if mnemonic.endswith(".d"):
-            values = [bits_to_f64(b) for b in bits]
-            return f64_to_bits(_SCALAR_OPS[mnemonic[:-2]](values))
-        if mnemonic.startswith("vf"):
-            lanes = [unpack_f32x2(b) for b in bits]
-            return self._compute_packed(mnemonic, lanes)
-        if mnemonic.endswith(".s"):
-            values = [bits_to_f32(b & 0xFFFFFFFF) for b in bits]
-            result = _SCALAR_OPS[mnemonic[:-2]](values)
-            return f32_to_bits(np.float32(result))
-        raise SimulationError(f"unhandled FP instruction {mnemonic!r}")
-
-    @staticmethod
-    def _compute_packed(
-        mnemonic: str, lanes: list[tuple[float, float]]
-    ) -> int:
-        f32 = np.float32
-        if mnemonic == "vfadd.s":
-            a, b = lanes
-            return pack_f32x2(f32(a[0] + b[0]), f32(a[1] + b[1]))
-        if mnemonic == "vfmul.s":
-            a, b = lanes
-            return pack_f32x2(f32(a[0] * b[0]), f32(a[1] * b[1]))
-        if mnemonic == "vfmax.s":
-            a, b = lanes
-            return pack_f32x2(max(a[0], b[0]), max(a[1], b[1]))
-        if mnemonic == "vfmac.s":
-            acc, a, b = lanes
-            return pack_f32x2(
-                f32(acc[0] + f32(a[0] * b[0])),
-                f32(acc[1] + f32(a[1] * b[1])),
-            )
-        if mnemonic == "vfsum.s":
-            acc, a = lanes
-            return pack_f32x2(f32(acc[0] + f32(a[0] + a[1])), acc[1])
-        raise SimulationError(f"unhandled packed op {mnemonic!r}")
-
-    # FREP -----------------------------------------------------------------------------
+            self.write_float_bits(inst.rd, result)
+            self.fp_ready[inst.rd] = issue + op.latency
 
     def _exec_frep(self, inst: Inst, pc: int) -> None:
-        length = inst.frep_length or 0
-        if length <= 0:
-            raise SimulationError("frep.o with non-positive body length")
-        body_start = pc + 1
-        body = self.program.instructions[body_start : body_start + length]
-        if len(body) != length:
-            raise SimulationError("frep.o body runs past end of program")
-        for binst in body:
-            if binst.mnemonic not in FPU_INSTRUCTIONS:
-                raise SimulationError(
-                    f"illegal instruction in FREP body: {binst.mnemonic}"
-                )
+        body = frep_body(self.program.instructions, pc)
         iterations = self.read_int(inst.sources[0]) + 1
         self.trace.frep += 1
         self.trace.int_instructions += 1
         # The integer core spends one cycle on frep.o itself, then feeds
         # the body into the sequencer once (one instruction per cycle).
         frep_issue = self._int_issue(inst.sources)
-        dispatch_times = [
-            frep_issue + 1 + j for j in range(length)
-        ]
-        self.int_time = frep_issue + 1 + length
+        self.int_time = frep_issue + 1 + len(body)
         deadline = self._deadline
         for iteration in range(iterations):
             if deadline is not None and monotonic() > deadline:
-                raise DeadlineExceeded(
-                    f"wall-clock deadline of {self.deadline_seconds:g}s "
-                    f"exceeded after {self._executed} instructions "
-                    "(inside frep)"
+                raise budget_error(
+                    self._executed, self.deadline_seconds, in_frep=True
                 )
             for j, binst in enumerate(body):
                 self.trace.record(binst.mnemonic)
@@ -680,11 +513,9 @@ class SnitchMachine:
                 if self._executed > self.max_instructions:
                     # Checked inside the loop: a runaway trip count must
                     # raise, not replay to completion first.
-                    raise SimulationError(
-                        "instruction budget exceeded inside frep"
-                    )
-                dispatch = dispatch_times[j] if iteration == 0 else 0
-                self._exec_fpu(binst, dispatch)
+                    raise budget_error(self._executed, in_frep=True)
+                dispatch = frep_issue + 1 + j if iteration == 0 else 0
+                self._exec_fpu(binst, ISA[binst.mnemonic], dispatch)
 
 
 def format_timeline(
@@ -699,17 +530,6 @@ def format_timeline(
     )
 
 
-_SCALAR_OPS = {
-    "fadd": lambda v: v[0] + v[1],
-    "fsub": lambda v: v[0] - v[1],
-    "fmul": lambda v: v[0] * v[1],
-    "fdiv": lambda v: v[0] / v[1],
-    "fmax": lambda v: max(v[0], v[1]),
-    "fmin": lambda v: min(v[0], v[1]),
-    "fmadd": lambda v: v[0] * v[1] + v[2],
-}
-
-
 __all__ = [
     "SnitchMachine",
     "SimulationError",
@@ -718,8 +538,10 @@ __all__ = [
     "FP_LATENCY",
     "FP_LOAD_LATENCY",
     "INT_LOAD_LATENCY",
+    "MUL_LATENCY",
     "BRANCH_TAKEN_PENALTY",
     "STREAM_REGISTERS",
+    "budget_error",
     "f64_to_bits",
     "bits_to_f64",
     "f32_to_bits",

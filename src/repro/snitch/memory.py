@@ -26,6 +26,7 @@ U32 = struct.Struct("<I")
 U64 = struct.Struct("<Q")
 F32 = struct.Struct("<f")
 F64 = struct.Struct("<d")
+F32X2 = struct.Struct("<ff")  # the two packed-SIMD lanes of a register
 
 
 class TCDMError(Exception):

@@ -1,7 +1,7 @@
 """Command-line cycle-attribution profiler (paper Table 1 methodology).
 
 Compile a Table 1 kernel through any pipeline, run it on the
-reference interpreter with the cycle profiler attached, and report
+simulator's fast engine with the cycle profiler attached, and report
 where every cycle went — FPU arithmetic, FPU stalls, integer core,
 SSR drain waits, branch bubbles — split by region (FREP body vs.
 scalar code)::

@@ -8,6 +8,7 @@ from repro.snitch.isa import scfg_address
 from repro.snitch.machine import (
     BRANCH_TAKEN_PENALTY,
     FP_LATENCY,
+    DeadlineExceeded,
     bits_to_f64,
     f64_to_bits,
     pack_f32x2,
@@ -321,3 +322,29 @@ class TestGuards:
         program = assemble("main:\nli t0, 1\nfrep.o t0, 1, 0, 0\nli t1, 2\nret")
         with pytest.raises(SimulationError):
             SnitchMachine(program).run("main")
+
+    @pytest.mark.parametrize(
+        "asm,where",
+        (
+            ("li t0, 5000\nloop:\naddi t0, t0, -1\nbnez t0, loop", ""),
+            (
+                "li t0, 9\nfrep.o t0, 1, 0, 0\nfadd.d fa0, fa1, fa2",
+                " (inside frep)",
+            ),
+        ),
+    )
+    def test_deadline_worded_alike_by_both_engines(self, asm, where):
+        """Satellite bugfix: one message, budget included, wherever the
+        watchdog fires."""
+        program = assemble(f"main:\n{asm}\nret")
+        messages = []
+        for runner in ("run", "run_reference"):
+            machine = SnitchMachine(program, deadline_seconds=1e-9)
+            with pytest.raises(DeadlineExceeded) as caught:
+                getattr(machine, runner)("main")
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == (
+            "wall-clock deadline of 1e-09s exceeded after "
+            f"{machine._executed} instructions{where}"
+        )

@@ -9,7 +9,9 @@ from repro.snitch.isa import scfg_address
 from repro.snitch.machine import (
     BRANCH_TAKEN_PENALTY,
     FP_LATENCY,
+    FP_LOAD_LATENCY,
     INT_LOAD_LATENCY,
+    MUL_LATENCY,
 )
 
 
@@ -18,6 +20,49 @@ def run(asm, int_args=None, float_args=None, memory=None):
     machine = SnitchMachine(program, memory)
     trace = machine.run("main", int_args=int_args, float_args=float_args)
     return machine, trace
+
+
+class TestTimingParameters:
+    """One exact-cycle micro-program per latency parameter of
+    ``repro.snitch.isa`` (docs/MACHINE_MODEL.md cites these): the
+    literal cycle count fails if the constant moves by one, the
+    symbolic form if the model stops using it."""
+
+    def test_fp_latency(self):
+        _, trace = run("fadd.d fa0, fa1, fa2\nfadd.d fa3, fa0, fa0")
+        # issue at 0; the dependent add waits until 0 + FP_LATENCY.
+        assert trace.cycles == 1 + FP_LATENCY == 5
+        assert trace.fpu_stall_cycles == FP_LATENCY - 1 == 3
+
+    def test_fp_load_latency(self):
+        mem = TCDM()
+        addr = mem.allocate(8)
+        _, trace = run(
+            f"li t0, {addr}\nfld fa0, 0(t0)\nfadd.d fa1, fa0, fa0",
+            memory=mem,
+        )
+        # li; fld issues at 1, its data is usable at 1 + FP_LOAD_LATENCY.
+        assert trace.cycles == 2 + FP_LOAD_LATENCY == 5
+
+    def test_int_load_latency(self):
+        mem = TCDM()
+        addr = mem.allocate(8)
+        _, trace = run(
+            f"li t0, {addr}\nlw t1, 0(t0)\nadd t2, t1, t1", memory=mem
+        )
+        assert trace.cycles == 2 + INT_LOAD_LATENCY == 5
+
+    def test_mul_latency(self):
+        _, trace = run("li t0, 3\nmul t1, t0, t0\nadd t2, t1, t1")
+        assert trace.cycles == 2 + MUL_LATENCY == 5
+
+    def test_branch_taken_penalty(self):
+        _, taken = run("li t0, 1\nbnez t0, skip\nli t1, 1\nskip:")
+        assert taken.cycles == 2 + BRANCH_TAKEN_PENALTY == 4
+        _, jump = run("j skip\nskip:")
+        assert jump.cycles == 1 + BRANCH_TAKEN_PENALTY == 3
+        _, fallthrough = run("li t0, 0\nbnez t0, skip\nskip:")
+        assert fallthrough.cycles == 2
 
 
 class TestIssueModel:

@@ -10,8 +10,8 @@ Covers the :mod:`repro.obs` subsystem end to end:
 * profiler — the Table 1 cycle-attribution invariants (buckets
   partition the run exactly; FPU-arith agrees with the trace) and
   observer-effect freedom (profiled and traced runs stay bit-exact);
-* the migrated legacy counters (``DECODE_STATS``, ``REWRITE_STATS``)
-  keep their old read API while now being registry-backed and atomic;
+* the migrated counters: decode counts live in the registry only,
+  ``REWRITE_STATS`` keeps its old read API while registry-backed;
 * ``ExecutionTrace`` JSON round-trip and multi-core merge.
 """
 
@@ -39,9 +39,10 @@ from repro.obs.tracing import (
     span,
     tracing_enabled,
 )
-from repro.snitch.engine import DECODE_STATS
+from repro.snitch import TCDM, assemble, decode
 from repro.snitch.machine import SnitchMachine
 from repro.snitch.trace import ExecutionTrace
+from repro.transforms.pipelines import PIPELINE_NAMES
 
 
 # -- metrics registry ---------------------------------------------------------
@@ -151,18 +152,14 @@ class TestMetricsRegistry:
 
 
 class TestMigratedCounters:
-    def test_decode_stats_reads_like_a_dict(self):
-        base = DECODE_STATS["programs_decoded"]
-        assert isinstance(base, int)
-        assert set(DECODE_STATS) >= {
-            "programs_decoded",
-            "instructions_decoded",
-        }
-        assert len(DECODE_STATS) >= 2
-
     def test_decode_stats_backed_by_registry(self):
-        before = METRICS.counter("engine_programs_decoded").value
-        assert DECODE_STATS["programs_decoded"] == before
+        programs = METRICS.counter("engine_programs_decoded")
+        instructions = METRICS.counter("engine_instructions_decoded")
+        before = programs.value, instructions.value
+        decode(assemble("main:\nli t0, 1\nret"))
+        assert (programs.value, instructions.value) == (
+            before[0] + 1, before[1] + 2,
+        )
 
     def test_rewrite_stats_snapshot_delta(self):
         before = REWRITE_STATS.snapshot()
@@ -335,7 +332,58 @@ def _profiled_run(kernel="matmul", sizes=(2, 4, 4), pipeline="ours"):
     )
 
 
+def _machine_run(compiled, spec, profile, reference=False):
+    """``run_kernel``'s set-up on a machine the test keeps: the
+    timeline is recorded either way, the profiler attached on
+    request, the engine chosen by ``reference``."""
+    memory = TCDM()
+    int_args, float_args = {}, {}
+    for argument in spec.random_arguments(seed=0):
+        if isinstance(argument, np.ndarray):
+            base = memory.allocate(argument.nbytes)
+            memory.write_array(base, argument)
+            int_args[f"a{len(int_args)}"] = base
+        else:
+            float_args[f"fa{len(float_args)}"] = float(argument)
+    machine = SnitchMachine(
+        compiled.program, memory, record_timeline=True
+    )
+    profiler = CycleProfiler.attach(machine) if profile else None
+    runner = machine.run_reference if reference else machine.run
+    runner(compiled.entry, int_args=int_args, float_args=float_args)
+    return machine, profiler and profiler.finalize(machine)
+
+
+#: The nine Table 1 kernels at sizes that keep 81 cells under a second.
+TABLE1_SMALL = (
+    ("fill", (4, 4)),
+    ("sum", (4, 4)),
+    ("relu", (4, 4)),
+    ("conv3x3", (6, 6)),
+    ("max_pool3x3", (6, 6)),
+    ("sum_pool3x3", (6, 6)),
+    ("matmul", (2, 4, 4)),
+    ("matmul_t", (2, 4, 4)),
+    ("matvec", (4, 8)),
+)
+
+
 class TestCycleProfiler:
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINE_NAMES))
+    @pytest.mark.parametrize("kernel,sizes", TABLE1_SMALL)
+    def test_engine_profile_equals_reference_profile(
+        self, kernel, sizes, pipeline
+    ):
+        builder, _ = kernels.KERNEL_BUILDERS[kernel]
+        module, spec = builder(*sizes)
+        compiled = api.compile_linalg(module, pipeline=pipeline)
+        _, fast = _machine_run(compiled, spec, profile=True)
+        _, oracle = _machine_run(
+            compiled, spec, profile=True, reference=True
+        )
+        assert fast.to_json() == oracle.to_json()
+        assert sum(fast.buckets.values()) == fast.cycles
+
     @pytest.mark.parametrize(
         "pipeline", ("ours", "table3-scalar", "table3-baseline")
     )
@@ -460,6 +508,25 @@ class TestObserverEffectFreedom:
             np.testing.assert_array_equal(got, want)
         assert profiled.profile is not None
         assert plain.profile is None
+
+    def test_profiled_engine_leaves_machine_untouched(self):
+        """The profiler rides the fast engine: everything the machine
+        exposes is the same with and without it."""
+        module, spec = kernels.matmul(2, 4, 4)
+        compiled = api.compile_linalg(module, pipeline="ours")
+        plain, _ = _machine_run(compiled, spec, profile=False)
+        profiled, _ = _machine_run(compiled, spec, profile=True)
+        assert profiled.trace == plain.trace
+        assert profiled.timeline == plain.timeline
+        assert profiled.int_regs == plain.int_regs
+        assert profiled.float_regs == plain.float_regs
+        assert profiled.int_ready == plain.int_ready
+        assert profiled.fp_ready == plain.fp_ready
+        assert profiled.movers == plain.movers
+        assert (profiled.int_time, profiled.fpu_time) == (
+            plain.int_time, plain.fpu_time,
+        )
+        assert bytes(profiled.memory.data) == bytes(plain.memory.data)
 
     def test_traced_run_is_bit_identical(self):
         module, spec = kernels.matmul(2, 4, 4)

@@ -3,7 +3,7 @@
 Each test pins one claim from the evaluation (Section 4) to a concrete,
 checkable property of this implementation.  Thresholds are set slightly
 below the paper's reported values to absorb the cycle-model substitution
-(see DESIGN.md Section 2).
+(see docs/MACHINE_MODEL.md).
 """
 
 import numpy as np

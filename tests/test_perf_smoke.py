@@ -14,8 +14,8 @@ import pytest
 
 from repro import api, kernels
 from repro.compiler import Compiler
+from repro.obs import METRICS
 from repro.snitch.cluster import run_row_partitioned
-from repro.snitch.engine import DECODE_STATS
 
 #: Counter ceilings for matmul(1, 8, 8); the worklist driver uses
 #: ~14/14/10 and the old fixpoint driver used ~220 invocations.
@@ -54,10 +54,10 @@ def test_simulator_decodes_once_per_program():
     module, spec = kernels.matmul(1, 8, 8)
     compiled = Compiler("ours").compile(module)
     arguments = spec.random_arguments(seed=0)
-    before = DECODE_STATS["programs_decoded"]
+    before = METRICS.counter("engine_programs_decoded").value
     for _ in range(3):
         api.run_kernel(compiled, arguments)
-    assert DECODE_STATS["programs_decoded"] == before + 1
+    assert METRICS.counter("engine_programs_decoded").value == before + 1
 
 
 @pytest.mark.perf_smoke
@@ -68,7 +68,7 @@ def test_simulator_decodes_once_per_cluster():
     x = rng.uniform(-1, 1, (8, 6))
     y = rng.uniform(-1, 1, (8, 6))
     z = np.zeros((8, 6))
-    before = DECODE_STATS["programs_decoded"]
+    before = METRICS.counter("engine_programs_decoded").value
     run_row_partitioned(
         kernels.sum_kernel,
         lambda module, spec: api.compile_linalg(module, pipeline="ours"),
@@ -77,7 +77,7 @@ def test_simulator_decodes_once_per_cluster():
         [x, y, z],
         row_parallel_args=[0, 1, 2],
     )
-    assert DECODE_STATS["programs_decoded"] == before + 1
+    assert METRICS.counter("engine_programs_decoded").value == before + 1
 
 
 @pytest.mark.perf_smoke

@@ -103,6 +103,27 @@ def test_layering_walker_sees_function_level_imports(tmp_path):
     }
 
 
+def test_reference_interpreter_is_only_an_oracle():
+    """Nothing under ``src/repro`` but ``snitch/machine.py`` — which
+    defines it — names ``run_reference``, in code, strings or
+    docstrings: production runs, profiled ones included, go through
+    the engine."""
+    mentions = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SRC / "snitch" / "machine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            text = (
+                node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.value if isinstance(node, ast.Constant)
+                else ""
+            )
+            if isinstance(text, str) and "run_reference" in text:
+                mentions.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not mentions, "\n".join(mentions)
+
+
 # -- the durable-write contract -------------------------------------------------
 
 KEY = content_key("durable-write contract")

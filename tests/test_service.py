@@ -17,6 +17,7 @@ from repro import api, kernels
 from repro.compiler import CompiledKernel, Compiler
 from repro.kernels import lowlevel, networks
 from repro.kernels.builders import KERNEL_BUILDERS
+from repro.obs import METRICS
 from repro.obs.tracing import correlation, recording
 from repro.service import (
     ArtifactStore,
@@ -722,7 +723,7 @@ class TestDecodeCache:
     def test_threaded_hammer_decodes_once(self):
         module, _ = kernels.conv3x3(4, 4)
         program = api.compile_linalg(module).program
-        before = engine.DECODE_STATS["programs_decoded"]
+        before = METRICS.counter("engine_programs_decoded").value
         barrier = threading.Barrier(8)
         decoded = []
 
@@ -737,7 +738,7 @@ class TestDecodeCache:
             thread.join()
         assert len(decoded) == 8
         assert all(d is decoded[0] for d in decoded)
-        assert engine.DECODE_STATS["programs_decoded"] == before + 1
+        assert METRICS.counter("engine_programs_decoded").value == before + 1
 
     def test_limit_evicts_least_recent_decode(self):
         programs = []
@@ -752,9 +753,9 @@ class TestDecodeCache:
         assert not hasattr(programs[0], "_decoded")
         assert hasattr(programs[2], "_decoded")
         assert engine.decode_cache_limit() == 1
-        before = engine.DECODE_STATS["programs_decoded"]
+        before = METRICS.counter("engine_programs_decoded").value
         engine.decode(programs[0])  # transparently re-decodes
-        assert engine.DECODE_STATS["programs_decoded"] == before + 1
+        assert METRICS.counter("engine_programs_decoded").value == before + 1
 
     def test_clear_drops_memoized_decodes(self):
         module, _ = kernels.sum_kernel(2, 4)

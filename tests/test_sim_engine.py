@@ -14,8 +14,9 @@ import pytest
 from repro import api, kernels
 from repro.backend.registers import FLOAT_REGISTERS, INT_REGISTERS
 from repro.snitch import SnitchMachine, SimulationError, TCDM, assemble
+from repro.obs import METRICS
 from repro.snitch.cluster import run_row_partitioned
-from repro.snitch.engine import DECODE_STATS, decode
+from repro.snitch.engine import decode
 from repro.snitch.isa import scfg_address
 from repro.snitch.machine import bits_to_f64
 
@@ -417,11 +418,11 @@ class TestErrorParity:
 class TestDecodeSharing:
     def test_decode_cached_on_program(self):
         program = assemble("main:\nli t0, 1\nret")
-        before = DECODE_STATS["programs_decoded"]
+        before = METRICS.counter("engine_programs_decoded").value
         first = decode(program)
         second = decode(program)
         assert first is second
-        assert DECODE_STATS["programs_decoded"] == before + 1
+        assert METRICS.counter("engine_programs_decoded").value == before + 1
 
     def test_decode_invalidated_on_program_edit(self):
         """A length-preserving instruction replacement or a label remap
@@ -439,10 +440,10 @@ class TestDecodeSharing:
 
     def test_two_machines_share_one_decode(self):
         program = assemble("main:\nli t0, 1\nli t1, 2\nret")
-        before = DECODE_STATS["programs_decoded"]
+        before = METRICS.counter("engine_programs_decoded").value
         SnitchMachine(program).run("main")
         SnitchMachine(program).run("main")
-        assert DECODE_STATS["programs_decoded"] == before + 1
+        assert METRICS.counter("engine_programs_decoded").value == before + 1
 
     def test_compiled_kernel_program_is_cached(self):
         module, _ = kernels.matmul(1, 4, 4)
@@ -454,7 +455,7 @@ class TestDecodeSharing:
         x = rng.uniform(-1, 1, (8, 6))
         y = rng.uniform(-1, 1, (8, 6))
         z = np.zeros((8, 6))
-        before = DECODE_STATS["programs_decoded"]
+        before = METRICS.counter("engine_programs_decoded").value
         cluster = run_row_partitioned(
             kernels.sum_kernel,
             lambda module, spec: api.compile_linalg(
@@ -466,5 +467,5 @@ class TestDecodeSharing:
             row_parallel_args=[0, 1, 2],
         )
         np.testing.assert_allclose(cluster.arrays[2], x + y)
-        assert DECODE_STATS["programs_decoded"] == before + 1
+        assert METRICS.counter("engine_programs_decoded").value == before + 1
         assert len(cluster.cores) == 4
