@@ -39,6 +39,7 @@ from .ir.pass_manager import (
 )
 from .ir.verifier import verify
 from .snitch.assembler import Program, assemble
+from .transforms.lowering_kit import LoweringError
 from .transforms.pipelines import build_pipeline
 
 
@@ -256,7 +257,7 @@ class Compiler:
                     entry = op.sym_name
                     break
             if entry is None:
-                raise ValueError(
+                raise LoweringError(
                     f"pipeline {manager.pipeline_spec!r} produced no "
                     f"rv_func.func"
                 )

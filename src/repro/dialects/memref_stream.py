@@ -216,6 +216,41 @@ class GenericOp(Operation):
             return list(range(num_dims))
         return self.parallel_dims
 
+    def operand_byte_strides(self) -> list[tuple[int, ...]]:
+        """Per operand (inputs then outputs), the byte stride of each
+        iteration dim.
+
+        Every entry is indexed by iteration dim, outputs included: an
+        output map ranges over :meth:`output_map_dims` only, and the
+        dims outside it (the reduction dims of a scalar-replaced
+        generic) get stride 0 — the output does not move along them.
+        """
+        num_dims = len(self.bounds)
+        num_inputs = len(self.inputs)
+        out_dims = self.output_map_dims()
+        per_operand = []
+        for index, (value, amap) in enumerate(
+            zip(self.operands, self.indexing_maps)
+        ):
+            if not isinstance(value.type, MemRefType):
+                raise IRError(
+                    "memref_stream.generic: byte strides need memref "
+                    "operands"
+                )
+            strides = amap.strides(value.type.byte_strides())
+            if index >= num_inputs:
+                if amap.num_dims != len(out_dims):
+                    raise IRError(
+                        "memref_stream.generic: output map "
+                        "dimensionality mismatch"
+                    )
+                expanded = [0] * num_dims
+                for position, dim in enumerate(out_dims):
+                    expanded[dim] = strides[position]
+                strides = tuple(expanded)
+            per_operand.append(strides)
+        return per_operand
+
     @property
     def is_scalar_replaced(self) -> bool:
         """Whether reductions accumulate in registers (not memory)."""

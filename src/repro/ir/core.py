@@ -493,6 +493,29 @@ class Operation:
 
     # -- mutation -----------------------------------------------------------------
 
+    def clone(self, value_map: dict[int, SSAValue]) -> "Operation":
+        """A detached copy of this region-free op, remapped by ``value_map``.
+
+        Like MLIR's ``clone(IRMapping&)``: operands are looked up in
+        ``value_map`` (keyed by ``id`` of the old value; unmapped
+        values are used as they are) and the copy's results are
+        recorded in it, so cloning a block op by op threads the
+        mapping through.  Same class, result types and (copied)
+        attributes.
+        """
+        if self.regions:
+            raise IRError(f"cannot clone {self.name}: it has regions")
+        copy = object.__new__(type(self))
+        Operation.__init__(
+            copy,
+            operands=[value_map.get(id(v), v) for v in self._operands],
+            result_types=[result.type for result in self.results],
+            attributes=self.attributes,
+        )
+        for old, new in zip(self.results, copy.results):
+            value_map[id(old)] = new
+        return copy
+
     def detach(self) -> None:
         """Remove this operation from its parent block (keeping uses)."""
         if self.parent is None:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .. import api, kernels
 from ..compiler import Compiler
+from ..ir.core import IRError
 from ..ir.pass_manager import PrintIRInstrumentation
 from ..ir.pipeline_spec import PipelineSpecError
 
@@ -159,9 +160,9 @@ def compile_kernel(
         raise SystemExit(f"bad --pipeline: {error}")
     try:
         compiled = compiler.compile(module)
-    except ValueError as error:
-        # e.g. a backend-only pipeline over a linalg-level kernel
-        # produces no rv_func.func entry.
+    except (IRError, ValueError) as error:
+        # e.g. a LoweringError: a backend-only pipeline over a
+        # linalg-level kernel produces no rv_func.func entry.
         raise SystemExit(f"compilation failed: {error}")
     return spec, compiled
 

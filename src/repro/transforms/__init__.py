@@ -13,6 +13,12 @@ backend             ``fuse_fmadd`` -> ``allocate_registers`` ->
                     ``lower_snitch_stream`` -> ``lower_riscv_scf`` ->
                     assembly emission
 
+The four passes that cross into the ``rv`` dialects (``lower_to_snitch``,
+``lower_generic_to_pointer_loops``, ``lower_generic_to_loops``,
+``convert_to_riscv``) build on ``lowering_kit`` — function shell,
+constant pool, body cloner, loop scope, ``LoweringError`` — and never
+import one another.
+
 ``registry`` gives every pass a canonical kebab-case name and typed
 options, so flows are expressible as textual pipeline specs
 (``fuse-fill,unroll-and-jam{factor=4},...`` — see

@@ -7,50 +7,32 @@ recomputes its address with integer arithmetic and becomes an explicit
 ``fld``; loops become ``rv_scf.for`` (and later branches).  The paper's
 point — and the measurable effect — is that code of this shape keeps the
 integer issue port busy with bookkeeping, capping FPU utilization.
+
+The function shell, the pooled constants (each distinct integer
+materialised once at entry, which keeps baseline register pressure
+spill-free) and the loop scope are the shared :mod:`.lowering_kit`;
+what this pass adds is the op-by-op conversion of loop nests: integer
+and float arithmetic, naive address computation, ``scf.for``.
 """
 
 from __future__ import annotations
 
-from ..dialects import (
-    arith,
-    func as func_dialect,
-    memref,
-    riscv,
-    riscv_func,
-    riscv_scf,
-    scf,
-)
-from ..dialects.riscv import FloatRegisterType, IntRegisterType
-from ..ir.attributes import (
-    FloatAttr,
-    FloatType,
-    IndexType,
-    IntAttr,
-    IntegerType,
-    MemRefType,
-)
-from ..ir.builder import Builder
-from ..ir.core import Block, IRError, Operation, SSAValue
+from ..dialects import arith, memref, riscv, riscv_scf, scf
+from ..ir.attributes import MemRefType
+from ..ir.core import Operation, SSAValue
 from ..ir.pass_manager import ModulePass
-from .lower_generic_to_pointer_loops import _insert_entry_constant
+from .lowering_kit import (
+    ARITH_TO_RV,
+    FunctionLowering,
+    LoweringError,
+    RegionScope,
+    lower_functions,
+)
 
-
-class ConversionError(IRError):
-    """Raised on IR the RISC-V conversion does not understand."""
-
-
-#: arith float op -> rv instruction (f64).
-_FLOAT_OPS = {
-    arith.AddfOp: riscv.FAddDOp,
-    arith.SubfOp: riscv.FSubDOp,
-    arith.MulfOp: riscv.FMulDOp,
-    arith.DivfOp: riscv.FDivDOp,
-    arith.MaximumfOp: riscv.FMaxDOp,
-    arith.MinimumfOp: riscv.FMinDOp,
-}
-
-#: arith integer op -> rv instruction.
-_INT_OPS = {
+#: arith binary op -> rv instruction: the kit's float table plus the
+#: integer ops index arithmetic needs.
+_BINARY_OPS = {
+    **ARITH_TO_RV,
     arith.AddiOp: riscv.AddOp,
     arith.SubiOp: riscv.SubOp,
     arith.MuliOp: riscv.MulOp,
@@ -63,108 +45,27 @@ class ConvertToRISCVPass(ModulePass):
     name = "convert-to-riscv"
 
     def run(self, module: Operation) -> None:
-        block = module.body.block
-        for op in block.ops:
-            if isinstance(op, func_dialect.FuncOp):
-                new_func = _FuncConversion(op).convert()
-                block.insert_op_before(new_func, op)
-                op.erase()
+        lower_functions(module, lambda old: _FuncConversion(old).lower())
 
 
-class _FuncConversion:
-    def __init__(self, old_func: func_dialect.FuncOp):
-        self.old = old_func
-        self.value_map: dict[int, SSAValue] = {}
-        #: Block new ops are appended to (switches inside loop bodies).
-        self.current_block: Block | None = None
-        #: Function-level integer constant pool: like a strength-reduced
-        #: backend, each distinct constant is materialised once at entry
-        #: (this keeps baseline register pressure spill-free).
-        self._constants: dict[int, SSAValue] = {}
-        self._entry_block: Block | None = None
-        #: Last entry constant; successors splice in after it (O(1)).
-        self._last_constant: Operation | None = None
+class _FuncConversion(FunctionLowering):
+    """The function shell, converting loop-level ops one by one.
 
-    def convert(self) -> riscv_func.FuncOp:
-        kinds = []
-        for arg in self.old.args:
-            if isinstance(arg.type, MemRefType):
-                kinds.append("int")
-            elif isinstance(arg.type, FloatType):
-                kinds.append("float")
-            else:
-                raise ConversionError(
-                    f"unsupported argument type {arg.type}"
-                )
-        new_func = riscv_func.FuncOp(
-            self.old.sym_name, riscv_func.abi_arg_types(kinds)
-        )
-        self._entry_block = new_func.entry_block
-        self.current_block = new_func.entry_block
-        # Arguments are used directly in their ABI registers: the
-        # general-purpose flows do not reserve-and-copy.
-        for old_arg, new_arg in zip(self.old.args, new_func.args):
-            self.value_map[id(old_arg)] = new_arg
-        self._convert_block(self.old.entry_block)
-        return new_func
-
-    # -- helpers -------------------------------------------------------------------
-
-    def emit(self, op):
-        """Append ``op`` to the current block."""
-        self.current_block.add_op(op)
-        return op
+    Arguments are used directly in their ABI registers: the
+    general-purpose flows do not reserve-and-copy.
+    """
 
     def mapped(self, value: SSAValue) -> SSAValue:
         new = self.value_map.get(id(value))
         if new is None:
-            raise ConversionError("use of unconverted value")
+            raise LoweringError("use of unconverted value")
         return new
 
-    def zero_reg(self) -> SSAValue:
-        return self.li(0)
-
-    def li(self, value: int) -> SSAValue:
-        """A function-level constant, materialised once at entry."""
-        cached = self._constants.get(value)
-        if cached is not None:
-            return cached
-        if value == 0:
-            op = riscv.GetRegisterOp(IntRegisterType("zero"))
-            result = op.result
-        else:
-            op = riscv.LiOp(value)
-            result = op.rd
-        # Constants go to the *front* of the entry block so they
-        # dominate every use; appends to the entry block's end are
-        # unaffected.
-        _insert_entry_constant(
-            self._entry_block, op, self._last_constant
-        )
-        self._last_constant = op
-        self._constants[value] = result
-        return result
-
-    # -- op conversion ----------------------------------------------------------------
-
-    def _convert_block(self, block: Block) -> None:
-        for op in block.ops:
-            self._convert_op(op)
-
-    def _convert_op(self, op: Operation) -> None:
-        if isinstance(op, arith.ConstantOp):
-            self._convert_constant(op)
-        elif type(op) in _INT_OPS:
+    def lower_op(self, op: Operation) -> None:
+        rv_class = _BINARY_OPS.get(type(op))
+        if rv_class is not None:
             new = self.emit(
-                _INT_OPS[type(op)](
-                    self.mapped(op.operands[0]),
-                    self.mapped(op.operands[1]),
-                )
-            )
-            self.value_map[id(op.results[0])] = new.rd
-        elif type(op) in _FLOAT_OPS:
-            new = self.emit(
-                _FLOAT_OPS[type(op)](
+                rv_class(
                     self.mapped(op.operands[0]),
                     self.mapped(op.operands[1]),
                 )
@@ -181,31 +82,8 @@ class _FuncConversion:
             )
         elif isinstance(op, scf.ForOp):
             self._convert_for(op)
-        elif isinstance(op, (scf.YieldOp, func_dialect.ReturnOp)):
-            pass  # handled by the parent construct / below
-        else:
-            raise ConversionError(f"cannot convert op {op.name}")
-        if isinstance(op, func_dialect.ReturnOp):
-            self.emit(riscv_func.ReturnOp())
-
-    def _convert_constant(self, op: arith.ConstantOp) -> None:
-        value = op.value
-        if isinstance(value, IntAttr):
-            self.value_map[id(op.result)] = self.li(value.value)
-            return
-        if isinstance(value, FloatAttr):
-            if value.value != int(value.value):
-                raise ConversionError(
-                    "only integral float constants are materialisable"
-                )
-            as_int = int(value.value)
-            source = (
-                self.zero_reg() if as_int == 0 else self.li(as_int)
-            )
-            new = self.emit(riscv.FCvtDWOp(source))
-            self.value_map[id(op.result)] = new.results[0]
-            return
-        raise ConversionError(f"unsupported constant {value}")
+        elif not isinstance(op, scf.YieldOp):  # closed by _convert_for
+            super().lower_op(op)
 
     def _address_of(
         self, memref_value: SSAValue, indices
@@ -239,32 +117,24 @@ class _FuncConversion:
         return self.emit(riscv.AddOp(base, scaled)).rd
 
     def _convert_for(self, op: scf.ForOp) -> None:
-        lb = self.mapped(op.lower_bound)
-        ub = self.mapped(op.upper_bound)
-        step = self.mapped(op.step)
-        iter_inits = [self.mapped(v) for v in op.iter_args]
-        loop = riscv_scf.ForOp(lb, ub, step, iter_inits)
-        self.emit(loop)
-        self.value_map[id(op.induction_variable)] = (
-            loop.induction_variable
+        loop = riscv_scf.ForOp(
+            self.mapped(op.lower_bound),
+            self.mapped(op.upper_bound),
+            self.mapped(op.step),
+            [self.mapped(v) for v in op.iter_args],
         )
         for old_arg, new_arg in zip(
-            op.body_iter_args, loop.body_iter_args
+            op.body_block.args, loop.body_block.args
         ):
             self.value_map[id(old_arg)] = new_arg
-        saved = self.current_block
-        self.current_block = loop.body_block
-        self._convert_block(op.body_block)
-        yield_op = op.body_block.last_op
-        assert isinstance(yield_op, scf.YieldOp)
-        self.emit(
-            riscv_scf.YieldOp(
-                [self.mapped(v) for v in yield_op.operands]
-            )
-        )
-        self.current_block = saved
+        with RegionScope(self, loop) as scope:
+            for body_op in op.body_block.ops:
+                self.lower_op(body_op)
+            scope.yields = [
+                self.mapped(v) for v in op.body_block.last_op.operands
+            ]
         for old_res, new_res in zip(op.results, loop.results):
             self.value_map[id(old_res)] = new_res
 
 
-__all__ = ["ConvertToRISCVPass", "ConversionError"]
+__all__ = ["ConvertToRISCVPass"]

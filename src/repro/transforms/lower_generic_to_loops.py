@@ -6,6 +6,12 @@ arithmetic and loop control, exactly the code shape whose utilization
 plateau the evaluation attributes to the LLVM backend's view of the
 machine.  It is also the Table 3 "Baseline" lowering.
 
+The pass stays inside ``func``/``scf``/``memref``/``arith`` — crossing
+into the ``rv`` dialects is ``convert-to-riscv``'s job — so from the
+shared :mod:`.lowering_kit` it takes the loop scope, the fused-fill
+precondition and the error type; what it adds is affine index
+evaluation over the induction variables.
+
 Scalar-replaced generics keep their accumulator in ``scf.for``
 iteration arguments (registers after conversion); otherwise the output
 is read-modified-written on every innermost iteration.
@@ -13,7 +19,7 @@ is read-modified-written on every innermost iteration.
 
 from __future__ import annotations
 
-from ..dialects import arith, func as func_dialect, memref, memref_stream
+from ..dialects import arith, memref, memref_stream, scf
 from ..ir.affine_map import (
     AffineBinaryExpr,
     AffineConstantExpr,
@@ -21,15 +27,11 @@ from ..ir.affine_map import (
     AffineExpr,
     AffineMap,
 )
-from ..ir.attributes import FloatAttr, FloatType, MemRefType, index
+from ..ir.attributes import FloatAttr
 from ..ir.builder import Builder
-from ..ir.core import Block, IRError, Operation, SSAValue
+from ..ir.core import Operation, SSAValue
 from ..ir.pass_manager import ModulePass
-from ..dialects import scf
-
-
-class LoopLoweringError(IRError):
-    """Raised when a generic cannot be lowered to loops."""
+from .lowering_kit import LoweringError, RegionScope, check_fused_inits
 
 
 class LowerGenericToLoopsPass(ModulePass):
@@ -40,24 +42,23 @@ class LowerGenericToLoopsPass(ModulePass):
     def run(self, module: Operation) -> None:
         for op in list(module.walk()):
             if isinstance(op, memref_stream.GenericOp):
+                check_fused_inits(op)
                 _GenericToLoops(op).lower()
 
 
 class _GenericToLoops:
     def __init__(self, op: memref_stream.GenericOp):
         if op.interleave_factor != 1:
-            raise LoopLoweringError(
+            raise LoweringError(
                 "loop lowering expects non-interleaved generics "
                 "(the baseline flows do not unroll-and-jam)"
             )
         self.op = op
         self.builder = Builder.before(op)
         self.bounds = op.bounds
-        self.kinds = op.iterator_types
-        self.par_dims = op.parallel_dims
-        self.red_dims = op.reduction_dims
-        self.scalar_replaced = op.is_scalar_replaced
         self.maps = op.indexing_maps
+        self.num_inputs = len(op.inputs)
+        self.out_dims = op.output_map_dims()
         self.ivs: dict[int, SSAValue] = {}
         self._index_cache: dict[int, SSAValue] = {}
 
@@ -84,7 +85,7 @@ class _GenericToLoops:
                 arith.AddiOp if expr.kind == "+" else arith.MuliOp
             )
             return self.builder.insert(op_class(lhs, rhs)).result
-        raise LoopLoweringError(f"unsupported affine expr {expr}")
+        raise LoweringError(f"unsupported affine expr {expr}")
 
     def indices_for(self, amap: AffineMap, dims: list[int]) -> list[SSAValue]:
         """Index values of a map whose dims are the given iteration dims."""
@@ -95,70 +96,68 @@ class _GenericToLoops:
         finally:
             self.ivs = saved
 
-    # -- main structure ------------------------------------------------------------
+    def _load_inputs(self) -> list[SSAValue]:
+        """One ``memref.load`` per input at the current point."""
+        all_dims = list(range(len(self.bounds)))
+        loaded = []
+        for value, amap in zip(self.op.inputs, self.maps):
+            idx = self.indices_for(amap, all_dims)
+            loaded.append(
+                self.builder.insert(memref.LoadOp(value, idx)).result
+            )
+        return loaded
 
-    def lower(self) -> None:
-        if self.scalar_replaced:
-            self._emit_parallel_loops(0, accumulate=True)
-        else:
-            self._emit_all_loops(0)
-        self.op.erase()
-
-    def _for_loop(self, bound: int, iter_args=()) -> scf.ForOp:
+    def _loop(self, dim: int, iter_args=()) -> RegionScope:
+        """A scope emitting the ``scf.for`` over iteration dim ``dim``."""
         loop = scf.ForOp(
             self.const_index(0),
-            self.const_index(bound),
+            self.const_index(self.bounds[dim]),
             self.const_index(1),
             iter_args,
         )
-        self.builder.insert(loop)
-        return loop
+        self._index_cache = {}  # index constants are cached per block
+        self.ivs[dim] = loop.induction_variable
+        return RegionScope(self, loop)
 
-    # Path 1: no scalar replacement — single perfect nest with RMW body.
-    def _emit_all_loops(self, depth: int) -> None:
-        if depth == len(self.bounds):
-            self._emit_rmw_body()
+    # -- main structure ------------------------------------------------------------
+
+    def lower(self) -> None:
+        op = self.op
+        if op.is_scalar_replaced:
+            # Parallel loops, then an accumulating reduction nest, then
+            # one store per output point.
+            self._emit_nest(
+                op.parallel_dims, self._emit_accumulating_reduction
+            )
+        else:
+            # A single perfect nest with a read-modify-write body.
+            self._emit_nest(
+                list(range(len(self.bounds))), self._emit_rmw_body
+            )
+        op.erase()
+
+    def _emit_nest(self, dims: list[int], emit_inner) -> None:
+        """One ``scf.for`` per dim of ``dims``, ``emit_inner()`` inside."""
+        if not dims:
+            emit_inner()
             return
-        loop = self._for_loop(self.bounds[depth])
-        saved = self.builder
-        self.builder = Builder.at_end(loop.body_block)
-        self._index_cache = {}
-        self.ivs[depth] = loop.induction_variable
-        self._emit_all_loops(depth + 1)
-        self.builder.insert(scf.YieldOp())
-        self.builder = saved
+        with self._loop(dims[0]):
+            self._emit_nest(dims[1:], emit_inner)
 
     def _emit_rmw_body(self) -> None:
         op = self.op
-        all_dims = list(range(len(self.bounds)))
-        loaded_inputs = []
-        for value, amap in zip(op.inputs, self.maps[: len(op.inputs)]):
-            idx = self.indices_for(amap, all_dims)
-            loaded_inputs.append(
-                self.builder.insert(memref.LoadOp(value, idx)).result
-            )
-        out_maps = self.maps[len(op.inputs) :]
-        out_dims = op.output_map_dims()
+        loaded_inputs = self._load_inputs()
         old_values = []
         out_indices = []
         block = op.body_block
-        for o, (value, amap) in enumerate(zip(op.outputs, out_maps)):
-            idx = self.indices_for(amap, out_dims)
+        for o, value in enumerate(op.outputs):
+            idx = self.indices_for(
+                self.maps[self.num_inputs + o], self.out_dims
+            )
             out_indices.append(idx)
-            arg = block.args[len(op.inputs) + o]
-            init = op.inits[o]
-            if arg.has_uses and isinstance(init, FloatAttr):
-                const = self.builder.insert(
-                    arith.ConstantOp.from_float(
-                        init.value, arg.type
-                    )
-                )
-                old_values.append(const.result)
-            elif arg.has_uses:
+            if block.args[self.num_inputs + o].has_uses:
                 old_values.append(
-                    self.builder.insert(
-                        memref.LoadOp(value, idx)
-                    ).result
+                    self.builder.insert(memref.LoadOp(value, idx)).result
                 )
             else:
                 old_values.append(None)
@@ -168,75 +167,40 @@ class _GenericToLoops:
                 memref.StoreOp(results[o], value, out_indices[o])
             )
 
-    # Path 2: scalar replacement — parallel loops, then an accumulating
-    # reduction nest, then one store per output point.
-    def _emit_parallel_loops(self, position: int, accumulate: bool) -> None:
-        if position == len(self.par_dims):
-            self._emit_accumulating_reduction()
-            return
-        dim = self.par_dims[position]
-        loop = self._for_loop(self.bounds[dim])
-        saved = self.builder
-        self.builder = Builder.at_end(loop.body_block)
-        self._index_cache = {}
-        self.ivs[dim] = loop.induction_variable
-        self._emit_parallel_loops(position + 1, accumulate)
-        self.builder.insert(scf.YieldOp())
-        self.builder = saved
-
     def _emit_accumulating_reduction(self) -> None:
         op = self.op
         if len(op.outputs) != 1:
-            raise LoopLoweringError(
+            raise LoweringError(
                 "scalar-replaced loop lowering supports one output"
             )
-        out_map = self.maps[len(op.inputs)]
-        out_dims = op.output_map_dims()
-        out_idx = self.indices_for(out_map, out_dims)
+        output = op.outputs[0]
+        out_idx = self.indices_for(
+            self.maps[self.num_inputs], self.out_dims
+        )
         init = op.inits[0]
-        element_type = op.outputs[0].type.element_type
         if isinstance(init, FloatAttr):
             acc0 = self.builder.insert(
-                arith.ConstantOp.from_float(init.value, element_type)
+                arith.ConstantOp.from_float(
+                    init.value, output.type.element_type
+                )
             ).result
         else:
             acc0 = self.builder.insert(
-                memref.LoadOp(op.outputs[0], out_idx)
+                memref.LoadOp(output, out_idx)
             ).result
-        final = self._emit_reduction_nest(0, [acc0])
-        self.builder.insert(
-            memref.StoreOp(final[0], op.outputs[0], out_idx)
-        )
+        final = self._emit_reduction_nest(op.reduction_dims, [acc0])
+        self.builder.insert(memref.StoreOp(final[0], output, out_idx))
 
     def _emit_reduction_nest(
-        self, position: int, accumulators: list[SSAValue]
+        self, dims: list[int], accumulators: list[SSAValue]
     ) -> list[SSAValue]:
-        if position == len(self.red_dims):
-            op = self.op
-            all_dims = list(range(len(self.bounds)))
-            loaded = []
-            for value, amap in zip(
-                op.inputs, self.maps[: len(op.inputs)]
-            ):
-                idx = self.indices_for(amap, all_dims)
-                loaded.append(
-                    self.builder.insert(
-                        memref.LoadOp(value, idx)
-                    ).result
-                )
-            return self._clone_body(loaded, accumulators)
-        dim = self.red_dims[position]
-        loop = self._for_loop(self.bounds[dim], accumulators)
-        saved = self.builder
-        self.builder = Builder.at_end(loop.body_block)
-        self._index_cache = {}
-        self.ivs[dim] = loop.induction_variable
-        inner = self._emit_reduction_nest(
-            position + 1, loop.body_iter_args
-        )
-        self.builder.insert(scf.YieldOp(inner))
-        self.builder = saved
-        return list(loop.results)
+        if not dims:
+            return self._clone_body(self._load_inputs(), accumulators)
+        with self._loop(dims[0], accumulators) as scope:
+            scope.yields = self._emit_reduction_nest(
+                dims[1:], scope.op.body_iter_args
+            )
+        return list(scope.op.results)
 
     # -- body cloning -----------------------------------------------------------------
 
@@ -245,36 +209,18 @@ class _GenericToLoops:
         loaded_inputs: list[SSAValue],
         old_values: list[SSAValue | None],
     ) -> list[SSAValue]:
-        op = self.op
-        block = op.body_block
+        """The generic body, as is, over loaded values; returns what
+        it yields."""
+        block = self.op.body_block
         mapping: dict[int, SSAValue] = {}
-        for i, value in enumerate(loaded_inputs):
-            mapping[id(block.args[i])] = value
-        for o, value in enumerate(old_values):
+        for arg, value in zip(block.args, loaded_inputs + old_values):
             if value is not None:
-                mapping[id(block.args[len(op.inputs) + o])] = value
-        results: list[SSAValue] = []
+                mapping[id(arg)] = value
         for body_op in block.ops:
             if isinstance(body_op, memref_stream.YieldOp):
-                results = [
-                    mapping.get(id(v), v) for v in body_op.operands
-                ]
                 continue
-            if body_op.regions:
-                raise LoopLoweringError("nested regions in generic body")
-            clone = object.__new__(type(body_op))
-            Operation.__init__(
-                clone,
-                operands=[
-                    mapping.get(id(v), v) for v in body_op.operands
-                ],
-                result_types=[r.type for r in body_op.results],
-                attributes=dict(body_op.attributes),
-            )
-            self.builder.insert(clone)
-            for old, new in zip(body_op.results, clone.results):
-                mapping[id(old)] = new
-        return results
+            self.builder.insert(body_op.clone(mapping))
+        return [mapping.get(id(v), v) for v in block.last_op.operands]
 
 
-__all__ = ["LowerGenericToLoopsPass", "LoopLoweringError"]
+__all__ = ["LowerGenericToLoopsPass"]

@@ -7,7 +7,10 @@ loads/stores and loop control on the single in-order issue port and
 suffers FPU RAW hazards (paper Section 4.4: "suboptimal patterns in the
 generated assembly ... such as explicit loads/stores and RAW hazards").
 
-This pass emits exactly that code shape directly at the RISC-V level:
+This pass emits exactly that code shape directly at the RISC-V level.
+The function shell, the pooled constants, the loop scope and the body
+cloner are the shared :mod:`.lowering_kit`; what this pass adds is the
+static schedule of one generic:
 
 * one ``rv_scf.for`` per iteration dim, threading one pointer per
   operand through the whole nest — each loop's back-edge applies a
@@ -23,20 +26,11 @@ This pass emits exactly that code shape directly at the RISC-V level:
 
 from __future__ import annotations
 
-from ..dialects import (
-    arith,
-    func as func_dialect,
-    memref_stream,
-    riscv,
-    riscv_func,
-    riscv_scf,
-)
-from ..dialects.riscv import IntRegisterType
-from ..ir.attributes import FloatAttr, FloatType, IntAttr, MemRefType
-from ..ir.builder import Builder
-from ..ir.core import Block, Operation, SSAValue
+from ..dialects import memref_stream, riscv
+from ..ir.attributes import FloatAttr
+from ..ir.core import Operation, SSAValue
 from ..ir.pass_manager import ModulePass
-from .lower_to_snitch import ARITH_TO_RV, LoweringError
+from .lowering_kit import FunctionLowering, LoweringError, lower_functions
 
 #: Innermost-loop unroll factor (mirrors LLVM's default on such loops).
 UNROLL = 4
@@ -48,112 +42,16 @@ class LowerGenericToPointerLoopsPass(ModulePass):
     name = "lower-generic-to-pointer-loops"
 
     def run(self, module: Operation) -> None:
-        block = module.body.block
-        for op in block.ops:
-            if isinstance(op, func_dialect.FuncOp):
-                new_func = _PointerLoopFunction(op).lower()
-                block.insert_op_before(new_func, op)
-                op.erase()
-
-
-def _insert_entry_constant(block, op, last_constant) -> None:
-    """Place a constant at the function-level pool: at the very start of
-    the entry block for the first one, directly after the previous one
-    otherwise — so constants keep materialisation order and dominate
-    every use."""
-    if last_constant is not None:
-        block.insert_op_after(op, last_constant)
-    elif block.first_op is not None:
-        block.insert_op_before(op, block.first_op)
-    else:
-        block.add_op(op)
-
-
-class _PointerLoopFunction:
-    """Converts one function, one generic at a time."""
-
-    def __init__(self, old_func: func_dialect.FuncOp):
-        self.old = old_func
-        self.value_map: dict[int, SSAValue] = {}
-        self.current_block: Block | None = None
-        self._entry_block: Block | None = None
-        self._constants: dict[int, SSAValue] = {}
-        #: Last constant materialised at function entry; new constants
-        #: splice in right after it (O(1), keeps materialisation order).
-        self._last_constant: Operation | None = None
-
-    def lower(self) -> riscv_func.FuncOp:
-        kinds = []
-        for arg in self.old.args:
-            if isinstance(arg.type, MemRefType):
-                kinds.append("int")
-            elif isinstance(arg.type, FloatType):
-                kinds.append("float")
-            else:
-                raise LoweringError(
-                    f"unsupported argument type {arg.type}"
-                )
-        new_func = riscv_func.FuncOp(
-            self.old.sym_name, riscv_func.abi_arg_types(kinds)
+        lower_functions(
+            module, lambda old: _PointerLoopFunction(old).lower()
         )
-        self._entry_block = new_func.entry_block
-        self.current_block = new_func.entry_block
-        for old_arg, new_arg in zip(self.old.args, new_func.args):
-            self.value_map[id(old_arg)] = new_arg
-        for op in self.old.entry_block.ops:
-            if isinstance(op, arith.ConstantOp):
-                self._lower_constant(op)
-            elif isinstance(op, memref_stream.GenericOp):
-                _PointerLoopGeneric(self, op).lower()
-            elif isinstance(op, func_dialect.ReturnOp):
-                self.emit(riscv_func.ReturnOp())
-            else:
-                raise LoweringError(f"unsupported top-level op {op.name}")
-        return new_func
 
-    def emit(self, op):
-        """Append to the current block."""
-        self.current_block.add_op(op)
-        return op
 
-    def li(self, value: int) -> SSAValue:
-        """A function-level integer constant (zero register for 0).
+class _PointerLoopFunction(FunctionLowering):
+    """The function shell, one pointer-loop nest per generic."""
 
-        Shared across the whole function — like LLVM's rematerialised
-        constants this keeps loop nests within the register budget.
-        """
-        cached = self._constants.get(value)
-        if cached is not None:
-            return cached
-        if value == 0:
-            op = riscv.GetRegisterOp(IntRegisterType("zero"))
-            result = op.result
-        else:
-            op = riscv.LiOp(value)
-            result = op.rd
-        _insert_entry_constant(self._entry_block, op, self._last_constant)
-        self._last_constant = op
-        self._constants[value] = result
-        return result
-
-    def float_constant(self, value: float) -> SSAValue:
-        """Materialize an integral FP constant via fcvt.d.w."""
-        if value != int(value):
-            raise LoweringError(
-                f"non-integral constant {value} unsupported"
-            )
-        return self.emit(riscv.FCvtDWOp(self.li(int(value)))).results[0]
-
-    def _lower_constant(self, op: arith.ConstantOp) -> None:
-        value = op.value
-        if isinstance(value, FloatAttr):
-            self.value_map[id(op.result)] = self.float_constant(
-                value.value
-            )
-        elif isinstance(value, IntAttr):
-            self.value_map[id(op.result)] = self.li(value.value)
-        else:
-            raise LoweringError(f"unsupported constant {value}")
+    def lower_generic(self, op: memref_stream.GenericOp) -> None:
+        _PointerLoopGeneric(self, op).lower()
 
 
 class _PointerLoopGeneric:
@@ -168,35 +66,14 @@ class _PointerLoopGeneric:
         self.op = op
         self.bounds = list(op.bounds)
         self.num_dims = len(self.bounds)
-        self.par_dims = op.parallel_dims
         self.red_dims = op.reduction_dims
         self.scalar_replaced = op.is_scalar_replaced
-        self._compute_strides()
+        self.n_in = len(op.inputs)
+        self.body = op.body_block
+        #: Byte stride per operand and iteration dim (an output does
+        #: not move along the dims its map excludes).
+        self.operand_strides = op.operand_byte_strides()
         self._plan()
-
-    def _compute_strides(self) -> None:
-        maps = self.op.indexing_maps
-        op = self.op
-        self.operand_strides: list[list[int]] = []
-        out_dims = (
-            self.par_dims
-            if self.scalar_replaced
-            else list(range(self.num_dims))
-        )
-        for index, (value, amap) in enumerate(zip(op.operands, maps)):
-            memref_type = value.type
-            if not isinstance(memref_type, MemRefType):
-                raise LoweringError("operands must be memrefs")
-            strides = amap.strides(memref_type.byte_strides())
-            if index < len(op.inputs):
-                per_dim = list(strides)
-            else:
-                # Output maps range over out_dims; expand to all dims
-                # with zero stride on the excluded (reduction) dims.
-                per_dim = [0] * self.num_dims
-                for position, dim in enumerate(out_dims):
-                    per_dim[dim] = strides[position]
-            self.operand_strides.append(per_dim)
 
     def _plan(self) -> None:
         """Static schedule: per-dim loop/unroll plan and pointer advances.
@@ -207,42 +84,36 @@ class _PointerLoopGeneric:
         loop nest shallow enough for spill-free allocation while leaving
         the sequential (non-interleaved) dependency chains in place.
         """
-        #: per dim: ("unroll", bound) or ("loop", trips, factor).
-        self.plan: list[tuple] = [None] * self.num_dims
+        #: per dim: (loop trips, sequential copies per trip); a
+        #: single-trip dim is all static offsets and needs no loop.
+        self.plan: list[tuple[int, int]] = [(1, 1)] * self.num_dims
         innermost_loop_seen = False
-        for dim in range(self.num_dims - 1, -1, -1):
+        for dim in reversed(range(self.num_dims)):
             bound = self.bounds[dim]
-            if not innermost_loop_seen and bound <= UNROLL:
-                self.plan[dim] = ("unroll", bound)
-                continue
-            if not innermost_loop_seen:
-                factor = 1
-                for candidate in (UNROLL, 2):
-                    if bound % candidate == 0:
-                        factor = candidate
-                        break
-                self.plan[dim] = ("loop", bound // factor, factor)
-                innermost_loop_seen = True
+            if innermost_loop_seen:
+                self.plan[dim] = (bound, 1)
+            elif bound <= UNROLL:
+                self.plan[dim] = (1, bound)
             else:
-                self.plan[dim] = ("loop", bound, 1)
+                factor = next(
+                    (c for c in (UNROLL, 2) if bound % c == 0), 1
+                )
+                self.plan[dim] = (bound // factor, factor)
+                innermost_loop_seen = True
         #: advance[d][i]: pointer i's total movement over dims d..end.
         n_ops = len(self.op.operands)
         self.advance: list[list[int]] = [
             [0] * n_ops for _ in range(self.num_dims + 1)
         ]
-        for dim in range(self.num_dims - 1, -1, -1):
-            kind = self.plan[dim]
+        for dim in reversed(range(self.num_dims)):
+            trips, factor = self.plan[dim]
             for i in range(n_ops):
-                if kind[0] == "unroll":
+                if trips == 1:
                     self.advance[dim][i] = self.advance[dim + 1][i]
                 else:
-                    _, trips, factor = kind
-                    if trips == 1:
-                        self.advance[dim][i] = self.advance[dim + 1][i]
-                    else:
-                        self.advance[dim][i] = (
-                            trips * factor * self.operand_strides[i][dim]
-                        )
+                    self.advance[dim][i] = (
+                        trips * factor * self.operand_strides[i][dim]
+                    )
 
     # -- emission ------------------------------------------------------------
 
@@ -269,19 +140,17 @@ class _PointerLoopGeneric:
         """Emit the nest from ``dim``; returns (accumulators, pointers)
         as SSA values after the nest ran."""
         fn = self.fn
-        op = self.op
-        n_in = len(op.inputs)
+        n_in = self.n_in
 
         # Entering the reduction region of a scalar-replaced generic:
         # materialise the accumulator, run the reduction, store once.
         if (
             self.scalar_replaced
             and accumulators is None
-            and self.red_dims
             and dim == min(self.red_dims)
         ):
             out_offset = self._offset_of(n_in, offsets)
-            init = op.inits[0]
+            init = self.op.inits[0]
             if isinstance(init, FloatAttr):
                 acc = fn.float_constant(init.value)
             else:
@@ -300,19 +169,7 @@ class _PointerLoopGeneric:
             new_accs = self._emit_body(pointers, accumulators, offsets)
             return new_accs, pointers
 
-        kind = self.plan[dim]
-        if kind[0] == "unroll":
-            accs = accumulators
-            ptrs = pointers
-            for f in range(kind[1]):
-                accs, ptrs = self._emit_dim(
-                    dim + 1, ptrs, accs, {**offsets, dim: f}
-                )
-                if accumulators is None:
-                    accs = None
-            return accs, ptrs
-
-        _, trips, factor = kind
+        trips, factor = self.plan[dim]
         if trips == 1:
             accs = accumulators
             ptrs = pointers
@@ -320,8 +177,6 @@ class _PointerLoopGeneric:
                 accs, ptrs = self._emit_dim(
                     dim + 1, ptrs, accs, {**offsets, dim: f}
                 )
-                if accumulators is None:
-                    accs = None
             return accs, ptrs
 
         # Only pointers that actually move at this dim are loop-carried;
@@ -332,58 +187,39 @@ class _PointerLoopGeneric:
             for i in range(len(pointers))
             if self.operand_strides[i][dim] != 0
         ]
+        n_ptrs = len(carried_idx)
         carried = [pointers[i] for i in carried_idx]
-        if accumulators:
-            carried += accumulators
-        loop = riscv_scf.ForOp(
-            fn.li(0), fn.li(trips), fn.li(1), carried
-        )
-        fn.emit(loop)
-        outer = fn.current_block
-        fn.current_block = loop.body_block
-        body_args = loop.body_iter_args
-        inner_ptrs = list(pointers)
-        for position, i in enumerate(carried_idx):
-            inner_ptrs[i] = body_args[position]
-        inner_accs = (
-            list(body_args[len(carried_idx) :])
-            if accumulators
-            else None
-        )
-        after_ptrs = inner_ptrs
-        for f in range(factor):
-            new_accs, after_ptrs = self._emit_dim(
-                dim + 1,
-                after_ptrs,
-                inner_accs,
-                {**offsets, dim: f} if factor > 1 else offsets,
-            )
-            if inner_accs is not None:
-                inner_accs = new_accs
-        # Compensated back-edge increment: one register per pointer.
-        yields = []
-        for position, i in enumerate(carried_idx):
-            ptr = after_ptrs[i]
-            delta = factor * self.operand_strides[i][dim] - factor * (
-                self.advance[dim + 1][i]
-            )
-            if delta == 0:
-                yields.append(ptr)
-            else:
-                yields.append(fn.emit(riscv.AddiOp(ptr, delta)).rd)
-        if inner_accs:
-            yields += inner_accs
-        fn.emit(riscv_scf.YieldOp(yields))
-        fn.current_block = outer
+        with fn.counted_loop(trips, carried + (accumulators or [])) as scope:
+            body_args = scope.op.body_iter_args
+            after_ptrs = list(pointers)
+            for position, i in enumerate(carried_idx):
+                after_ptrs[i] = body_args[position]
+            inner_accs = body_args[n_ptrs:] if accumulators else None
+            for f in range(factor):
+                inner_accs, after_ptrs = self._emit_dim(
+                    dim + 1,
+                    after_ptrs,
+                    inner_accs,
+                    {**offsets, dim: f} if factor > 1 else offsets,
+                )
+            # Compensated back-edge increment: one register per pointer.
+            yields = []
+            for i in carried_idx:
+                delta = factor * (
+                    self.operand_strides[i][dim] - self.advance[dim + 1][i]
+                )
+                if delta == 0:
+                    yields.append(after_ptrs[i])
+                else:
+                    yields.append(
+                        fn.emit(riscv.AddiOp(after_ptrs[i], delta)).rd
+                    )
+            scope.yields = yields + (inner_accs or [])
+        results = scope.op.results
         result_ptrs = list(pointers)
         for position, i in enumerate(carried_idx):
-            result_ptrs[i] = loop.results[position]
-        result_accs = (
-            list(loop.results[len(carried_idx) :])
-            if accumulators
-            else None
-        )
-        return result_accs, result_ptrs
+            result_ptrs[i] = results[position]
+        return (results[n_ptrs:] if accumulators else None), result_ptrs
 
     def _emit_body(
         self,
@@ -391,67 +227,30 @@ class _PointerLoopGeneric:
         accumulators: list[SSAValue] | None,
         offsets: dict[int, int],
     ) -> list[SSAValue] | None:
-        """One unrolled instance of the scalar computation."""
-        fn = self.fn
-        op = self.op
-        n_in = len(op.inputs)
-        block = op.body_block
+        """One unrolled instance of the scalar computation: explicit
+        loads, the body, and (without a register accumulator) a
+        read-modify-write of the output through memory."""
+        insert = self.fn.builder.insert
+        n_in = self.n_in
+        args = self.body.args
         mapping: dict[int, SSAValue] = {}
         for i in range(n_in):
-            loaded = fn.emit(
+            loaded = insert(
                 riscv.FLdOp(pointers[i], self._offset_of(i, offsets))
             ).rd
-            mapping[id(block.args[i])] = loaded
-        out_arg = block.args[n_in]
+            mapping[id(args[i])] = loaded
         out_offset = self._offset_of(n_in, offsets)
         if accumulators is not None:
-            mapping[id(out_arg)] = accumulators[0]
-        elif out_arg.has_uses:
-            init = op.inits[0]
-            if isinstance(init, FloatAttr):
-                mapping[id(out_arg)] = fn.float_constant(init.value)
-            else:
-                mapping[id(out_arg)] = fn.emit(
-                    riscv.FLdOp(pointers[n_in], out_offset)
-                ).rd
-        results: list[SSAValue] = []
-        for body_op in block.ops:
-            if isinstance(body_op, memref_stream.YieldOp):
-                results = [
-                    self._resolve(mapping, v) for v in body_op.operands
-                ]
-                continue
-            rv_class = ARITH_TO_RV.get(type(body_op))
-            if rv_class is None:
-                raise LoweringError(
-                    f"unsupported body op {body_op.name}"
-                )
-            new_op = fn.emit(
-                rv_class(
-                    *[
-                        self._resolve(mapping, v)
-                        for v in body_op.operands
-                    ]
-                )
-            )
-            mapping[id(body_op.results[0])] = new_op.results[0]
+            mapping[id(args[n_in])] = accumulators[0]
+        elif args[n_in].has_uses:
+            mapping[id(args[n_in])] = insert(
+                riscv.FLdOp(pointers[n_in], out_offset)
+            ).rd
+        results = self.fn.clone_generic_body(self.body, mapping)
         if accumulators is not None:
-            return [results[0]]
-        fn.emit(riscv.FSdOp(results[0], pointers[n_in], out_offset))
+            return results[:1]
+        insert(riscv.FSdOp(results[0], pointers[n_in], out_offset))
         return None
-
-    def _resolve(
-        self, mapping: dict[int, SSAValue], value: SSAValue
-    ) -> SSAValue:
-        if id(value) in mapping:
-            return mapping[id(value)]
-        if id(value) in self.fn.value_map:
-            return self.fn.value_map[id(value)]
-        if isinstance(
-            value.type, (riscv.FloatRegisterType, IntRegisterType)
-        ):
-            return value
-        raise LoweringError("unmapped value in generic body")
 
 
 __all__ = ["LowerGenericToPointerLoopsPass", "UNROLL"]

@@ -9,8 +9,10 @@ into
 * compute — ``rv_scf.for`` loops and ``rv_snitch.frep_outer`` hardware
   loops whose bodies operate on streams instead of memory.
 
-The lowering handles all the ablation stages of Table 3 on the same
-code path:
+On top of the shared function shell (:mod:`.lowering_kit`) it adds the
+reserve-and-copy of argument registers (paper Figure 6), in-place
+constant materialisation, and the streaming structure itself, which
+handles all the ablation stages of Table 3 on the same code path:
 
 * **streams only** (outputs not scalar-replaced): the reduction loop
   performs an explicit load/FMA/store read-modify-write on the output;
@@ -32,49 +34,21 @@ the hardware.
 
 from __future__ import annotations
 
+from math import prod
+from typing import Callable, Sequence
+
 from ..backend.registers import SNITCH_STREAM_REGISTERS
-from ..dialects import (
-    arith,
-    func as func_dialect,
-    memref_stream,
-    riscv,
-    riscv_func,
-    riscv_scf,
-    riscv_snitch,
-    snitch_stream,
-)
-from ..dialects.riscv import FloatRegisterType, IntRegisterType
-from ..ir.attributes import (
-    FloatAttr,
-    FloatType,
-    IntAttr,
-    MemRefType,
-)
-from ..ir.builder import Builder
-from ..ir.core import Block, IRError, Operation, SSAValue
+from ..dialects import memref_stream, riscv, riscv_snitch, snitch_stream
+from ..dialects.riscv import IntRegisterType
+from ..ir.attributes import FloatAttr, FloatType
+from ..ir.core import Operation, SSAValue
 from ..ir.pass_manager import ModulePass
-
-
-def _prod(values) -> int:
-    total = 1
-    for v in values:
-        total *= v
-    return total
-
-
-#: Body arith op -> rv instruction (64-bit path; the DSL pipeline is f64).
-ARITH_TO_RV = {
-    arith.AddfOp: riscv.FAddDOp,
-    arith.SubfOp: riscv.FSubDOp,
-    arith.MulfOp: riscv.FMulDOp,
-    arith.DivfOp: riscv.FDivDOp,
-    arith.MaximumfOp: riscv.FMaxDOp,
-    arith.MinimumfOp: riscv.FMinDOp,
-}
-
-
-class LoweringError(IRError):
-    """Raised when a generic cannot be mapped onto the Snitch extensions."""
+from .lowering_kit import (
+    FunctionLowering,
+    LoweringError,
+    RegionScope,
+    lower_functions,
+)
 
 
 class LowerToSnitchPass(ModulePass):
@@ -87,137 +61,58 @@ class LowerToSnitchPass(ModulePass):
         self.use_frep = use_frep
 
     def run(self, module: Operation) -> None:
-        block = module.body.block
-        for op in block.ops:
-            if isinstance(op, func_dialect.FuncOp):
-                new_func = _FunctionLowering(op, self.use_frep).lower()
-                block.insert_op_before(new_func, op)
-                op.erase()
-
-
-class _FunctionLowering:
-    """Lowers one ``func.func`` into one ``rv_func.func``."""
-
-    def __init__(self, old_func: func_dialect.FuncOp, use_frep: bool):
-        self.old_func = old_func
-        self.use_frep = use_frep
-        self.value_map: dict[int, SSAValue] = {}
-        self.builder: Builder | None = None
-
-    # -- small helpers ----------------------------------------------------------
-
-    def emit(self, op):
-        """Insert an op at the current point; returns the op."""
-        return self.builder.insert(op)
-
-    def zero_reg(self) -> SSAValue:
-        """A fresh SSA value naming the ``zero`` register.
-
-        Emitted at the current insertion point every time: caching
-        across blocks would create dominance violations, and the op has
-        no assembly form anyway.
-        """
-        return self.emit(
-            riscv.GetRegisterOp(IntRegisterType("zero"))
-        ).result
-
-    def li(self, value: int) -> SSAValue:
-        """Materialize an integer constant."""
-        if value == 0:
-            return self.zero_reg()
-        return self.emit(riscv.LiOp(value)).rd
-
-    def float_constant(self, value: float) -> SSAValue:
-        """Materialize an FP constant via integer conversion.
-
-        Snitch kernels only need small integral constants (0.0 for
-        zero-initialisation and ReLU thresholds), which ``fcvt.d.w``
-        produces from an integer register.
-        """
-        if value != int(value):
-            raise LoweringError(
-                f"non-integral float constant {value} not supported by "
-                "the fcvt-based constant materialisation"
-            )
-        return self.emit(riscv.FCvtDWOp(self.li(int(value)))).results[0]
-
-    # -- function conversion --------------------------------------------------------
-
-    def lower(self) -> riscv_func.FuncOp:
-        old = self.old_func
-        kinds = []
-        for arg in old.args:
-            if isinstance(arg.type, MemRefType):
-                kinds.append("int")
-            elif isinstance(arg.type, FloatType):
-                kinds.append("float")
-            else:
-                raise LoweringError(
-                    f"unsupported function argument type {arg.type}"
-                )
-        new_func = riscv_func.FuncOp(
-            old.sym_name, riscv_func.abi_arg_types(kinds)
+        lower_functions(
+            module,
+            lambda old: _SnitchFunction(old, self.use_frep).lower(),
         )
-        self.builder = Builder.at_end(new_func.entry_block)
+
+
+class _SnitchFunction(FunctionLowering):
+    """The function shell with Snitch's register and constant policy."""
+
+    def __init__(self, old_func, use_frep: bool):
+        super().__init__(old_func)
+        self.use_frep = use_frep
         # Copy ABI registers into fresh values (paper Figure 6: rv.mv),
         # keeping the argument registers reserved.
-        for old_arg, new_arg in zip(old.args, new_func.args):
-            if isinstance(new_arg.type, IntRegisterType):
-                copy = self.emit(riscv.MVOp(new_arg))
-                self.value_map[id(old_arg)] = copy.rd
-            else:
-                copy = self.emit(riscv.FMVOp(new_arg))
-                self.value_map[id(old_arg)] = copy.rd
-        for op in old.entry_block.ops:
-            self._lower_top_level_op(op)
-        return new_func
+        for old_arg, new_arg in zip(old_func.args, self.new_func.args):
+            is_int = isinstance(new_arg.type, IntRegisterType)
+            move = riscv.MVOp if is_int else riscv.FMVOp
+            self.value_map[id(old_arg)] = self.emit(move(new_arg)).rd
 
-    def _lower_top_level_op(self, op: Operation) -> None:
-        if isinstance(op, arith.ConstantOp):
-            value = op.value
-            if isinstance(value, FloatAttr):
-                self.value_map[id(op.result)] = self.float_constant(
-                    value.value
-                )
-            elif isinstance(value, IntAttr):
-                self.value_map[id(op.result)] = self.li(value.value)
-            else:
-                raise LoweringError(f"unsupported constant {value}")
-        elif isinstance(op, memref_stream.GenericOp):
-            _GenericLowering(self, op).lower()
-        elif isinstance(op, func_dialect.ReturnOp):
-            self.emit(riscv_func.ReturnOp())
-        else:
-            raise LoweringError(
-                f"op {op.name} not supported at the top level of a kernel"
-            )
+    def li(self, value: int) -> SSAValue:
+        """Materialise an integer constant at the current point.
+
+        Not pooled: loop counts are rematerialised next to the loop
+        that uses them, so no integer register stays live across a
+        streaming region (``zero`` has no assembly form anyway).
+        """
+        return self.emit(self.li_op(value)).results[0]
+
+    def lower_generic(self, op: memref_stream.GenericOp) -> None:
+        _GenericLowering(self, op).lower()
 
 
 class _GenericLowering:
     """Emits the streaming structure for one ``memref_stream.generic``."""
 
-    def __init__(
-        self, parent: _FunctionLowering, op: memref_stream.GenericOp
-    ):
-        self.fn = parent
+    def __init__(self, fn: _SnitchFunction, op: memref_stream.GenericOp):
+        self.fn = fn
         self.op = op
-        self.use_frep = parent.use_frep
         self.bounds = list(op.bounds)
-        self.kinds = op.iterator_types
+        kinds = op.iterator_types
         self.num_dims = len(self.bounds)
-        self.par_dims = [
-            i for i, k in enumerate(self.kinds) if k == "parallel"
-        ]
+        self.par_dims = [i for i, k in enumerate(kinds) if k == "parallel"]
         self.red_dims = op.reduction_dims
         self.inter_dims = [
-            i for i, k in enumerate(self.kinds) if k == "interleaved"
+            i for i, k in enumerate(kinds) if k == "interleaved"
         ]
         self.factor = op.interleave_factor
         self.scalar_replaced = op.is_scalar_replaced
         self._validate_structure()
 
-        self.inputs = list(op.inputs)
-        self.outputs = list(op.outputs)
+        self.n_in = len(op.inputs)
+        self.body = op.body_block
         self.inits = op.inits
         self.fused = all(
             isinstance(init, FloatAttr) for init in self.inits
@@ -225,12 +120,9 @@ class _GenericLowering:
         # A pure-parallel body that *reads* its output (z = x*y + z)
         # performs a read-modify-write: with only three stream registers
         # the output is accessed explicitly instead.
-        block = op.body_block
-        n_in = len(self.inputs)
+        output_args = self.body.args[self.n_in * self.factor :]
         self.parallel_rmw = not self.red_dims and any(
-            block.args[(n_in + o) * self.factor + f].has_uses
-            for o in range(len(self.outputs))
-            for f in range(self.factor)
+            arg.has_uses for arg in output_args
         )
         # Outputs go through a write stream when they are written exactly
         # once per point with no memory read: pure parallel kernels, or
@@ -238,7 +130,23 @@ class _GenericLowering:
         self.output_streamed = (
             not self.red_dims and not self.parallel_rmw
         ) or (self.scalar_replaced and self.fused)
-        self._compute_strides()
+        #: Operands ``[0, stream_count)`` are accessed through streams.
+        self.stream_count = self.n_in + (
+            len(op.outputs) if self.output_streamed else 0
+        )
+        #: Byte stride per operand and iteration dim (outputs included).
+        self.strides = op.operand_byte_strides()
+        self.out_dims = op.output_map_dims()
+        for value in op.operands:
+            element_type = value.type.element_type
+            if not (
+                isinstance(element_type, FloatType)
+                and element_type.width == 64
+            ):
+                raise LoweringError(
+                    "the DSL pipeline targets f64 kernels; express f32 "
+                    "kernels at the rv_snitch level (paper Section 4.2)"
+                )
         self.hoisted = self._hoist_count()
 
     # -- analysis ----------------------------------------------------------------
@@ -257,67 +165,16 @@ class _GenericLowering:
         if len(self.inter_dims) > 1:
             raise LoweringError("at most one interleaved dim is supported")
 
-    def _memref_type(self, value: SSAValue) -> MemRefType:
-        vtype = value.type
-        if not isinstance(vtype, MemRefType):
-            raise LoweringError("generic operands must be memrefs")
-        if not (
-            isinstance(vtype.element_type, FloatType)
-            and vtype.element_type.width == 64
-        ):
-            raise LoweringError(
-                "the DSL pipeline targets f64 kernels; express f32 "
-                "kernels at the rv_snitch level (paper Section 4.2)"
-            )
-        return vtype
-
-    def _compute_strides(self) -> None:
-        """Byte strides per iteration dim for every operand."""
-        maps = self.op.indexing_maps
-        self.input_strides: list[tuple[int, ...]] = []
-        for value, amap in zip(self.inputs, maps[: len(self.inputs)]):
-            memref_type = self._memref_type(value)
-            self.input_strides.append(
-                amap.strides(memref_type.byte_strides())
-            )
-        # Output maps are over [parallel..., interleaved...] when scalar
-        # replaced, else over the full space.
-        self.out_dims = (
-            self.par_dims + self.inter_dims
-            if self.scalar_replaced
-            else list(range(self.num_dims))
-        )
-        self.output_strides: list[tuple[int, ...]] = []
-        for value, amap in zip(
-            self.outputs, maps[len(self.inputs) :]
-        ):
-            memref_type = self._memref_type(value)
-            if amap.num_dims != len(self.out_dims):
-                raise LoweringError("output map dimensionality mismatch")
-            self.output_strides.append(
-                amap.strides(memref_type.byte_strides())
-            )
-
-    def _input_pattern(
-        self, index: int, from_dim: int
+    def _pattern(
+        self, operand: int, from_dim: int
     ) -> snitch_stream.StridePattern:
-        dims = list(range(from_dim, self.num_dims))
+        """How ``operand`` is visited over the dims from ``from_dim``
+        inwards (an output only ranges over its own map's dims)."""
+        dims = range(self.num_dims) if operand < self.n_in else self.out_dims
+        dims = [d for d in dims if d >= from_dim]
+        strides = self.strides[operand]
         return snitch_stream.StridePattern(
-            [self.bounds[d] for d in dims],
-            [self.input_strides[index][d] for d in dims],
-        )
-
-    def _output_pattern(
-        self, index: int, from_dim: int
-    ) -> snitch_stream.StridePattern:
-        dims = [
-            (pos, d)
-            for pos, d in enumerate(self.out_dims)
-            if d >= from_dim
-        ]
-        return snitch_stream.StridePattern(
-            [self.bounds[d] for _, d in dims],
-            [self.output_strides[index][pos] for pos, _ in dims],
+            [self.bounds[d] for d in dims], [strides[d] for d in dims]
         )
 
     @staticmethod
@@ -330,21 +187,20 @@ class _GenericLowering:
         return rank
 
     def _hoist_count(self) -> int:
-        """Leading parallel dims that must become software loops."""
+        """Leading parallel dims that must become software loops; the
+        stream patterns from there inwards are left in ``patterns``."""
         from ..snitch.isa import SSR_MAX_DIMS
 
         hoisted = 0
         while True:
-            ranks = [
-                self._hardware_rank(self._input_pattern(i, hoisted))
-                for i in range(len(self.inputs))
+            self.patterns = [
+                self._pattern(operand, hoisted)
+                for operand in range(self.stream_count)
             ]
-            if self.output_streamed:
-                ranks += [
-                    self._hardware_rank(self._output_pattern(o, hoisted))
-                    for o in range(len(self.outputs))
-                ]
-            if all(rank <= SSR_MAX_DIMS for rank in ranks):
+            if all(
+                self._hardware_rank(pattern) <= SSR_MAX_DIMS
+                for pattern in self.patterns
+            ):
                 return hoisted
             if hoisted >= len(self.par_dims):
                 raise LoweringError(
@@ -356,140 +212,108 @@ class _GenericLowering:
     # -- emission ----------------------------------------------------------------
 
     def lower(self) -> None:
-        if self.output_streamed:
-            stream_count = len(self.inputs) + len(self.outputs)
-        else:
-            stream_count = len(self.inputs)
-        if stream_count > len(SNITCH_STREAM_REGISTERS):
+        if self.stream_count > len(SNITCH_STREAM_REGISTERS):
             raise LoweringError(
-                f"kernel needs {stream_count} streams; Snitch has "
+                f"kernel needs {self.stream_count} streams; Snitch has "
                 f"{len(SNITCH_STREAM_REGISTERS)}"
             )
-        if not self.output_streamed and len(self.outputs) != 1:
+        if not self.output_streamed and len(self.op.outputs) != 1:
             raise LoweringError(
                 "explicit-output lowering supports a single output"
             )
-        input_ptrs = [self.fn.value_map[id(v)] for v in self.inputs]
-        output_ptrs = [self.fn.value_map[id(v)] for v in self.outputs]
-        self._emit_hoisted_loops(0, input_ptrs, output_ptrs)
+        pointers = [self.fn.value_map[id(v)] for v in self.op.operands]
+        # Hoisted dims re-arm the streams from shifted base pointers.
+        levels = [
+            (self.bounds[dim], [strides[dim] for strides in self.strides])
+            for dim in self.par_dims[: self.hoisted]
+        ]
+        self._emit_pointer_loops(
+            levels, pointers, self._emit_streaming_region
+        )
 
-    def _emit_hoisted_loops(
+    def _emit_pointer_loops(
         self,
-        depth: int,
-        input_ptrs: list[SSAValue],
-        output_ptrs: list[SSAValue],
+        levels: Sequence[tuple[int, Sequence[int]]],
+        pointers: list[SSAValue],
+        emit_inner: Callable[[list[SSAValue]], None],
     ) -> None:
-        """Software loops over hoisted dims, carrying shifted pointers."""
-        if depth == self.hoisted:
-            self._emit_streaming_region(input_ptrs, output_ptrs)
+        """A software loop nest carrying walking pointers.
+
+        ``levels`` lists, outermost first, ``(trip count, byte stride
+        per pointer)``; each back-edge advances every pointer by its
+        stride.  ``emit_inner`` receives the innermost pointers.
+        Single-trip levels need no loop.
+        """
+        levels = [level for level in levels if level[0] != 1]
+        if not levels:
+            emit_inner(pointers)
             return
-        dim = self.par_dims[depth]
-        bound = self.bounds[dim]
-        if bound == 1:
-            self._emit_hoisted_loops(depth + 1, input_ptrs, output_ptrs)
-            return
-        fn = self.fn
-        lb = fn.li(0)
-        ub = fn.li(bound)
-        step = fn.li(1)
-        carried = input_ptrs + output_ptrs
-        loop = riscv_scf.ForOp(lb, ub, step, carried)
-        fn.emit(loop)
-        outer_builder = fn.builder
-        fn.builder = Builder.at_end(loop.body_block)
-        body_ptrs = loop.body_iter_args
-        new_inputs = body_ptrs[: len(input_ptrs)]
-        new_outputs = body_ptrs[len(input_ptrs) :]
-        self._emit_hoisted_loops(depth + 1, new_inputs, new_outputs)
-        next_ptrs = []
-        for i, ptr in enumerate(new_inputs):
-            stride = self.input_strides[i][dim]
-            next_ptrs.append(self._advance(ptr, stride))
-        for o, ptr in enumerate(new_outputs):
-            pos = self.out_dims.index(dim)
-            stride = self.output_strides[o][pos]
-            next_ptrs.append(self._advance(ptr, stride))
-        fn.emit(riscv_scf.YieldOp(next_ptrs))
-        fn.builder = outer_builder
+        count, strides = levels[0]
+        with self.fn.counted_loop(count, pointers) as scope:
+            inner = scope.op.body_iter_args
+            self._emit_pointer_loops(levels[1:], inner, emit_inner)
+            scope.yields = [
+                self._advance(pointer, stride)
+                for pointer, stride in zip(inner, strides)
+            ]
 
     def _advance(self, ptr: SSAValue, stride: int) -> SSAValue:
         if stride == 0:
             return ptr
         return self.fn.emit(riscv.AddiOp(ptr, stride)).rd
 
-    def _emit_streaming_region(
+    def _emit_repeated(
         self,
-        input_ptrs: list[SSAValue],
-        output_ptrs: list[SSAValue],
-    ) -> None:
-        fn = self.fn
-        patterns = [
-            self._input_pattern(i, self.hoisted)
-            for i in range(len(self.inputs))
-        ]
-        streamed_outputs: list[SSAValue] = []
-        if self.output_streamed:
-            patterns += [
-                self._output_pattern(o, self.hoisted)
-                for o in range(len(self.outputs))
-            ]
-            streamed_outputs = output_ptrs
+        count: int,
+        emit_body: Callable[[Sequence[SSAValue]], list[SSAValue] | None],
+        accumulators: Sequence[SSAValue] = (),
+        frep: bool = False,
+    ) -> list[SSAValue]:
+        """``count`` runs of ``emit_body(carried) -> next carried``
+        (``None`` when nothing is carried).
+
+        An ``frep_outer`` hardware loop when ``frep`` (FP-only bodies),
+        else an ``rv_scf.for``; returns the values carried out.  A
+        single run that carries nothing needs no loop, while a
+        one-trip accumulation keeps its software loop.
+        """
+        if count == 1 and not accumulators:
+            emit_body(())
+            return []
+        with self.fn.counted_loop(
+            count, accumulators, frep and count > 1
+        ) as scope:
+            scope.yields = emit_body(scope.op.body_iter_args) or ()
+        return list(scope.op.results)
+
+    def _emit_streaming_region(self, pointers: list[SSAValue]) -> None:
+        n_in = self.n_in
         region_op = snitch_stream.StreamingRegionOp(
-            input_ptrs, streamed_outputs, patterns
+            pointers[:n_in],
+            pointers[n_in : self.stream_count],
+            self.patterns,
         )
-        fn.emit(region_op)
-        outer_builder = fn.builder
-        fn.builder = Builder.at_end(region_op.body_block)
-        input_streams = list(
-            region_op.body_block.args[: len(self.inputs)]
-        )
-        n_in = len(self.inputs)
-        self.write_streams = list(region_op.body_block.args[n_in:])
-        if self.red_dims:
-            self._emit_reduction_structure(input_streams, output_ptrs)
-        elif self.parallel_rmw:
-            self._emit_parallel_rmw_structure(
-                input_streams, output_ptrs[0]
-            )
-        else:
-            self._emit_parallel_structure(input_streams)
-        fn.builder = outer_builder
+        streams = region_op.body_block.args
+        self.input_streams = streams[:n_in]
+        self.write_streams = streams[n_in:]
+        with RegionScope(self.fn, region_op):
+            if self.red_dims:
+                self._emit_reduction_structure(pointers[n_in])
+            elif self.parallel_rmw:
+                self._emit_parallel_rmw_structure(pointers[n_in])
+            else:
+                # Pure parallel kernels (Sum, Fill, ReLU).
+                total = prod(self.bounds[self.hoisted :])
+                self._emit_repeated(
+                    total // self.factor,
+                    self._emit_point,
+                    frep=self.fn.use_frep,
+                )
 
-    # -- pure parallel kernels (Sum, Fill, ReLU) -----------------------------------
-
-    def _emit_parallel_structure(self, input_streams) -> None:
-        fn = self.fn
-        total = _prod(
-            self.bounds[d] for d in range(self.hoisted, self.num_dims)
-        )
-        count = total // self.factor
-
-        def emit_body():
-            reads = self._emit_reads(input_streams)
-            self._emit_compute(reads, accumulators=None)
-
-        if count == 1:
-            emit_body()
-            return
-        if self.use_frep:
-            max_rep = fn.li(count - 1)
-            frep = riscv_snitch.FrepOuter(max_rep)
-            fn.emit(frep)
-            outer_builder = fn.builder
-            fn.builder = Builder.at_end(frep.body_block)
-            emit_body()
-            fn.emit(riscv_snitch.FrepYieldOp())
-            fn.builder = outer_builder
-        else:
-            self._emit_counted_loop(count, emit_body)
-
-    def _emit_parallel_rmw_structure(
-        self, input_streams, out_ptr: SSAValue
-    ) -> None:
+    def _emit_parallel_rmw_structure(self, out_ptr: SSAValue) -> None:
         """Pure-parallel read-modify-write: inputs streamed, the output
         loaded and stored explicitly behind a walking pointer."""
-        fn = self.fn
-        pattern = self._output_pattern(0, self.hoisted).simplified()
+        pattern = self._pattern(self.n_in, self.hoisted).simplified()
         if pattern.rank != 1:
             raise LoweringError(
                 "read-modify-write outputs must be visited with a "
@@ -497,304 +321,103 @@ class _GenericLowering:
                 f"{pattern.rank} pattern); restructure the kernel or "
                 "hoist more dims"
             )
-        stride = pattern.strides[0]
         count = pattern.ub[0] // self.factor
-
-        def emit_body(ptr: SSAValue) -> SSAValue:
-            old = fn.emit(riscv.FLdOp(ptr, 0)).rd
-            reads = self._emit_reads(input_streams)
-            new_values = self._emit_compute(
-                reads, accumulators=[old], store_results=False
-            )
-            fn.emit(riscv.FSdOp(new_values[0], ptr, 0))
-            return self._advance(ptr, stride)
-
-        if count == 1:
-            emit_body(out_ptr)
-            return
-        lb = fn.li(0)
-        ub = fn.li(count)
-        step = fn.li(1)
-        loop = riscv_scf.ForOp(lb, ub, step, [out_ptr])
-        fn.emit(loop)
-        outer_builder = fn.builder
-        fn.builder = Builder.at_end(loop.body_block)
-        advanced = emit_body(loop.body_iter_args[0])
-        fn.emit(riscv_scf.YieldOp([advanced]))
-        fn.builder = outer_builder
+        self._emit_pointer_loops(
+            [(count, [pattern.strides[0]])],
+            [out_ptr],
+            lambda ptrs: self._emit_rmw_point(ptrs[0]),
+        )
 
     # -- reduction kernels (MatMul, Conv, Pool) --------------------------------------
 
-    def _emit_reduction_structure(
-        self, input_streams, output_ptrs: list[SSAValue]
-    ) -> None:
-        groups = _prod(
-            self.bounds[d]
-            for d in self.par_dims
-            if d >= self.hoisted
-        )
+    def _emit_reduction_structure(self, out_ptr: SSAValue) -> None:
+        """One group per point of the non-hoisted parallel dims."""
+        inner_par = [d for d in self.par_dims if d >= self.hoisted]
         if self.output_streamed:
-            if groups == 1:
-                self._emit_group(input_streams, None)
-            else:
-                self._emit_counted_loop(
-                    groups,
-                    lambda: self._emit_group(input_streams, None),
-                )
-        else:
-            self._emit_explicit_output_loops(
-                input_streams, output_ptrs[0], self.hoisted
-            )
-
-    def _emit_explicit_output_loops(
-        self, input_streams, out_ptr: SSAValue, depth: int
-    ) -> None:
-        """Nested loops over the remaining parallel dims, carrying the
-        output pointer (non-streamed outputs)."""
-        remaining = [d for d in self.par_dims if d >= depth]
-        if not remaining:
-            self._emit_group(input_streams, out_ptr)
+            groups = prod(self.bounds[d] for d in inner_par)
+            self._emit_repeated(groups, lambda _: self._emit_group(None))
             return
-        dim = remaining[0]
-        bound = self.bounds[dim]
-        if bound == 1:
-            self._emit_explicit_output_loops(
-                input_streams, out_ptr, dim + 1
-            )
-            return
-        fn = self.fn
-        lb = fn.li(0)
-        ub = fn.li(bound)
-        step = fn.li(1)
-        loop = riscv_scf.ForOp(lb, ub, step, [out_ptr])
-        fn.emit(loop)
-        outer_builder = fn.builder
-        fn.builder = Builder.at_end(loop.body_block)
-        inner_ptr = loop.body_iter_args[0]
-        self._emit_explicit_output_loops(input_streams, inner_ptr, dim + 1)
-        pos = self.out_dims.index(dim)
-        advanced = self._advance(inner_ptr, self.output_strides[0][pos])
-        fn.emit(riscv_scf.YieldOp([advanced]))
-        fn.builder = outer_builder
+        # Explicit output: the nest carries the output pointer.
+        out_strides = self.strides[self.n_in]
+        self._emit_pointer_loops(
+            [(self.bounds[d], [out_strides[d]]) for d in inner_par],
+            [out_ptr],
+            lambda ptrs: self._emit_group(ptrs[0]),
+        )
 
-    def _emit_group(
-        self, input_streams, out_ptr: SSAValue | None
-    ) -> None:
+    def _emit_group(self, out_ptr: SSAValue | None) -> None:
         """One group: init accumulators, reduce, write results."""
         fn = self.fn
-        reduction_count = _prod(self.bounds[d] for d in self.red_dims)
-        inter_stride = self._interleave_output_stride()
-
-        if self.scalar_replaced:
-            accumulators = self._emit_accumulator_init(out_ptr, inter_stride)
-            results = self._emit_reduction_loop(
-                input_streams, accumulators, reduction_count
-            )
-            self._emit_group_results(results, out_ptr, inter_stride)
-        else:
+        reduction_count = prod(self.bounds[d] for d in self.red_dims)
+        if not self.scalar_replaced:
             # Read-modify-write on the output every iteration (Table 3
             # "+ Streams" stage).  The body has integer operands (the
             # output pointer), so FREP is not applicable.
-            def emit_body():
-                loaded = fn.emit(riscv.FLdOp(out_ptr, 0)).rd
-                reads = self._emit_reads(input_streams)
-                new_values = self._emit_compute(
-                    reads, accumulators=[loaded], store_results=False
-                )
-                fn.emit(riscv.FSdOp(new_values[0], out_ptr, 0))
-
-            self._emit_counted_loop(reduction_count, emit_body)
-
-    def _interleave_output_stride(self) -> int:
-        if not self.inter_dims:
-            return 0
-        pos = self.out_dims.index(self.inter_dims[0])
-        return self.output_strides[0][pos]
-
-    def _emit_accumulator_init(
-        self, out_ptr: SSAValue | None, inter_stride: int
-    ) -> list[SSAValue]:
-        fn = self.fn
-        accumulators = []
-        for f in range(self.factor):
-            if self.fused:
-                init = self.inits[0]
-                assert isinstance(init, FloatAttr)
-                accumulators.append(fn.float_constant(init.value))
-            else:
-                assert out_ptr is not None
-                accumulators.append(
-                    fn.emit(riscv.FLdOp(out_ptr, f * inter_stride)).rd
-                )
-        return accumulators
-
-    def _emit_reduction_loop(
-        self, input_streams, accumulators, reduction_count: int
-    ) -> list[SSAValue]:
-        fn = self.fn
-        body_is_fp_only = True  # stream reads + FP arith by construction
-
-        if self.use_frep and body_is_fp_only and reduction_count > 1:
-            max_rep = fn.li(reduction_count - 1)
-            frep = riscv_snitch.FrepOuter(max_rep, accumulators)
-            fn.emit(frep)
-            outer_builder = fn.builder
-            fn.builder = Builder.at_end(frep.body_block)
-            reads = self._emit_reads(input_streams)
-            new_values = self._emit_compute(
-                reads,
-                accumulators=frep.body_iter_args,
-                store_results=False,
+            self._emit_repeated(
+                reduction_count, lambda _: self._emit_rmw_point(out_ptr)
             )
-            fn.emit(riscv_snitch.FrepYieldOp(new_values))
-            fn.builder = outer_builder
-            return list(frep.results)
-        # Software reduction loop.
-        lb = fn.li(0)
-        ub = fn.li(reduction_count)
-        step = fn.li(1)
-        loop = riscv_scf.ForOp(lb, ub, step, accumulators)
-        fn.emit(loop)
-        outer_builder = fn.builder
-        fn.builder = Builder.at_end(loop.body_block)
-        reads = self._emit_reads(input_streams)
-        new_values = self._emit_compute(
-            reads, accumulators=loop.body_iter_args, store_results=False
+            return
+        inter_stride = (
+            self.strides[self.n_in][self.inter_dims[0]]
+            if self.inter_dims
+            else 0
         )
-        fn.emit(riscv_scf.YieldOp(new_values))
-        fn.builder = outer_builder
-        return list(loop.results)
-
-    def _emit_group_results(
-        self,
-        results: list[SSAValue],
-        out_ptr: SSAValue | None,
-        inter_stride: int,
-    ) -> None:
-        fn = self.fn
-        if self.output_streamed:
-            for value in results:
-                fn.emit(
-                    riscv_snitch.WriteOp(value, self.write_streams[0])
-                )
-            return
-        assert out_ptr is not None
+        if self.fused:
+            init = self.inits[0].value
+            accumulators = [
+                fn.float_constant(init) for _ in range(self.factor)
+            ]
+        else:
+            accumulators = [
+                fn.emit(riscv.FLdOp(out_ptr, f * inter_stride)).rd
+                for f in range(self.factor)
+            ]
+        results = self._emit_repeated(
+            reduction_count, self._emit_point, accumulators, fn.use_frep
+        )
         for f, value in enumerate(results):
-            fn.emit(riscv.FSdOp(value, out_ptr, f * inter_stride))
+            if self.output_streamed:
+                fn.emit(riscv_snitch.WriteOp(value, self.write_streams[0]))
+            else:
+                fn.emit(riscv.FSdOp(value, out_ptr, f * inter_stride))
 
-    # -- shared helpers -----------------------------------------------------------------
+    # -- one point of the iteration space ---------------------------------------------
 
-    def _emit_counted_loop(self, count: int, emit_body) -> None:
+    def _emit_rmw_point(self, ptr: SSAValue) -> None:
+        """Load the output element at ``ptr``, compute, store it back."""
         fn = self.fn
-        if count == 1:
-            emit_body()
-            return
-        lb = fn.li(0)
-        ub = fn.li(count)
-        step = fn.li(1)
-        loop = riscv_scf.ForOp(lb, ub, step)
-        fn.emit(loop)
-        outer_builder = fn.builder
-        fn.builder = Builder.at_end(loop.body_block)
-        emit_body()
-        fn.emit(riscv_scf.YieldOp())
-        fn.builder = outer_builder
+        old = fn.emit(riscv.FLdOp(ptr, 0)).rd
+        (new,) = self._emit_point([old])
+        fn.emit(riscv.FSdOp(new, ptr, 0))
 
-    def _emit_reads(self, input_streams) -> list[list[SSAValue]]:
-        """F stream reads per input, in interleave order."""
-        reads: list[list[SSAValue]] = []
-        for stream in input_streams:
-            per_input = []
-            for _ in range(self.factor):
-                per_input.append(
-                    self.fn.emit(riscv_snitch.ReadOp(stream)).result
-                )
-            reads.append(per_input)
-        return reads
+    def _emit_point(
+        self, accumulators: Sequence[SSAValue] = ()
+    ) -> list[SSAValue] | None:
+        """F stream reads per input (in interleave order), then the
+        generic body F-interleaved over them and ``accumulators``.
 
-    def _emit_compute(
-        self,
-        reads: list[list[SSAValue]],
-        accumulators: list[SSAValue] | None,
-        store_results: bool = True,
-    ) -> list[SSAValue]:
-        """Clone the generic body F-interleaved, mapping args to reads
-        and accumulators; returns the yielded values.
-
-        With ``store_results`` (pure parallel kernels) the yielded
-        values are written to the output streams, re-typing the
-        producing instruction's result register when possible so the
-        final arithmetic op itself performs the stream push.
+        Returns the next accumulator values.  Without accumulators
+        (pure parallel kernels) the yielded values are finished output
+        elements and are pushed to the write streams instead;
+        lower-snitch-stream later folds each push into the producing
+        instruction when possible (it then writes ft1/ft2 directly).
         """
-        fn = self.fn
-        op = self.op
-        block = op.body_block
-        n_in = len(self.inputs)
-        factor = self.factor
+        insert = self.fn.builder.insert
+        args = iter(self.body.args)
         mapping: dict[int, SSAValue] = {}
-        for i in range(n_in):
-            for f in range(factor):
-                mapping[id(block.args[i * factor + f])] = reads[i][f]
-        for o in range(len(self.outputs)):
-            for f in range(factor):
-                arg = block.args[(n_in + o) * factor + f]
-                if accumulators is not None:
-                    mapping[id(arg)] = accumulators[o * factor + f]
-                elif arg.has_uses:
-                    raise LoweringError(
-                        "body reads its output but no accumulator is "
-                        "available (pure-parallel RMW is unsupported)"
-                    )
-        yield_op = block.last_op
-        assert isinstance(yield_op, memref_stream.YieldOp)
-        emitted: list[Operation] = []
-        for body_op in block.ops:
-            if isinstance(body_op, memref_stream.YieldOp):
-                continue
-            emitted.append(self._clone_body_op(body_op, mapping))
-        results = [
-            self._resolve_body_operand(mapping, value)
-            for value in yield_op.operands
-        ]
-        if not store_results:
+        for stream in self.input_streams:
+            for _ in range(self.factor):
+                read = insert(riscv_snitch.ReadOp(stream))
+                mapping[id(next(args))] = read.result
+        for arg, accumulator in zip(args, accumulators):
+            mapping[id(arg)] = accumulator
+        results = self.fn.clone_generic_body(self.body, mapping)
+        if accumulators:
             return results
-        # Pure parallel: push every yielded value to its output stream.
-        # lower-snitch-stream later folds the push into the producing
-        # instruction when possible (it then writes ft1/ft2 directly).
-        for o_f, value in enumerate(results):
-            stream = self.write_streams[o_f // factor]
-            fn.emit(riscv_snitch.WriteOp(value, stream))
-        return results
-
-    def _clone_body_op(
-        self, body_op: Operation, mapping: dict[int, SSAValue]
-    ) -> Operation:
-        fn = self.fn
-        rv_class = ARITH_TO_RV.get(type(body_op))
-        if rv_class is None:
-            raise LoweringError(
-                f"unsupported op {body_op.name} in a streamed body"
-            )
-        operands = [
-            self._resolve_body_operand(mapping, v)
-            for v in body_op.operands
-        ]
-        new_op = fn.emit(rv_class(*operands))
-        mapping[id(body_op.results[0])] = new_op.results[0]
-        return new_op
-
-    def _resolve_body_operand(
-        self, mapping: dict[int, SSAValue], value: SSAValue
-    ) -> SSAValue:
-        if id(value) in mapping:
-            return mapping[id(value)]
-        # A value defined outside the generic (constants, scalar args):
-        # it was already lowered at the function level.
-        if id(value) in self.fn.value_map:
-            return self.fn.value_map[id(value)]
-        if isinstance(value.type, (FloatRegisterType, IntRegisterType)):
-            return value
-        raise LoweringError("unmapped value used inside a generic body")
+        for index, value in enumerate(results):
+            stream = self.write_streams[index // self.factor]
+            insert(riscv_snitch.WriteOp(value, stream))
+        return None
 
 
-__all__ = ["LowerToSnitchPass", "LoweringError", "ARITH_TO_RV"]
+__all__ = ["LowerToSnitchPass"]

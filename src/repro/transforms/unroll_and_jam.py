@@ -200,10 +200,7 @@ def _interleave_body(op: memref_stream.GenericOp, factor: int) -> None:
                         id(value), value
                     )
                 continue
-            clone = _clone_op(body_op, mapping)
-            new_block.add_op(clone)
-            for old_res, new_res in zip(body_op.results, clone.results):
-                mapping[id(old_res)] = new_res
+            new_block.add_op(body_op.clone(mapping))
     new_block.add_op(memref_stream.YieldOp(yielded))
     region = op.regions[0]
     for body_op in old_block.ops:
@@ -212,22 +209,6 @@ def _interleave_body(op: memref_stream.GenericOp, factor: int) -> None:
     region.blocks.clear()
     old_block.parent = None
     region.add_block(new_block)
-
-
-def _clone_op(
-    body_op: Operation, mapping: dict[int, SSAValue]
-) -> Operation:
-    """Structurally clone a region-free op, remapping operands."""
-    if body_op.regions:
-        raise IRError("unroll-and-jam: nested regions unsupported in body")
-    clone = object.__new__(type(body_op))
-    Operation.__init__(
-        clone,
-        operands=[mapping.get(id(v), v) for v in body_op.operands],
-        result_types=[r.type for r in body_op.results],
-        attributes=dict(body_op.attributes),
-    )
-    return clone
 
 
 class UnrollAndJamPass(ModulePass):

@@ -245,6 +245,22 @@ class TestCompilerFacade:
     def test_pipeline_spec_property(self):
         assert Compiler("ours").pipeline_spec == NAMED_PIPELINES["ours"]
 
+    def test_flow_that_never_reaches_rv_raises_lowering_error(self):
+        """A spec that stops short of the rv dialects is a lowering
+        failure like any other: ``except IRError`` catches it."""
+        from repro.ir import IRError
+        from repro.transforms.lowering_kit import LoweringError
+
+        assert issubclass(LoweringError, IRError)
+        module, _ = kernels.sum_kernel(4, 4)
+        spec = (
+            "convert-linalg-to-memref-stream,lower-generic-to-loops,"
+            "fuse-fmadd,dce,allocate-registers,lower-riscv-scf,"
+            "eliminate-identity-moves"
+        )
+        with pytest.raises(LoweringError, match="produced no rv_func.func"):
+            Compiler(spec).compile(module)
+
     def test_unroll_factor(self):
         module, _ = kernels.matmul(1, 40, 8)
         compiled = Compiler("ours", unroll_factor=2).compile(module)

@@ -96,6 +96,77 @@ class TestGeneric:
             g.verify_()
 
 
+class TestDerivedAccessFacts:
+    """``operand_byte_strides`` / ``output_map_dims``: what every
+    generic lowering reads instead of recomputing."""
+
+    def test_not_scalar_replaced_outputs_range_over_all_dims(self):
+        g = _matvec_generic(scalar_replaced=False)
+        assert g.output_map_dims() == [0, 1]
+        # x[d1], y[d0, d1] (row pitch 200 * 8 bytes), z[d0].
+        assert g.operand_byte_strides() == [(0, 8), (1600, 8), (8, 0)]
+
+    def test_scalar_replaced_output_is_still_indexed_by_iteration_dim(self):
+        g = _matvec_generic(scalar_replaced=True)
+        assert g.output_map_dims() == [0]
+        # The output map has one dim; the reduction dim reads stride 0.
+        assert g.operand_byte_strides() == [(0, 8), (1600, 8), (8, 0)]
+
+    def test_interleaved_dim_last(self):
+        """After unroll-and-jam by 5 the output map ranges over
+        [parallel, interleaved] = iteration dims [0, 2]."""
+        from repro import kernels
+        from repro.transforms.pipelines import build_pipeline
+
+        module, _ = kernels.matmul(2, 3, 10)
+        build_pipeline(
+            "convert-linalg-to-memref-stream,scalar-replacement,"
+            "unroll-and-jam{factor=5}"
+        ).run(module)
+        (g,) = [
+            op
+            for op in module.walk()
+            if isinstance(op, memref_stream.GenericOp)
+            and op.reduction_dims
+        ]
+        assert g.iterator_types == [
+            "parallel", "parallel", "reduction", "interleaved",
+        ]
+        assert g.output_map_dims() == [0, 1, 3]
+        a, b, c = g.operand_byte_strides()
+        assert a == (3 * 8, 0, 8, 0)  # A[i, k]
+        assert b == (0, 5 * 8, 10 * 8, 8)  # B[k, 5 * j + f]
+        assert c == (10 * 8, 5 * 8, 0, 8)  # C[i, 5 * j + f]
+
+    def test_transposed_map(self):
+        x = memref.AllocOp(MemRefType(f64, (4, 6))).result
+        z = memref.AllocOp(MemRefType(f64, (6, 4))).result
+        block = Block([f64, f64])
+        block.add_op(memref_stream.YieldOp([block.args[0]]))
+        g = memref_stream.GenericOp(
+            inputs=[x],
+            outputs=[z],
+            indexing_maps=[
+                AffineMap.from_callable(2, lambda i, j: (j, i)),
+                AffineMap.identity(2),
+            ],
+            iterator_types=["parallel", "parallel"],
+            bounds=[6, 4],
+            body=Region([block]),
+        )
+        assert g.operand_byte_strides() == [(8, 6 * 8), (4 * 8, 8)]
+
+    def test_mismatched_output_map_rejected(self):
+        g = _matvec_generic(scalar_replaced=False)
+        from repro.ir.attributes import ArrayAttr
+
+        maps = g.indexing_maps
+        maps[2] = AffineMap.from_callable(3, lambda a, b, c: (a,))
+        g.attributes["indexing_maps"] = ArrayAttr(maps)
+        with pytest.raises(IRError, match="dimensionality"):
+            g.operand_byte_strides()
+
+
 class TestStridePatternAttr:
     def test_byte_strides_and_offset(self):
         y_type = MemRefType(f64, (5, 200))

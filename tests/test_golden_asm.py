@@ -24,6 +24,7 @@ and one conv shape, plus explicit ``dim``/``use-frep=false``
 schedules.
 """
 
+import functools
 import hashlib
 import json
 import sys
@@ -186,6 +187,7 @@ def asm_digest(case_id: str) -> str:
     return hashlib.sha256(asm.encode()).hexdigest()
 
 
+@functools.cache
 def _committed() -> dict:
     return json.loads(GOLDEN_PATH.read_text())["asm_sha256"]
 

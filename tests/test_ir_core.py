@@ -199,3 +199,57 @@ class TestErasure:
         consumer.detach()
         assert consumer.parent is None
         assert producer.results[0].has_uses
+
+
+class TestClone:
+    def _addf(self):
+        from repro.dialects import arith
+
+        a = make_op(results=1).results[0]
+        b = make_op(results=1).results[0]
+        return arith.AddfOp(a, b), a, b
+
+    def test_operands_remapped_and_results_recorded(self):
+        add, a, b = self._addf()
+        replacement = make_op(results=1).results[0]
+        value_map = {id(a): replacement}
+        copy = add.clone(value_map)
+        assert type(copy) is type(add)
+        assert copy.parent is None
+        assert copy.operands[0] is replacement
+        assert copy.operands[1] is b  # unmapped: used as it is
+        assert any(use.operation is copy for use in replacement.uses)
+        assert value_map[id(add.result)] is copy.result
+        # The original is untouched.
+        assert add.operands[0] is a
+
+    def test_mapping_threads_through_a_chain(self):
+        add, _, b = self._addf()
+        from repro.dialects import arith
+
+        mul = arith.MulfOp(add.result, b)
+        value_map = {}
+        first = add.clone(value_map)
+        second = mul.clone(value_map)
+        assert second.operands[0] is first.result
+
+    def test_result_types_kept(self):
+        add, _, _ = self._addf()
+        copy = add.clone({})
+        assert [r.type for r in copy.results] == [f64]
+        assert copy.result is not add.result
+
+    def test_attributes_copied_not_aliased(self):
+        from repro.dialects import arith
+
+        constant = arith.ConstantOp.from_float(2.0, f64)
+        copy = constant.clone({})
+        assert copy.attributes == constant.attributes
+        assert copy.attributes is not constant.attributes
+        copy.attributes.clear()
+        assert constant.value.value == 2.0
+
+    def test_ops_with_regions_rejected(self):
+        outer = Operation(regions=[single_block_region([make_op()])])
+        with pytest.raises(IRError, match="regions"):
+            outer.clone({})

@@ -178,3 +178,73 @@ class TestSnapshots:
         # the memref_stream level is visible mid-pipeline
         mid = dict(compiled.snapshots)["scalar-replacement"]
         assert "memref_stream.generic" in mid
+
+
+#: Generic lowerer -> the named flow whose backend tail follows it.
+_LOWERER_FLOWS = {
+    "lower-to-snitch": "table3-frep",
+    "lower-generic-to-pointer-loops": "clang",
+    "lower-generic-to-loops": "table3-baseline",
+}
+
+
+class TestFusedFillNeedsScalarReplacement:
+    """A fused fill constant only seeds a register accumulator: every
+    generic lowerer rejects ``fuse-fill`` without ``scalar-replacement``
+    instead of compiling a wrong answer (stale output memory on the
+    streaming path, a re-seeded accumulator on the loop paths)."""
+
+    KERNELS = [
+        ("matmul", (4, 8, 8)),
+        ("conv3x3", (4, 4)),
+        ("max_pool3x3", (4, 4)),
+        ("matvec", (8, 8)),
+    ]
+
+    @staticmethod
+    def _spec(lowerer, scheduling):
+        from repro.transforms.pipelines import NAMED_PIPELINES
+
+        flow = NAMED_PIPELINES[_LOWERER_FLOWS[lowerer]]
+        tail = flow.split(f"{lowerer},", 1)[1]
+        return (
+            f"convert-linalg-to-memref-stream,{scheduling},{lowerer},{tail}"
+        )
+
+    @pytest.mark.parametrize("lowerer", sorted(_LOWERER_FLOWS))
+    @pytest.mark.parametrize("kernel,sizes", KERNELS)
+    def test_fuse_fill_alone_is_rejected(self, lowerer, kernel, sizes):
+        from repro.transforms.lowering_kit import LoweringError
+
+        module, _ = kernels.KERNEL_BUILDERS[kernel][0](*sizes)
+        with pytest.raises(LoweringError, match="scalar-replacement") as info:
+            compile_linalg(module, self._spec(lowerer, "fuse-fill"))
+        assert "memref_stream.generic" in str(info.value)
+
+    @pytest.mark.parametrize("lowerer", sorted(_LOWERER_FLOWS))
+    @pytest.mark.parametrize("kernel,sizes", KERNELS)
+    def test_with_scalar_replacement_matches_numpy(
+        self, lowerer, kernel, sizes
+    ):
+        """Outputs are pre-poisoned: ``random_arguments`` zeroes them,
+        and a 0.0 fill would hide an ignored fused constant."""
+        import numpy as np
+
+        from repro.api import run_kernel
+        from repro.kernels.builders import ArrayArg
+
+        module, spec = kernels.KERNEL_BUILDERS[kernel][0](*sizes)
+        compiled = compile_linalg(
+            module, self._spec(lowerer, "fuse-fill,scalar-replacement")
+        )
+        arguments = spec.random_arguments(seed=1)
+        for value, argument in zip(arguments, spec.arguments):
+            if isinstance(argument, ArrayArg) and argument.role != "in":
+                value.fill(7.0)
+        inputs = [
+            a.copy() if isinstance(a, np.ndarray) else a for a in arguments
+        ]
+        arrays = run_kernel(compiled, arguments).arrays
+        for got, want in zip(arrays, spec.reference(*inputs)):
+            if want is not None:
+                np.testing.assert_allclose(got, want, rtol=1e-9)
