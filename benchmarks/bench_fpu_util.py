@@ -11,13 +11,10 @@ Every cell asserts the profiler's partition invariant: the buckets sum
 *exactly* to the run's total cycles (no idle, no double counting), and
 the ``fpu_arith`` bucket equals the trace's own FPU-arithmetic count.
 
-Run as a script to (re)generate ``results/BENCH_fpu_util.json``::
+Regenerate ``results/BENCH_fpu_util.json`` (held, exactly, by
+``tests/test_results_ledger.py``) with::
 
-    PYTHONPATH=src python benchmarks/bench_fpu_util.py
-
-With ``BENCH_FPU_SMOKE=1`` only a three-kernel subset runs against
-the ``ours`` / ``table3-baseline`` pipelines (CI uses this; the
-assertions and JSON schema are identical to the full profile).
+    PYTHONPATH=src python -m benchmarks.bench_fpu_util
 
 JSON schema (``schema`` = 1)::
 
@@ -41,23 +38,13 @@ JSON schema (``schema`` = 1)::
     }
 """
 
-import json
-import os
-import sys
+from repro.kernels import KERNEL_BUILDERS
+from repro.snitch.engine import ENGINE_VERSION
+from repro.transforms.pipelines import PIPELINE_NAMES
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(__file__), "..", "src")
-)
+from .bench_paper import SEED, measure, write_results
 
-from repro.snitch.engine import ENGINE_VERSION  # noqa: E402
-from repro.tools.kernel_profiler import profile_kernel  # noqa: E402
-from repro.transforms.pipelines import PIPELINE_NAMES  # noqa: E402
-
-RESULTS_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "results", "BENCH_fpu_util.json"
-)
-
-SEED = 0
+RESULTS_NAME = "BENCH_fpu_util.json"
 
 #: Table 1 kernels at representative (TCDM-friendly) shapes.
 PAPER_KERNELS = (
@@ -72,26 +59,21 @@ PAPER_KERNELS = (
     ("matvec", (8, 16)),
 )
 
-SMOKE_KERNELS = ("matmul", "relu", "conv3x3")
-SMOKE_PIPELINES = ("ours", "table3-baseline")
-
 
 def profile_cell(kernel: str, sizes, pipeline: str) -> dict:
     """One (kernel, pipeline) profile with the invariants asserted."""
-    profile, result = profile_kernel(
-        kernel, tuple(sizes), pipeline=pipeline, seed=SEED
-    )
-    cell = profile.to_json()
+    builder, _arity = KERNEL_BUILDERS[kernel]
+    run = measure(builder, tuple(sizes), pipeline, profile=True).run
+    cell = run.profile.to_json()
     total = sum(cell["buckets"].values())
     assert total == cell["cycles"], (
         f"{kernel}/{pipeline}: buckets sum to {total}, "
         f"cycles are {cell['cycles']}"
     )
     assert cell["idle"] == 0, f"{kernel}/{pipeline}: idle cycles"
-    assert (
-        cell["buckets"]["fpu_arith"]
-        == result.trace.fpu_arith_cycles
-    ), f"{kernel}/{pipeline}: fpu_arith disagrees with the trace"
+    assert cell["buckets"]["fpu_arith"] == run.trace.fpu_arith_cycles, (
+        f"{kernel}/{pipeline}: fpu_arith disagrees with the trace"
+    )
     region_total = sum(
         sum(buckets.values()) for buckets in cell["regions"].values()
     )
@@ -101,58 +83,28 @@ def profile_cell(kernel: str, sizes, pipeline: str) -> dict:
     return cell
 
 
-def run_benchmark(smoke: bool = False) -> dict:
+def run() -> dict:
     """Profile the suite; returns the results document."""
-    kernels = [
-        (name, sizes)
-        for name, sizes in PAPER_KERNELS
-        if not smoke or name in SMOKE_KERNELS
-    ]
-    pipelines = [
-        name
-        for name in PIPELINE_NAMES
-        if not smoke or name in SMOKE_PIPELINES
-    ]
     results: dict = {
         "schema": 1,
-        "smoke": smoke,
+        "smoke": False,
         "seed": SEED,
         "engine_version": ENGINE_VERSION,
-        "pipelines": list(pipelines),
+        "pipelines": list(PIPELINE_NAMES),
         "kernels": {},
     }
-    for kernel, sizes in kernels:
+    for kernel, sizes in PAPER_KERNELS:
         row: dict = {"sizes": list(sizes)}
-        for pipeline in pipelines:
+        for pipeline in PIPELINE_NAMES:
             row[pipeline] = profile_cell(kernel, sizes, pipeline)
             print(
                 f"{kernel:<12} {pipeline:<16} "
                 f"{row[pipeline]['cycles']:>7} cycles  "
-                f"{100.0 * row[pipeline]['fpu_utilization']:5.1f}% "
-                f"fpu",
-                file=sys.stderr,
+                f"{100.0 * row[pipeline]['fpu_utilization']:5.1f}% fpu"
             )
         results["kernels"][kernel] = row
     return results
 
 
-def main() -> int:
-    smoke = bool(os.environ.get("BENCH_FPU_SMOKE"))
-    results = run_benchmark(smoke=smoke)
-    os.makedirs(os.path.dirname(RESULTS_PATH), exist_ok=True)
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    cells = sum(
-        len(row) - 1 for row in results["kernels"].values()
-    )
-    print(
-        f"wrote {RESULTS_PATH} "
-        f"({len(results['kernels'])} kernels x "
-        f"{len(results['pipelines'])} pipelines, {cells} cells)"
-    )
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    write_results(RESULTS_NAME, run())

@@ -16,28 +16,25 @@ must match the predecoded engine bit-for-bit (cycles and memory) —
 the tuner's oracle is only trusted because the differential suite
 backs it.
 
-Invariants asserted here (and validated by CI on the smoke profile):
+Invariants asserted here:
 
 * tuned cycles <= default cycles for every entry (the default is
   always measured, so search can only improve);
-* in the full profile, at least one Fig. 11 sweep point improves
-  *strictly*.
+* at least one Fig. 11 sweep point improves *strictly*.
 
-Run as a script to (re)generate ``results/BENCH_tuning.json``::
+The search always starts from a cold in-memory cycle cache, so the
+cache-traffic counters are as deterministic as the cycles.  Regenerate
+``results/BENCH_tuning.json`` (held, exactly, by
+``tests/test_results_ledger.py``) with::
 
-    PYTHONPATH=src python benchmarks/bench_tuning.py
-
-With ``BENCH_TUNE_SMOKE=1`` only a tiny exhaustive search (4x4 MatMul
-+ ReLU) runs under a fixed candidate budget — CI uses that twice to
-validate the schema and prove the persistent cache makes the second
-run incremental.
+    PYTHONPATH=src python -m benchmarks.bench_tuning
 
 JSON schema (``schema`` = 1)::
 
     {
       "schema": 1, "smoke": false, "seed": 0,
       "strategy": "exhaustive", "engine_version": 1,
-      "candidate_budget": <smoke cap or null>,
+      "candidate_budget": null,
       "entries": [
         {"group": "paper" | "nsnet2" | "alexnet" | "fig11",
          "kernel": "...", "sizes": [..],
@@ -57,57 +54,22 @@ JSON schema (``schema`` = 1)::
     }
 """
 
-import json
-import os
-import sys
-
 import numpy as np
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(__file__), "..", "src")
-)
+from repro.kernels import KERNEL_BUILDERS, networks
+from repro.snitch.engine import ENGINE_VERSION
+from repro.snitch.machine import SnitchMachine
+from repro.snitch.memory import TCDM
+from repro.tune import TuneCache, schedule_table, tune_kernel
+from repro.tune.schedule import resolve_kernel
 
-from repro.compiler import Compiler  # noqa: E402
-from repro.kernels import KERNEL_BUILDERS, networks  # noqa: E402
-from repro.snitch.engine import ENGINE_VERSION  # noqa: E402
-from repro.snitch.machine import SnitchMachine  # noqa: E402
-from repro.snitch.memory import TCDM  # noqa: E402
-from repro.tune import (  # noqa: E402
-    TuneCache,
-    schedule_table,
-    tune_kernel,
-)
-from repro.tune.schedule import resolve_kernel  # noqa: E402
+from .bench_fpu_util import PAPER_KERNELS
+from .bench_paper import SEED, measure, write_results
 
-RESULTS_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "results", "BENCH_tuning.json"
-)
-CACHE_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "results", "tune_cache.json"
-)
-
-#: Tuning-run seed: fixes input data and any random sampling; recorded
-#: in the results so the run is reproducible.
-SEED = 0
-
-#: Smoke profile: candidate cap for the tiny exhaustive search.
-SMOKE_BUDGET = 16
-
-#: Table 1 kernels at representative (TCDM-friendly) shapes.
-PAPER_KERNELS = (
-    ("fill", (8, 16)),
-    ("sum", (8, 16)),
-    ("relu", (8, 16)),
-    ("conv3x3", (8, 8)),
-    ("max_pool3x3", (8, 8)),
-    ("sum_pool3x3", (8, 8)),
-    ("matmul", (4, 8, 8)),
-    ("matmul_t", (4, 8, 8)),
-    ("matvec", (8, 16)),
-)
+RESULTS_NAME = "BENCH_tuning.json"
 
 #: Figure 11 sweep subset: C[1xN] = A[1xK] B[KxN].
-FIG11_GRID = (16, 32, 48, 64)
+FIG11_SUBSET = (16, 32, 48, 64)
 
 #: Builder function name -> tuner kernel name.
 _BUILDER_TO_KERNEL = {
@@ -116,80 +78,50 @@ _BUILDER_TO_KERNEL = {
 }
 
 
-def differential_check(schedule, seed: int) -> bool:
+def differential_check(schedule) -> bool:
     """Winning schedule on both engines: identical cycles + memory.
 
     This is the per-result version of the differential suite: the
-    predecoded engine (the tuner's oracle) and the reference
-    interpreter must agree on the tuned kernel, and the result must
-    match the numpy golden model.
+    predecoded engine (the tuner's oracle, checked against numpy by
+    :func:`measure`) and the reference interpreter must agree on the
+    tuned kernel.
     """
     builder, sizes = resolve_kernel(schedule.kernel, schedule.sizes)
-    module, kernel_spec = builder(*sizes)
-    compiled = Compiler(schedule.pipeline_spec).compile(module)
-    arguments = kernel_spec.random_arguments(seed=seed)
-    outputs = []
-    cycle_counts = []
-    for reference in (False, True):
-        memory = TCDM()
-        int_args, float_args = {}, {}
-        placements = []
-        next_int = next_float = 0
-        for argument in arguments:
-            if isinstance(argument, np.ndarray):
-                base = memory.allocate(argument.nbytes)
-                memory.write_array(base, argument)
-                int_args[f"a{next_int}"] = base
-                next_int += 1
-                placements.append((base, argument))
-            else:
-                float_args[f"fa{next_float}"] = float(argument)
-                next_float += 1
-                placements.append(None)
-        machine = SnitchMachine(compiled.program, memory)
-        runner = machine.run_reference if reference else machine.run
-        trace = runner(
-            compiled.entry, int_args=int_args, float_args=float_args
+    fast = measure(builder, sizes, schedule.pipeline_spec)
+    memory = TCDM()
+    int_args, float_args, placements = {}, {}, []
+    for argument in fast.arguments:
+        if isinstance(argument, np.ndarray):
+            base = memory.allocate(argument.nbytes)
+            memory.write_array(base, argument)
+            int_args[f"a{len(int_args)}"] = base
+            placements.append((base, argument))
+        else:
+            float_args[f"fa{len(float_args)}"] = float(argument)
+            placements.append(None)
+    trace = SnitchMachine(fast.compiled.program, memory).run_reference(
+        fast.compiled.entry, int_args=int_args, float_args=float_args
+    )
+    if trace.cycles != fast.run.trace.cycles:
+        return False
+    if trace.cycles != schedule.cycles and schedule.config.num_cores == 1:
+        return False
+    return all(
+        placement is None
+        or np.array_equal(
+            got, memory.read_array(placement[0], got.shape, got.dtype)
         )
-        cycle_counts.append(trace.cycles)
-        arrays = []
-        for placement in placements:
-            if placement is None:
-                arrays.append(None)
-                continue
-            base, array = placement
-            arrays.append(
-                memory.read_array(base, array.shape, array.dtype)
-            )
-        outputs.append(arrays)
-    if cycle_counts[0] != cycle_counts[1]:
-        return False
-    if cycle_counts[0] != schedule.cycles and schedule.config.num_cores == 1:
-        return False
-    for fast, ref in zip(outputs[0], outputs[1]):
-        if fast is None:
-            continue
-        if not np.array_equal(fast, ref):
-            return False
-    expected = kernel_spec.reference(*arguments)
-    for got, want in zip(outputs[0], expected):
-        if want is not None and not np.allclose(got, want, atol=1e-8):
-            return False
-    return True
+        for got, placement in zip(fast.run.arrays, placements)
+    )
 
 
-def tune_entry(group, kernel, sizes, cache, budget=None):
+def tune_entry(group, kernel, sizes, cache):
     """Tune one kernel shape and render its JSON entry."""
     result = tune_kernel(
-        kernel,
-        sizes,
-        strategy="exhaustive",
-        budget=budget,
-        seed=SEED,
-        cache=cache,
+        kernel, sizes, strategy="exhaustive", seed=SEED, cache=cache
     )
     best = result.best
-    ok = differential_check(best, SEED)
+    ok = differential_check(best)
     entry = {
         "group": group,
         "kernel": kernel,
@@ -259,28 +191,20 @@ def network_entries(cache):
     return entries, totals
 
 
-def main() -> dict:
-    smoke = bool(os.environ.get("BENCH_TUNE_SMOKE"))
-    cache = TuneCache(os.environ.get("BENCH_TUNE_CACHE", CACHE_PATH))
-    entries = []
-    networks_totals = {}
-    if smoke:
-        for kernel, sizes in (("matmul", (4, 4, 4)), ("relu", (4, 4))):
-            entry, _ = tune_entry(
-                "paper", kernel, sizes, cache, budget=SMOKE_BUDGET
-            )
-            assert entry["candidates_evaluated"] <= SMOKE_BUDGET
-            entries.append(entry)
-    else:
-        for kernel, sizes in PAPER_KERNELS:
-            entry, _ = tune_entry("paper", kernel, sizes, cache)
-            entries.append(entry)
-        net_entries, networks_totals = network_entries(cache)
-        entries.extend(net_entries)
-        for k in FIG11_GRID:
-            for n in FIG11_GRID:
-                entry, _ = tune_entry("fig11", "matmul", (1, k, n), cache)
-                entries.append(entry)
+def run() -> dict:
+    """Tune the suite; returns the results document."""
+    cache = TuneCache()
+    entries = [
+        tune_entry("paper", kernel, sizes, cache)[0]
+        for kernel, sizes in PAPER_KERNELS
+    ]
+    net_entries, networks_totals = network_entries(cache)
+    entries.extend(net_entries)
+    entries.extend(
+        tune_entry("fig11", "matmul", (1, k, n), cache)[0]
+        for k in FIG11_SUBSET
+        for n in FIG11_SUBSET
+    )
     improved = sum(
         1 for e in entries if e["tuned_cycles"] < e["default_cycles"]
     )
@@ -289,44 +213,37 @@ def main() -> dict:
         for e in entries
         if e["group"] == "fig11"
     )
-    if not smoke:
-        assert fig11_strict, (
-            "no Fig. 11 sweep point improved strictly — the schedule "
-            "space lost its known wins"
-        )
-    results = {
+    assert fig11_strict, (
+        "no Fig. 11 sweep point improved strictly — the schedule "
+        "space lost its known wins"
+    )
+    summary = {
+        "entries": len(entries),
+        "improved": improved,
+        "fig11_strictly_improved": fig11_strict,
+        "candidates_evaluated": sum(
+            e["candidates_evaluated"] for e in entries
+        ),
+        "cache_hits": sum(e["cache_hits"] for e in entries),
+        "cache_misses": sum(e["cache_misses"] for e in entries),
+    }
+    print(
+        f"{len(entries)} entries, {improved} improved, "
+        f"{summary['cache_hits']} cache hits / "
+        f"{summary['cache_misses']} misses"
+    )
+    return {
         "schema": 1,
-        "smoke": smoke,
+        "smoke": False,
         "seed": SEED,
         "strategy": "exhaustive",
         "engine_version": ENGINE_VERSION,
-        "candidate_budget": SMOKE_BUDGET if smoke else None,
+        "candidate_budget": None,
         "entries": entries,
         "networks": networks_totals,
-        "summary": {
-            "entries": len(entries),
-            "improved": improved,
-            "fig11_strictly_improved": fig11_strict,
-            "candidates_evaluated": sum(
-                e["candidates_evaluated"] for e in entries
-            ),
-            "cache_hits": sum(e["cache_hits"] for e in entries),
-            "cache_misses": sum(e["cache_misses"] for e in entries),
-        },
+        "summary": summary,
     }
-    cache.save()
-    path = os.path.abspath(RESULTS_PATH)
-    with open(path, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {path}")
-    print(
-        f"{len(entries)} entries, {improved} improved, "
-        f"{results['summary']['cache_hits']} cache hits / "
-        f"{results['summary']['cache_misses']} misses"
-    )
-    return results
 
 
 if __name__ == "__main__":
-    main()
+    write_results(RESULTS_NAME, run())

@@ -46,7 +46,8 @@ def _compile_through_store(
 
     The key is taken *before* compilation (the pipeline lowers the
     module in place): sha256 of the canonical module text, the
-    compiler's canonical pipeline spec, and the engine version.
+    compiler's canonical pipeline spec, and the engine and compiler
+    versions.
     """
     key = compile_key(print_op(module), compiler.pipeline_spec + extra)
     payload = store.get("kernel", key)
@@ -71,11 +72,12 @@ def compile_linalg(
 
     ``store`` (an :class:`~repro.service.ArtifactStore`) opts into the
     content-addressed fast path: the kernel is looked up by sha256 of
-    (canonical module text, canonical pipeline spec, engine version)
-    and rehydrated without recompiling on a hit; a miss compiles and
-    persists the artifact.  Rehydrated kernels carry no lowered module
-    (see :attr:`CompiledKernel.rehydrated`); requesting ``snapshots``
-    bypasses the store, since snapshots only exist on a fresh compile.
+    (canonical module text, canonical pipeline spec, engine and
+    compiler version) and rehydrated without recompiling on a hit; a
+    miss compiles and persists the artifact.  Rehydrated kernels carry
+    no lowered module (see :attr:`CompiledKernel.rehydrated`);
+    requesting ``snapshots`` bypasses the store, since snapshots only
+    exist on a fresh compile.
     """
     compiler = Compiler(
         pipeline,

@@ -38,6 +38,7 @@ from .ir.pass_manager import (
     PassManager,
 )
 from .ir.verifier import verify
+from .snitch import engine
 from .snitch.assembler import Program, assemble
 from .transforms.lowering_kit import LoweringError
 from .transforms.pipelines import build_pipeline
@@ -140,6 +141,23 @@ class CompiledKernel:
             raise ValueError(
                 f"malformed CompiledKernel artifact: {error}"
             ) from None
+
+
+#: Version of the *emitted code*.  Bump it whenever a change alters the
+#: assembly produced for an unchanged (module, pipeline spec): every
+#: persisted key folds it in through :func:`artifact_versions`, so
+#: stores and cycle caches miss instead of serving the old code with a
+#: valid checksum.  (``ENGINE_VERSION`` is the same switch for the
+#: simulator's timing model.)
+COMPILER_VERSION = 1
+
+
+def artifact_versions() -> tuple[int, int]:
+    """``(ENGINE_VERSION, COMPILER_VERSION)`` — what every persisted
+    artifact key and every stored :class:`~repro.tune.TunedSchedule`
+    carries.  Read at call time, so a bump (or a test's monkeypatch)
+    reaches every key site at once."""
+    return engine.ENGINE_VERSION, COMPILER_VERSION
 
 
 class Compiler:
@@ -272,4 +290,9 @@ class Compiler:
         )
 
 
-__all__ = ["CompiledKernel", "Compiler"]
+__all__ = [
+    "COMPILER_VERSION",
+    "CompiledKernel",
+    "Compiler",
+    "artifact_versions",
+]

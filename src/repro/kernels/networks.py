@@ -29,10 +29,11 @@ from . import builders
 #: both within and across runs; a long-lived process (the compile
 #: server, a benchmark loop) reuses one compiled kernel — and one
 #: decoded program — per distinct config instead of recompiling every
-#: ``run_network`` call.  Bounded LRU; all access under the lock.
+#: ``run_network`` call.  LRU bounded at :data:`LAYER_MEMO_LIMIT`; all
+#: access under the lock.
 _LAYER_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
 _LAYER_MEMO_LOCK = threading.Lock()
-_LAYER_MEMO_LIMIT: int | None = 64
+LAYER_MEMO_LIMIT = 64
 
 
 def layer_cache_size() -> int:
@@ -41,34 +42,10 @@ def layer_cache_size() -> int:
         return len(_LAYER_MEMO)
 
 
-def layer_cache_limit() -> int | None:
-    """The layer memo bound (``None`` = unbounded)."""
-    return _LAYER_MEMO_LIMIT
-
-
-def set_layer_cache_limit(limit: int | None) -> None:
-    """Bound the layer memo to ``limit`` entries (evicting the least
-    recently used immediately); ``None`` removes the bound."""
-    global _LAYER_MEMO_LIMIT
-    if limit is not None and limit < 0:
-        raise ValueError("layer cache limit must be >= 0 or None")
-    with _LAYER_MEMO_LOCK:
-        _LAYER_MEMO_LIMIT = limit
-        _evict_layer_memo()
-
-
 def clear_layer_cache() -> None:
     """Drop every memoized layer compile."""
     with _LAYER_MEMO_LOCK:
         _LAYER_MEMO.clear()
-
-
-def _evict_layer_memo() -> None:
-    """Evict past the limit.  Lock held."""
-    if _LAYER_MEMO_LIMIT is None:
-        return
-    while len(_LAYER_MEMO) > _LAYER_MEMO_LIMIT:
-        _LAYER_MEMO.popitem(last=False)
 
 
 @dataclass
@@ -209,10 +186,10 @@ def compile_layers(
     autotuner's :class:`~repro.tune.TunedSchedule` artifacts to run
     the network with per-layer tuned schedules.
 
-    The memo persists across calls (bounded LRU — see
-    :func:`set_layer_cache_limit` / :func:`clear_layer_cache`), so a
-    long-lived process pays each distinct (builder, sizes, pipeline)
-    compile once.
+    The memo persists across calls (an LRU of
+    :data:`LAYER_MEMO_LIMIT` entries — see :func:`clear_layer_cache`),
+    so a long-lived process pays each distinct (builder, sizes,
+    pipeline) compile once.
     """
     pairs = []
     for layer in layers:
@@ -239,7 +216,8 @@ def compile_layers(
             with _LAYER_MEMO_LOCK:
                 _LAYER_MEMO[key] = cached
                 _LAYER_MEMO.move_to_end(key)
-                _evict_layer_memo()
+                while len(_LAYER_MEMO) > LAYER_MEMO_LIMIT:
+                    _LAYER_MEMO.popitem(last=False)
         pairs.append(cached)
     return pairs
 
@@ -291,6 +269,7 @@ def run_network(
 
 
 __all__ = [
+    "LAYER_MEMO_LIMIT",
     "LayerConfig",
     "LayerResult",
     "NetworkResult",
@@ -298,8 +277,6 @@ __all__ = [
     "alexnet_layers",
     "clear_layer_cache",
     "compile_layers",
-    "layer_cache_limit",
     "layer_cache_size",
     "run_network",
-    "set_layer_cache_limit",
 ]

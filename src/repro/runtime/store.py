@@ -8,9 +8,9 @@ content addressing:
 
 * **keys are content hashes** — an artifact is addressed by the sha256
   of exactly the inputs that determine it (for a compiled kernel: the
-  canonical module text, the canonical pipeline spec, and
-  ``ENGINE_VERSION``), so two processes that compile the same thing
-  independently produce the same key and share the entry;
+  canonical module text, the canonical pipeline spec, and the engine
+  and compiler versions), so two processes that compile the same
+  thing independently produce the same key and share the entry;
 * **one file per artifact** — ``<root>/objects/<kind>/<kk>/<key>.json``
   (``kk`` = first two hex digits).  Concurrent writers of *different*
   artifacts never contend, and concurrent writers of the *same*
@@ -40,7 +40,7 @@ import os
 import threading
 from pathlib import Path
 
-from ..snitch.engine import ENGINE_VERSION
+from ..compiler import artifact_versions
 from .atomic_file import (
     exclusive_lock,
     quarantine,
@@ -78,20 +78,17 @@ def content_key(*parts: object) -> str:
     return digest.hexdigest()
 
 
-def compile_key(
-    module_text: str,
-    pipeline_spec: str,
-    engine_version: int = ENGINE_VERSION,
-) -> str:
+def compile_key(module_text: str, pipeline_spec: str) -> str:
     """The content address of one compilation.
 
     The canonical module text and canonical pipeline spec pin the
-    *compiler* inputs; the engine version rides along so artifacts
-    that embed simulator-derived data (cycle counts) invalidate
-    themselves when the timing model changes — the same policy as the
+    compiler's *inputs*; :func:`~repro.compiler.artifact_versions`
+    rides along so artifacts invalidate themselves when the compiler
+    emits different code for the same inputs or the timing model
+    changes the cycle counts they embed — the same policy as the
     tuner's cycle cache.
     """
-    return content_key(module_text, pipeline_spec, int(engine_version))
+    return content_key(module_text, pipeline_spec, *artifact_versions())
 
 
 def _payload_digest(payload: dict) -> str:

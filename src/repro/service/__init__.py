@@ -1,9 +1,9 @@
 """Compile-and-tune as a service.
 
 The multi-level compilation flow is deterministic: one (canonical
-module text, pipeline spec, engine version) triple always yields the
-same assembly, pass statistics, and simulated cycle count.  This
-package turns that determinism into a serving layer:
+module text, pipeline spec, engine + compiler version) triple always
+yields the same assembly, pass statistics, and simulated cycle count.
+This package turns that determinism into a serving layer:
 
 * :mod:`repro.service.server` — :class:`CompileServer`, a long-lived
   batch server: store-first request handling, single-flight

@@ -6,7 +6,8 @@ deterministic job — compile a kernel through a pipeline spec, or
 measure a schedule config's cycles — and resolution is store-first:
 
 1. the request is mapped to its content address (sha256 of canonical
-   module text, canonical pipeline spec / config key, engine version);
+   module text, canonical pipeline spec / config key, engine and
+   compiler version);
 2. the :class:`~repro.runtime.store.ArtifactStore` is consulted — a
    hit rehydrates the artifact without touching a worker;
 3. misses are **single-flight deduplicated**: identical keys within a
@@ -38,7 +39,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, replace as _replace
 
-from ..compiler import CompiledKernel, Compiler
+from ..compiler import CompiledKernel, Compiler, artifact_versions
 from ..ir.printer import print_op
 from ..kernels import networks
 from ..obs.metrics import MetricsRegistry
@@ -194,7 +195,8 @@ def request_key(request: ServiceRequest) -> tuple[str, str]:
 
     Compile requests share the keyspace of the ``api.compile_linalg``
     store fast path: sha256 of (canonical module text, canonical
-    pipeline spec, engine version), so a server-filled store also
+    pipeline spec, engine and compiler version), so a server-filled
+    store also
     serves direct API users and vice versa.
     """
     builder, sizes = resolve_kernel(request.kernel, request.sizes)
@@ -207,7 +209,7 @@ def request_key(request: ServiceRequest) -> tuple[str, str]:
         text,
         f"measure|{request.config.key()}|seed={request.seed}"
         f"|validate={request.validate}",
-        engine.ENGINE_VERSION,
+        *artifact_versions(),
     )
 
 
@@ -816,9 +818,7 @@ class CompileServer:
             },
             "caches": {
                 "decode_programs": engine.decode_cache_size(),
-                "decode_limit": engine.decode_cache_limit(),
                 "layer_memo": networks.layer_cache_size(),
-                "layer_memo_limit": networks.layer_cache_limit(),
             },
             "store": self.store.stats(),
         }

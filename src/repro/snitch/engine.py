@@ -43,7 +43,6 @@ from __future__ import annotations
 import linecache
 import threading
 import weakref
-from collections import OrderedDict
 from time import monotonic
 
 from ..backend.registers import FLOAT_REGISTERS, INT_REGISTERS
@@ -108,71 +107,41 @@ ENGINE_VERSION = 1
 #: never a partially initialized ``DecodedProgram``.
 _DECODE_LOCK = threading.Lock()
 
-#: LRU registry of live decoded programs, ``id(program) -> weakref``.
+#: Registry of live decoded programs, ``id(program) -> weakref``.
 #: Decodes are memoized *on* the ``Program`` object (``_decoded``), so
-#: they normally die with it; this registry exists to let a long-lived
-#: process bound and introspect that otherwise-invisible cache.  All
-#: access happens under :data:`_DECODE_LOCK`.
-_DECODE_LRU: "OrderedDict[int, weakref.ref]" = OrderedDict()
-
-#: Max live decodes kept (``None`` = unbounded).  Evicting drops the
-#: ``_decoded`` attribute of the least-recently decoded program — it
-#: re-decodes transparently on next use.
-_DECODE_LIMIT: int | None = None
+#: they die with it; this registry exists to let a long-lived process
+#: introspect and drop that otherwise-invisible cache.  All access
+#: happens under :data:`_DECODE_LOCK`.
+_DECODE_REGISTRY: "dict[int, weakref.ref]" = {}
 
 
-def _prune_decode_lru() -> None:
-    """Drop dead weakrefs; evict past the limit.  Lock held."""
-    dead = [key for key, ref in _DECODE_LRU.items() if ref() is None]
+def _prune_decode_registry() -> None:
+    """Drop dead weakrefs.  Lock held."""
+    dead = [
+        key for key, ref in _DECODE_REGISTRY.items() if ref() is None
+    ]
     for key in dead:
-        del _DECODE_LRU[key]
-    if _DECODE_LIMIT is None:
-        return
-    while len(_DECODE_LRU) > _DECODE_LIMIT:
-        _, ref = _DECODE_LRU.popitem(last=False)
-        victim = ref()
-        if victim is not None:
-            try:
-                del victim._decoded
-            except AttributeError:
-                pass
+        del _DECODE_REGISTRY[key]
 
 
 def decode_cache_size() -> int:
     """Number of live decoded programs currently registered."""
     with _DECODE_LOCK:
-        _prune_decode_lru()
-        return len(_DECODE_LRU)
-
-
-def decode_cache_limit() -> int | None:
-    """The decode cache bound (``None`` = unbounded)."""
-    return _DECODE_LIMIT
-
-
-def set_decode_cache_limit(limit: int | None) -> None:
-    """Bound the decode cache to ``limit`` live decodes (evicting
-    least-recently-decoded programs immediately); ``None`` removes
-    the bound."""
-    global _DECODE_LIMIT
-    if limit is not None and limit < 0:
-        raise ValueError("decode cache limit must be >= 0 or None")
-    with _DECODE_LOCK:
-        _DECODE_LIMIT = limit
-        _prune_decode_lru()
+        _prune_decode_registry()
+        return len(_DECODE_REGISTRY)
 
 
 def clear_decode_cache() -> None:
     """Drop every memoized decode (programs re-decode on next use)."""
     with _DECODE_LOCK:
-        for ref in _DECODE_LRU.values():
+        for ref in _DECODE_REGISTRY.values():
             program = ref()
             if program is not None:
                 try:
                     del program._decoded
                 except AttributeError:
                     pass
-        _DECODE_LRU.clear()
+        _DECODE_REGISTRY.clear()
 
 
 def _u(name: str) -> int:
@@ -792,10 +761,8 @@ def _decode_miss(program: Program) -> DecodedProgram:
     program._decoded = decoded
     _PROGRAMS_DECODED.inc()
     _INSTRUCTIONS_DECODED.inc(len(insts))
-    key = id(program)
-    _DECODE_LRU[key] = weakref.ref(program)
-    _DECODE_LRU.move_to_end(key)
-    _prune_decode_lru()
+    _DECODE_REGISTRY[id(program)] = weakref.ref(program)
+    _prune_decode_registry()
     return decoded
 
 
@@ -868,10 +835,8 @@ __all__ = [
     "DecodedProgram",
     "clear_decode_cache",
     "decode",
-    "decode_cache_limit",
     "decode_cache_size",
     "execute",
     "make_state",
-    "set_decode_cache_limit",
     "sync_state",
 ]

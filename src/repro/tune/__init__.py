@@ -16,9 +16,9 @@ predicting it.  This package closes that loop:
   compiled through the ``Compiler`` facade and scored by cycles on the
   predecoded engine (optionally fanned out across worker processes);
 * :mod:`repro.tune.cache` — a crash-safe persistent JSON cycle cache
-  keyed by (kernel, shape, config, engine version) so repeated tuning
-  runs and CI are incremental (corrupt files quarantine, concurrent
-  savers merge).
+  keyed by (kernel, shape, config, engine + compiler version) so
+  repeated tuning runs and CI are incremental (corrupt files
+  quarantine, concurrent savers merge).
 
 What the tuner shares with the service lives one layer down, in
 :mod:`repro.runtime`, and is re-exported here where it is part of the

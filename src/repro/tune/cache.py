@@ -2,7 +2,7 @@
 
 Cycle counts on the simulator are deterministic: the engine's timing
 model is data-independent, so one (kernel, shape, schedule config,
-engine version) quadruple always scores the same.  That makes tuning
+engine + compiler version) quadruple always scores the same.  That makes tuning
 perfectly cacheable — repeated tuner runs, CI smoke jobs, and network-
 wide sweeps only pay for configs they have never measured.
 
@@ -19,9 +19,10 @@ provenance.  Only **deterministic** faults (compile / verify / sim)
 are persisted; transient ones (worker crashes, timeouts) are not,
 because a later run on a healthier machine may well succeed.  A file
 of any other schema is handled like any unreadable file (this is a
-cache: quarantine and re-measure).  The engine version is part of
-every key — a timing-model change silently starts a fresh keyspace
-instead of serving stale cycles.
+cache: quarantine and re-measure).  The engine and compiler versions
+(:func:`repro.compiler.artifact_versions`) are part of every key — a
+timing-model or code-generation change silently starts a fresh
+keyspace instead of serving stale cycles.
 
 Every load and save goes through the shared durable-write idiom
 (:mod:`repro.runtime.atomic_file`: sidecar ``flock``, pid-tagged temp
@@ -54,7 +55,7 @@ from ..runtime.atomic_file import (
     write_atomic,
 )
 from ..runtime.faults import Fault
-from ..snitch.engine import ENGINE_VERSION
+from ..compiler import artifact_versions
 from .schedule import ScheduleConfig
 
 #: Internal miss sentinel (a cached failure is a *hit* with a fault).
@@ -139,14 +140,15 @@ class TuneCache:
 
     @staticmethod
     def key(
-        kernel: str,
-        sizes: Sequence[int],
-        config: ScheduleConfig,
-        engine_version: int = ENGINE_VERSION,
+        kernel: str, sizes: Sequence[int], config: ScheduleConfig
     ) -> str:
         """The canonical cache key of one measurement."""
         shape = "x".join(str(int(s)) for s in sizes)
-        return f"{kernel}/{shape}/{config.key()}/engine={engine_version}"
+        engine_version, compiler_version = artifact_versions()
+        return (
+            f"{kernel}/{shape}/{config.key()}"
+            f"/engine={engine_version}/compiler={compiler_version}"
+        )
 
     def lookup(self, key: str) -> tuple[bool, int | None, Fault | None]:
         """(hit, cycles, fault).  A recorded failure is a hit with a

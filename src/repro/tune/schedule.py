@@ -22,14 +22,15 @@ directly appliable to ``api.compile_linalg`` or a network layer list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 import json
 
+from ..compiler import artifact_versions
 from ..dialects import memref_stream
 from ..kernels.builders import KERNEL_BUILDERS
-from ..snitch.engine import ENGINE_VERSION
+from ..runtime.atomic_file import write_atomic
 from ..transforms.interchange import (
     format_permutation,
     legal_interchange_permutations,
@@ -347,7 +348,21 @@ class TunedSchedule:
     pipeline_spec: str
     cycles: int
     default_cycles: int
-    engine_version: int = ENGINE_VERSION
+    #: ``artifact_versions()`` of the process that measured ``cycles``.
+    engine_version: int = field(
+        default_factory=lambda: artifact_versions()[0]
+    )
+    compiler_version: int = field(
+        default_factory=lambda: artifact_versions()[1]
+    )
+
+    def is_current(self) -> bool:
+        """Whether this process's engine and compiler would measure
+        the same ``cycles`` for ``pipeline_spec``."""
+        return (
+            self.engine_version,
+            self.compiler_version,
+        ) == artifact_versions()
 
     @property
     def speedup(self) -> float:
@@ -369,6 +384,7 @@ class TunedSchedule:
             "cycles": self.cycles,
             "default_cycles": self.default_cycles,
             "engine_version": self.engine_version,
+            "compiler_version": self.compiler_version,
         }
 
     @classmethod
@@ -382,8 +398,11 @@ class TunedSchedule:
                 cycles=int(data["cycles"]),
                 default_cycles=int(data["default_cycles"]),
                 engine_version=int(
-                    data.get("engine_version", ENGINE_VERSION)
+                    data.get("engine_version", artifact_versions()[0])
                 ),
+                # Records written before the field existed came from
+                # compiler version 1.
+                compiler_version=int(data.get("compiler_version", 1)),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ScheduleError(
@@ -397,10 +416,7 @@ def save_schedules(path, schedules: Sequence[TunedSchedule]) -> None:
         "schema": 1,
         "schedules": [schedule.to_json() for schedule in schedules],
     }
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n")
-    tmp.replace(path)
+    write_atomic(Path(path), json.dumps(payload, indent=2) + "\n")
 
 
 def load_schedules(path) -> list[TunedSchedule]:

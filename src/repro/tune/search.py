@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import api
-from ..compiler import Compiler
+from ..compiler import Compiler, artifact_versions
 from ..obs.tracing import span
 from ..runtime.faults import (
     Fault,
@@ -52,7 +52,6 @@ from ..runtime.faults import (
 from ..runtime.store import content_key
 from ..runtime.workers import HardenedPool, PoolConfig
 from ..snitch.cluster import run_row_partitioned
-from ..snitch.engine import ENGINE_VERSION
 from .cache import TuneCache
 from .schedule import (
     ScheduleConfig,
@@ -604,8 +603,8 @@ def tune_kernel(
     ``store`` (an :class:`~repro.service.ArtifactStore`) persists the
     *outcome* of the whole search, complementing the per-measurement
     ``cache``: an identical (kernel, sizes, strategy, seed, budget,
-    cores, validate, engine version) run returns the stored
-    :class:`TunedSchedule` without evaluating anything
+    cores, validate, engine and compiler version) run returns the
+    stored :class:`TunedSchedule` without evaluating anything
     (``result.from_store``); a fresh run writes its winner back.
     """
     if strategy not in STRATEGIES:
@@ -627,12 +626,12 @@ def tune_kernel(
             -1 if budget is None else budget,
             list(core_counts),
             validate,
-            ENGINE_VERSION,
+            *artifact_versions(),
         )
         payload = store.get("schedule", store_key)
         if payload is not None:
             best = TunedSchedule.from_json(payload)
-            if best.engine_version == ENGINE_VERSION:
+            if best.is_current():
                 return TuneResult(
                     kernel=kernel,
                     sizes=best.sizes,

@@ -35,7 +35,12 @@ from repro.runtime.workers import (
     unguard_connection,
 )
 from repro.service import RequestJournal
-from repro.tune import TuneCache
+from repro.tune import (
+    TuneCache,
+    load_schedules,
+    save_schedules,
+    tune_kernel,
+)
 
 SRC = Path(repro.__file__).parent
 
@@ -291,6 +296,36 @@ def test_journal_finish_is_one_fsync(tmp_path, fsync_calls):
     calls = fsync_calls()
     journal.finish(entry_id)
     assert len(calls) == 1 and journal.pending() == []
+
+
+def test_save_schedules_two_writers_do_not_collide(
+    tmp_path, monkeypatch, fsync_calls
+):
+    """Regression: ``save_schedules`` wrote through a fixed
+    ``<path>.tmp`` without an fsync, so a second writer that got in
+    between the first one's write and rename stole its temp file (the
+    first then died in ``replace``).  On the shared idiom each writer
+    owns a pid-tagged temp and both renames succeed."""
+    path = tmp_path / "schedules.json"
+    mine = tune_kernel("sum", (2, 4)).best
+    theirs = tune_kernel("relu", (2, 4)).best
+    real_replace = Path.replace
+    my_pid = os.getpid()
+
+    def replace_after_a_second_writer(self, destination):
+        if os.getpid() == my_pid:  # our rename: let the other one in
+            monkeypatch.setattr(os, "getpid", lambda: my_pid + 1)
+            save_schedules(path, [theirs])
+            monkeypatch.setattr(os, "getpid", lambda: my_pid)
+            monkeypatch.setattr(Path, "replace", real_replace)
+        return real_replace(self, destination)
+
+    monkeypatch.setattr(Path, "replace", replace_after_a_second_writer)
+    calls = fsync_calls()
+    save_schedules(path, [mine])
+    assert len(calls) == 2  # one per writer
+    assert load_schedules(path) == [mine]  # the later rename wins
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 class TestPidAlive:

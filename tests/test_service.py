@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro import api, kernels
+from repro import compiler as compiler_module
 from repro.compiler import CompiledKernel, Compiler
 from repro.kernels import lowlevel, networks
 from repro.kernels.builders import KERNEL_BUILDERS
@@ -72,8 +73,10 @@ class TestContentKey:
             {"a": 2, "b": 1}
         )
 
-    def test_compile_key_includes_engine_version(self):
-        assert compile_key("m", "p", 1) != compile_key("m", "p", 2)
+    def test_compile_key_includes_engine_version(self, monkeypatch):
+        before = compile_key("m", "p")
+        monkeypatch.setattr(engine, "ENGINE_VERSION", 999)
+        assert compile_key("m", "p") != before
 
 
 # -- the artifact store ---------------------------------------------------------
@@ -320,6 +323,13 @@ class TestCompileServer:
                 ServiceRequest("compile", "matmul", (2, 3, 4))
             )
             assert result.source == "store"
+            # ...and the other way round: what the server compiled is
+            # a rehydrating hit for a direct API user.
+            assert server.submit(
+                ServiceRequest("compile", "relu", (2, 4))
+            ).source == "computed"
+        module, _ = kernels.relu(2, 4)
+        assert api.compile_linalg(module, store=store).rehydrated
 
     def test_request_json_round_trip(self):
         request = ServiceRequest(
@@ -619,8 +629,18 @@ class TestWireProtocol:
         )
         assert results[0]["source"] == "store"
         assert results[1]["payload"]["cycles"] > 0
+        # A repeated identical batch is 100% store hits, measures too.
+        assert [
+            r["source"]
+            for r in client.batch(
+                [
+                    ServiceRequest("compile", "sum", (2, 4)),
+                    ServiceRequest("measure", "sum", (2, 4)),
+                ]
+            )
+        ] == ["store", "store"]
         stats = client.stats()
-        assert stats["counters"]["requests"] == 3
+        assert stats["counters"]["requests"] == 5
         assert client.gc()["evicted"] == 0
 
     def test_faults_travel_as_results_not_errors(self, live_server):
@@ -716,7 +736,6 @@ class TestForkSafety:
 class TestDecodeCache:
     def setup_method(self):
         engine.clear_decode_cache()
-        engine.set_decode_cache_limit(None)
 
     teardown_method = setup_method
 
@@ -740,23 +759,6 @@ class TestDecodeCache:
         assert all(d is decoded[0] for d in decoded)
         assert METRICS.counter("engine_programs_decoded").value == before + 1
 
-    def test_limit_evicts_least_recent_decode(self):
-        programs = []
-        for sizes in ((2, 4), (2, 5), (2, 6)):
-            module, _ = kernels.sum_kernel(*sizes)
-            programs.append(api.compile_linalg(module).program)
-        for program in programs:
-            engine.decode(program)
-        assert engine.decode_cache_size() == 3
-        engine.set_decode_cache_limit(1)
-        assert engine.decode_cache_size() == 1
-        assert not hasattr(programs[0], "_decoded")
-        assert hasattr(programs[2], "_decoded")
-        assert engine.decode_cache_limit() == 1
-        before = METRICS.counter("engine_programs_decoded").value
-        engine.decode(programs[0])  # transparently re-decodes
-        assert METRICS.counter("engine_programs_decoded").value == before + 1
-
     def test_clear_drops_memoized_decodes(self):
         module, _ = kernels.sum_kernel(2, 4)
         program = api.compile_linalg(module).program
@@ -765,6 +767,9 @@ class TestDecodeCache:
         engine.clear_decode_cache()
         assert engine.decode_cache_size() == 0
         assert not hasattr(program, "_decoded")
+        before = METRICS.counter("engine_programs_decoded").value
+        engine.decode(program)  # transparently re-decodes
+        assert METRICS.counter("engine_programs_decoded").value == before + 1
 
     def test_dead_programs_pruned(self):
         module, _ = kernels.sum_kernel(2, 4)
@@ -781,7 +786,6 @@ class TestDecodeCache:
 class TestLayerMemo:
     def setup_method(self):
         networks.clear_layer_cache()
-        networks.set_layer_cache_limit(64)
 
     teardown_method = setup_method
 
@@ -801,17 +805,21 @@ class TestLayerMemo:
         )
         assert ours is not frep
 
-    def test_limit_and_clear(self):
-        layers = networks.nsnet2_layers(width=4)
-        networks.compile_layers(layers)
-        assert networks.layer_cache_size() > 1
-        networks.set_layer_cache_limit(1)
-        assert networks.layer_cache_size() == 1
-        assert networks.layer_cache_limit() == 1
+    def test_evicts_least_recent_at_the_limit_and_clears(self):
+        limit = networks.LAYER_MEMO_LIMIT
+        layers = [
+            networks.LayerConfig(f"relu{n}", kernels.relu, (1, n))
+            for n in range(1, limit + 2)
+        ]
+        pairs = networks.compile_layers(layers)
+        assert networks.layer_cache_size() == limit
+        # The first layer was evicted (it recompiles); the last was not.
+        (again, _), = networks.compile_layers(layers[:1])
+        assert again is not pairs[0][0]
+        (kept, _), = networks.compile_layers(layers[-1:])
+        assert kept is pairs[-1][0]
         networks.clear_layer_cache()
         assert networks.layer_cache_size() == 0
-        with pytest.raises(ValueError):
-            networks.set_layer_cache_limit(-1)
 
     def test_run_network_still_validates(self):
         layers = networks.nsnet2_layers(width=4)
@@ -1022,6 +1030,53 @@ class TestKeying:
         text = print_op(module)
         spec = Compiler("ours").pipeline_spec
         assert key == compile_key(text, spec)
+
+    @pytest.mark.parametrize(
+        "module, constant",
+        [(compiler_module, "COMPILER_VERSION"), (engine, "ENGINE_VERSION")],
+        ids=["compiler", "engine"],
+    )
+    def test_version_bump_misses_every_persisted_key(
+        self, module, constant, monkeypatch, tmp_path
+    ):
+        """Finding 3: a change to emitted asm (or to the timing model)
+        for an unchanged (module, spec) must not be served from a
+        store or cycle cache written before it."""
+        compile_request = ServiceRequest("compile", "sum", (2, 4))
+        measure_request = ServiceRequest("measure", "sum", (2, 4))
+
+        def keys():
+            return (
+                compile_key("m", "p"),
+                request_key(compile_request),
+                request_key(measure_request),
+                TuneCache.key("sum", (2, 4), ScheduleConfig()),
+            )
+
+        store = ArtifactStore(tmp_path / "store")
+        cache = tmp_path / "cache.json"
+        first = tune_kernel("sum", (2, 4), cache=cache, store=store)
+        warm = tune_kernel("sum", (2, 4), cache=cache, store=store)
+        assert warm.from_store and warm.best.is_current()
+        before = keys()
+        stored = set(store.root.glob("objects/schedule/*/*.json"))
+
+        monkeypatch.setattr(module, constant, 999)
+        assert all(new != old for new, old in zip(keys(), before))
+        assert not warm.best.is_current()
+        bumped = tune_kernel("sum", (2, 4), cache=cache, store=store)
+        assert not bumped.from_store  # the stored schedule's key is gone
+        assert bumped.cache_hits == 0  # ...and so are the cached cycles
+        assert bumped.cache_misses == first.cache_misses
+        assert bumped.best.is_current()
+        # A stale record planted under the *current* key is recomputed,
+        # not trusted: the record's own versions are checked too.
+        (entry,) = (
+            set(store.root.glob("objects/schedule/*/*.json")) - stored
+        )
+        store.put("schedule", entry.stem, first.best.to_json())
+        replanted = tune_kernel("sum", (2, 4), cache=cache, store=store)
+        assert not replanted.from_store
 
     def test_measure_keys_differ_by_config_and_seed(self):
         base = ServiceRequest("measure", "sum", (2, 4))
