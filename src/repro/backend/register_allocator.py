@@ -364,7 +364,7 @@ class RegisterAllocator:
             file.acquire(vtype.register)
             return
         name = file.take()
-        value.type = type(vtype)(name)
+        value.set_type(type(vtype)(name))
         self._live_values.add(id(value))
         file.acquire_taken(name)
 
@@ -390,7 +390,7 @@ class RegisterAllocator:
             chosen = file.take()
         for value in group:
             if not value.type.is_allocated:
-                value.type = type(value.type)(chosen)
+                value.set_type(type(value.type)(chosen))
             if id(value) not in self._live_values:
                 self._live_values.add(id(value))
                 file.acquire(chosen)

@@ -40,6 +40,7 @@ from .core import (
     Block,
     BlockArgument,
     BlockOps,
+    ChangeSet,
     IRError,
     OperandsView,
     Operation,
@@ -85,7 +86,7 @@ from .traits import (
     Pure,
     SameOperandsAndResultType,
 )
-from .verifier import VerificationError, verify
+from .verifier import VerificationError, verify, verify_changes
 
 __all__ = [
     # attributes
@@ -99,6 +100,7 @@ __all__ = [
     # core
     "IRError", "Use", "SSAValue", "OpResult", "BlockArgument", "Operation",
     "Block", "Region", "single_block_region", "BlockOps", "OperandsView",
+    "ChangeSet",
     # builder
     "Builder", "InsertPoint",
     # printer / parser
@@ -113,7 +115,7 @@ __all__ = [
     # passes / verification
     "ModulePass", "FunctionPass", "PassManager", "LambdaPass",
     "PassInstrumentation", "PrintIRInstrumentation",
-    "VerificationError", "verify",
+    "VerificationError", "verify", "verify_changes",
     # pipeline specs
     "PassSpec", "PipelineSpecError", "parse_pipeline_spec",
     "pass_to_spec", "print_pipeline_spec",

@@ -17,10 +17,23 @@ the property that keeps rewriting linear in module size on the large
 unrolled kernels of the evaluation sweeps (Figures 10/11).
 :attr:`Block.ops` and :attr:`Operation.operands` are lightweight live
 views, not per-access tuple copies.
+
+Every mutation of attached IR goes through the primitives of this module
+(``Block._link``/``add_op``/``_unlink``, ``Operation.add_operand``/
+``set_operand``/``drop_all_references``/``set_attribute``/
+``remove_attribute``/``add_region``/``detach_region``,
+``SSAValue.set_type``, ``Block.add_arg``, ``Region.add_block``/
+``detach_block``), and each of them notes what it touched into the
+thread's :class:`ChangeSet` when one is installed — that is what lets
+the pass manager verify after a pass only what the pass changed
+(:func:`repro.ir.verifier.verify_changes`).  Code outside ``repro.ir``
+never writes ``.type``, ``.attributes[...]``, ``._operands``, ``.uses``,
+``.parent``, ``.prev_op`` or ``.next_op`` itself.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .attributes import Attribute, TypeAttribute
@@ -30,6 +43,95 @@ OpT = TypeVar("OpT", bound="Operation")
 
 class IRError(Exception):
     """Raised on malformed IR (verification failures, bad mutations)."""
+
+
+# ---------------------------------------------------------------------------
+# Change recording
+# ---------------------------------------------------------------------------
+
+
+class ChangeSet:
+    """What one pass did, as noted by the mutation primitives.
+
+    Five insertion-ordered sets (dicts with ``None`` values, so that
+    diagnostics and the work done from them are reproducible), named
+    after what the verifier has to re-establish for their members:
+
+    ``placed``
+        ops spliced into a block (new or moved) or given a block or
+        region: their subtree's position in the IR changed;
+    ``unlinked``
+        ops taken out of a block — gone for good unless also
+        ``placed``: either way, what used their results may no longer
+        be dominated by them;
+    ``modified``
+        ops whose operands or attributes changed, or that lost a
+        region or block;
+    ``retyped``
+        values whose type changed;
+    ``blocks``
+        blocks that lost an op or gained an argument: like the blocks
+        of ``placed`` ops, their owner may no longer like its body.
+
+    The three rewrite-driver counts of the pass ride along, so that
+    ``PassManager.pass_stats`` is per compile, not per process.
+    """
+
+    __slots__ = (
+        "placed",
+        "unlinked",
+        "modified",
+        "retyped",
+        "blocks",
+        "ops_visited",
+        "pattern_invocations",
+        "rewrites_applied",
+    )
+
+    def __init__(self):
+        self.placed: dict[Operation, None] = {}
+        self.unlinked: dict[Operation, None] = {}
+        self.modified: dict[Operation, None] = {}
+        self.retyped: dict[SSAValue, None] = {}
+        self.blocks: dict[Block, None] = {}
+        self.ops_visited = 0
+        self.pattern_invocations = 0
+        self.rewrites_applied = 0
+
+    def __bool__(self) -> bool:
+        """Whether any IR mutation was noted."""
+        return bool(
+            self.placed
+            or self.unlinked
+            or self.modified
+            or self.retyped
+            or self.blocks
+        )
+
+    def absorb(self, other: "ChangeSet") -> None:
+        """Add everything ``other`` recorded to this set."""
+        self.placed.update(other.placed)
+        self.unlinked.update(other.unlinked)
+        self.modified.update(other.modified)
+        self.retyped.update(other.retyped)
+        self.blocks.update(other.blocks)
+        self.ops_visited += other.ops_visited
+        self.pattern_invocations += other.pattern_invocations
+        self.rewrites_applied += other.rewrites_applied
+
+
+class _Recording(threading.local):
+    """The calling thread's recorders (the service compiles on
+    connection threads; each sees only its own compile)."""
+
+    #: Where the mutation primitives note what they touch, or None.
+    changes: ChangeSet | None = None
+    #: Where the rewrite drivers add their counts, or None.
+    rewrites: ChangeSet | None = None
+
+
+#: Installed and removed by :meth:`PassManager.run` around each pass.
+RECORDING = _Recording()
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +164,12 @@ class SSAValue:
         self.type = type
         self.uses: list[Use] = []
         self.name_hint = name_hint
+
+    def set_type(self, type: TypeAttribute) -> None:
+        """Change the value's type in place (e.g. assign its register)."""
+        self.type = type
+        if RECORDING.changes is not None:
+            RECORDING.changes.retyped[self] = None
 
     # -- use management -----------------------------------------------------
 
@@ -363,6 +471,8 @@ class Operation:
         index = len(self._operands)
         self._operands.append(value)
         value.add_use(Use(self, index))
+        if RECORDING.changes is not None:
+            RECORDING.changes.modified[self] = None
 
     def set_operand(self, index: int, value: SSAValue) -> None:
         """Replace the operand at ``index`` with ``value``."""
@@ -370,16 +480,34 @@ class Operation:
         old.remove_use(self, index)
         self._operands[index] = value
         value.add_use(Use(self, index))
+        if RECORDING.changes is not None:
+            RECORDING.changes.modified[self] = None
 
     def drop_all_references(self) -> None:
         """Detach this op (and nested ops) from all used values."""
         for index, value in enumerate(self._operands):
             value.remove_use(self, index)
         self._operands.clear()
+        if RECORDING.changes is not None:
+            RECORDING.changes.modified[self] = None
         for region in self.regions:
             for block in region.blocks:
                 for op in block.ops:
                     op.drop_all_references()
+
+    # -- attribute management -------------------------------------------------
+
+    def set_attribute(self, key: str, value: Attribute) -> None:
+        """Set (or overwrite) the attribute ``key``."""
+        self.attributes[key] = value
+        if RECORDING.changes is not None:
+            RECORDING.changes.modified[self] = None
+
+    def remove_attribute(self, key: str) -> None:
+        """Drop the attribute ``key`` (which must be present)."""
+        del self.attributes[key]
+        if RECORDING.changes is not None:
+            RECORDING.changes.modified[self] = None
 
     # -- region management ----------------------------------------------------
 
@@ -389,6 +517,17 @@ class Operation:
             raise IRError("region already attached to an operation")
         region.parent = self
         self.regions.append(region)
+        if RECORDING.changes is not None:
+            RECORDING.changes.placed[self] = None
+
+    def detach_region(self, region: "Region") -> None:
+        """Take ``region`` (with everything in it) off this operation."""
+        if region.parent is not self:
+            raise IRError("region not attached to this operation")
+        self.regions.remove(region)
+        region.parent = None
+        if RECORDING.changes is not None:
+            RECORDING.changes.modified[self] = None
 
     @property
     def body(self) -> "Region":
@@ -613,6 +752,8 @@ class Block:
             next_op.prev_op = op
         op.parent = self
         self._num_ops += 1
+        if RECORDING.changes is not None:
+            RECORDING.changes.placed[op] = None
 
     def _unlink(self, op: Operation) -> None:
         """O(1) removal of an attached ``op`` from the list."""
@@ -629,6 +770,9 @@ class Block:
         op.next_op = None
         op.parent = None
         self._num_ops -= 1
+        if RECORDING.changes is not None:
+            RECORDING.changes.unlinked[op] = None
+            RECORDING.changes.blocks[self] = None
 
     def add_op(self, op: Operation) -> None:
         """Append ``op`` at the end of the block (O(1))."""
@@ -645,6 +789,8 @@ class Block:
         self._last_op = op
         op.parent = self
         self._num_ops += 1
+        if RECORDING.changes is not None:
+            RECORDING.changes.placed[op] = None
 
     def add_ops(self, ops: Iterable[Operation]) -> None:
         """Append several operations at the end of the block."""
@@ -693,6 +839,8 @@ class Block:
         """Append a new block argument of the given type."""
         arg = BlockArgument(type, self, len(self.args), name_hint)
         self.args.append(arg)
+        if RECORDING.changes is not None:
+            RECORDING.changes.blocks[self] = None
         return arg
 
     # -- navigation ----------------------------------------------------------------
@@ -735,6 +883,17 @@ class Region:
             raise IRError("block already attached to a region")
         block.parent = self
         self.blocks.append(block)
+        if RECORDING.changes is not None and self.parent is not None:
+            RECORDING.changes.placed[self.parent] = None
+
+    def detach_block(self, block: Block) -> None:
+        """Take ``block`` (with everything in it) out of the region."""
+        if block.parent is not self:
+            raise IRError("block not attached to this region")
+        self.blocks.remove(block)
+        block.parent = None
+        if RECORDING.changes is not None and self.parent is not None:
+            RECORDING.changes.modified[self.parent] = None
 
     def __repr__(self) -> str:
         return f"<Region with {len(self.blocks)} blocks>"
@@ -749,6 +908,8 @@ def single_block_region(ops: Sequence[Operation], arg_types=()) -> Region:
 
 __all__ = [
     "IRError",
+    "ChangeSet",
+    "RECORDING",
     "Use",
     "SSAValue",
     "OpResult",

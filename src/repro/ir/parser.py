@@ -61,6 +61,10 @@ _VALUE_ID = re.compile(r"%[A-Za-z0-9_.$]+")
 _INTEGER = re.compile(r"-?\d+")
 _FLOAT = re.compile(r"-?\d+\.\d*(e[+-]?\d+)?|-?\d+e[+-]?\d+")
 _STRING = re.compile(r'"([^"\\]*)"')
+#: Whitespace and ``//`` line comments, in any mix (always matches,
+#: possibly empty), and what such a run can start with.
+_SKIP = re.compile(r"(?:[ \t\n\r]+|//[^\n]*)*")
+_SKIP_START = (" ", "\n", "\t", "\r", "//")
 
 
 _UNREGISTERED_CACHE: dict[str, type[Operation]] = {}
@@ -95,15 +99,10 @@ class Parser:
         return ParseError(message, self.text, position)
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\n\r":
-                self.pos += 1
-            elif self.text.startswith("//", self.pos):
-                end = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if end == -1 else end
-            else:
-                return
+        # Five calls in six already sit on a token (or at the end):
+        # only the others pay for a match object.
+        if self.text.startswith(_SKIP_START, self.pos):
+            self.pos = _SKIP.match(self.text, self.pos).end()
 
     def peek(self, token: str) -> bool:
         self.skip_ws()

@@ -15,10 +15,9 @@ from typing import Callable, Sequence
 
 from ..obs.metrics import METRICS
 from ..obs.tracing import span
-from .core import Operation
+from .core import RECORDING, ChangeSet, Operation
 from .printer import print_op
-from .rewriter import REWRITE_STATS
-from .verifier import verify
+from .verifier import verify, verify_changes
 
 #: Callbacks invoked with every newly defined :class:`ModulePass`
 #: subclass — how the pass registry auto-registers passes at import
@@ -93,7 +92,15 @@ class PrintIRInstrumentation(PassInstrumentation):
 
 class PassManager:
     """Runs a sequence of passes, with optional verification,
-    IR snapshots, per-pass timing and instrumentation hooks."""
+    IR snapshots, per-pass timing and instrumentation hooks.
+
+    With ``verify_each`` the module is verified after every pass: in
+    full after the first (the manager cannot know its input was
+    checked) and after the last (the backstop for a pass that went
+    around the mutation primitives of :mod:`repro.ir.core`), and in
+    between only over what the pass changed, as those primitives
+    recorded it (:func:`~repro.ir.verifier.verify_changes`).
+    """
 
     def __init__(
         self,
@@ -110,7 +117,7 @@ class PassManager:
         self.snapshots: list[tuple[str, str]] = []
         #: (pass name, seconds) pairs, recorded on every run.
         self.timings: list[tuple[str, float]] = []
-        #: (pass name, rewrite-driver counter deltas) pairs: ops visited,
+        #: (pass name, rewrite-driver counts) pairs: ops visited,
         #: pattern invocations and rewrites applied by each pass.
         self.pass_stats: list[tuple[str, dict[str, int]]] = []
 
@@ -123,23 +130,50 @@ class PassManager:
         """Run every pass in order on ``module``."""
         if self.snapshot:
             self.snapshots.append(("input", print_op(module)))
-        for pass_ in self.passes:
+        last = len(self.passes) - 1
+        size = 0  # ops in the module, as the verifier last counted
+        for position, pass_ in enumerate(self.passes):
             if self.instrument is not None:
                 self.instrument.before_pass(pass_, module)
-            stats_before = REWRITE_STATS.snapshot()
+            # One recorder per pass, on this thread only; mutations
+            # are noted only where they will be verified from.  (A
+            # manager run from inside a pass records for, and then
+            # hands all it saw to, the outer pass's recorder.)
+            incremental = self.verify_each and 0 < position < last
+            outer, outer_changes = RECORDING.rewrites, RECORDING.changes
+            changes = ChangeSet()
+            RECORDING.rewrites = changes
+            if incremental or outer_changes is not None:
+                RECORDING.changes = changes
             start = time.perf_counter()
-            with span(f"pass.{pass_.name}"):
-                pass_.run(module)
+            try:
+                with span(f"pass.{pass_.name}"):
+                    pass_.run(module)
+            finally:
+                RECORDING.rewrites, RECORDING.changes = outer, outer_changes
+                if outer is not None:
+                    outer.absorb(changes)
             elapsed = time.perf_counter() - start
             self.timings.append((pass_.name, elapsed))
             METRICS.histogram(
                 "compile_pass_seconds", **{"pass": pass_.name}
             ).observe(elapsed)
             self.pass_stats.append(
-                (pass_.name, REWRITE_STATS.delta(stats_before))
+                (
+                    pass_.name,
+                    {
+                        "ops_visited": changes.ops_visited,
+                        "pattern_invocations": changes.pattern_invocations,
+                        "rewrites_applied": changes.rewrites_applied,
+                    },
+                )
             )
             if self.verify_each:
-                verify(module)
+                with span("ir.verify"):
+                    if incremental:
+                        size = verify_changes(module, changes, size)
+                    else:
+                        size = verify(module)
             if self.instrument is not None:
                 self.instrument.after_pass(pass_, module, elapsed)
             if self.snapshot:

@@ -14,8 +14,9 @@ pre-order walk, patterns are dispatched from a per-op-class index
 op), and a successful rewrite re-enqueues only the new ops and the users
 of changed values.  The original fixpoint re-walk driver is retained as
 :func:`apply_patterns_naive` — the reference oracle for differential
-tests.  Both drivers update the module-level :data:`REWRITE_STATS`
-counters, which the pass manager snapshots around every pass.
+tests.  Both drivers flush their counts into the process-wide
+:data:`REWRITE_STATS` counters and into the calling thread's per-pass
+recorder, from which the pass manager builds ``pass_stats``.
 """
 
 from __future__ import annotations
@@ -24,22 +25,21 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from ..obs.metrics import METRICS
-from .core import Block, IRError, Operation, Region, SSAValue
+from .core import RECORDING, Block, IRError, Operation, Region, SSAValue
 
 
 class RewriteStats:
     """Pattern-driver counters (ops visited, invocations, rewrites).
 
-    ``PassManager`` snapshots these around each pass; the compile-time
-    benchmark and the ``perf_smoke`` tests read them to track driver
-    efficiency across PRs.
-
-    Since PR 10 this is a thin view over ``ir_rewrite_*`` counters in
-    the observability registry (:data:`repro.obs.metrics.METRICS`), so
+    The process-wide totals: ``ir_rewrite_*`` counters in the
+    observability registry (:data:`repro.obs.metrics.METRICS`), which
     concurrent compiles — the service's thread-per-connection loop —
-    update them atomically.  The drivers accumulate plain local ints in
+    update atomically.  The drivers accumulate plain local ints in
     their hot loops and flush once per ``apply_patterns`` call via
-    :meth:`add`, so the migration costs the hot path nothing.
+    :meth:`add`, which also credits the calling thread's per-pass
+    :class:`~repro.ir.core.ChangeSet`: ``PassManager.pass_stats`` (what
+    the compile-time benchmark and the ``perf_smoke`` tests read) is
+    per compile, whatever other threads rewrite meanwhile.
     """
 
     __slots__ = ("_visited", "_invoked", "_applied")
@@ -60,6 +60,11 @@ class RewriteStats:
             self._invoked.inc(invoked)
         if applied:
             self._applied.inc(applied)
+        tally = RECORDING.rewrites
+        if tally is not None:
+            tally.ops_visited += visited
+            tally.pattern_invocations += invoked
+            tally.rewrites_applied += applied
 
     @property
     def ops_visited(self) -> int:
@@ -78,19 +83,6 @@ class RewriteStats:
         self._visited.set(0)
         self._invoked.set(0)
         self._applied.set(0)
-
-    def snapshot(self) -> dict[str, int]:
-        """The current counter values as a plain dict."""
-        return {
-            "ops_visited": self._visited.value,
-            "pattern_invocations": self._invoked.value,
-            "rewrites_applied": self._applied.value,
-        }
-
-    def delta(self, since: dict[str, int]) -> dict[str, int]:
-        """Counter increments since a previous :meth:`snapshot`."""
-        now = self.snapshot()
-        return {key: now[key] - since[key] for key in now}
 
 
 #: Process-wide driver counters (both drivers update them).

@@ -39,8 +39,7 @@ class _ConvertGeneric(TypedPattern):
         new_kinds = [iterator_types[i] for i in perm]
         new_maps = [permute_map(m, perm) for m in op.indexing_maps]
         body = op.regions[0]
-        op.regions.remove(body)
-        body.parent = None
+        op.detach_region(body)
         old_yield = body.block.last_op
         assert isinstance(old_yield, linalg.YieldOp)
         values = list(old_yield.operands)

@@ -69,7 +69,7 @@ class _FuseFillPattern(TypedPattern):
                 changed = True
         if not changed:
             return
-        op.attributes["inits"] = ArrayAttr(inits)
+        op.set_attribute("inits", ArrayAttr(inits))
         rewriter.erase_op(previous)
         rewriter.changed = True
 

@@ -113,14 +113,15 @@ def apply_interchange(
             f"{kinds} to {new_kinds}, breaking the parallel-then-"
             "reduction order the Snitch lowering requires"
         )
-    op.attributes["bounds"] = DenseIntAttr(
-        [bounds[old] for old in permutation]
+    op.set_attribute(
+        "bounds", DenseIntAttr([bounds[old] for old in permutation])
     )
-    op.attributes["iterator_types"] = ArrayAttr(
-        [StringAttr(k) for k in new_kinds]
+    op.set_attribute(
+        "iterator_types", ArrayAttr([StringAttr(k) for k in new_kinds])
     )
-    op.attributes["indexing_maps"] = ArrayAttr(
-        [permute_map(m, permutation) for m in op.indexing_maps]
+    op.set_attribute(
+        "indexing_maps",
+        ArrayAttr([permute_map(m, permutation) for m in op.indexing_maps]),
     )
 
 

@@ -165,7 +165,7 @@ def _lower_stream_write(
         and not value.type.is_allocated
     )
     if foldable:
-        value.type = register_type
+        value.set_type(register_type)
         rewriter.erase_op(write)
         return
     move = riscv.FMVOp(value, result_type=register_type)

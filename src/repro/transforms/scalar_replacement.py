@@ -55,8 +55,9 @@ class _ScalarReplacePattern(TypedPattern):
         for amap in maps[len(op.inputs) :]:
             exprs = [substitute_dims(e, mapping) for e in amap.exprs]
             new_out_maps.append(AffineMap(len(parallel), exprs))
-        op.attributes["indexing_maps"] = ArrayAttr(
-            maps[: len(op.inputs)] + new_out_maps
+        op.set_attribute(
+            "indexing_maps",
+            ArrayAttr(maps[: len(op.inputs)] + new_out_maps),
         )
         rewriter.changed = True
 

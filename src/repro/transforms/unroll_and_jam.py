@@ -164,10 +164,10 @@ def _apply_unroll_and_jam(
     bounds.append(factor)
     kinds = op.iterator_types + ["interleaved"]
 
-    op.attributes["indexing_maps"] = ArrayAttr(new_maps)
-    op.attributes["bounds"] = DenseIntAttr(bounds)
-    op.attributes["iterator_types"] = ArrayAttr(
-        [StringAttr(k) for k in kinds]
+    op.set_attribute("indexing_maps", ArrayAttr(new_maps))
+    op.set_attribute("bounds", DenseIntAttr(bounds))
+    op.set_attribute(
+        "iterator_types", ArrayAttr([StringAttr(k) for k in kinds])
     )
     _interleave_body(op, factor)
 
@@ -206,8 +206,7 @@ def _interleave_body(op: memref_stream.GenericOp, factor: int) -> None:
     for body_op in old_block.ops:
         body_op.drop_all_references()
         body_op.detach()
-    region.blocks.clear()
-    old_block.parent = None
+    region.detach_block(old_block)
     region.add_block(new_block)
 
 

@@ -253,3 +253,105 @@ class TestClone:
         outer = Operation(regions=[single_block_region([make_op()])])
         with pytest.raises(IRError, match="regions"):
             outer.clone({})
+
+
+class TestChangeRecording:
+    """Each mutation primitive notes what it touched into the thread's
+    installed ChangeSet — and nothing when none is installed."""
+
+    @staticmethod
+    def _recorded(mutate):
+        from repro.ir.core import RECORDING, ChangeSet
+
+        changes = RECORDING.changes = ChangeSet()
+        try:
+            mutate()
+        finally:
+            RECORDING.changes = None
+        return changes
+
+    def test_nothing_installed_by_default(self):
+        from repro.ir.core import RECORDING
+
+        assert RECORDING.changes is None and RECORDING.rewrites is None
+
+    def test_link_and_unlink(self):
+        block, first, second = Block(), make_op(), make_op()
+        block.add_op(first)
+
+        def mutate():
+            block.add_op(second)
+            first.detach()
+            block.insert_op_after(first, second)
+
+        changes = self._recorded(mutate)
+        assert list(changes.placed) == [second, first]
+        assert list(changes.unlinked) == [first]
+        assert list(changes.blocks) == [block]
+        assert block.ops == (second, first)
+
+    def test_operands(self):
+        a, b = make_op(results=1), make_op(results=1)
+        user, other = make_op([a.results[0]]), make_op([a.results[0]])
+
+        def mutate():
+            user.set_operand(0, b.results[0])
+            other.add_operand(b.results[0])
+
+        assert list(self._recorded(mutate).modified) == [user, other]
+        erased = self._recorded(user.drop_all_references)
+        assert list(erased.modified) == [user]
+
+    def test_set_type(self):
+        from repro.ir import f32
+
+        value = make_op(results=1).results[0]
+        changes = self._recorded(lambda: value.set_type(f32))
+        assert value.type == f32
+        assert list(changes.retyped) == [value]
+
+    def test_attributes(self):
+        from repro.ir import IntAttr
+
+        op = make_op()
+
+        def mutate():
+            op.set_attribute("n", IntAttr(1))
+            op.remove_attribute("n")
+
+        assert list(self._recorded(mutate).modified) == [op]
+        assert op.attributes == {}
+        with pytest.raises(KeyError):
+            op.remove_attribute("n")
+
+    def test_regions_and_blocks(self):
+        inner = make_op()
+        region = single_block_region([inner])
+        block = region.block
+        owner = Operation(regions=[region])
+        changes = self._recorded(lambda: region.detach_block(block))
+        assert block.parent is None and region.blocks == []
+        assert list(changes.modified) == [owner]
+        changes = self._recorded(lambda: region.add_block(block))
+        assert list(changes.placed) == [owner]
+        changes = self._recorded(lambda: owner.detach_region(region))
+        assert region.parent is None and owner.regions == []
+        assert list(changes.modified) == [owner]
+        changes = self._recorded(lambda: owner.add_region(region))
+        assert list(changes.placed) == [owner]
+        changes = self._recorded(lambda: block.add_arg(f64))
+        assert list(changes.blocks) == [block]
+        with pytest.raises(IRError):
+            Region().detach_block(block)
+        with pytest.raises(IRError):
+            make_op().detach_region(region)
+
+    def test_empty_set_is_falsy(self):
+        from repro.ir.core import ChangeSet
+
+        changes = ChangeSet()
+        assert not changes
+        changes.rewrites_applied = 3
+        assert not changes  # driver counts are not IR mutations
+        changes.retyped[make_op(results=1).results[0]] = None
+        assert changes

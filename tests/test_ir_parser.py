@@ -150,6 +150,62 @@ class TestOperations:
             parse_module('"mystery.op"() : () -> ()')
 
 
+class TestWhitespaceAndComments:
+    """``Parser.skip_ws`` is one precompiled pattern; what it skips and
+    where errors point (pinned from the per-character loop it
+    replaced) must not move."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"mystery.op"() : () -> () // comment at EOF, no newline',
+            '"mystery.op"() //directly before a token\n: () -> ()',
+            '//c\n//d\r\n  "mystery.op"() : () -> ()//',
+            '"mystery.op"()\r\n  : ()\r\n  -> ()\r\n',
+        ],
+    )
+    def test_skipped(self, text):
+        assert parse_op(text).name == "mystery.op"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "// only a comment",
+                "expected operation name (line 1, column 18)",
+            ),
+            (
+                "  \t\r\n// c",
+                "expected operation name (line 2, column 5)",
+            ),
+            (
+                '// header\r\n"mystery.op"() : () -> () extra',
+                "trailing input after operation (line 2, column 27)",
+            ),
+            (
+                '"mystery.op"() : () -> () // x\n  // y\n   oops',
+                "trailing input after operation (line 3, column 4)",
+            ),
+            (
+                '"mystery.op"() // c\r\n  ? () -> ()',
+                "expected ':' (line 2, column 3)",
+            ),
+            (
+                '"mystery.op"(%0) // undefined\n : (f64) -> ()',
+                "use of undefined value %0 (line 1, column 16)",
+            ),
+            (
+                '/ "mystery.op"() : () -> ()',
+                "expected operation name (line 1, column 1)",
+            ),
+        ],
+    )
+    def test_error_positions(self, text, message):
+        with pytest.raises(ParseError) as error:
+            parse_op(text)
+        assert str(error.value) == message
+
+
 class TestRoundTrips:
     def test_constant_module(self):
         module = builtin.ModuleOp(

@@ -11,7 +11,7 @@ Covers the :mod:`repro.obs` subsystem end to end:
   partition the run exactly; FPU-arith agrees with the trace) and
   observer-effect freedom (profiled and traced runs stay bit-exact);
 * the migrated counters: decode counts live in the registry only,
-  ``REWRITE_STATS`` keeps its old read API while registry-backed;
+  ``REWRITE_STATS`` flushes into registry counters;
 * ``ExecutionTrace`` JSON round-trip and multi-core merge.
 """
 
@@ -162,15 +162,15 @@ class TestMigratedCounters:
         )
 
     def test_rewrite_stats_snapshot_delta(self):
-        before = REWRITE_STATS.snapshot()
+        before = METRICS.snapshot()
         REWRITE_STATS.add(visited=2, invoked=1, applied=1)
-        delta = REWRITE_STATS.delta(before)
-        assert delta["ops_visited"] == 2
-        assert delta["pattern_invocations"] == 1
-        assert delta["rewrites_applied"] == 1
+        delta = METRICS.delta(before)
+        assert delta["ir_rewrite_ops_visited"] == 2
+        assert delta["ir_rewrite_pattern_invocations"] == 1
+        assert delta["ir_rewrite_rewrites_applied"] == 1
 
     def test_rewrite_stats_concurrent_adds(self):
-        before = REWRITE_STATS.snapshot()
+        before = METRICS.snapshot()
 
         def hammer():
             for _ in range(5_000):
@@ -183,7 +183,7 @@ class TestMigratedCounters:
             thread.start()
         for thread in threads:
             thread.join()
-        assert REWRITE_STATS.delta(before)["ops_visited"] == 20_000
+        assert METRICS.delta(before)["ir_rewrite_ops_visited"] == 20_000
 
 
 # -- span tracing -------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Compile-time perf smoke tests (``pytest -m perf_smoke``).
 
 Wall-clock assertions are flaky on shared machines, so these check the
-machine-independent efficiency metric instead: the rewrite driver's
-counters, recorded per pass by the :class:`PassManager` instrumentation.
+machine-independent efficiency metrics instead: the rewrite driver's
+counters, recorded per pass by the :class:`PassManager` instrumentation,
+and the verifier's ``ir_verify_ops_checked`` op visits.
 The budgets have generous headroom over the worklist driver's actual
 numbers but sit far below the fixpoint re-walk driver's (which visited
 ~220 ops compiling the same kernel), so any regression toward
@@ -45,6 +46,29 @@ def test_driver_counters_within_budget(pipeline):
             f"budget of {budget}; the pattern driver regressed toward "
             "whole-module rescans"
         )
+
+
+#: Op visits of the verifier over one ``ours`` compile of
+#: matmul(1, 8, 8) when every pass was followed by a whole-module
+#: ``verify`` (through PR 21): the module's op count summed over the
+#: input and the 13 post-pass verifications.
+WHOLE_MODULE_VERIFY_OPS = 585
+
+
+@pytest.mark.perf_smoke
+def test_verification_is_proportional_to_what_changed():
+    module, _ = kernels.matmul(1, 8, 8)
+    before = METRICS.snapshot()
+    Compiler("ours").compile(module)
+    delta = METRICS.delta(before)
+    checked = sum(
+        delta[f'ir_verify_ops_checked{{mode="{mode}"}}']
+        for mode in ("full", "incremental")
+    )
+    assert checked <= 0.7 * WHOLE_MODULE_VERIFY_OPS, (
+        f"the verifier visited {checked} ops; post-pass verification "
+        "regressed toward whole-module re-verification"
+    )
 
 
 @pytest.mark.perf_smoke
