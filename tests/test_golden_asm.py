@@ -20,7 +20,7 @@ builder produces one, so it is ``lower-to-snitch``'s only coverage of
 that structure) which is also checked against numpy; the loop
 lowerers behind ``scalar-replacement`` (flows only raw specs reach);
 and every config of the tuner's :class:`ScheduleSpace` for one matmul
-and one conv shape, plus explicit ``dim``/``use-frep=false``
+and four window-kernel shapes, plus explicit ``dim``/``use-frep=false``
 schedules.
 """
 
@@ -67,15 +67,21 @@ TABLE1_SHAPES = {
 
 RMW_SHAPES = [(4, 8), (1, 1), (3, 5), (1, 7)]
 
-#: Kernel shapes whose whole tuner schedule space is pinned.
-SCHEDULE_SPACES = [("matmul", (4, 8, 8)), ("conv3x3", (4, 4))]
+#: Kernel shapes whose whole tuner schedule space is pinned: the 8x8
+#: window kernels are the hoisted ones whose tuned factor 8 wins.
+SCHEDULE_SPACES = [
+    ("matmul", (4, 8, 8)),
+    ("conv3x3", (4, 4)),
+    ("conv3x3", (8, 8)),
+    ("max_pool3x3", (8, 8)),
+    ("sum_pool3x3", (8, 8)),
+]
 
 #: Schedules :class:`ScheduleSpace` never renders: an explicit unroll
 #: dim, and the software-loop variant of the scheduled flow.
 EXPLICIT_SCHEDULES = [
     ("matmul", (4, 8, 8), dict(unroll_factor=2, unroll_dim=0)),
     ("matmul", (4, 8, 8), dict(unroll_dim=1, use_frep=False)),
-    ("matmul", (4, 8, 8), dict(permutation="1-0-2", use_frep=False)),
     ("conv3x3", (4, 4), dict(unroll_factor=4, unroll_dim=0)),
     ("conv3x3", (4, 4), dict(use_frep=False)),
 ]
