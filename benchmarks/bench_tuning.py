@@ -39,8 +39,7 @@ JSON schema (``schema`` = 1)::
         {"group": "paper" | "nsnet2" | "alexnet" | "fig11",
          "kernel": "...", "sizes": [..],
          "default_cycles": .., "tuned_cycles": .., "speedup": ..,
-         "config": {"permutation": .., "unroll_factor": ..,
-                    "num_cores": ..},
+         "config": {"unroll_factor": .., "num_cores": ..},
          "pipeline_spec": "...",
          "candidates_evaluated": .., "cache_hits": ..,
          "cache_misses": .., "differential_ok": true}

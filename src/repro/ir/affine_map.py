@@ -103,8 +103,8 @@ def substitute_dims(
     """Replace dimension expressions according to ``mapping``.
 
     Dimensions absent from the mapping are left untouched.  Used by
-    unroll-and-jam (``d -> d_outer * F + d_inner``) and by iteration-space
-    permutations.
+    unroll-and-jam (``d -> d_outer * F + d_inner``) and by
+    :func:`permute_map`.
     """
     if isinstance(expr, AffineDimExpr):
         return mapping.get(expr.position, expr)
@@ -134,7 +134,7 @@ def permute_map(amap: "AffineMap", permutation: Sequence[int]) -> "AffineMap":
     ``permutation[new]`` is the old dimension index that new dimension
     ``new`` iterates, so every ``d_old`` in the map becomes ``d_new``.
     Used by the linalg conversion (normalising to parallel-then-
-    reduction order) and by the interchange scheduling pass.
+    reduction order).
     """
     mapping = {
         old: AffineDimExpr(new) for new, old in enumerate(permutation)

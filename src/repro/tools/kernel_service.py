@@ -46,9 +46,7 @@ from ..runtime.store import ArtifactStore, StoreError
 from ..service.client import ServiceClient, ServiceError
 from ..service.server import CompileServer, ServiceRequest
 from ..service.wire import serve_forever
-from ..ir.core import IRError
-from ..transforms.interchange import parse_permutation
-from ..tune.schedule import ScheduleConfig
+from ..tune.schedule import ScheduleConfig, ScheduleError
 
 _EXIT_CODES = """\
 exit codes:
@@ -173,10 +171,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
         help="pipeline name or spec for compile jobs (default: ours)",
     )
     submit.add_argument(
-        "--permutation", default=None, metavar="PERM",
-        help="loop interchange for measure jobs, e.g. 1-0-2",
-    )
-    submit.add_argument(
         "--unroll", type=int, default=None, metavar="N",
         help="unroll-and-jam factor for measure jobs",
     )
@@ -277,12 +271,6 @@ def _backend(parser, args):
 
 
 def _request_from_args(parser, args) -> ServiceRequest:
-    permutation = None
-    if args.permutation is not None:
-        try:
-            permutation = parse_permutation(args.permutation)
-        except (IRError, ValueError) as error:
-            parser.error(f"bad --permutation: {error}")
     try:
         return ServiceRequest(
             kind=args.kind,
@@ -290,14 +278,12 @@ def _request_from_args(parser, args) -> ServiceRequest:
             sizes=tuple(args.sizes),
             pipeline=args.pipeline,
             config=ScheduleConfig(
-                permutation=permutation,
-                unroll_factor=args.unroll,
-                num_cores=args.cores,
+                unroll_factor=args.unroll, num_cores=args.cores
             ),
             seed=args.seed,
             validate=not args.no_validate,
         )
-    except StoreError as error:
+    except (StoreError, ScheduleError) as error:
         parser.error(str(error))
 
 

@@ -1,8 +1,8 @@
 """Command-line schedule-space autotuner.
 
-Search the schedule space of a Table 1 kernel — interchange
-permutation, unroll-and-jam factor, cluster core count — scoring every
-candidate by cycles on the predecoded simulator::
+Search the schedule space of a Table 1 kernel — unroll-and-jam
+factor, cluster core count — scoring every candidate by cycles on the
+predecoded simulator::
 
     python -m repro.tools.kernel_tuner matmul 4 4 4
     python -m repro.tools.kernel_tuner matmul 1 16 64 --strategy greedy

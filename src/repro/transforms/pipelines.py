@@ -105,7 +105,6 @@ NAMED_PIPELINES: dict[str, str] = {
 
 
 def scheduled_pipeline_spec(
-    permutation: str | None = None,
     unroll_factor: int | None = None,
     unroll_dim: int | None = None,
     use_frep: bool = True,
@@ -113,15 +112,11 @@ def scheduled_pipeline_spec(
     """The ``ours`` flow with explicit schedule choices as pass options.
 
     This is how a tuned schedule round-trips as a plain pipeline-spec
-    string: interchange permutation (``"1-0-2"`` form, None = keep the
-    canonical order), unroll-and-jam factor/dim (None = the paper's
-    automatic heuristics).  ``scheduled_pipeline_spec()`` with no
-    arguments is exactly :data:`NAMED_PIPELINES`\\ ["ours"]'s flow.
+    string: unroll-and-jam factor/dim (None = the paper's automatic
+    heuristics).  ``scheduled_pipeline_spec()`` with no arguments is
+    exactly :data:`NAMED_PIPELINES`\\ ["ours"]'s flow.
     """
-    stages = [_FRONT, "fuse-fill"]
-    if permutation:
-        stages.append(f"interchange{{permutation={permutation}}}")
-    stages.append("scalar-replacement")
+    stages = [_FRONT, "fuse-fill", "scalar-replacement"]
     options = []
     if unroll_factor is not None:
         options.append(f"factor={unroll_factor}")

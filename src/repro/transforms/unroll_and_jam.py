@@ -259,7 +259,7 @@ class UnrollAndJamPass(ModulePass):
             if factor <= 1 or op.bounds[dim] % factor:
                 # NO_UNROLL (or an explicit degenerate factor): leave
                 # the op untouched rather than rewriting it into a
-                # factor-1 interleave that blocks later interchange.
+                # factor-1 interleave, an extra dim that buys nothing.
                 continue
             _apply_unroll_and_jam(op, dim, factor)
 

@@ -1,8 +1,8 @@
 """Schedule-space autotuning (cycle-oracle search).
 
 The scheduling decisions the compiler normally makes heuristically —
-iteration order (``interchange``), unroll-and-jam factor, cluster
-core count — are all expressible as pass options, and the predecoded
+the unroll-and-jam factor (a pass option) and the cluster core count
+(an execution choice) — are explicit here, and the predecoded
 simulator is fast enough to *measure* every choice instead of
 predicting it.  This package closes that loop:
 

@@ -2,11 +2,8 @@
 
 A *schedule* for a kernel is one point in the cross product of
 
-* an interchange permutation of the iteration space (legal = keeps the
-  parallel-then-reduction partition, see
-  :func:`repro.transforms.interchange.legal_interchange_permutations`);
-* an unroll-and-jam factor (legal = divides the bound of the chosen
-  interleave dim, see
+* an unroll-and-jam factor (legal = divides the bound of the dim the
+  pass interleaves, see
   :func:`repro.transforms.unroll_and_jam.legal_unroll_factors`);
 * a cluster core count (legal = any, for kernels with a known
   row-partitioning; surplus cores simply idle).
@@ -31,13 +28,10 @@ from ..compiler import artifact_versions
 from ..dialects import memref_stream
 from ..kernels.builders import KERNEL_BUILDERS
 from ..runtime.atomic_file import write_atomic
-from ..transforms.interchange import (
-    format_permutation,
-    legal_interchange_permutations,
-)
 from ..transforms.pipelines import build_pipeline, scheduled_pipeline_spec
 from ..transforms.unroll_and_jam import (
     legal_unroll_factors,
+    select_unroll_dim,
     select_unroll_factor,
 )
 
@@ -50,70 +44,65 @@ class ScheduleError(ValueError):
 class ScheduleConfig:
     """One point in a kernel's schedule space.
 
-    ``None`` always means "the compiler's own default": no interchange
-    pass, the automatic unroll heuristic.  ``num_cores == 1`` is a
-    plain single-core run; more cores row-partition the kernel across
-    a cluster and score the slowest core.
+    ``unroll_factor=None`` means "the compiler's own default": the
+    automatic unroll heuristic.  ``num_cores == 1`` is a plain
+    single-core run; more cores row-partition the kernel across a
+    cluster and score the slowest core.  Both fields are type-checked:
+    configs arrive from the wire and from files, and the factor is
+    spliced into a pipeline spec.
     """
 
-    permutation: tuple[int, ...] | None = None
     unroll_factor: int | None = None
     num_cores: int = 1
+
+    def __post_init__(self):
+        # ``type(...) is int`` also refuses bools.
+        factor, cores = self.unroll_factor, self.num_cores
+        if not (factor is None or type(factor) is int) or not (
+            type(cores) is int and cores >= 1
+        ):
+            raise ScheduleError(
+                f"bad schedule config: unroll_factor={factor!r} (want an "
+                f"int or null), num_cores={cores!r} (want an int >= 1)"
+            )
 
     @property
     def is_default(self) -> bool:
         """Whether this is exactly the untuned compiler behaviour."""
-        return (
-            self.permutation is None
-            and self.unroll_factor is None
-            and self.num_cores == 1
-        )
+        return self.unroll_factor is None and self.num_cores == 1
 
     def pipeline_spec(self) -> str:
         """The schedule as a round-trippable textual pipeline spec."""
-        return scheduled_pipeline_spec(
-            permutation=(
-                format_permutation(self.permutation)
-                if self.permutation is not None
-                else None
-            ),
-            unroll_factor=self.unroll_factor,
-        )
+        return scheduled_pipeline_spec(unroll_factor=self.unroll_factor)
 
     def key(self) -> str:
         """Canonical short form, used in cache keys and reports."""
-        perm = (
-            format_permutation(self.permutation)
-            if self.permutation is not None
-            else "id"
-        )
         factor = (
             "auto" if self.unroll_factor is None else self.unroll_factor
         )
-        return f"perm={perm}|factor={factor}|cores={self.num_cores}"
+        return f"factor={factor}|cores={self.num_cores}"
 
     def to_json(self) -> dict:
         return {
-            "permutation": (
-                list(self.permutation)
-                if self.permutation is not None
-                else None
-            ),
             "unroll_factor": self.unroll_factor,
             "num_cores": self.num_cores,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "ScheduleConfig":
-        permutation = data.get("permutation")
+        # A non-null field naming no axis of this space is refused, not
+        # dropped: the record would otherwise be measured as a
+        # different schedule than the one it names.
+        extra = {
+            name: value
+            for name, value in data.items()
+            if value is not None and name not in ("unroll_factor", "num_cores")
+        }
+        if extra:
+            raise ScheduleError(f"not schedule axes: {extra!r}")
         return cls(
-            permutation=(
-                tuple(int(d) for d in permutation)
-                if permutation is not None
-                else None
-            ),
             unroll_factor=data.get("unroll_factor"),
-            num_cores=int(data.get("num_cores", 1)),
+            num_cores=data.get("num_cores", 1),
         )
 
 
@@ -210,11 +199,9 @@ class ScheduleSpace:
     #: Iteration-space shape of the kernel's main generic.
     bounds: tuple[int, ...]
     iterator_types: tuple[str, ...]
-    #: Per dim: whether every output varies along it (the unroll-and-
-    #: jam candidate dims are the parallel ones among these).
-    output_varying: tuple[bool, ...]
-    #: Legal non-identity interchange permutations.
-    permutations: tuple[tuple[int, ...], ...]
+    #: Factor choices: ``None`` (the automatic heuristic) plus every
+    #: other legal factor of the dim unroll-and-jam interleaves.
+    unroll_factors: tuple[int | None, ...]
     core_counts: tuple[int, ...] = (1,)
 
     @classmethod
@@ -245,81 +232,30 @@ class ScheduleSpace:
             raise ScheduleError(
                 f"kernel {kernel!r} lowers to no memref_stream.generic"
             )
-        kinds = tuple(generic.iterator_types)
         bounds = tuple(generic.bounds)
-        out_maps = generic.indexing_maps[len(generic.inputs) :]
-        varying = tuple(
-            all(
-                any(d != 0 for d in amap.unit_deltas()[dim])
-                for amap in out_maps
+        factors: tuple[int | None, ...] = (None,)
+        # The pass only interleaves reductions.
+        dim = select_unroll_dim(generic) if generic.reduction_dims else None
+        if dim is not None:
+            heuristic = select_unroll_factor(bounds[dim])
+            factors += tuple(
+                f for f in legal_unroll_factors(bounds[dim]) if f != heuristic
             )
-            for dim in range(len(bounds))
-        )
-        identity = tuple(range(len(bounds)))
-        permutations = tuple(
-            perm
-            for perm in legal_interchange_permutations(list(kinds))
-            if perm != identity
-        )
         return cls(
             kernel=kernel,
             builder=builder,
             sizes=sizes,
             bounds=bounds,
-            iterator_types=kinds,
-            output_varying=varying,
-            permutations=permutations,
+            iterator_types=tuple(generic.iterator_types),
+            unroll_factors=factors,
             core_counts=core_counts,
-        )
-
-    # -- axis enumeration -----------------------------------------------------
-
-    def unroll_dim_for(
-        self, permutation: tuple[int, ...] | None
-    ) -> int | None:
-        """The dim unroll-and-jam would pick after an interchange.
-
-        Mirrors ``select_unroll_dim``: the innermost parallel dim (in
-        the permuted order) along which every output varies.  Returns
-        the *old* dim index (whose bound is the factor's legality
-        base), or None for pure-parallel kernels.
-        """
-        if "reduction" not in self.iterator_types:
-            return None  # the pass only interleaves reductions
-        order = permutation or tuple(range(len(self.bounds)))
-        for old in reversed(order):
-            if (
-                self.iterator_types[old] == "parallel"
-                and self.output_varying[old]
-            ):
-                return old
-        return None
-
-    def unroll_factors_for(
-        self, permutation: tuple[int, ...] | None
-    ) -> tuple[int | None, ...]:
-        """Legal factor choices given an interchange: ``None`` (the
-        automatic heuristic) plus every other exact divisor <= the
-        register-pressure cap."""
-        dim = self.unroll_dim_for(permutation)
-        if dim is None:
-            return (None,)
-        bound = self.bounds[dim]
-        heuristic = select_unroll_factor(bound)
-        return (None,) + tuple(
-            f for f in legal_unroll_factors(bound) if f != heuristic
         )
 
     def configs(self) -> Iterator[ScheduleConfig]:
         """Every legal config, the compiler default first."""
-        for permutation in (None,) + self.permutations:
-            for factor in self.unroll_factors_for(permutation):
-                for cores in self.core_counts:
-                    yield ScheduleConfig(
-                        permutation=permutation,
-                        unroll_factor=factor,
-                        num_cores=cores,
-                    )
+        for factor in self.unroll_factors:
+            for cores in self.core_counts:
+                yield ScheduleConfig(unroll_factor=factor, num_cores=cores)
 
     def size(self) -> int:
         """Number of configs :meth:`configs` enumerates."""
@@ -330,8 +266,8 @@ class ScheduleSpace:
 class TunedSchedule:
     """A winning schedule, ready to persist and apply.
 
-    ``pipeline_spec`` carries the *compile-time* schedule (interchange
-    + unroll): pass it straight to ``api.compile_linalg(module,
+    ``pipeline_spec`` carries the *compile-time* schedule (the unroll
+    factor): pass it straight to ``api.compile_linalg(module,
     pipeline=...)`` (or the CLI's ``--pipeline``) to recompile the
     kernel with it.  A cluster core count is an *execution* choice a
     pipeline spec cannot express — it lives in ``config.num_cores``,

@@ -510,12 +510,8 @@ class _SearchDriver:
     def _axes(self, current: ScheduleConfig):
         space = self.space
         yield [
-            replace(current, permutation=perm)
-            for perm in (None,) + space.permutations
-        ]
-        yield [
             replace(current, unroll_factor=factor)
-            for factor in space.unroll_factors_for(current.permutation)
+            for factor in space.unroll_factors
         ]
         yield [
             replace(current, num_cores=cores)

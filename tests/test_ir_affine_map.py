@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.ir import AffineConstantExpr, AffineDimExpr, AffineMap
-from repro.ir.affine_map import expr_uses_dim, substitute_dims
+from repro.ir.affine_map import (
+    expr_uses_dim,
+    permute_map,
+    substitute_dims,
+)
 
 
 class TestAffineExpr:
@@ -97,6 +101,16 @@ class TestAffineMap:
     def test_offset_with_constant(self):
         m = AffineMap.from_callable(1, lambda i: (i + 3,))
         assert m.offset((8,)) == 24
+
+    def test_permute_map(self):
+        """``permutation[new] = old``: over (i, k, j), matmul's A map is
+        (d0, d1); reordered to the canonical (i, j, k) it is (d0, d2)."""
+        a_map = AffineMap.from_callable(3, lambda i, k, j: (i, k))
+        canonical = permute_map(a_map, (0, 2, 1))
+        assert canonical.num_dims == 3
+        assert canonical.evaluate((5, 7, 9)) == (5, 9)
+        # Swapping two dims twice is the identity.
+        assert permute_map(canonical, (0, 2, 1)) == a_map
 
     @given(
         coeffs=st.lists(st.integers(0, 9), min_size=2, max_size=4),

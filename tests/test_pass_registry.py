@@ -3,7 +3,12 @@
 import pytest
 
 from repro.ir.pass_manager import ModulePass
-from repro.ir.pipeline_spec import PassSpec, PipelineSpecError
+from repro.ir.pipeline_spec import (
+    PassSpec,
+    PipelineSpecError,
+    parse_pipeline_spec,
+)
+from repro.transforms.pipelines import NAMED_PIPELINES
 from repro.transforms.registry import PASS_REGISTRY, PassRegistry
 
 
@@ -31,6 +36,16 @@ EXPECTED_PASSES = {
 class TestAutoRegistration:
     def test_every_transform_pass_registered(self):
         assert EXPECTED_PASSES <= set(PASS_REGISTRY.names())
+
+    def test_every_registered_pass_runs_in_a_named_pipeline(self):
+        """A pass no named pipeline runs is reachable only from raw
+        specs: it earns its place in one, or leaves."""
+        used = {
+            spec.name
+            for pipeline in NAMED_PIPELINES.values()
+            for spec in parse_pipeline_spec(pipeline)
+        }
+        assert set(PASS_REGISTRY.names()) - used == set()
 
     def test_no_unnamed_pass_registered(self):
         assert "unnamed-pass" not in PASS_REGISTRY

@@ -1,9 +1,9 @@
 """Property test: tuned-schedule pipeline specs round-trip.
 
-Any legal (interchange permutation, unroll factor) option set must
-survive ``parse -> print -> parse`` of the textual pipeline-spec
-language unchanged, and compiling the same kernel from the original
-and the re-printed spec must produce byte-identical assembly — a tuned
+Any legal (unroll factor, unroll dim) option set must survive
+``parse -> print -> parse`` of the textual pipeline-spec language
+unchanged, and compiling the same kernel from the original and the
+re-printed spec must produce byte-identical assembly — a tuned
 schedule is exactly as reproducible as the spec string that names it.
 """
 
@@ -14,16 +14,12 @@ from repro.ir.pipeline_spec import (
     parse_pipeline_spec,
     print_pipeline_spec,
 )
-from repro.transforms.interchange import (
-    format_permutation,
-    legal_interchange_permutations,
-)
 from repro.transforms.pipelines import scheduled_pipeline_spec
 from repro.transforms.unroll_and_jam import legal_unroll_factors
 
-#: Kernel shapes small enough to compile by the dozen, with at least
-#: one reduction (so the unroll axis is live) and 2+ parallel dims
-#: (so the interchange axis is live).
+#: Kernel shapes small enough to compile by the dozen, each with at
+#: least one reduction (so the unroll axis is live) and two leading
+#: parallel dims, both output-varying (so either is a legal ``dim``).
 _SHAPES = st.sampled_from(
     [
         ("matmul", (2, 4, 4)),
@@ -42,59 +38,37 @@ _BUILDERS = {
     "max_pool3x3": kernels.max_pool3x3,
 }
 
-#: Iterator kinds per kernel family (post-conversion canonical order).
-_KINDS = {
-    "matmul": ["parallel", "parallel", "reduction"],
-    "matmul_t": ["parallel", "parallel", "reduction"],
-    "conv3x3": ["parallel", "parallel", "reduction", "reduction"],
-    "max_pool3x3": ["parallel", "parallel", "reduction", "reduction"],
+#: Parallel-dim bounds per kernel family (post-conversion order).
+_PARALLEL_BOUNDS = {
+    "matmul": lambda s: (s[0], s[2]),
+    "matmul_t": lambda s: (s[0], s[2]),
+    "conv3x3": lambda s: (s[0], s[1]),
+    "max_pool3x3": lambda s: (s[0], s[1]),
 }
 
 
 @st.composite
 def _legal_option_sets(draw):
-    """(kernel, sizes, permutation | None, factor | None)."""
+    """(kernel, sizes, factor | None, dim | None)."""
     kernel, sizes = draw(_SHAPES)
-    kinds = _KINDS[kernel]
-    permutation = draw(
-        st.one_of(
-            st.none(),
-            st.sampled_from(legal_interchange_permutations(kinds)),
-        )
-    )
-    # The innermost parallel dim of the (possibly permuted) order is
-    # what unroll-and-jam splits; any exact divisor is legal.
-    order = permutation or tuple(range(len(kinds)))
-    inner_parallel = max(
-        new for new, old in enumerate(order) if kinds[old] == "parallel"
-    )
-    bounds = {
-        "matmul": lambda s: (s[0], s[2], s[1]),
-        "matmul_t": lambda s: (s[0], s[2], s[1]),
-        "conv3x3": lambda s: (s[0], s[1], 3, 3),
-        "max_pool3x3": lambda s: (s[0], s[1], 3, 3),
-    }[kernel](sizes)
-    bound = bounds[order[inner_parallel]]
+    bounds = _PARALLEL_BOUNDS[kernel](sizes)
+    dim = draw(st.one_of(st.none(), st.sampled_from(range(len(bounds)))))
+    # unroll-and-jam splits the requested dim, else the innermost
+    # parallel one; any exact divisor of its bound is legal.
+    bound = bounds[-1 if dim is None else dim]
     factor = draw(
         st.one_of(
             st.none(), st.sampled_from(legal_unroll_factors(bound) or [1])
         )
     )
-    return kernel, sizes, permutation, factor
+    return kernel, sizes, factor, dim
 
 
 @given(_legal_option_sets())
 @settings(max_examples=25, deadline=None)
 def test_legal_schedule_specs_round_trip(option_set):
-    kernel, sizes, permutation, factor = option_set
-    spec_text = scheduled_pipeline_spec(
-        permutation=(
-            format_permutation(permutation)
-            if permutation is not None
-            else None
-        ),
-        unroll_factor=factor,
-    )
+    kernel, sizes, factor, dim = option_set
+    spec_text = scheduled_pipeline_spec(unroll_factor=factor, unroll_dim=dim)
     parsed = parse_pipeline_spec(spec_text)
     printed = print_pipeline_spec(parsed)
     assert parse_pipeline_spec(printed) == parsed

@@ -336,7 +336,7 @@ class TestCompileServer:
             "measure",
             "matmul",
             (2, 3, 4),
-            config=ScheduleConfig(permutation=(1, 0, 2), num_cores=2),
+            config=ScheduleConfig(unroll_factor=2, num_cores=2),
             seed=7,
             validate=False,
         )
@@ -345,6 +345,26 @@ class TestCompileServer:
             ServiceRequest.from_json({"kind": "compile"})
         with pytest.raises(StoreError):
             ServiceRequest("decompile", "sum", (2, 4))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # Spliced verbatim into the spec, this would add passes.
+            {"unroll_factor": "2},dce,unroll-and-jam{factor=4"},
+            {"unroll_factor": True},
+            {"num_cores": 0},
+            # A config from before the interchange axis was removed:
+            # measuring it as the default would answer another question.
+            {"permutation": [1, 0, 2], "unroll_factor": 2},
+        ],
+        ids=["splice", "bool-factor", "zero-cores", "permuted"],
+    )
+    def test_untrusted_config_is_refused(self, config):
+        with pytest.raises(StoreError, match="malformed service request"):
+            ServiceRequest.from_json(
+                {"kind": "measure", "kernel": "matmul",
+                 "sizes": [4, 8, 8], "config": config}
+            )
 
     def test_result_json_reports_fault(self, tmp_path):
         with CompileServer(ArtifactStore(tmp_path)) as server:
@@ -941,12 +961,39 @@ class TestServiceCli:
         code = kernel_service.main(
             [
                 "submit", "measure", "matmul", "2", "3", "4",
-                "--permutation", "1-0-2", "--unroll", "2",
+                "--unroll", "2", "--cores", "2",
                 "--store", str(tmp_path / "store"),
             ]
         )
         assert code == 0
         assert "cycles" in capsys.readouterr().out
+
+    def test_bad_schedule_knobs_are_usage_errors(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            kernel_service.main(
+                [
+                    "submit", "measure", "matmul", "2", "3", "4",
+                    "--cores", "0", "--store", str(tmp_path / "store"),
+                ]
+            )
+        assert info.value.code == 2
+
+    def test_batch_file_config_is_validated(self, tmp_path, capsys):
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(
+            json.dumps(
+                [{"kind": "measure", "kernel": "matmul",
+                  "sizes": [4, 8, 8],
+                  "config": {"unroll_factor": "2},dce,unroll-and-jam"
+                                              "{factor=4"}}]
+            )
+        )
+        with pytest.raises(SystemExit) as info:
+            kernel_service.main(
+                ["batch", str(jobs), "--store", str(tmp_path / "store")]
+            )
+        assert info.value.code == 2
+        assert "unroll_factor" in capsys.readouterr().err
 
     def test_batch_file_and_exit_codes(self, tmp_path, capsys):
         jobs = tmp_path / "jobs.json"

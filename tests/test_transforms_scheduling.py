@@ -243,7 +243,7 @@ class TestUnrollAndJam:
     def test_factor_one_leaves_op_untouched(self):
         """An explicit factor of 1 (or dim= hitting the NO_UNROLL
         heuristic) must not rewrite the op into a degenerate factor-1
-        interleave — that would block a later interchange."""
+        interleave."""
         module, g = self._scheduled_matmul(1, 16, 8)
         UnrollAndJamPass(factor=1).run(module)
         assert "interleaved" not in g.iterator_types

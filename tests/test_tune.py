@@ -7,11 +7,16 @@ import pytest
 
 from repro import api, kernels
 from repro.compiler import Compiler
+from repro.dialects import memref_stream
 from repro.kernels import networks
 from repro.snitch.engine import ENGINE_VERSION
 from repro.snitch.machine import SnitchMachine
 from repro.snitch.memory import TCDM
 from repro.tools import kernel_tuner
+from repro.transforms.pipelines import (
+    build_pipeline,
+    scheduled_pipeline_spec,
+)
 from repro.tune import (
     CompileFault,
     ScheduleConfig,
@@ -40,32 +45,39 @@ class TestScheduleConfig:
         assert default_asm == tuned_asm
 
     def test_key_and_json_round_trip(self):
-        config = ScheduleConfig(
-            permutation=(1, 0, 2), unroll_factor=4, num_cores=2
-        )
-        assert config.key() == "perm=1-0-2|factor=4|cores=2"
+        config = ScheduleConfig(unroll_factor=4, num_cores=2)
+        assert config.key() == "factor=4|cores=2"
         assert ScheduleConfig.from_json(config.to_json()) == config
         assert ScheduleConfig.from_json(
             ScheduleConfig().to_json()
         ) == ScheduleConfig()
 
     def test_spec_carries_options(self):
-        config = ScheduleConfig(permutation=(1, 0, 2), unroll_factor=8)
-        spec = config.pipeline_spec()
-        assert "interchange{permutation=1-0-2}" in spec
+        spec = ScheduleConfig(unroll_factor=8).pipeline_spec()
+        assert spec == scheduled_pipeline_spec(unroll_factor=8)
         assert "unroll-and-jam{factor=8}" in spec
+
+    def test_scheduled_spec_default_matches_ours(self):
+        """scheduled_pipeline_spec() with no choices == 'ours'."""
+        module_a, _ = kernels.matmul(2, 4, 6)
+        module_b, _ = kernels.matmul(2, 4, 6)
+        ours = api.compile_linalg(module_a, pipeline="ours").asm
+        scheduled = api.compile_linalg(
+            module_b, pipeline=scheduled_pipeline_spec()
+        ).asm
+        assert ours == scheduled
 
 
 class TestScheduleSpace:
     def test_matmul_space(self):
-        space = ScheduleSpace.for_kernel("matmul", (4, 4, 4))
+        space = ScheduleSpace.for_kernel("matmul", (4, 4, 12))
         configs = list(space.configs())
         assert configs[0].is_default
         assert space.size() == len(configs) == 4
-        # 2 parallel-dim orders x {auto, factor 2}.
+        # N=12 is unrolled: {auto (4), 2, 3, 6}.
         keys = {c.key() for c in configs}
-        assert "perm=id|factor=auto|cores=1" in keys
-        assert "perm=1-0-2|factor=2|cores=1" in keys
+        assert "factor=auto|cores=1" in keys
+        assert "factor=6|cores=1" in keys
 
     def test_elementwise_has_no_unroll_axis(self):
         space = ScheduleSpace.for_kernel("relu", (4, 8))
@@ -73,13 +85,43 @@ class TestScheduleSpace:
             c.unroll_factor is None for c in space.configs()
         )
 
-    def test_factor_axis_follows_the_permuted_unroll_dim(self):
-        # matmul(6, 4, 8): identity order unrolls N=8 (divisors 2, 4,
-        # 8; heuristic 4), the swapped order unrolls M=6 (divisors
-        # 2, 3, 6; heuristic 6... -> {2, 3}).
+    def test_factor_axis_follows_the_unroll_dim(self):
+        # matmul(6, 4, 8) unrolls N=8 (divisors 2, 4, 8; heuristic 4),
+        # not M=6 (whose divisors would add 3 and 6).
         space = ScheduleSpace.for_kernel("matmul", (6, 4, 8))
-        assert set(space.unroll_factors_for(None)) == {None, 2, 8}
-        assert set(space.unroll_factors_for((1, 0, 2))) == {None, 2, 3}
+        assert space.unroll_factors == (None, 2, 8)
+
+    @pytest.mark.parametrize(
+        "kernel, sizes",
+        [
+            ("matmul", (4, 4, 12)),
+            ("matmul_t", (4, 8, 8)),
+            ("matvec", (8, 16)),
+            ("conv3x3", (8, 8)),
+            ("max_pool3x3", (8, 8)),
+            ("sum_pool3x3", (8, 8)),
+        ],
+    )
+    def test_every_listed_factor_is_applied(self, kernel, sizes):
+        """The space reads the unroll dim off the pass's own
+        ``select_unroll_dim``: every factor it lists must interleave
+        the kernel's reduction by exactly that factor, none may
+        degrade to the un-unrolled kernel."""
+        space = ScheduleSpace.for_kernel(kernel, sizes)
+        assert len(space.unroll_factors) > 1
+        for factor in space.unroll_factors[1:]:
+            module, _ = space.builder(*space.sizes)
+            build_pipeline(
+                "convert-linalg-to-memref-stream,fuse-fill,"
+                f"scalar-replacement,unroll-and-jam{{factor={factor}}}"
+            ).run(module)
+            (generic,) = [
+                op
+                for op in module.walk()
+                if isinstance(op, memref_stream.GenericOp)
+                and op.reduction_dims
+            ]
+            assert generic.interleave_factor == factor
 
     def test_unknown_kernel(self):
         with pytest.raises(ScheduleError, match="unknown kernel"):
@@ -110,7 +152,7 @@ class TestOracle:
 
 class TestTuneKernel:
     def test_exhaustive_never_regresses(self):
-        result = tune_kernel("matmul", (4, 4, 4))
+        result = tune_kernel("matmul", (4, 4, 12))
         assert result.best.cycles <= result.default_cycles
         assert result.candidates_evaluated == 4
         assert any(o.config.is_default for o in result.candidates)
@@ -213,9 +255,9 @@ class TestTuneKernel:
 class TestCache:
     def test_second_run_is_all_hits(self, tmp_path):
         path = tmp_path / "cache.json"
-        first = tune_kernel("matmul", (4, 4, 4), cache=path)
+        first = tune_kernel("matmul", (4, 4, 12), cache=path)
         assert first.cache_misses == 4 and first.cache_hits == 0
-        second = tune_kernel("matmul", (4, 4, 4), cache=path)
+        second = tune_kernel("matmul", (4, 4, 12), cache=path)
         assert second.cache_hits == 4 and second.cache_misses == 0
         assert second.best.cycles == first.best.cycles
 
@@ -235,15 +277,15 @@ class TestCache:
         # The corrupt bytes survive for inspection...
         corrupt = path.with_suffix(".json.corrupt")
         assert corrupt.read_text() == "{not json"
-        result = tune_kernel("matmul", (4, 4, 4), cache=cache)
+        result = tune_kernel("matmul", (4, 4, 12), cache=cache)
         assert result.cache_misses == 4
         # ...and a clean save replaced the store.
         assert json.loads(path.read_text())["schema"] == TuneCache.SCHEMA
 
     def test_in_memory_deduplicates_within_a_run(self):
         cache = TuneCache()
-        tune_kernel("matmul", (4, 4, 4), cache=cache)
-        result = tune_kernel("matmul", (4, 4, 4), cache=cache)
+        tune_kernel("matmul", (4, 4, 12), cache=cache)
+        result = tune_kernel("matmul", (4, 4, 12), cache=cache)
         assert result.cache_hits == 4
 
     def test_failures_are_cached(self, tmp_path):
@@ -275,6 +317,48 @@ class TestTunedSchedule:
         with pytest.raises(ScheduleError, match="malformed"):
             load_schedules(path)
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # Spliced verbatim into the spec, this would add passes.
+            {"unroll_factor": "2},dce,unroll-and-jam{factor=4"},
+            {"unroll_factor": True},
+            {"unroll_factor": 2.0},
+            {"num_cores": 0},
+            {"num_cores": "2"},
+            # A record from before the interchange axis was removed:
+            # loading it as the default schedule would be a lie.
+            {"permutation": [1, 0, 2], "unroll_factor": None},
+        ],
+        ids=[
+            "splice", "bool-factor", "float-factor", "zero-cores",
+            "str-cores", "permuted",
+        ],
+    )
+    def test_untrusted_config_is_refused(self, config, tmp_path):
+        with pytest.raises(ScheduleError):
+            ScheduleConfig.from_json(config)
+        record = {
+            "kernel": "matmul",
+            "sizes": [4, 8, 8],
+            "config": config,
+            "pipeline_spec": scheduled_pipeline_spec(),
+            "cycles": 600,
+            "default_cycles": 600,
+        }
+        with pytest.raises(ScheduleError, match="malformed"):
+            TunedSchedule.from_json(record)
+        path = tmp_path / "schedules.json"
+        path.write_text(json.dumps({"schema": 1, "schedules": [record]}))
+        with pytest.raises(ScheduleError, match="malformed"):
+            load_schedules(path)
+
+    def test_null_permutation_of_older_records_loads(self):
+        """Older records always wrote the field; unset, it is harmless."""
+        assert ScheduleConfig.from_json(
+            {"permutation": None, "unroll_factor": 8, "num_cores": 1}
+        ) == ScheduleConfig(unroll_factor=8)
+
     def test_multicore_schedule_rejected_by_schedule_table(self):
         """A cluster-tuned schedule's cycles are unreachable through a
         pipeline spec, so applying it to single-core network layers
@@ -285,8 +369,7 @@ class TestTunedSchedule:
         assert (
             result.best.pipeline_spec
             == ScheduleConfig(
-                permutation=result.best.config.permutation,
-                unroll_factor=result.best.config.unroll_factor,
+                unroll_factor=result.best.config.unroll_factor
             ).pipeline_spec()
         )
         # ...so schedule_table refuses it.
@@ -318,7 +401,7 @@ class TestTunerCLI:
         assert (
             kernel_tuner.main(
                 [
-                    "matmul", "4", "4", "4",
+                    "matmul", "4", "4", "12",
                     "--cache", str(tmp_path / "c.json"),
                 ]
             )
@@ -365,7 +448,7 @@ class TestTunerCLI:
 
     def test_list_space(self, capsys):
         assert (
-            kernel_tuner.main(["matmul", "4", "4", "4", "--list-space"])
+            kernel_tuner.main(["matmul", "4", "4", "12", "--list-space"])
             == 0
         )
         out = capsys.readouterr().out

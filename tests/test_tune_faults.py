@@ -60,7 +60,7 @@ class TestFaultTaxonomy:
     def test_json_round_trip(self):
         fault = TimeoutFault(
             message="blew the deadline",
-            candidate="perm=default|factor=1|cores=1",
+            candidate="factor=1|cores=1",
             stage="simulate",
             attempts=3,
         )
@@ -379,10 +379,15 @@ class TestCrashSafeCache:
 # -- injected faults through a real search --------------------------------------
 
 
+#: A four-candidate space (N=12 unrolls by auto, 2, 3 or 6), so plans
+#: injecting at measurements 1-3 all fire.
+FOUR_CANDIDATES = ("matmul", (4, 4, 12))
+
+
 def _tune(tmp_path, injector, **kwargs):
     defaults = dict(
-        kernel="matmul",
-        sizes=(4, 4, 4),
+        kernel=FOUR_CANDIDATES[0],
+        sizes=FOUR_CANDIDATES[1],
         strategy="exhaustive",
         cache=TuneCache(tmp_path / "cache.json"),
         retries=2,
@@ -458,7 +463,7 @@ class TestTunerCLIExitCodes:
     def test_interrupt_exits_130(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_FAULTS", "interrupt@2")
         code = kernel_tuner.main(
-            ["matmul", "4", "4", "4", "--cache", str(tmp_path / "c.json")]
+            ["matmul", "4", "4", "12", "--cache", str(tmp_path / "c.json")]
         )
         assert code == 130
         captured = capsys.readouterr()
@@ -513,8 +518,7 @@ class TestChaosProperty:
         )
         start = time.monotonic()
         result = tune_kernel(
-            "matmul",
-            (4, 4, 4),
+            *FOUR_CANDIDATES,
             workers=workers,
             deadline=CHAOS_DEADLINE,
             retries=2,
