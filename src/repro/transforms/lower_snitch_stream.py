@@ -6,11 +6,17 @@ zero-stride dimension becomes the data mover's *repetition* counter, the
 "dedicated optimization, reducing the pressure on the memory
 interconnect".  The region is then replaced by:
 
-    li/scfgwi ...   per-dimension bounds and strides, repetition, and
-                    the base pointer (which arms the mover)
+    li/scfgwi ...   per-dimension bounds and strides, and repetition
+    scfgwi ...      the base pointers (each write arms its mover)
     csrsi ssrcfg, 1
     <region body, with rv_snitch.read turned into register references>
     csrci ssrcfg, 1
+
+Configure once per loop nest, arm per iteration: movers keep their
+configuration words, so when the region sits in ``rv_scf.for`` loops
+that run no other stream-config writer, the bound/stride/repetition
+words are emitted ahead of the outermost such loop and only the pointer
+writes and the ``ssrcfg`` toggles stay inside.
 
 Stream reads become ``rv.get_register`` ops naming the stream register:
 at the assembly level, *consuming* ``ft0``/``ft1``/``ft2`` is what pops
@@ -19,7 +25,7 @@ the stream.
 
 from __future__ import annotations
 
-from ..dialects import riscv, riscv_snitch, snitch_stream
+from ..dialects import riscv, riscv_scf, riscv_snitch, snitch_stream
 from ..ir.core import IRError, Operation
 from ..ir.pass_manager import ModulePass
 from ..ir.rewriter import PatternRewriter, TypedPattern, apply_patterns
@@ -52,6 +58,26 @@ def hardware_pattern(
     return dims, repeat
 
 
+#: Ops that write stream configuration once lowered.
+_CONFIG_WRITERS = (snitch_stream.StreamingRegionOp, riscv_snitch.ScfgwiOp)
+
+
+def _config_anchor(op: snitch_stream.StreamingRegionOp) -> Operation:
+    """The op ahead of which ``op``'s bound/stride/repeat words go.
+
+    Those words come from the region's attributes, so they are invariant
+    in every enclosing loop: they move before the outermost enclosing
+    ``rv_scf.for`` in which no other stream-config writer runs.
+    """
+    anchor, loop = op, op.parent_op
+    while isinstance(loop, riscv_scf.ForOp) and not any(
+        nested is not op and isinstance(nested, _CONFIG_WRITERS)
+        for nested in loop.walk()
+    ):
+        anchor, loop = loop, loop.parent_op
+    return anchor
+
+
 class _LowerStreamingRegion(TypedPattern):
     op_type = snitch_stream.StreamingRegionOp
 
@@ -60,7 +86,11 @@ class _LowerStreamingRegion(TypedPattern):
         op: snitch_stream.StreamingRegionOp,
         rewriter: PatternRewriter,
     ) -> None:
+        anchor = _config_anchor(op)
         config_ops: list[Operation] = []
+        # Pointer writes (which arm the movers) and the enable stay with
+        # the region; inside a loop nest the rest is hoisted above it.
+        arm_ops = config_ops if anchor is op else []
 
         def li(value: int):
             li_op = riscv.LiOp(value)
@@ -87,8 +117,8 @@ class _LowerStreamingRegion(TypedPattern):
                         scfg_address(mover, WORD_STRIDE_BASE + ssr_dim),
                     )
                 )
-            # Always (re)program the repetition counter: movers keep
-            # state across regions.
+            # Program the repetition counter even when it is 1: movers
+            # keep their configuration across regions.
             config_ops.append(
                 riscv_snitch.ScfgwiOp(
                     li(repeat - 1), scfg_address(mover, WORD_REPEAT)
@@ -99,13 +129,15 @@ class _LowerStreamingRegion(TypedPattern):
                 if mover < n_in
                 else WORD_WRITE_POINTER_BASE
             )
-            config_ops.append(
+            arm_ops.append(
                 riscv_snitch.ScfgwiOp(
                     pointer, scfg_address(mover, base + rank - 1)
                 )
             )
-        config_ops.append(riscv_snitch.CsrsiOp("ssrcfg", 1))
-        rewriter.insert_before(config_ops, op)
+        arm_ops.append(riscv_snitch.CsrsiOp("ssrcfg", 1))
+        if arm_ops is not config_ops:
+            rewriter.insert_before(config_ops, anchor)
+        rewriter.insert_before(arm_ops, op)
 
         # Convert stream reads into register references and fold stream
         # writes into their producers, everywhere in the nested body.
@@ -154,11 +186,8 @@ def _lower_stream_write(
     register_type = stream_type.element_type
     value = write.value
     producer = value.owner
-    from ..ir.core import Operation as _Operation
-
     foldable = (
-        isinstance(producer, _Operation)
-        and isinstance(producer, riscv.RISCVInstruction)
+        isinstance(producer, riscv.RISCVInstruction)
         and producer.parent is write.parent
         and len(value.uses) == 1
         and isinstance(value.type, riscv.FloatRegisterType)

@@ -12,6 +12,7 @@ from repro.snitch.machine import (
     FP_LOAD_LATENCY,
     INT_LOAD_LATENCY,
     MUL_LATENCY,
+    bits_to_f64,
 )
 
 
@@ -183,6 +184,48 @@ class TestStreamingSync:
         # The final li executes only after the FPU drained all 8 adds
         # (chained: 8 * FP_LATENCY cycles).
         assert trace.cycles >= 8 * FP_LATENCY
+
+    @pytest.mark.parametrize("engine", ["run", "run_reference"])
+    def test_configuration_survives_disable_and_rearm(self, engine):
+        """Bound, stride and repeat words persist across ``csrci`` and a
+        re-arm: a pointer-only ``scfgwi`` restarts the same pattern at a
+        new base — what lets the compiler configure once per loop nest
+        and arm per iteration."""
+        mem = TCDM()
+        first = mem.allocate(8 * 4)
+        second = mem.allocate(8 * 4)
+        mem.write_array(first, np.arange(4, dtype=np.float64))
+        mem.write_array(second, np.arange(10, 14, dtype=np.float64))
+        region = """
+            scfgwi {base}, {arm}
+            csrsi ssrcfg, 1
+            frep.o t2, 1, 0, 0
+            fadd.d {acc}, {acc}, ft0
+            csrci ssrcfg, 1
+        """
+        arm = scfg_address(0, 24)
+        asm = f"""
+            li t0, 3
+            scfgwi t0, {scfg_address(0, 0)}
+            li t1, 8
+            scfgwi t1, {scfg_address(0, 8)}
+            scfgwi zero, {scfg_address(0, 16)}
+            li t2, 3
+        """ + region.format(base="a0", arm=arm, acc="fa0") + region.format(
+            base="a1", arm=arm, acc="fa1"
+        )
+        program = assemble("main:\n" + asm + "\nret")
+        machine = SnitchMachine(program, mem)
+        trace = getattr(machine, engine)(
+            "main", int_args={"a0": first, "a1": second}
+        )
+        assert bits_to_f64(machine.read_float_bits("fa0")) == 0 + 1 + 2 + 3
+        assert bits_to_f64(machine.read_float_bits("fa1")) == 10 + 11 + 12 + 13
+        assert trace.ssr_reads == 8
+        # Six set-up instructions; per region scfgwi, csrsi, frep.o and
+        # the first add issue back to back, the other three adds wait
+        # FP_LATENCY each on the accumulator, and csrci drains.
+        assert trace.cycles == 6 + 2 * (4 + 3 * FP_LATENCY) == 38
 
     def test_branch_penalty_accumulates(self):
         loop = """

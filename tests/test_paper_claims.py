@@ -108,14 +108,16 @@ class TestRQ3CompilerPerformance:
             assert result.trace.fpu_utilization > 0.9, builder.__name__
 
     def test_reduction_kernels_in_70_80_band(self):
-        """Fig 10: Conv/Pool utilization sits in the 70-80% band."""
+        """Fig 10: Conv/Pool utilization sits in the paper's 70-80% band
+        or above it: with stream configuration emitted once per loop
+        nest, 20x20 measures 0.842-0.847."""
         for builder in (
             kernels.conv3x3,
             kernels.max_pool3x3,
             kernels.sum_pool3x3,
         ):
             _, _, result = compile_and_run(builder, (20, 20))
-            assert 0.65 < result.trace.fpu_utilization < 0.9, (
+            assert 0.8 < result.trace.fpu_utilization < 0.9, (
                 builder.__name__
             )
 
