@@ -1,8 +1,8 @@
 """Structured fault taxonomy and deterministic fault injection.
 
-Candidate evaluation is a small distributed system: a compile, a
-simulation, and a numpy check running in a worker process that can be
-killed, hang, or raise.  Each failure becomes a :class:`Fault` value
+A job — a compile, a simulation, a numpy check — can fail in its own
+right, and a service job runs in a worker process that can be killed
+or hang on top of that.  Each failure becomes a :class:`Fault` value
 with
 
 * a **kind** (``compile``, ``verify``, ``sim``, ``timeout``,
@@ -20,17 +20,15 @@ with
 Faults round-trip through JSON so they thread unchanged through
 :class:`~repro.tune.search.CandidateOutcome`, the schema-2
 :class:`~repro.tune.cache.TuneCache` (failures are cached as faults,
-never as ``null``), and tuning artifacts.
+never as ``null``), the pool's pipes and the service's wire replies.
 
 The second half is the **deterministic fault-injection harness** the
-chaos test suite drives: a :class:`FaultInjector` holds a plan of
-:class:`Injection` actions keyed by measurement sequence number —
-kill the worker (SIGKILL), delay a candidate past its deadline, raise
-mid-measure, corrupt cache bytes, drop a connection, crash the
-server — installable per search (``tune_kernel(injector=...)``), per
-server (``serve_forever(injector=...)``) or via the ``REPRO_FAULTS``
-environment variable (the CLI/CI hook).  One plan can mix tuner and
-service actions: each harness picks out its own.
+service chaos suite drives: a :class:`FaultInjector` holds a plan of
+:class:`Injection` actions keyed by request sequence number — drop a
+connection, stall a reply, crash the server, refuse admission —
+installable per server (``serve_forever(injector=...)``) or via the
+``REPRO_FAULTS`` environment variable (the CLI/CI hook), plus
+:meth:`FaultInjector.corrupt_file` for stored bytes.
 """
 
 from __future__ import annotations
@@ -39,12 +37,8 @@ import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-#: Environment variable both CLIs consult for an injection plan.
+#: Environment variable the service CLI consults for an injection plan.
 FAULTS_ENV = "REPRO_FAULTS"
-
-
-class InjectedError(RuntimeError):
-    """A mid-measure exception raised by a ``raise`` injection."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,7 @@ class Fault:
     #: ``ScheduleConfig.key()`` of the candidate, when known.
     candidate: str | None = None
     #: Evaluation stage: ``compile`` | ``simulate`` | ``verify`` |
-    #: ``inject`` | ``worker``.
+    #: ``worker``.
     stage: str | None = None
     #: Dispatch attempts consumed (1 = failed on the first try).
     attempts: int = 1
@@ -143,8 +137,7 @@ class VerifyFault(Fault):
 
 class SimFault(Fault):
     """The simulation itself raised: illegal program, runaway
-    instruction budget, out-of-bounds access, injected mid-measure
-    exception.  Deterministic, cached."""
+    instruction budget, out-of-bounds access.  Deterministic, cached."""
 
     KIND = "sim"
     RETRYABLE = False
@@ -154,7 +147,7 @@ class TimeoutFault(Fault):
     """The candidate exceeded its wall-clock deadline.
 
     The pool watchdog SIGKILLs the worker (or the engine's cooperative
-    deadline fires, serially).  Wall-clock time is load-dependent, so
+    deadline fires in-process).  Wall-clock time is load-dependent, so
     timeouts are *transient*: retried (bounded) and never persisted to
     the cache.
     """
@@ -243,8 +236,6 @@ def classify_error(
     kwargs = dict(candidate=candidate, stage=stage, attempts=attempts)
     if isinstance(error, DeadlineExceeded):
         return TimeoutFault(message=message, **kwargs)
-    if isinstance(error, InjectedError):
-        return SimFault(message=message, **kwargs)
     if isinstance(error, SimulationError):
         return SimFault(message=message, **kwargs)
     if stage == "verify":
@@ -258,11 +249,7 @@ def classify_error(
 
 # -- deterministic fault injection ----------------------------------------------
 
-#: Injection actions the *tuner* harness understands (applied at
-#: candidate-measurement dispatch, see :meth:`FaultInjector.for_attempt`).
-TUNE_ACTIONS = ("crash", "delay", "raise", "interrupt")
-
-#: Injection actions the *service* harness understands (applied at the
+#: Injection actions the service harness understands (applied at the
 #: wire/admission layer, keyed by request sequence number — see
 #: :meth:`FaultInjector.for_request` and ``repro.service.wire``):
 #:
@@ -282,63 +269,29 @@ SERVICE_ACTIONS = (
     "reject-admission",
 )
 
-#: Every action either harness understands.
-INJECTION_ACTIONS = TUNE_ACTIONS + SERVICE_ACTIONS
-
-
 @dataclass(frozen=True)
 class Injection:
-    """One planned fault: fire ``action`` on measurement ``index``.
-
-    ``index`` counts *measured* candidates in dispatch order (cache
-    hits do not count), starting at 0 — the compiler default is always
-    measurement 0, so plans that must leave the baseline intact simply
-    avoid index 0 for non-retryable actions.
-
-    Actions:
-
-    * ``crash`` — SIGKILL the worker process mid-measure.  Pool-only:
-      in serial (degraded) mode there is no worker to kill, so crash
-      injections are inert there — which is exactly what makes
-      degradation a fix for repeated pool death.
-    * ``delay`` — stall the candidate ``value`` seconds before
-      measuring, driving it past its deadline.  In a worker this is a
-      real sleep (the parent watchdog must catch a real hang); in
-      serial mode a delay at least as long as the remaining deadline
-      raises :class:`~repro.snitch.machine.DeadlineExceeded`
-      immediately instead of actually sleeping.
-    * ``raise`` — raise :class:`InjectedError` mid-measure
-      (deterministic, non-retryable).
-    * ``interrupt`` — raise ``KeyboardInterrupt`` in the driver
-      (serial-only), simulating Ctrl-C between candidates.
-
-    One-shot by default: the injection fires on the first dispatch
-    attempt only, so a retry observes a healthy system.  ``sticky``
-    injections fire on every attempt (modelling a deterministic
-    crash/hang that retries cannot fix).
-    """
+    """One planned fault: fire ``action`` (one of
+    :data:`SERVICE_ACTIONS`) on admitted request ``index``."""
 
     index: int
     action: str
     value: float = 0.0
-    sticky: bool = False
 
     def __post_init__(self):
-        if self.action not in INJECTION_ACTIONS:
+        if self.action not in SERVICE_ACTIONS:
             raise ValueError(
                 f"unknown injection action {self.action!r} "
-                f"(one of {', '.join(INJECTION_ACTIONS)})"
+                f"(one of {', '.join(SERVICE_ACTIONS)})"
             )
 
 
 class FaultInjector:
-    """A deterministic plan of injections, consulted at dispatch time.
+    """A deterministic plan of injections, consulted per request.
 
-    The search driver asks :meth:`for_attempt` for every dispatch of
-    every measured candidate; the returned :class:`Injection` (if any)
-    rides into the worker with the task payload and is applied there.
-    The same plan therefore produces the same faults run after run —
-    the chaos suite's foundation.
+    The server's wire layer asks :meth:`for_request` for every
+    admitted request; the same plan therefore produces the same faults
+    run after run — the chaos suite's foundation.
     """
 
     def __init__(self, plan: tuple[Injection, ...] | list = ()):
@@ -347,40 +300,13 @@ class FaultInjector:
     def __bool__(self) -> bool:
         return bool(self.plan)
 
-    def for_attempt(
-        self, index: int, attempt: int, serial: bool = False
-    ) -> Injection | None:
-        """The injection to apply to dispatch ``attempt`` (1-based) of
-        measurement ``index``, or None."""
-        for injection in self.plan:
-            if injection.index != index:
-                continue
-            if injection.action in SERVICE_ACTIONS:
-                continue  # wire-layer actions; see for_request
-            if serial and injection.action == "crash":
-                continue  # no worker process to kill
-            if not serial and injection.action == "interrupt":
-                continue  # driver-side action; needs the driver's thread
-            if injection.sticky or attempt == 1:
-                return injection
-        return None
-
     def for_request(self, index: int) -> Injection | None:
-        """The service-scoped injection to apply to admitted request
-        ``index`` (0-based, counted over job-bearing messages in
-        admission order), or None.
-
-        Only ``SERVICE_ACTIONS`` fire here; a plan can mix tuner and
-        service actions and each harness picks out its own.  Requests
-        have no attempt axis on the server side (a client retry
-        arrives as a fresh request index), so ``sticky`` is
-        meaningless and ignored.
-        """
+        """The injection to apply to admitted request ``index``
+        (0-based, counted over job-bearing messages in admission
+        order), or None.  A client retry arrives as a fresh request
+        index."""
         for injection in self.plan:
-            if (
-                injection.index == index
-                and injection.action in SERVICE_ACTIONS
-            ):
+            if injection.index == index:
                 return injection
         return None
 
@@ -390,9 +316,9 @@ class FaultInjector:
 
         Grammar (``;`` or ``,`` separated)::
 
-            ACTION@INDEX[=VALUE][:sticky]
+            ACTION@INDEX[=VALUE]
 
-        e.g. ``crash@2;delay@1=0.5;raise@3:sticky``.
+        e.g. ``reject-admission@0;delay-response@1=0.05``.
         """
         text = os.environ.get(FAULTS_ENV, "").strip()
         if not text:
@@ -402,10 +328,6 @@ class FaultInjector:
             part = part.strip()
             if not part:
                 continue
-            sticky = False
-            if part.endswith(":sticky"):
-                sticky = True
-                part = part[: -len(":sticky")]
             try:
                 action, _, rest = part.partition("@")
                 index_text, _, value_text = rest.partition("=")
@@ -414,7 +336,6 @@ class FaultInjector:
                         index=int(index_text),
                         action=action.strip(),
                         value=float(value_text) if value_text else 0.0,
-                        sticky=sticky,
                     )
                 )
             except ValueError as error:
@@ -444,14 +365,11 @@ class FaultInjector:
 __all__ = [
     "FAULT_KINDS",
     "FAULTS_ENV",
-    "INJECTION_ACTIONS",
     "SERVICE_ACTIONS",
-    "TUNE_ACTIONS",
     "CancelledFault",
     "CompileFault",
     "Fault",
     "FaultInjector",
-    "InjectedError",
     "Injection",
     "OverloadFault",
     "SimFault",

@@ -2,7 +2,7 @@
 
 Generalizes the tuner's cycle cache (:mod:`repro.tune.cache`) from
 "cycle counts only" to *any* compilation artifact: compiled assembly
-plus metadata, per-pass timings, tuned schedules, cycle measurements.
+plus metadata, per-pass timings, cycle measurements.
 The design carries over the durability lessons of that cache and adds
 content addressing:
 
@@ -56,7 +56,7 @@ class StoreError(ValueError):
 #: Artifact kinds the repo currently stores.  The store itself is
 #: kind-agnostic (any ``[a-z-]`` name works); these are the
 #: conventional ones, documented in ``docs/SERVICE.md``.
-KNOWN_KINDS = ("kernel", "cycles", "schedule")
+KNOWN_KINDS = ("kernel", "cycles")
 
 _HEX = set("0123456789abcdef")
 

@@ -1,30 +1,28 @@
-"""Hardened worker pool for candidate evaluation and service jobs.
+"""Hardened worker pool for service jobs.
 
 :class:`HardenedPool` fans work out over forked processes with the
 retry/timeout/degradation semantics of a real evaluation service:
 
-* **watchdog timeouts** — every in-flight candidate has a wall-clock
-  deadline; a worker that blows it is SIGKILLed and the candidate
+* **watchdog timeouts** — every in-flight job has a wall-clock
+  deadline; a worker that blows it is SIGKILLed and the job
   recorded as a :class:`~repro.runtime.faults.TimeoutFault` (or retried —
   timeouts are transient);
 * **bounded retry with exponential backoff** — transient faults
   (worker crashes, timeouts) are re-dispatched up to ``retries`` extra
   attempts, each attempt waiting ``backoff * 2**(attempt-1)`` seconds;
 * **automatic respawn** — a dead worker is replaced and the batch
-  continues; only the in-flight candidate is affected, and no
+  continues; only the in-flight job is affected, and no
   pool-infrastructure exception ever escapes to the caller;
 * **graceful degradation to serial** — when fork is unavailable, or
   workers keep dying (more than ``respawn_limit`` respawns), the pool
-  kills its workers and finishes the remaining candidates in-process,
+  kills its workers and finishes the remaining jobs in-process,
   relying on the engine's cooperative deadline
   (:class:`~repro.snitch.machine.DeadlineExceeded`) for hang
   protection.
 
-The pool is task-agnostic: ``task_fn(task) -> (cycles, fault_json)``
-must never raise (the search's measurement function classifies its own
-exceptions into faults); ``decorate(payload, seq, attempt, serial)``
-is called at every dispatch so the fault-injection harness can attach
-per-attempt injections.  Workers are fork-started (they inherit the
+The pool is task-agnostic: ``task_fn(payload) -> (result, fault_json)``
+must never raise (the service's job function classifies its own
+exceptions into faults).  Workers are fork-started (they inherit the
 loaded package; platforms without fork run serially) and communicate
 over one pipe each, which is what makes per-worker kill-and-respawn
 possible at all — a shared queue cannot attribute a death to a task.
@@ -72,7 +70,7 @@ class PoolConfig:
 
     #: Worker processes; <= 1 evaluates in-process.
     workers: int = 1
-    #: Per-candidate wall-clock deadline in seconds (None = no limit).
+    #: Per-job wall-clock deadline in seconds (None = no limit).
     deadline: float | None = None
     #: Extra dispatch attempts for *retryable* faults.
     retries: int = 2
@@ -103,16 +101,11 @@ def unguard_connection(connection) -> None:
     _GUARDED_CONNECTIONS.discard(connection)
 
 
-def _default_decorate(payload, seq, attempt, serial):
-    return (payload, None)
-
-
 def _worker_main(conn, task_fn) -> None:
     """Worker loop: recv task, evaluate, send result, repeat.
 
     ``task_fn`` classifies its own failures; anything that still
-    escapes (a bug, an injected exception outside the measure path) is
-    reported as a structured worker fault rather than poisoning the
+    escapes (a bug) is reported as a structured worker fault rather than poisoning the
     pipe protocol.  A ``None`` message or a closed pipe shuts the
     worker down.
 
@@ -161,26 +154,12 @@ def _worker_main(conn, task_fn) -> None:
             return
 
 
-class _ResultSink(dict):
-    """A results dict that notifies the caller on every completion."""
-
-    def __init__(self, callback=None):
-        super().__init__()
-        self._callback = callback
-
-    def __setitem__(self, pos, result):
-        super().__setitem__(pos, result)
-        if self._callback is not None:
-            self._callback(pos, result)
-
-
 @dataclass
 class _Item:
-    """One candidate's measurement work, across attempts."""
+    """One job's work, across attempts."""
 
     pos: int  #: index into the caller's task list (result slot)
-    seq: int  #: global measurement sequence number (injection key)
-    label: str  #: candidate provenance (config key)
+    label: str  #: job provenance
     payload: object
     attempts: int = 0  #: dispatch attempts started so far
     not_before: float = 0.0  #: backoff gate for the next dispatch
@@ -217,21 +196,15 @@ class _Worker:
 class HardenedPool:
     """Fault-tolerant fan-out over worker processes (see module doc).
 
-    One pool serves a whole search (batches reuse warm workers); call
+    One pool serves a whole server (batches reuse warm workers); call
     :meth:`close` when done.  :attr:`events` accumulates a human-
     readable log of every respawn, retry, watchdog kill, and
-    degradation — the search result surfaces it.
+    degradation — the server's stats surface it.
     """
 
-    def __init__(
-        self,
-        task_fn,
-        config: PoolConfig,
-        decorate=None,
-    ):
+    def __init__(self, task_fn, config: PoolConfig):
         self.task_fn = task_fn
         self.config = config
-        self.decorate = decorate or _default_decorate
         self.events: list[str] = []
         self.degraded = config.workers > 1 and not _FORK_AVAILABLE
         if self.degraded:
@@ -273,10 +246,9 @@ class HardenedPool:
         """Evaluate one item in-process, honouring retry policy."""
         while True:
             item.attempts += 1
-            task = self.decorate(item.payload, item.seq, item.attempts, True)
-            cycles, fault = self.task_fn(task)
+            result, fault = self.task_fn(item.payload)
             if fault is None:
-                return cycles, None
+                return result, None
             fault["attempts"] = item.attempts
             if fault.get("retryable") and item.attempts <= self.config.retries:
                 self.events.append(
@@ -335,21 +307,19 @@ class HardenedPool:
         else:
             results[item.pos] = (None, record)
 
-    def map(self, tasks, on_result=None) -> list:
-        """Evaluate ``tasks`` (``(seq, label, payload)`` triples);
-        returns one ``(cycles, fault_json)`` per task, in order.
+    def map(self, tasks) -> list:
+        """Evaluate ``tasks`` (``(label, payload)`` pairs); returns one
+        ``(result, fault_json)`` per task, in order.
 
         Never raises on worker failure — every task gets a result or a
-        structured fault.  ``KeyboardInterrupt`` propagates (after the
-        workers are torn down) so the driver can checkpoint;
-        ``on_result(pos, result)`` fires as each task finishes, letting
-        the caller bank completed work before such an abort.
+        structured fault.  ``KeyboardInterrupt`` propagates after the
+        workers are torn down.
         """
         items = [
-            _Item(pos=pos, seq=seq, label=label, payload=payload)
-            for pos, (seq, label, payload) in enumerate(tasks)
+            _Item(pos=pos, label=label, payload=payload)
+            for pos, (label, payload) in enumerate(tasks)
         ]
-        results: dict[int, tuple] = _ResultSink(on_result)
+        results: dict[int, tuple] = {}
         if self.parallel and len(items) > 1:
             try:
                 self._map_parallel(items, results)
@@ -390,11 +360,8 @@ class HardenedPool:
                     continue
                 item = pending.popleft()
                 item.attempts += 1
-                task = self.decorate(
-                    item.payload, item.seq, item.attempts, False
-                )
                 try:
-                    worker.conn.send((task, traced, corr_id))
+                    worker.conn.send((item.payload, traced, corr_id))
                 except (BrokenPipeError, OSError):
                     # Died while idle: respawn, re-dispatch next round.
                     item.attempts -= 1
@@ -447,7 +414,7 @@ class HardenedPool:
                     continue
                 item = worker.item
                 try:
-                    (cycles, fault), events = conn.recv()
+                    (result, fault), events = conn.recv()
                 except (EOFError, OSError):
                     # The worker died mid-measure (SIGKILL, OOM...).
                     worker.item = None
@@ -478,7 +445,7 @@ class HardenedPool:
                         item, fault, results, retry_queue, now
                     )
                 else:
-                    results[item.pos] = (cycles, None)
+                    results[item.pos] = (result, None)
             # Watchdog: kill workers that blew their deadline.
             for worker in list(self._workers):
                 item = worker.item

@@ -25,17 +25,15 @@ This package turns that determinism into a serving layer:
   ping.  Transport failures surface as :class:`ServiceUnavailable`
   carrying a structured taxonomy fault.
 
-What the service shares with the tuner sits one layer down in
-:mod:`repro.runtime`: the fault taxonomy, the worker pool, the
-durable-write helper and the content-addressed
+The service's shared machinery sits one layer down in
+:mod:`repro.runtime`: the fault taxonomy (shared with the tuner), the
+worker pool, the durable-write helper and the content-addressed
 :class:`ArtifactStore`, re-exported here because serving from it is
 the point.
 
 ``api.compile_linalg``/``api.compile_lowlevel`` accept ``store=`` for
-an opt-in content-addressed fast path, ``tune_kernel`` reads and
-writes :class:`~repro.tune.schedule.TunedSchedule` artifacts through
-the same store, and ``python -m repro.tools.kernel_service`` is the
-CLI (``serve`` / ``submit`` / ``batch`` / ``stats`` / ``gc``).
+an opt-in content-addressed fast path, and
+``python -m repro.tools.kernel_service`` is the CLI (``serve`` / ``submit`` / ``batch`` / ``stats`` / ``gc``).
 
 See ``docs/SERVICE.md``.
 """

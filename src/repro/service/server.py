@@ -213,11 +213,11 @@ def request_key(request: ServiceRequest) -> tuple[str, str]:
     )
 
 
-def _service_task(task) -> tuple[dict | None, dict | None]:
+def _service_task(job) -> tuple[dict | None, dict | None]:
     """One job in a pool worker: (payload, fault_json), never raises.
     (The pool carries the ``worker.job`` span home from a forked
     worker; the artifact itself never holds spans.)"""
-    (request, deadline), _injection = task
+    request, deadline = job
     stage: list[str] = ["prepare"]
     try:
         with span("worker.job", label=request.kernel):
@@ -717,14 +717,12 @@ class CompileServer:
         try:
             tasks = []
             job_deadline = self._job_deadline(deadline_at)
-            for seq, (kk, _, request) in enumerate(jobs):
+            for kk, _, request in jobs:
                 if self.journal is not None:
                     journal_ids.append(
                         self.journal.begin(*kk, request.label())
                     )
-                tasks.append(
-                    (seq, request.label(), (request, job_deadline))
-                )
+                tasks.append((request.label(), (request, job_deadline)))
             with self._pool_mutex:
                 outcomes = self.pool.map(tasks)
             for (kk, record, request), (payload, fault_json) in zip(

@@ -9,8 +9,7 @@ server's environment logs one line per served request (label, source,
 latency, correlation id) to stderr.
 
 **Chaos**: ``serve_forever(injector=...)`` (or the ``REPRO_FAULTS``
-env var, the grammar the tuner reads too) applies service-scoped
-injections keyed by request sequence number: ``drop-connection``,
+env var) applies injections keyed by request sequence number: ``drop-connection``,
 ``delay-response``, ``crash-server``, ``reject-admission``.  See
 ``docs/SERVICE.md``.
 """

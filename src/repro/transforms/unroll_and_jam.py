@@ -41,8 +41,11 @@ def legal_unroll_factors(bound: int) -> list[int]:
 
     The pass has no remainder loop, so a factor must divide the bound
     exactly; register pressure caps it at :data:`MAX_FACTOR`.  This is
-    the legality model the schedule-space autotuner enumerates.
+    the legality model the schedule-space autotuner enumerates.  An
+    empty dim (``bound < 2``) has nothing to interleave.
     """
+    if bound < 2:
+        return []
     return [
         factor
         for factor in range(2, MAX_FACTOR + 1)

@@ -16,8 +16,8 @@ A *failed* config is cached as its structured
 :class:`~repro.runtime.faults.Fault` — kind, stage, message, attempt
 count — never as a bare ``null``, so reruns skip it with full
 provenance.  Only **deterministic** faults (compile / verify / sim)
-are persisted; transient ones (worker crashes, timeouts) are not,
-because a later run on a healthier machine may well succeed.  A file
+are persisted; a transient one (a wall-clock timeout) is not,
+because a later run on a less loaded machine may well succeed.  A file
 of any other schema is handled like any unreadable file (this is a
 cache: quarantine and re-measure).  The engine and compiler versions
 (:func:`repro.compiler.artifact_versions`) are part of every key — a
@@ -29,21 +29,16 @@ Every load and save goes through the shared durable-write idiom
 file + fsync + atomic rename, dead-writer temp sweep, quarantine of
 an unreadable file to ``<path>.corrupt``).  The *format* is this
 module's own — the artifact store overwrites one idempotent file per
-content address; this file is union-merged, once per batch:
-
-* **merge-on-save** — ``save()`` takes the lock, re-reads the store,
-  unions the on-disk entries with this process's and renames the
-  result into place.  Two tuner processes sharing one store therefore
-  *union* their work instead of last-writer-wins clobbering;
-* **checkpointing** — with ``checkpoint_every=N`` the cache persists
-  itself every N new measurements, so an interrupt loses at most one
-  batch of work.
+content address; this file is union-merged, once per search:
+``save()`` takes the lock, re-reads the store, unions the on-disk
+entries with this process's and renames the result into place, so two
+tuner processes sharing one store *union* their work instead of
+last-writer-wins clobbering.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
 from typing import Sequence
 
@@ -91,27 +86,18 @@ def _parse_entries(payload) -> dict[str, int | Fault] | None:
 
 
 class TuneCache:
-    """Thread-safe (kernel, shape, config, engine) -> cycles store."""
+    """(kernel, shape, config, engine, compiler) -> cycles store."""
 
     SCHEMA = 2
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        checkpoint_every: int | None = None,
-    ):
+    def __init__(self, path: str | Path | None = None):
         #: Backing file; None = in-memory only (still deduplicates
-        #: within one tuning run).
+        #: across the searches that share this object).
         self.path = Path(path) if path is not None else None
-        #: Auto-save after this many new measurements (None = only on
-        #: explicit :meth:`save`).
-        self.checkpoint_every = checkpoint_every
         self.hits = 0
         self.misses = 0
-        self._lock = threading.Lock()
         self._entries: dict[str, int | Fault] = {}
         self._dirty = False
-        self._puts_since_save = 0
         if self.path is not None:
             self._entries = self._load()
 
@@ -153,15 +139,14 @@ class TuneCache:
     def lookup(self, key: str) -> tuple[bool, int | None, Fault | None]:
         """(hit, cycles, fault).  A recorded failure is a hit with a
         structured fault and ``cycles is None``."""
-        with self._lock:
-            value = self._entries.get(key, _MISS)
-            if value is _MISS:
-                self.misses += 1
-                return False, None, None
-            self.hits += 1
-            if isinstance(value, Fault):
-                return True, None, value
-            return True, value, None
+        value = self._entries.get(key, _MISS)
+        if value is _MISS:
+            self.misses += 1
+            return False, None, None
+        self.hits += 1
+        if isinstance(value, Fault):
+            return True, None, value
+        return True, value, None
 
     def put(self, key: str, cycles: int) -> None:
         """Record a measurement (failures: :meth:`put_failure`)."""
@@ -172,16 +157,8 @@ class TuneCache:
         self._store(key, fault)
 
     def _store(self, key: str, value: int | Fault) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._dirty = True
-            self._puts_since_save += 1
-            if (
-                self.checkpoint_every is not None
-                and self._puts_since_save >= self.checkpoint_every
-                and self.path is not None
-            ):
-                self._save_locked()
+        self._entries[key] = value
+        self._dirty = True
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -195,13 +172,7 @@ class TuneCache:
         collisions agree anyway), then written through a
         fsync + atomic-rename sequence.
         """
-        if self.path is None:
-            return
-        with self._lock:
-            self._save_locked()
-
-    def _save_locked(self) -> None:
-        if not self._dirty:
+        if self.path is None or not self._dirty:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with exclusive_lock(self.path):
@@ -227,7 +198,6 @@ class TuneCache:
             fsync_dir(self.path.parent)
             sweep_stale_tmp(self.path.parent, self.path.name + ".")
         self._dirty = False
-        self._puts_since_save = 0
 
 
 __all__ = ["TuneCache"]

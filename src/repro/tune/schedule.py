@@ -1,20 +1,18 @@
 """The schedule space: what a tuner is allowed to choose.
 
-A *schedule* for a kernel is one point in the cross product of
+A *schedule* for a kernel is an unroll-and-jam factor (legal = divides
+the bound of the dim the pass interleaves, see
+:func:`repro.transforms.unroll_and_jam.legal_unroll_factors`).
 
-* an unroll-and-jam factor (legal = divides the bound of the dim the
-  pass interleaves, see
-  :func:`repro.transforms.unroll_and_jam.legal_unroll_factors`);
-* a cluster core count (legal = any, for kernels with a known
-  row-partitioning; surplus cores simply idle).
-
-:class:`ScheduleConfig` names one such point and renders it as a
+:class:`ScheduleConfig` names one such choice and renders it as a
 textual pipeline spec, so every tuned schedule round-trips through the
-ordinary ``Compiler``/CLI surface.  :class:`ScheduleSpace` enumerates
-the legal configs of a concrete kernel by probing its
-``memref_stream.generic`` after conversion.  :class:`TunedSchedule`
-is the persisted artifact a search produces: JSON-serialisable and
-directly appliable to ``api.compile_linalg`` or a network layer list.
+ordinary ``Compiler``/CLI surface; it also carries a cluster core
+count, which the service's ``measure`` jobs set and the search leaves
+at one.  :class:`ScheduleSpace` enumerates the legal configs of a
+concrete kernel by probing its ``memref_stream.generic`` after
+conversion.  :class:`TunedSchedule` is the persisted artifact a search
+produces: JSON-serialisable and directly appliable to
+``api.compile_linalg`` or a network layer list.
 """
 
 from __future__ import annotations
@@ -202,25 +200,13 @@ class ScheduleSpace:
     #: Factor choices: ``None`` (the automatic heuristic) plus every
     #: other legal factor of the dim unroll-and-jam interleaves.
     unroll_factors: tuple[int | None, ...]
-    core_counts: tuple[int, ...] = (1,)
 
     @classmethod
     def for_kernel(
-        cls,
-        kernel: str,
-        sizes: Sequence[int],
-        core_counts: Sequence[int] = (1,),
+        cls, kernel: str, sizes: Sequence[int]
     ) -> "ScheduleSpace":
-        """Probe a kernel and enumerate its legal schedule axes."""
+        """Probe a kernel and enumerate its legal unroll factors."""
         builder, sizes = resolve_kernel(kernel, sizes)
-        core_counts = tuple(sorted(set(int(c) for c in core_counts)))
-        if not core_counts or core_counts[0] < 1:
-            raise ScheduleError("core counts must be positive")
-        if core_counts != (1,) and cluster_plan(kernel, sizes) is None:
-            raise ScheduleError(
-                f"kernel {kernel!r} has no known row-partitioning; "
-                "cluster core count is not tunable for it"
-            )
         module, _ = builder(*sizes)
         build_pipeline(_PROBE_SPEC, verify_each=False).run(module)
         generic = None
@@ -248,34 +234,25 @@ class ScheduleSpace:
             bounds=bounds,
             iterator_types=tuple(generic.iterator_types),
             unroll_factors=factors,
-            core_counts=core_counts,
         )
 
     def configs(self) -> Iterator[ScheduleConfig]:
         """Every legal config, the compiler default first."""
         for factor in self.unroll_factors:
-            for cores in self.core_counts:
-                yield ScheduleConfig(unroll_factor=factor, num_cores=cores)
+            yield ScheduleConfig(unroll_factor=factor)
 
     def size(self) -> int:
         """Number of configs :meth:`configs` enumerates."""
-        return sum(1 for _ in self.configs())
+        return len(self.unroll_factors)
 
 
 @dataclass(frozen=True)
 class TunedSchedule:
     """A winning schedule, ready to persist and apply.
 
-    ``pipeline_spec`` carries the *compile-time* schedule (the unroll
-    factor): pass it straight to ``api.compile_linalg(module,
-    pipeline=...)`` (or the CLI's ``--pipeline``) to recompile the
-    kernel with it.  A cluster core count is an *execution* choice a
-    pipeline spec cannot express — it lives in ``config.num_cores``,
-    and ``cycles`` for a multi-core winner is the cluster latency of
-    running that spec row-partitioned across those cores (re-measure
-    with ``evaluate_config``, or run via
-    ``snitch.run_row_partitioned``); compiling the spec alone
-    reproduces only the single-core schedule.
+    ``pipeline_spec`` carries the schedule (the unroll factor): pass
+    it straight to ``api.compile_linalg(module, pipeline=...)`` (or
+    the CLI's ``--pipeline``) to recompile the kernel with it.
     """
 
     kernel: str
@@ -373,12 +350,11 @@ def schedule_table(
     """(builder name, sizes) -> tuned pipeline spec.
 
     The mapping ``kernels.networks.compile_layers`` consumes to run a
-    whole network with per-layer tuned schedules.  Multi-core
-    schedules are rejected: network layers run single-core, so a
-    cluster-tuned schedule's cycles are unreachable through a pipeline
-    spec and silently applying its spec would claim a speedup the run
-    cannot reproduce — re-tune with ``core_counts=(1,)`` for network
-    use.
+    whole network with per-layer tuned schedules.  A record with
+    ``num_cores > 1`` (artifacts arrive from files) is rejected:
+    network layers run single-core, a pipeline spec cannot express
+    cluster partitioning, and applying its spec would claim cycles the
+    run cannot reproduce.
     """
     for schedule in schedules:
         if schedule.config.num_cores != 1:

@@ -439,18 +439,17 @@ class TestCycleProfiler:
             CycleProfiler.attach(machine)
 
 
-# -- tuner span smuggling across the fork boundary ----------------------------
+# -- tuner spans -------------------------------------------------------------
 
 
 class TestTuneTracing:
-    def test_worker_spans_reach_the_caller(self, tmp_path):
+    def test_serial_tuning_spans(self, tmp_path):
         from repro.tune.search import tune_kernel
 
         cid = new_correlation_id()
         with recording() as recorder, correlation(cid):
             result = tune_kernel(
-                "relu", (4, 8), budget=2, workers=2,
-                cache=tmp_path / "cache.json",
+                "relu", (4, 8), cache=tmp_path / "cache.json"
             )
         assert result.best.cycles > 0
         events = recorder.events_json()
@@ -460,22 +459,32 @@ class TestTuneTracing:
             event["args"].get("correlation_id") for event in events
         } == {cid}
 
-    def test_serial_tuning_spans(self):
+    def test_one_candidate_span_per_measurement(self):
+        """``tune.candidate`` spans time real measurements only: a warm
+        search opens its ``tune.search`` span and no candidate span."""
+        from repro.tune import TuneCache
         from repro.tune.search import tune_kernel
 
-        with recording() as recorder:
-            tune_kernel("relu", (4, 8), budget=1)
-        names = {
-            event["name"] for event in recorder.events_json()
-        }
-        assert "tune.search" in names
+        cache = TuneCache()
+
+        def names():
+            with recording() as recorder:
+                result = tune_kernel("matmul", (4, 4, 12), cache=cache)
+            return result, [e["name"] for e in recorder.events_json()]
+
+        cold, cold_names = names()
+        assert cold_names.count("tune.candidate") == cold.cache_misses == 4
+        warm, warm_names = names()
+        assert warm.cache_misses == 0
+        assert warm_names.count("tune.search") == 1
+        assert "tune.candidate" not in warm_names
 
     def test_untraced_tuning_unchanged(self):
         from repro.tune.search import tune_kernel
 
-        plain = tune_kernel("sum", (4, 8), budget=2)
+        plain = tune_kernel("sum", (4, 8))
         with recording():
-            traced = tune_kernel("sum", (4, 8), budget=2)
+            traced = tune_kernel("sum", (4, 8))
         assert traced.best.cycles == plain.best.cycles
 
 

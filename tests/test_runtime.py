@@ -437,9 +437,8 @@ class TestFormatPins:
 # -- the pool owns its process boundary -----------------------------------------
 
 
-def _spanned_task(task):
+def _spanned_task(payload):
     """Opens a span, then succeeds or returns a classified fault."""
-    payload, _injection = task
     with span("worker.job", label=payload):
         if payload == "bad":
             fault = SimFault(message="boom", stage="simulate")
@@ -463,7 +462,7 @@ needs_fork = pytest.mark.skipif(
 class TestPoolCarriesSpans:
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
     def test_worker_spans_join_the_callers_trace(self, workers):
-        tasks = [(seq, name, name) for seq, name in enumerate(["a", "bad", "c"])]
+        tasks = [(name, name) for name in ["a", "bad", "c"]]
         with HardenedPool(_spanned_task, PoolConfig(workers=workers)) as pool:
             untraced = pool.map(tasks)
             with recording() as recorder, correlation("feedfacefeedface"):
@@ -490,7 +489,7 @@ def test_workers_close_guarded_connections():
     guard_connection(_GUARDED_END)
     try:
         with HardenedPool(_guard_probe_task, PoolConfig(workers=2)) as pool:
-            results = pool.map([(0, "a", None), (1, "b", None)])
+            results = pool.map([("a", None), ("b", None)])
     finally:
         unguard_connection(_GUARDED_END)
     assert results == [(True, None), (True, None)]

@@ -292,6 +292,19 @@ class TestCompileServer:
         direct = evaluate_config("matmul", (2, 3, 4), config, seed=0)
         assert result.payload["cycles"] == direct
 
+    def test_cluster_measure_matches_direct_oracle(self, tmp_path):
+        """The multi-core oracle path left the tuner's search but stays
+        reachable through ``measure``."""
+        config = ScheduleConfig(num_cores=2)
+        with CompileServer(ArtifactStore(tmp_path)) as server:
+            result = server.submit(
+                ServiceRequest("measure", "sum", (4, 8), config=config)
+            )
+            assert result.ok
+        direct = evaluate_config("sum", (4, 8), config, seed=0)
+        single = evaluate_config("sum", (4, 8), ScheduleConfig(), seed=0)
+        assert result.payload["cycles"] == direct < single
+
     def test_batch_dedups_and_reports_faults(self, tmp_path):
         with CompileServer(ArtifactStore(tmp_path)) as server:
             requests = [
@@ -681,8 +694,7 @@ class TestWireProtocol:
 # -- fork safety ----------------------------------------------------------------
 
 
-def _echo_task(task):
-    payload, _injection = task
+def _echo_task(payload):
     return payload, None
 
 
@@ -696,7 +708,7 @@ class TestForkSafety:
             assert len(pool._workers) == 2
             pool.prestart()  # idempotent
             assert len(pool._workers) == 2
-            results = pool.map([(0, "a", 1), (1, "b", 2)])
+            results = pool.map([("a", 1), ("b", 2)])
             assert [result for result, _ in results] == [1, 2]
             assert all(fault is None for _, fault in results)
         finally:
@@ -881,55 +893,6 @@ class TestTuneCacheCleanup:
         assert mine.exists()
 
 
-# -- tuner store integration ----------------------------------------------------
-
-
-class TestTunerStore:
-    def test_round_trip(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        first = tune_kernel(
-            "matmul",
-            (2, 3, 4),
-            strategy="random",
-            budget=3,
-            cache=TuneCache(None),
-            store=store,
-        )
-        assert not first.from_store
-        second = tune_kernel(
-            "matmul",
-            (2, 3, 4),
-            strategy="random",
-            budget=3,
-            cache=TuneCache(None),
-            store=store,
-        )
-        assert second.from_store
-        assert second.candidates == []
-        assert second.best.cycles == first.best.cycles
-        assert second.best.config == first.best.config
-
-    def test_different_budget_is_a_different_search(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        tune_kernel(
-            "relu",
-            (2, 4),
-            strategy="random",
-            budget=2,
-            cache=TuneCache(None),
-            store=store,
-        )
-        other = tune_kernel(
-            "relu",
-            (2, 4),
-            strategy="random",
-            budget=3,
-            cache=TuneCache(None),
-            store=store,
-        )
-        assert not other.from_store
-
-
 # -- the CLI --------------------------------------------------------------------
 
 
@@ -1100,30 +1063,19 @@ class TestKeying:
                 TuneCache.key("sum", (2, 4), ScheduleConfig()),
             )
 
-        store = ArtifactStore(tmp_path / "store")
         cache = tmp_path / "cache.json"
-        first = tune_kernel("sum", (2, 4), cache=cache, store=store)
-        warm = tune_kernel("sum", (2, 4), cache=cache, store=store)
-        assert warm.from_store and warm.best.is_current()
+        first = tune_kernel("sum", (2, 4), cache=cache)
+        warm = tune_kernel("sum", (2, 4), cache=cache)
+        assert warm.cache_misses == 0 and warm.best.is_current()
         before = keys()
-        stored = set(store.root.glob("objects/schedule/*/*.json"))
 
         monkeypatch.setattr(module, constant, 999)
         assert all(new != old for new, old in zip(keys(), before))
         assert not warm.best.is_current()
-        bumped = tune_kernel("sum", (2, 4), cache=cache, store=store)
-        assert not bumped.from_store  # the stored schedule's key is gone
-        assert bumped.cache_hits == 0  # ...and so are the cached cycles
+        bumped = tune_kernel("sum", (2, 4), cache=cache)
+        assert bumped.cache_hits == 0  # the cached cycles' keys are gone
         assert bumped.cache_misses == first.cache_misses
         assert bumped.best.is_current()
-        # A stale record planted under the *current* key is recomputed,
-        # not trusted: the record's own versions are checked too.
-        (entry,) = (
-            set(store.root.glob("objects/schedule/*/*.json")) - stored
-        )
-        store.put("schedule", entry.stem, first.best.to_json())
-        replanted = tune_kernel("sum", (2, 4), cache=cache, store=store)
-        assert not replanted.from_store
 
     def test_measure_keys_differ_by_config_and_seed(self):
         base = ServiceRequest("measure", "sum", (2, 4))

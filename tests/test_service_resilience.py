@@ -478,8 +478,6 @@ class TestServiceInjection:
         assert injector.for_request(0).action == "reject-admission"
         assert injector.for_request(1).value == 0.05
         assert injector.for_request(3).action == "crash-server"
-        # Service actions never fire on the tuner's attempt axis.
-        assert injector.for_attempt(0, 1) is None
 
     def test_reject_admission_then_client_retry_succeeds(
         self, tmp_path

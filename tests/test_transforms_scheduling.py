@@ -209,6 +209,7 @@ class TestUnrollAndJam:
         assert legal_unroll_factors(8) == [2, 4, 8]
         assert legal_unroll_factors(11) == []  # prime > MAX_FACTOR
         assert legal_unroll_factors(1) == []
+        assert legal_unroll_factors(0) == []  # every factor divides 0
 
     def test_prime_bound_leaves_op_untouched(self):
         module, g = self._scheduled_matmul(1, 16, 11)

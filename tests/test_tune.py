@@ -30,6 +30,7 @@ from repro.tune import (
     schedule_table,
     tune_kernel,
 )
+from repro.tune.schedule import cluster_plan
 
 
 class TestScheduleConfig:
@@ -123,6 +124,21 @@ class TestScheduleSpace:
             ]
             assert generic.interleave_factor == factor
 
+    def test_empty_dims_have_only_the_default(self):
+        """Every factor divides 0, but an empty dim has nothing to
+        interleave: the space is the default alone."""
+        space = ScheduleSpace.for_kernel("conv3x3", (0, 0))
+        assert space.size() == 1
+        assert [c.key() for c in space.configs()] == ["factor=auto|cores=1"]
+
+    def test_space_has_no_core_axis(self):
+        """Cores are the caller's resource, not a searched knob: a
+        kernel with a row-partitioning still tunes single-core."""
+        assert cluster_plan("conv3x3", (8, 8)) is not None
+        space = ScheduleSpace.for_kernel("conv3x3", (8, 8))
+        assert space.size() > 1
+        assert {c.num_cores for c in space.configs()} == {1}
+
     def test_unknown_kernel(self):
         with pytest.raises(ScheduleError, match="unknown kernel"):
             ScheduleSpace.for_kernel("nope", (4, 4))
@@ -164,54 +180,23 @@ class TestTuneKernel:
         assert result.best.cycles < result.default_cycles
         assert result.best.config.unroll_factor == 8
 
-    def test_budget_is_respected(self):
-        result = tune_kernel("conv3x3", (6, 6), budget=3)
-        assert result.candidates_evaluated <= 3
+    def test_every_config_measured_once_default_first(self):
+        space = ScheduleSpace.for_kernel("matmul", (4, 4, 12))
+        result = tune_kernel("matmul", (4, 4, 12), cache=TuneCache())
+        assert [o.config for o in result.candidates] == list(
+            space.configs()
+        )
         assert result.candidates[0].config.is_default
-
-    def test_random_strategy_is_seed_deterministic(self):
-        a = tune_kernel(
-            "conv3x3", (6, 6), strategy="random", budget=5, seed=42
-        )
-        b = tune_kernel(
-            "conv3x3", (6, 6), strategy="random", budget=5, seed=42
-        )
-        assert [o.config for o in a.candidates] == [
-            o.config for o in b.candidates
-        ]
-        assert a.best.cycles == b.best.cycles
-        different = tune_kernel(
-            "conv3x3", (6, 6), strategy="random", budget=5, seed=43
-        )
-        assert a.seed != different.seed
-
-    def test_greedy_never_regresses(self):
-        result = tune_kernel("conv3x3", (6, 6), strategy="greedy")
-        exhaustive = tune_kernel("conv3x3", (6, 6))
-        assert result.best.cycles <= result.default_cycles
-        # Greedy scores fewer candidates than the full space here.
-        assert (
-            result.candidates_evaluated
-            <= exhaustive.candidates_evaluated
-        )
-
-    def test_parallel_evaluation_matches_serial(self):
-        """workers>1 (process pool) must score identically to serial."""
-        serial = tune_kernel("conv3x3", (6, 6), workers=1)
-        parallel = tune_kernel("conv3x3", (6, 6), workers=2)
-        assert [o.cycles for o in serial.candidates] == [
-            o.cycles for o in parallel.candidates
-        ]
-        assert serial.best == parallel.best
+        assert result.cache_misses == space.size()
 
     def test_unknown_strategy(self):
         with pytest.raises(ScheduleError, match="strategy"):
             tune_kernel("matmul", (4, 4, 4), strategy="magic")
 
-    def test_cluster_axis_tunes_cores(self):
-        result = tune_kernel("sum", (16, 16), core_counts=(1, 4))
-        assert result.best.config.num_cores == 4
-        assert result.best.cycles < result.default_cycles
+    def test_parallel_workers_refused(self):
+        with pytest.raises(ScheduleError, match="serially"):
+            tune_kernel("matmul", (4, 4, 4), workers=2)
+        assert tune_kernel("relu", (4, 8), workers=1).best.cycles > 0
 
     def test_tuned_winner_passes_differential(self):
         """Tuned asm runs identically on both engines and matches
@@ -288,6 +273,21 @@ class TestCache:
         result = tune_kernel("matmul", (4, 4, 12), cache=cache)
         assert result.cache_hits == 4
 
+    def test_shared_cache_spans_kernels(self, tmp_path):
+        """An open cache is saved after each search but stays usable,
+        so one store serves several kernels."""
+        path = tmp_path / "cache.json"
+        cache = TuneCache(path)
+        relu = tune_kernel("relu", (4, 8), cache=cache)
+        matmul = tune_kernel("matmul", (4, 4, 12), cache=cache)
+        on_disk = TuneCache(path)
+        assert len(on_disk) == len(cache) == (
+            relu.cache_misses + matmul.cache_misses
+        )
+        again = tune_kernel("relu", (4, 8), cache=on_disk)
+        assert again.cache_misses == 0
+        assert again.best.cycles == relu.best.cycles
+
     def test_failures_are_cached(self, tmp_path):
         path = tmp_path / "cache.json"
         cache = TuneCache(path)
@@ -360,23 +360,25 @@ class TestTunedSchedule:
         ) == ScheduleConfig(unroll_factor=8)
 
     def test_multicore_schedule_rejected_by_schedule_table(self):
-        """A cluster-tuned schedule's cycles are unreachable through a
-        pipeline spec, so applying it to single-core network layers
-        must fail loudly instead of silently running the default."""
-        result = tune_kernel("sum", (16, 16), core_counts=(1, 4))
-        assert result.best.config.num_cores == 4
-        # The spec itself only encodes the compile-time schedule...
-        assert (
-            result.best.pipeline_spec
-            == ScheduleConfig(
-                unroll_factor=result.best.config.unroll_factor
-            ).pipeline_spec()
+        """A cluster-measured schedule's cycles are unreachable through
+        a pipeline spec, so applying one (it may arrive from a file) to
+        single-core network layers must fail loudly instead of
+        silently running the default."""
+        config = ScheduleConfig(num_cores=4)
+        schedule = TunedSchedule(
+            kernel="sum",
+            sizes=(16, 16),
+            config=config,
+            pipeline_spec=config.pipeline_spec(),
+            cycles=evaluate_config("sum", (16, 16), config),
+            default_cycles=evaluate_config(
+                "sum", (16, 16), ScheduleConfig()
+            ),
         )
-        # ...so schedule_table refuses it.
+        loaded = TunedSchedule.from_json(schedule.to_json())
+        assert loaded.config.num_cores == 4
         with pytest.raises(ScheduleError, match="cores"):
-            schedule_table([result.best])
-        # And the report says so.
-        assert "4 cores" in result.report()
+            schedule_table([loaded])
 
     def test_networks_apply_tuned_schedules(self):
         """A tuned per-layer schedule drops whole-network cycles."""
@@ -446,6 +448,18 @@ class TestTunerCLI:
         )
         assert len(load_schedules(artifact)) == 1
 
+    def test_save_merges_with_existing_records(self, capsys, tmp_path):
+        artifact = tmp_path / "schedules.json"
+        for argv in (["relu", "4", "8"], ["matmul", "4", "4", "4"]):
+            assert (
+                kernel_tuner.main(
+                    [*argv, "--no-cache", "--save", str(artifact)]
+                )
+                == 0
+            )
+        kernels_saved = sorted(s.kernel for s in load_schedules(artifact))
+        assert kernels_saved == ["matmul", "relu"]
+
     def test_list_space(self, capsys):
         assert (
             kernel_tuner.main(["matmul", "4", "4", "12", "--list-space"])
@@ -454,9 +468,35 @@ class TestTunerCLI:
         out = capsys.readouterr().out
         assert "4 legal configs" in out
 
-    def test_bad_cores(self):
+    def test_save_keeps_an_unreadable_artifact(self, capsys, tmp_path):
+        """A malformed record must not cost the file its good ones:
+        the tuner refuses to rewrite what it could not read."""
+        artifact = tmp_path / "schedules.json"
+        kernel_tuner.main(
+            ["relu", "4", "8", "--no-cache", "--save", str(artifact)]
+        )
+        payload = json.loads(artifact.read_text())
+        payload["schedules"].append(
+            dict(payload["schedules"][0], config={"tile": 4})
+        )
+        artifact.write_text(json.dumps(payload))
+        before = artifact.read_bytes()
+        code = kernel_tuner.main(
+            ["matmul", "4", "4", "4", "--no-cache", "--save", str(artifact)]
+        )
+        assert code == 3
+        assert "tuning failed" in capsys.readouterr().err
+        assert artifact.read_bytes() == before
+
+    def test_help_lists_only_the_search_options(self, capsys):
         with pytest.raises(SystemExit):
-            kernel_tuner.main(["matmul", "4", "4", "4", "--cores", "x"])
+            kernel_tuner.main(["--help"])
+        out = capsys.readouterr().out
+        for gone in (
+            "--strategy", "--budget", "--workers", "--retries",
+            "--cores", "--store",
+        ):
+            assert gone not in out
 
 
 class TestTunedScheduleRecord:
