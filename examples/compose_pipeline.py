@@ -25,7 +25,7 @@ from repro.transforms.pipelines import NAMED_PIPELINES
 CUSTOM_SPEC = (
     "convert-linalg-to-memref-stream,fuse-fill,scalar-replacement,"
     "unroll-and-jam{factor=2},lower-to-snitch{use-frep=true},"
-    "verify-streams,fuse-fmadd,lower-snitch-stream,canonicalize,dce,"
+    "verify-streams,lower-snitch-stream,canonicalize,dce,"
     "allocate-registers,lower-riscv-scf,eliminate-identity-moves"
 )
 

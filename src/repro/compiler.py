@@ -12,7 +12,7 @@ sequences::
         pipeline="convert-linalg-to-memref-stream,fuse-fill,"
                  "scalar-replacement,unroll-and-jam{factor=4},"
                  "lower-to-snitch{use-frep=true},verify-streams,"
-                 "fuse-fmadd,lower-snitch-stream,canonicalize,dce,"
+                 "lower-snitch-stream,canonicalize,dce,"
                  "allocate-registers,lower-riscv-scf,"
                  "eliminate-identity-moves",
     ).compile(module)
@@ -149,7 +149,7 @@ class CompiledKernel:
 #: stores and cycle caches miss instead of serving the old code with a
 #: valid checksum.  (``ENGINE_VERSION`` is the same switch for the
 #: simulator's timing model.)
-COMPILER_VERSION = 2
+COMPILER_VERSION = 3
 
 
 def artifact_versions() -> tuple[int, int]:

@@ -238,12 +238,6 @@ class AffineMap(Attribute):
             self._derived["unit_deltas"] = cached
         return list(cached)
 
-    def compose_with_values(
-        self, dims: Sequence[int]
-    ) -> tuple[int, ...]:  # pragma: no cover - alias
-        """Alias of :meth:`evaluate` kept for MLIR-API familiarity."""
-        return self.evaluate(dims)
-
     def strides(self, operand_strides: Sequence[int]) -> tuple[int, ...]:
         """Linear stride of the mapped flat offset per iteration dimension.
 

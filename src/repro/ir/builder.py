@@ -12,9 +12,9 @@ of the same block — no positional index to maintain.
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
+from typing import TypeVar
 
-from .core import Block, IRError, Operation, Region
+from .core import Block, IRError, Operation
 
 OpT = TypeVar("OpT", bound=Operation)
 
@@ -121,18 +121,6 @@ class Builder:
         else:
             point.block.insert_op_before(op, point.anchor)
         return op
-
-    def insert_all(self, ops: Sequence[Operation]) -> None:
-        """Insert several operations in order."""
-        for op in ops:
-            self.insert(op)
-
-    # -- region helpers ----------------------------------------------------------
-
-    def new_block_region(self, arg_types=()) -> tuple[Region, Block]:
-        """Create a fresh single-block region (not yet attached)."""
-        block = Block(arg_types)
-        return Region([block]), block
 
 
 __all__ = ["Builder", "InsertPoint"]

@@ -9,10 +9,11 @@ simulate and validate it::
     python -m repro.tools.kernel_compiler conv3x3 8 20 \\
         --pipeline clang --run --compare ours
     python -m repro.tools.kernel_compiler matvec 5 200 --show-stages
+    python -m repro.tools.kernel_compiler conv3x3 8 8 --count-bytecodes
     python -m repro.tools.kernel_compiler --list-pipelines
     python -m repro.tools.kernel_compiler sum 4 4 --pipeline \\
         "convert-linalg-to-memref-stream,lower-to-snitch{use-frep=false},\\
-verify-streams,fuse-fmadd,lower-snitch-stream,canonicalize,dce,\\
+verify-streams,lower-snitch-stream,canonicalize,dce,\\
 allocate-registers,lower-riscv-scf,eliminate-identity-moves"
 
 This is the reproduction's equivalent of the paper artifact's
@@ -30,6 +31,7 @@ from .. import api, kernels
 from ..compiler import Compiler
 from ..ir.core import IRError
 from ..ir.pass_manager import PrintIRInstrumentation
+from ..obs.hostprof import BytecodeCounter
 from ..ir.pipeline_spec import PipelineSpecError
 
 #: Kernel name -> (builder, number of size arguments) — the shared
@@ -105,6 +107,12 @@ def build_argument_parser() -> argparse.ArgumentParser:
         "with compilation)",
     )
     parser.add_argument(
+        "--count-bytecodes",
+        action="store_true",
+        help="print the compile's Python bytecodes per pass, then per "
+        "post-pass verify, then the unattributed residual",
+    )
+    parser.add_argument(
         "--time-passes",
         action="store_true",
         help="print a per-pass table of wall-clock time and rewrite-"
@@ -140,26 +148,35 @@ def list_dialects() -> None:
 
 
 def compile_kernel(
-    name, sizes, pipeline, unroll_factor, show_stages, print_ir=False
+    name, sizes, pipeline, unroll_factor, show_stages, print_ir=False,
+    count_bytecodes=False,
 ):
-    """Build + compile; returns (spec, compiled)."""
+    """Build + compile; returns (spec, compiled).  ``count_bytecodes``
+    prints the compile's bytecode table (and wins over ``print_ir``)."""
     builder, arity = KERNEL_BUILDERS[name]
     if len(sizes) != arity:
         raise SystemExit(
             f"kernel {name!r} takes {arity} sizes, got {len(sizes)}"
         )
     module, spec = builder(*sizes)
+    instrument = PrintIRInstrumentation() if print_ir else None
+    if count_bytecodes:
+        instrument = BytecodeCounter()
     try:
         compiler = Compiler(
             pipeline,
             unroll_factor=unroll_factor,
             snapshots=show_stages,
-            instrument=PrintIRInstrumentation() if print_ir else None,
+            instrument=instrument,
         )
     except PipelineSpecError as error:
         raise SystemExit(f"bad --pipeline: {error}")
     try:
-        compiled = compiler.compile(module)
+        if count_bytecodes:
+            compiled = instrument.count(compiler.compile, module)
+            print(instrument.report())
+        else:
+            compiled = compiler.compile(module)
     except (IRError, ValueError) as error:
         # e.g. a LoweringError: a backend-only pipeline over a
         # linalg-level kernel produces no rv_func.func entry.
@@ -240,6 +257,7 @@ def main(argv=None) -> int:
         args.unroll_factor,
         args.show_stages,
         print_ir=args.print_ir_after_all,
+        count_bytecodes=args.count_bytecodes,
     )
     if args.show_stages:
         for name, text in compiled.snapshots:

@@ -9,15 +9,14 @@ scheduling          ``fuse_fill`` -> ``scalar_replacement`` ->
 access/execute      ``lower_to_snitch`` (streamed path) or
 separation          ``lower_generic_to_loops`` + ``convert_to_riscv``
                     (general-purpose-backend-like path)
-backend             ``fuse_fmadd`` -> ``allocate_registers`` ->
-                    ``lower_snitch_stream`` -> ``lower_riscv_scf`` ->
-                    assembly emission
+backend             ``lower_snitch_stream`` -> ``allocate_registers``
+                    -> ``lower_riscv_scf`` -> assembly emission
 
 The four passes that cross into the ``rv`` dialects (``lower_to_snitch``,
 ``lower_generic_to_pointer_loops``, ``lower_generic_to_loops``,
 ``convert_to_riscv``) build on ``lowering_kit`` — function shell,
-constant pool, body cloner, loop scope, ``LoweringError`` — and never
-import one another.
+constant pool, body cloner with FMA contraction, loop scope,
+``LoweringError`` — and never import one another.
 
 ``registry`` gives every pass a canonical kebab-case name and typed
 options, so flows are expressible as textual pipeline specs

@@ -12,7 +12,8 @@ The function shell, the pooled constants (each distinct integer
 materialised once at entry, which keeps baseline register pressure
 spill-free) and the loop scope are the shared :mod:`.lowering_kit`;
 what this pass adds is the op-by-op conversion of loop nests: integer
-and float arithmetic, naive address computation, ``scf.for``.
+and float arithmetic (multiply-adds contracted to ``fmadd.d`` by the
+kit's plan), naive address computation, ``scf.for``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .lowering_kit import (
     LoweringError,
     RegionScope,
     lower_functions,
+    plan_contraction,
 )
 
 #: arith binary op -> rv instruction: the kit's float table plus the
@@ -55,6 +57,10 @@ class _FuncConversion(FunctionLowering):
     general-purpose flows do not reserve-and-copy.
     """
 
+    def __init__(self, old_func):
+        super().__init__(old_func)
+        self.fma = plan_contraction(old_func.walk())
+
     def mapped(self, value: SSAValue) -> SSAValue:
         new = self.value_map.get(id(value))
         if new is None:
@@ -64,11 +70,13 @@ class _FuncConversion(FunctionLowering):
     def lower_op(self, op: Operation) -> None:
         rv_class = _BINARY_OPS.get(type(op))
         if rv_class is not None:
+            operands = self.fma.get(id(op), op.operands)
+            if operands is None:
+                return  # a product its addf emits
+            if len(operands) == 3:
+                rv_class = riscv.FMAddDOp
             new = self.emit(
-                rv_class(
-                    self.mapped(op.operands[0]),
-                    self.mapped(op.operands[1]),
-                )
+                rv_class(*[self.mapped(value) for value in operands])
             )
             self.value_map[id(op.results[0])] = new.rd
         elif isinstance(op, memref.LoadOp):

@@ -26,7 +26,7 @@ the stream.
 from __future__ import annotations
 
 from ..dialects import riscv, riscv_scf, riscv_snitch, snitch_stream
-from ..ir.core import IRError, Operation
+from ..ir.core import IRError, Operation, SSAValue
 from ..ir.pass_manager import ModulePass
 from ..ir.rewriter import PatternRewriter, TypedPattern, apply_patterns
 from ..snitch.isa import (
@@ -91,11 +91,14 @@ class _LowerStreamingRegion(TypedPattern):
         # Pointer writes (which arm the movers) and the enable stay with
         # the region; inside a loop nest the rest is hoisted above it.
         arm_ops = config_ops if anchor is op else []
+        constants: dict[int, SSAValue] = {}  # one li per value
 
         def li(value: int):
-            li_op = riscv.LiOp(value)
-            config_ops.append(li_op)
-            return li_op.rd
+            if value not in constants:
+                li_op = riscv.LiOp(value)
+                config_ops.append(li_op)
+                constants[value] = li_op.rd
+            return constants[value]
 
         n_in = len(op.inputs)
         for mover, (pointer, pattern) in enumerate(
@@ -149,8 +152,12 @@ class _LowerStreamingRegion(TypedPattern):
                         "every operand occurrence of a stream register "
                         "pops one element"
                     )
+                # Core primitives: no pattern here matches what a
+                # rewriter would re-enqueue (as for the body below).
                 get_reg = riscv.GetRegisterOp(nested.result.type)
-                rewriter.replace_op(nested, get_reg)
+                nested.parent.insert_op_before(get_reg, nested)
+                nested.result.replace_all_uses_with(get_reg.result)
+                nested.erase()
             elif isinstance(nested, riscv_snitch.WriteOp):
                 _lower_stream_write(nested, rewriter)
 

@@ -19,9 +19,9 @@ handles all the ablation stages of Table 3 on the same code path:
 * **scalar replacement** (output maps exclude reduction dims): the
   accumulators live in registers across the reduction; the output is
   loaded/stored once per parallel point;
-* **fused fill** (constant ``inits``): accumulators start from the
-  constant and the output becomes a pure write stream — no explicit
-  loads or stores remain;
+* **fused fill** (constant ``inits``): the output becomes a pure write
+  stream — no explicit loads or stores remain — and each group's first
+  reduction step is peeled onto one register holding the constant;
 * **unroll-and-jam** (``interleaved`` dims): the body processes F
   elements per iteration with F independent accumulators.
 
@@ -221,6 +221,12 @@ class _GenericLowering:
             raise LoweringError(
                 "explicit-output lowering supports a single output"
             )
+        #: The fused fill constant, for every group's peeled first step.
+        self.init = (
+            self.fn.float_constant(self.inits[0].value)
+            if self.red_dims and self.scalar_replaced and self.fused
+            else None
+        )
         pointers = [self.fn.value_map[id(v)] for v in self.op.operands]
         # Hoisted dims re-arm the streams from shifted base pointers.
         levels = [
@@ -362,19 +368,28 @@ class _GenericLowering:
             if self.inter_dims
             else 0
         )
-        if self.fused:
-            init = self.inits[0].value
-            accumulators = [
-                fn.float_constant(init) for _ in range(self.factor)
-            ]
+        if self.init is not None:
+            # Peel the first step (MLIR's scf-for-loop-peeling): it
+            # computes combine(init, x) as the first iteration did.  Up
+            # to two steps need no loop, so each push folds into its
+            # producer.
+            results = self._emit_point([self.init] * self.factor)
+            if reduction_count == 2:
+                results = self._emit_point(results)
+            elif reduction_count > 2:
+                results = self._emit_repeated(
+                    reduction_count - 1, self._emit_point, results, fn.use_frep
+                )
         else:
-            accumulators = [
-                fn.emit(riscv.FLdOp(out_ptr, f * inter_stride)).rd
-                for f in range(self.factor)
-            ]
-        results = self._emit_repeated(
-            reduction_count, self._emit_point, accumulators, fn.use_frep
-        )
+            results = self._emit_repeated(
+                reduction_count,
+                self._emit_point,
+                [
+                    fn.emit(riscv.FLdOp(out_ptr, f * inter_stride)).rd
+                    for f in range(self.factor)
+                ],
+                fn.use_frep,
+            )
         for f, value in enumerate(results):
             if self.output_streamed:
                 fn.emit(riscv_snitch.WriteOp(value, self.write_streams[0]))

@@ -11,7 +11,8 @@ common:
   shell: ABI signature, old -> new value map, the top-level walk
   (constant / generic / return / structured error), the entry-hoisted
   integer constant pool and the ``fcvt.d.w`` float materialiser, and
-  the generic-body cloner through :data:`ARITH_TO_RV`;
+  the generic-body cloner through :data:`ARITH_TO_RV` and
+  :func:`plan_contraction`, which contracts multiply-adds to FMAs;
 * :class:`RegionScope` — "insert this loop (or streaming region), give
   me a builder inside its body, terminate it with the matching yield";
 * :func:`check_fused_inits` — the precondition a fused fill constant
@@ -23,7 +24,7 @@ live on :class:`~repro.dialects.memref_stream.GenericOp`.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..dialects import (
     arith,
@@ -80,6 +81,31 @@ def check_fused_inits(op: memref_stream.GenericOp) -> None:
             "accumulates in memory: run scalar-replacement after "
             "fuse-fill so the constant seeds a register accumulator"
         )
+
+
+def plan_contraction(ops: Iterable[Operation]) -> dict:
+    """FMA contraction as ops are emitted (LLVM's ``-ffp-contract=on``).
+
+    An ``arith.addf`` absorbs an operand that only it uses and that an
+    ``arith.mulf`` of its block produces (lhs tried first): by ``id``,
+    the addf maps to its ``fmadd.d`` operands ``(rs1, rs2, rs3)`` and
+    the absorbed mulf to None (it is not emitted on its own).
+    """
+    plan = {}
+    for op in ops:
+        if type(op) is not arith.AddfOp:
+            continue
+        for product, addend in ((op.lhs, op.rhs), (op.rhs, op.lhs)):
+            mul = product.owner
+            if (
+                type(mul) is arith.MulfOp
+                and mul.parent is op.parent
+                and len(product.uses) == 1
+            ):
+                plan[id(op)] = (mul.lhs, mul.rhs, addend)
+                plan[id(mul)] = None
+                break
+    return plan
 
 
 def lower_functions(
@@ -203,12 +229,12 @@ class FunctionLowering:
 
         Snitch kernels only need small integral constants (0.0 for
         zero-initialisation and ReLU thresholds, pooling neutrals),
-        which ``fcvt.d.w`` produces from an integer register.
+        which ``fcvt.d.w`` produces from a 32-bit integer register.
         """
-        if value != int(value):
+        if not (-(2**31) <= value < 2**31 and value == int(value)):
             raise LoweringError(
-                f"non-integral float constant {value} not supported by "
-                "the fcvt-based constant materialisation"
+                f"float constant {value} is not a 32-bit integer, so "
+                "fcvt.d.w cannot materialise it"
             )
         return self.emit(riscv.FCvtDWOp(self.li(int(value)))).results[0]
 
@@ -283,6 +309,7 @@ class FunctionLowering:
             raise LoweringError("unmapped value used inside a generic body")
 
         insert = self.builder.insert
+        fma = plan_contraction(block.ops)
         for body_op in block.ops:
             if isinstance(body_op, memref_stream.YieldOp):
                 continue
@@ -291,10 +318,14 @@ class FunctionLowering:
                 raise LoweringError(
                     f"unsupported op {body_op.name} in a generic body"
                 )
-            new_op = insert(
-                rv_class(*[resolve(value) for value in body_op.operands])
-            )
-            mapping[id(body_op.results[0])] = new_op.results[0]
+            operands = fma.get(id(body_op), body_op.operands)
+            if operands is None:
+                continue  # a product its addf emits
+            if len(operands) == 3:
+                rv_class = riscv.FMAddDOp
+            mapping[id(body_op.results[0])] = insert(
+                rv_class(*[resolve(value) for value in operands])
+            ).results[0]
         return [resolve(value) for value in block.last_op.operands]
 
 
@@ -305,4 +336,5 @@ __all__ = [
     "RegionScope",
     "check_fused_inits",
     "lower_functions",
+    "plan_contraction",
 ]

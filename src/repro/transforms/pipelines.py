@@ -15,7 +15,7 @@ spec string, so arbitrary flows compose without touching this table::
 
     build_pipeline("convert-linalg-to-memref-stream,fuse-fill,"
                    "scalar-replacement,unroll-and-jam{factor=4},"
-                   "lower-to-snitch,verify-streams,fuse-fmadd,"
+                   "lower-to-snitch,verify-streams,"
                    "lower-snitch-stream,canonicalize,dce,"
                    "allocate-registers,lower-riscv-scf,"
                    "eliminate-identity-moves")
@@ -28,23 +28,23 @@ from ..ir.pipeline_spec import PipelineSpecError, parse_pipeline_spec
 from .registry import PASS_REGISTRY
 from .unroll_and_jam import UnrollAndJamPass
 
-#: Shared tail of the streaming flows: verify streams, fuse FMAs,
-#: lower streams, allocate registers, flatten loops.
+#: Shared tail of the streaming flows: verify streams, lower streams,
+#: allocate registers, flatten loops.  (FMAs are contracted as the
+#: rv-producing passes emit them.)
 _SNITCH_BACKEND = (
-    "verify-streams,fuse-fmadd,lower-snitch-stream,canonicalize,dce,"
+    "verify-streams,lower-snitch-stream,canonicalize,dce,"
     "allocate-registers,lower-riscv-scf,eliminate-identity-moves"
 )
 
 #: Shared tail of the general-purpose (no-Snitch-extension) flows.
 _LOOPS_BACKEND = (
-    "convert-to-riscv,fuse-fmadd,dce,allocate-registers,"
+    "convert-to-riscv,dce,allocate-registers,"
     "lower-riscv-scf,eliminate-identity-moves"
 )
 
 #: Backend tail after pointer-loop lowering (already rv-level).
 _POINTER_BACKEND = (
-    "fuse-fmadd,dce,allocate-registers,lower-riscv-scf,"
-    "eliminate-identity-moves"
+    "dce,allocate-registers,lower-riscv-scf,eliminate-identity-moves"
 )
 
 _FRONT = "convert-linalg-to-memref-stream"

@@ -300,7 +300,6 @@ from . import convert_linalg_to_memref_stream  # noqa: E402,F401
 from . import convert_to_riscv  # noqa: E402,F401
 from . import dce  # noqa: E402,F401
 from . import fuse_fill  # noqa: E402,F401
-from . import fuse_fmadd  # noqa: E402,F401
 from . import lower_generic_to_loops  # noqa: E402,F401
 from . import lower_generic_to_pointer_loops  # noqa: E402,F401
 from . import lower_riscv_scf  # noqa: E402,F401

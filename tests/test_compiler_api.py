@@ -32,7 +32,6 @@ from repro.transforms.convert_linalg_to_memref_stream import (
 from repro.transforms.convert_to_riscv import ConvertToRISCVPass
 from repro.transforms.dce import DeadCodeEliminationPass
 from repro.transforms.fuse_fill import FuseFillPass
-from repro.transforms.fuse_fmadd import FuseFMAddPass
 from repro.transforms.lower_generic_to_loops import LowerGenericToLoopsPass
 from repro.transforms.lower_generic_to_pointer_loops import (
     LowerGenericToPointerLoopsPass,
@@ -54,7 +53,6 @@ from repro.transforms.verify_streams import VerifyStreamsPass
 def _snitch_backend():
     return [
         VerifyStreamsPass(),
-        FuseFMAddPass(),
         LowerSnitchStreamPass(),
         CanonicalizePass(),
         DeadCodeEliminationPass(),
@@ -67,7 +65,6 @@ def _snitch_backend():
 def _loops_backend():
     return [
         ConvertToRISCVPass(),
-        FuseFMAddPass(),
         DeadCodeEliminationPass(),
         AllocateRegistersPass(),
         LowerRiscvScfPass(),
@@ -77,7 +74,6 @@ def _loops_backend():
 
 def _pointer_backend():
     return [
-        FuseFMAddPass(),
         DeadCodeEliminationPass(),
         AllocateRegistersPass(),
         LowerRiscvScfPass(),
@@ -255,7 +251,7 @@ class TestCompilerFacade:
         module, _ = kernels.sum_kernel(4, 4)
         spec = (
             "convert-linalg-to-memref-stream,lower-generic-to-loops,"
-            "fuse-fmadd,dce,allocate-registers,lower-riscv-scf,"
+            "dce,allocate-registers,lower-riscv-scf,"
             "eliminate-identity-moves"
         )
         with pytest.raises(LoweringError, match="produced no rv_func.func"):
@@ -264,7 +260,8 @@ class TestCompilerFacade:
     def test_unroll_factor(self):
         module, _ = kernels.matmul(1, 40, 8)
         compiled = Compiler("ours", unroll_factor=2).compile(module)
-        assert compiled.asm.count("fmadd.d") == 2
+        # Two accumulators: the peeled first step, then the FREP body.
+        assert compiled.asm.count("fmadd.d") == 4
 
     def test_explicit_entry(self):
         from repro.kernels import lowlevel

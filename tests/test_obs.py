@@ -16,7 +16,9 @@ Covers the :mod:`repro.obs` subsystem end to end:
 """
 
 import json
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -486,6 +488,94 @@ class TestTuneTracing:
         with recording():
             traced = tune_kernel("sum", (4, 8))
         assert traced.best.cycles == plain.best.cycles
+
+
+# -- host bytecode attribution ---------------------------------------------------
+
+
+def _plain_bytecodes(body) -> int:
+    """The unattributed count of ``body()``: one bucket, same events."""
+    count = 0
+
+    def on_event(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return on_event
+
+    def on_call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return on_event
+
+    sys.settrace(on_call)
+    try:
+        body()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+class TestHostBytecodes:
+    def test_parts_sum_to_the_total(self, monkeypatch):
+        """Pass self counts, their post-pass verifies and the residual
+        partition the opcode events of the compile: each is charged
+        exactly once, and none is missed next to a plain count."""
+        from repro.compiler import Compiler
+        from repro.obs import hostprof
+
+        events = 0
+        real_settrace = sys.settrace
+
+        def settrace(on_call):
+            """Tally the opcode events the counter's tracer receives."""
+            if on_call is None:
+                return real_settrace(None)
+
+            def tally(local):
+                def traced(frame, event, arg):
+                    nonlocal events
+                    events += event == "opcode"
+                    return tally(local(frame, event, arg))
+
+                return traced
+
+            real_settrace(lambda *call: tally(on_call(*call)))
+
+        # Pass timings feed a histogram whose min/max/bucket updates
+        # depend on the clock; a constant clock keeps two compiles'
+        # counts comparable.
+        monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+
+        def compile_once(counter):
+            module, _ = kernels.conv3x3(4, 4)
+            return lambda: Compiler("ours", instrument=counter).compile(
+                module
+            )
+
+        compile_once(hostprof.BytecodeCounter())()  # caches, imports
+        plain = _plain_bytecodes(compile_once(hostprof.BytecodeCounter()))
+        monkeypatch.setattr(hostprof.sys, "settrace", settrace)
+        counter = hostprof.BytecodeCounter()
+        counter.count(compile_once(counter))
+        parts = counter.residual + sum(
+            entry.self_count + entry.verify_count
+            for entry in counter.passes
+        )
+        assert parts == counter.total == events
+        assert abs(counter.total - plain) <= plain // 1000
+        assert [entry.name for entry in counter.passes] == (
+            Compiler("ours").pipeline_spec.split(",")
+        )
+        assert all(entry.self_count > 0 for entry in counter.passes)
+        assert counter.passes[0].verify_count > 0  # a full verify
+        assert counter.residual > 0  # input verify, emission
+
+    def test_nothing_is_traced_after_counting(self):
+        from repro.obs.hostprof import BytecodeCounter
+
+        BytecodeCounter().count(lambda: None)
+        assert sys.gettrace() is None
 
 
 # -- observer-effect freedom (satellite) -------------------------------------

@@ -108,18 +108,18 @@ class TestRQ3CompilerPerformance:
             assert result.trace.fpu_utilization > 0.9, builder.__name__
 
     def test_reduction_kernels_in_70_80_band(self):
-        """Fig 10: Conv/Pool utilization sits in the paper's 70-80% band
-        or above it: with stream configuration emitted once per loop
-        nest, 20x20 measures 0.842-0.847."""
+        """Fig 10: Conv/Pool utilization sits at or above the paper's
+        70-80% band: with stream configuration emitted once per loop
+        nest and each group's first reduction step peeled, 20x20
+        measures 0.919 (conv3x3) and 0.925 (max_pool3x3,
+        sum_pool3x3)."""
         for builder in (
             kernels.conv3x3,
             kernels.max_pool3x3,
             kernels.sum_pool3x3,
         ):
             _, _, result = compile_and_run(builder, (20, 20))
-            assert 0.8 < result.trace.fpu_utilization < 0.9, (
-                builder.__name__
-            )
+            assert result.trace.fpu_utilization > 0.9, builder.__name__
 
     def test_matmul_above_90(self):
         """Table 3 final stage: >90% FPU occupancy."""

@@ -21,7 +21,6 @@ EXPECTED_PASSES = {
     "dce",
     "eliminate-identity-moves",
     "fuse-fill",
-    "fuse-fmadd",
     "lower-generic-to-loops",
     "lower-generic-to-pointer-loops",
     "lower-riscv-scf",

@@ -475,7 +475,7 @@ EXPLICIT = [
     (move_op, 0, 10, (-1,), "terminator is not the last"),
     # ... and an unused integer op into an FP-only hardware loop: only
     # the hook of the op around its new place objects.
-    (move_op, 0, 6, (5, 20), "only FP and stream instructions"),
+    (move_op, 0, 7, (5, 39), "only FP and stream instructions"),
     (move_region_op, 2, 2, (2,), "does not dominate"),
     # set_operand to a later-defined value, to a wrong-typed one, to
     # one of another function.
@@ -488,12 +488,12 @@ EXPLICIT = [
     (erase_terminator, 0, 6, (1,), "must end with"),
     # set_type breaking the definer, only a user, only the op around.
     (retype_value, 0, 6, (3, -1), "result 'rd' has type"),
-    (retype_value, 0, 12, (0, 15), "operand 'rs' has type"),
-    (retype_value, 0, 6, (14, 7), "first body argument"),
+    (retype_value, 0, 11, (0, 7), "operand 'rs' has type"),
+    (retype_value, 0, 5, (16, -3), "first body argument"),
     (remove_attribute, 0, 2, (2,), "missing attribute"),
     (cross_isolation, 0, 6, (0,), "does not dominate"),
     (add_block_argument, 0, 6, (3,), "arity mismatch"),
-    (swap_body_block, 0, 6, (2,), "first body argument"),
+    (swap_body_block, 0, 6, (-2,), "first body argument"),
     (detach_body, 0, 6, (0,), "expected 1 region(s), got 0"),
     (insert_rewired_clone, 0, 6, (3, 0, 7), "operand 'rs' has type"),
 ]
@@ -579,7 +579,7 @@ def test_which_verifier_runs_where():
     assert modes["lower-to-snitch"] == "full"
     assert modes["eliminate-identity-moves"] == "full"
     assert modes["verify-streams"] == "nothing"
-    for name in ("fuse-fmadd", "canonicalize", "dce", "allocate-registers"):
+    for name in ("canonicalize", "dce", "allocate-registers"):
         assert modes[name] == "incremental", ran
 
 

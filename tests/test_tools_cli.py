@@ -55,6 +55,20 @@ class TestMain:
         out = capsys.readouterr().out
         assert "faster than" in out
 
+    def test_count_bytecodes(self, capsys):
+        code = kernel_compiler.main(
+            ["matvec", "4", "8", "--count-bytecodes", "--no-asm"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["bytecodes", "pass"]
+        assert lines[1].split()[1] == "convert-linalg-to-memref-stream"
+        assert lines[2].split()[1] == "verify"
+        assert lines[-3].split()[1] == "(unattributed)"
+        assert lines[-1].split()[1] == "total"
+        counts = [int(line.split()[0]) for line in lines[1:-2]]
+        assert sum(counts) == int(lines[-1].split()[0])
+
     def test_show_stages(self, capsys):
         code = kernel_compiler.main(
             ["matvec", "5", "20", "--show-stages", "--no-asm"]
@@ -69,7 +83,8 @@ class TestMain:
             ["matmul", "1", "16", "4", "--unroll-factor", "2"]
         )
         out = capsys.readouterr().out
-        assert out.count("fmadd.d") == 2
+        # Two accumulators: the peeled first step, then the FREP body.
+        assert out.count("fmadd.d") == 4
 
     def test_missing_kernel_rejected(self):
         with pytest.raises(SystemExit):
@@ -94,7 +109,7 @@ class TestPipelineSpecs:
         spec = (
             "convert-linalg-to-memref-stream,fuse-fill,"
             "scalar-replacement,unroll-and-jam{factor=2},"
-            "lower-to-snitch,verify-streams,fuse-fmadd,"
+            "lower-to-snitch,verify-streams,"
             "lower-snitch-stream,canonicalize,dce,allocate-registers,"
             "lower-riscv-scf,eliminate-identity-moves"
         )
@@ -102,7 +117,7 @@ class TestPipelineSpecs:
             ["matmul", "1", "16", "4", "--pipeline", spec]
         )
         assert code == 0
-        assert capsys.readouterr().out.count("fmadd.d") == 2
+        assert capsys.readouterr().out.count("fmadd.d") == 4
 
     def test_bad_pipeline_rejected_with_message(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,17 +1,21 @@
 """Tests for the lowering passes: snitch emission, stream config,
-loop flattening, FMA fusion."""
+loop flattening, FMA contraction."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro import kernels
-from repro.api import compile_linalg
-from repro.dialects import riscv, riscv_func
+from repro.api import compile_linalg, run_kernel
+from repro.dialects import arith
 from repro.dialects.snitch_stream import StridePattern
-from repro.ir import Builder, IRError
+from repro.ir import IRError
+from repro.ir.attributes import f64
+from repro.ir.core import Block
+from repro.kernels.builders import _pool
 from repro.transforms.lower_snitch_stream import hardware_pattern
-from repro.transforms.fuse_fmadd import FuseFMAddPass
-from repro.dialects.builtin import ModuleOp
-from repro.dialects.riscv import FloatRegisterType
+from repro.transforms.lowering_kit import LoweringError, plan_contraction
 
 
 class TestHardwarePattern:
@@ -44,47 +48,98 @@ class TestHardwarePattern:
             )
 
 
-class TestFuseFMAdd:
-    def _module_with(self, ops):
-        fn = riscv_func.FuncOp("f", [])
-        fn.entry_block.add_ops(ops + [riscv_func.ReturnOp()])
-        return ModuleOp([fn]), fn
+class TestPlanContraction:
+    """FMA contraction is planned on the arith body before emission
+    (``plan_contraction``), the way ``fuse-fmadd`` once rewrote the
+    emitted ``fmul``/``fadd`` pairs."""
 
-    def _fregs(self, n):
-        return [
-            riscv.GetRegisterOp(FloatRegisterType(f"fa{i}"))
-            for i in range(n)
-        ]
+    def _block(self):
+        return Block([f64, f64, f64])
 
-    def test_mul_add_fused(self):
-        regs = self._fregs(3)
-        mul = riscv.FMulDOp(regs[0].result, regs[1].result)
-        add = riscv.FAddDOp(regs[2].result, mul.rd)
-        module, fn = self._module_with(regs + [mul, add])
-        FuseFMAddPass().run(module)
-        kinds = [op.name for op in fn.entry_block.ops]
-        assert "rv.fmadd.d" in kinds
-        assert "rv.fmul.d" not in kinds
+    def test_single_use_product_contracts(self):
+        block = self._block()
+        a, b, c = block.args
+        mul = arith.MulfOp(a, b)
+        add = arith.AddfOp(c, mul.result)
+        block.add_ops([mul, add])
+        assert plan_contraction(block.ops) == {
+            id(add): (a, b, c),
+            id(mul): None,
+        }
 
-    def test_multi_use_product_not_fused(self):
-        regs = self._fregs(3)
-        mul = riscv.FMulDOp(regs[0].result, regs[1].result)
-        add = riscv.FAddDOp(mul.rd, regs[2].result)
-        extra = riscv.FAddDOp(mul.rd, mul.rd)
-        module, fn = self._module_with(regs + [mul, add, extra])
-        FuseFMAddPass().run(module)
-        kinds = [op.name for op in fn.entry_block.ops]
-        assert "rv.fmul.d" in kinds
+    def test_multi_use_product_not_contracted(self):
+        block = self._block()
+        a, b, c = block.args
+        mul = arith.MulfOp(a, b)
+        add = arith.AddfOp(mul.result, c)
+        extra = arith.AddfOp(mul.result, mul.result)
+        block.add_ops([mul, add, extra])
+        assert plan_contraction(block.ops) == {}
 
-    def test_single_precision_fused(self):
-        regs = self._fregs(3)
-        mul = riscv.FMulSOp(regs[0].result, regs[1].result)
-        add = riscv.FAddSOp(mul.rd, regs[2].result)
-        module, fn = self._module_with(regs + [mul, add])
-        FuseFMAddPass().run(module)
-        assert any(
-            op.name == "rv.fmadd.s" for op in fn.entry_block.ops
+    def test_product_from_another_block_not_contracted(self):
+        outer, inner = self._block(), self._block()
+        mul = arith.MulfOp(outer.args[0], outer.args[1])
+        outer.add_op(mul)
+        add = arith.AddfOp(inner.args[0], mul.result)
+        inner.add_op(add)
+        assert plan_contraction([*outer.ops, *inner.ops]) == {}
+
+    def test_lhs_product_tried_before_rhs(self):
+        block = self._block()
+        a, b, c = block.args
+        left = arith.MulfOp(a, b)
+        right = arith.MulfOp(b, c)
+        add = arith.AddfOp(left.result, right.result)
+        block.add_ops([left, right, add])
+        assert plan_contraction(block.ops) == {
+            id(add): (a, b, right.result),
+            id(left): None,
+        }
+
+    @pytest.mark.parametrize(
+        "pipeline", ["ours", "table3-baseline", "clang", "table3-streams"]
+    )
+    def test_every_rv_producing_lowering_contracts(self, pipeline):
+        """lower-to-snitch, convert-to-riscv and
+        lower-generic-to-pointer-loops all emit fmadd.d and no
+        separate fmul.d/fadd.d for matmul's multiply-add."""
+        module, _ = kernels.matmul(2, 3, 4)
+        asm = compile_linalg(module, pipeline=pipeline).asm
+        assert "fmadd.d" in asm
+        assert "fmul.d" not in asm and "fadd.d" not in asm
+
+
+class TestFloatConstants:
+    """``fcvt.d.w`` converts a 32-bit integer register, so no other
+    float constant can be materialised: it is a ``LoweringError`` that
+    names the value, never a raw ``OverflowError``/``ValueError`` or an
+    ``li`` RV32 cannot encode."""
+
+    @staticmethod
+    def _pool(init: float):
+        module, _ = _pool(
+            "max_pool3x3", 2, 2, arith.MaximumfOp, init, lambda *_: None
         )
+        return module
+
+    @pytest.mark.parametrize("pipeline", ["ours", "clang"])
+    @pytest.mark.parametrize(
+        "value",
+        [float("inf"), float("-inf"), float("nan"), 3e9, -(2.0**31) - 1, 0.5],
+    )
+    def test_unrepresentable_constant_rejected(self, pipeline, value):
+        with pytest.raises(
+            LoweringError, match=re.escape(f"float constant {value} ")
+        ):
+            compile_linalg(self._pool(value), pipeline=pipeline)
+
+    @pytest.mark.parametrize("pipeline", ["ours", "clang"])
+    @pytest.mark.parametrize("value", [-(2.0**31), 2.0**31 - 1])
+    def test_int32_extremes_materialise_exactly(self, pipeline, value):
+        compiled = compile_linalg(self._pool(value), pipeline=pipeline)
+        image = np.zeros((4, 4))
+        out = run_kernel(compiled, [image, np.ones((2, 2))]).arrays[1]
+        assert np.array_equal(out, np.full((2, 2), max(value, 0.0)))
 
 
 class TestEmittedStructure:
@@ -97,7 +152,8 @@ class TestEmittedStructure:
         assert "csrsi ssrcfg, 1" in asm
         assert "csrci ssrcfg, 1" in asm
         assert "scfgwi" in asm
-        assert asm.count("fmadd.d") == 5  # interleaved by 5
+        # Interleaved by 5: the peeled first step, then the FREP body.
+        assert asm.count("fmadd.d") == 10
         assert "fld" not in asm and "fsd" not in asm
 
     def test_ours_sum_single_instruction_loop(self):
