@@ -1,15 +1,17 @@
 """The multi-level, spill-free register allocator (paper Section 3.3).
 
-Allocation happens on the *structured* backend IR — ``rv_scf.for`` loops,
-``rv_snitch.frep_outer`` hardware loops and
-``snitch_stream.streaming_region`` scopes are still present — in three
-linear passes:
+Allocation happens on the *structured* backend IR — ``rv_scf.for`` loops
+and ``rv_snitch.frep_outer`` hardware loops are still present — after
+``lower-snitch-stream`` has replaced every
+``snitch_stream.streaming_region`` by its configuration writes (an
+unlowered region is refused), in three linear passes:
 
 1. **Exclusion** (Figure 6 item A): every register already named in the IR
-   (ABI argument registers, stream registers, partially-allocated
-   handwritten kernels) is excluded from the allocatable pool.  This is
-   deliberately "overly defensive": no live-range analysis of
-   pre-allocated values is attempted.
+   (ABI argument registers, the stream registers that lowered stream
+   reads and writes refer to, partially-allocated handwritten kernels)
+   is excluded from the allocatable pool.  This is deliberately "overly
+   defensive": no live-range analysis of pre-allocated values is
+   attempted.
 2. **Outer-value tracking** (item B): for each structured loop, the values
    defined outside its region but used inside are collected; their live
    ranges must extend over the whole loop because the body may execute
@@ -20,8 +22,8 @@ linear passes:
    walk per block suffices; structured loops are processed recursively.
    Loop-carried values — iteration-argument operands, body block
    arguments, yield operands and loop results — are unified into one
-   register first (item D), and stream registers are reserved while a
-   streaming region is active (item E).
+   register first (item D).  The stream registers need no reservation
+   of their own (item E): exclusion already withholds them.
 
 There is **no spilling**: exhausting the pool raises
 :class:`RegisterPressureError`, and the evaluation (Table 2) shows the
@@ -33,13 +35,8 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from ..dialects import riscv_func, riscv_scf, riscv_snitch, snitch_stream
-from ..dialects.riscv import (
-    FloatRegisterType,
-    IntRegisterType,
-    RISCVInstruction,
-)
+from ..dialects.riscv import FloatRegisterType, IntRegisterType
 from ..ir.core import Block, IRError, Operation, SSAValue
-from . import registers as regs
 
 
 class RegisterPressureError(IRError):
@@ -78,13 +75,6 @@ class _RegisterFile:
         self.live_counts: dict[str, int] = {}
         #: registers the allocator owns (excluded ones are not returned).
         self.owned = set(pool)
-        #: registers temporarily reserved (streaming scopes).
-        self.reserved: set[str] = set()
-
-    @property
-    def free(self) -> list[str]:
-        """Free registers, in hand-out order (diagnostics/tests)."""
-        return [self.pool_order[r] for r in self._free_ranks]
 
     def _drop_free(self, name: str) -> None:
         rank = self._rank.get(name)
@@ -99,25 +89,14 @@ class _RegisterFile:
         self._drop_free(name)
         self.owned.discard(name)
 
-    def reserve(self, name: str) -> None:
-        """Item E: temporarily withhold ``name`` (streaming scope)."""
-        self.reserved.add(name)
-
-    def release_reservation(self, name: str) -> None:
-        """End of a streaming scope: ``name`` may be handed out again."""
-        self.reserved.discard(name)
-
     def take(self) -> str:
-        """Hand out the next free, unreserved register."""
-        for i, rank in enumerate(self._free_ranks):
-            name = self.pool_order[rank]
-            if name not in self.reserved:
-                del self._free_ranks[i]
-                return name
-        raise RegisterPressureError(
-            "out of registers: the spill-free allocator cannot satisfy "
-            "this kernel (see paper Section 4.3)"
-        )
+        """Hand out the next free register."""
+        if not self._free_ranks:
+            raise RegisterPressureError(
+                "out of registers: the spill-free allocator cannot "
+                "satisfy this kernel (see paper Section 4.3)"
+            )
+        return self.pool_order[self._free_ranks.pop(0)]
 
     def acquire(self, name: str) -> None:
         """Record one more live value in ``name``."""
@@ -143,16 +122,9 @@ class _RegisterFile:
 
 
 class RegisterAllocator:
-    """Allocates every register-typed value of one ``rv_func.func``.
+    """Allocates every register-typed value of one ``rv_func.func``."""
 
-    ``reuse_unused_abi_registers`` implements the mitigation the paper
-    lists as future work (Section 4.3): argument registers whose values
-    are never read stay in the allocatable pool instead of being
-    reserved for the whole function.
-    """
-
-    def __init__(self, reuse_unused_abi_registers: bool = False):
-        self.reuse_unused_abi_registers = reuse_unused_abi_registers
+    def __init__(self):
         self.int_file = _RegisterFile(_INT_POOL)
         self.float_file = _RegisterFile(_FLOAT_POOL)
         #: register-type class -> file (dispatch without isinstance).
@@ -182,13 +154,6 @@ class RegisterAllocator:
             for region in op.regions:
                 for block in region.blocks:
                     for value in block.args:
-                        if (
-                            self.reuse_unused_abi_registers
-                            and op is func
-                            and block is func.entry_block
-                            and not value.has_uses
-                        ):
-                            continue  # dead argument: keep it usable
                         self._exclude_value(value)
 
     def _exclude_value(self, value: SSAValue) -> None:
@@ -250,7 +215,10 @@ class RegisterAllocator:
         if isinstance(op, (riscv_scf.ForOp, riscv_snitch.FrepOuter)):
             self._process_loop(op)
         elif isinstance(op, snitch_stream.StreamingRegionOp):
-            self._process_streaming_region(op)
+            raise IRError(
+                f"op {op.name} cannot be register-allocated; run "
+                "lower-snitch-stream before allocate-registers"
+            )
         else:
             self._process_instruction(op)
 
@@ -330,19 +298,6 @@ class RegisterAllocator:
         # The loop op defines its results: their ranges end here.
         for result in loop.results:
             self._release_value(result)
-
-    def _process_streaming_region(
-        self, region_op: snitch_stream.StreamingRegionOp
-    ) -> None:
-        """Item E: stream registers are reserved while streaming."""
-        stream_registers = region_op.stream_registers()
-        for name in stream_registers:
-            self.float_file.reserve(name)
-        for operand in region_op.operands:
-            self._allocate_value(operand)
-        self._walk_block_backwards(region_op.body.block)
-        for name in stream_registers:
-            self.float_file.release_reservation(name)
 
     # -- value-level helpers ---------------------------------------------------------
 

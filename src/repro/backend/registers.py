@@ -52,16 +52,6 @@ _INT_INDEX = {name: i for i, name in enumerate(INT_REGISTERS)}
 _FLOAT_INDEX = {name: i for i, name in enumerate(FLOAT_REGISTERS)}
 
 
-def int_register_index(name: str) -> int:
-    """Encoding index (xN) of an integer register ABI name."""
-    return _INT_INDEX[name]
-
-
-def float_register_index(name: str) -> int:
-    """Encoding index (fN) of a floating-point register ABI name."""
-    return _FLOAT_INDEX[name]
-
-
 def is_int_register(name: str) -> bool:
     """Whether ``name`` names an integer register."""
     return name in _INT_INDEX
@@ -80,8 +70,6 @@ __all__ = [
     "SNITCH_STREAM_REGISTERS",
     "INT_ARG_REGISTERS",
     "FLOAT_ARG_REGISTERS",
-    "int_register_index",
-    "float_register_index",
     "is_int_register",
     "is_float_register",
 ]

@@ -119,9 +119,12 @@ class StreamingRegionOp(Operation):
 
     Operands: input pointers then output pointers.  The body receives one
     readable stream per input (bound to ``ft0``, ``ft1``, ...) and one
-    writable stream per output (bound to the next stream registers).
-    While the region is active the used stream registers are reserved —
-    the register allocator enforces this (paper Figure 6 item E).
+    writable stream per output (bound to the next stream registers);
+    :meth:`verify_extra_` checks one stream per operand, each in its
+    operand's direction.  The region is lowered before register
+    allocation, and the stream registers its lowering names are kept
+    out of the allocatable pool by the allocator's exclusion pass
+    (paper Figure 6 items A and E).
     """
 
     name = "snitch_stream.streaming_region"
@@ -187,14 +190,6 @@ class StreamingRegionOp(Operation):
     def body_block(self) -> Block:
         """The streaming body."""
         return self.body.block
-
-    def stream_registers(self) -> list[str]:
-        """The ftN registers reserved while this region is active."""
-        return list(
-            SNITCH_STREAM_REGISTERS[
-                : len(self.inputs) + len(self.outputs)
-            ]
-        )
 
     def verify_extra_(self) -> None:
         n_in = len(self.inputs)

@@ -1,9 +1,8 @@
 """The ``stream`` dialect: typed handles to hardware data streams.
 
 A ``!stream.readable<T>`` value stands for a configured stream semantic
-register that produces one ``T`` per read (paper Figure 6).  The types are
-shared between the target-independent ``memref_stream`` level (element
-types) and the target-specific ``snitch_stream`` level (register types).
+register that produces one ``T`` per read (paper Figure 6).  The
+``snitch_stream`` level binds ``T`` to a stream register type.
 """
 
 from __future__ import annotations

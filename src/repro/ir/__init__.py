@@ -52,7 +52,6 @@ from .core import (
 )
 from .parser import Parser, ParseError, parse_module, parse_op
 from .pass_manager import (
-    FunctionPass,
     LambdaPass,
     ModulePass,
     PassInstrumentation,
@@ -113,7 +112,7 @@ __all__ = [
     "OpTrait", "IsTerminator", "Pure", "HasMemoryEffect",
     "IsolatedFromAbove", "SameOperandsAndResultType", "ConstantLike",
     # passes / verification
-    "ModulePass", "FunctionPass", "PassManager", "LambdaPass",
+    "ModulePass", "PassManager", "LambdaPass",
     "PassInstrumentation", "PrintIRInstrumentation",
     "VerificationError", "verify", "verify_changes",
     # pipeline specs

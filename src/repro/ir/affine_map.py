@@ -25,10 +25,6 @@ class AffineExpr:
         """Evaluate the expression for concrete dimension values."""
         raise NotImplementedError
 
-    def is_pure_affine(self) -> bool:
-        """Whether the expression is affine (linear + constant)."""
-        return True
-
     # Operator sugar -------------------------------------------------------
 
     def __add__(self, other: "AffineExpr | int") -> "AffineExpr":
@@ -257,11 +253,6 @@ class AffineMap(Attribute):
         for delta in self.unit_deltas():
             out.append(sum(d * s for d, s in zip(delta, operand_strides)))
         return tuple(out)
-
-    def offset(self, operand_strides: Sequence[int]) -> int:
-        """Constant flat offset of the map at the all-zero iteration point."""
-        zero = self.evaluate((0,) * self.num_dims)
-        return sum(z * s for z, s in zip(zero, operand_strides))
 
     def __str__(self) -> str:
         dims = ", ".join(f"d{i}" for i in range(self.num_dims))

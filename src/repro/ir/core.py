@@ -34,11 +34,9 @@ never writes ``.type``, ``.attributes[...]``, ``._operands``, ``.uses``,
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 from .attributes import Attribute, TypeAttribute
-
-OpT = TypeVar("OpT", bound="Operation")
 
 
 class IRError(Exception):
@@ -539,25 +537,11 @@ class Operation:
     # -- navigation ------------------------------------------------------------
 
     @property
-    def parent_block(self) -> "Block | None":
-        """The block containing this operation, if attached."""
-        return self.parent
-
-    @property
     def parent_op(self) -> "Operation | None":
         """The operation whose region contains this operation."""
         if self.parent is None or self.parent.parent is None:
             return None
         return self.parent.parent.parent
-
-    def parent_of_type(self, kind: type[OpT]) -> OpT | None:
-        """The closest ancestor operation of the given type, if any."""
-        op = self.parent_op
-        while op is not None:
-            if isinstance(op, kind):
-                return op
-            op = op.parent_op
-        return None
 
     def is_ancestor_of(self, other: "Operation") -> bool:
         """Whether ``other`` is nested (transitively) inside this op."""
@@ -617,12 +601,6 @@ class Operation:
             yield op
             if op.regions:
                 stack.append(op._nested_ops())
-
-    def walk_type(self, kind: type[OpT]) -> Iterator[OpT]:
-        """Walk, filtered to operations of the given type."""
-        for op in self.walk():
-            if isinstance(op, kind):
-                yield op
 
     # -- traits -----------------------------------------------------------------
 
@@ -796,20 +774,6 @@ class Block:
         """Append several operations at the end of the block."""
         for op in ops:
             self.add_op(op)
-
-    def insert_op(self, index: int, op: Operation) -> None:
-        """Insert ``op`` at position ``index`` (O(index); prefer the
-        anchor-based ``insert_op_before``/``insert_op_after``)."""
-        self._check_detached(op)
-        if not 0 <= index <= self._num_ops:
-            raise IRError("insertion index out of range")
-        if index == self._num_ops:
-            self._link(op, self._last_op, None)
-            return
-        anchor = self._first_op
-        for _ in range(index):
-            anchor = anchor.next_op
-        self._link(op, anchor.prev_op, anchor)
 
     def insert_op_before(self, op: Operation, before: Operation) -> None:
         """Insert ``op`` immediately before ``before`` (O(1))."""

@@ -378,8 +378,6 @@ class Parser:
             return SymbolRefAttr(self.expect_match(_IDENT, "symbol"))
         if self.accept("affine_map<"):
             return self._parse_affine_map_body()
-        if self.accept("#memref_stream.stride_pattern<"):
-            return self._parse_memref_stream_pattern()
         if self.accept("#snitch_stream.stride_pattern<"):
             return self._parse_snitch_stream_pattern()
         if self.peek("["):
@@ -426,20 +424,6 @@ class Parser:
             if not self.peek("]"):
                 self.expect(",")
         return values
-
-    def _parse_memref_stream_pattern(self) -> Attribute:
-        from ..dialects.memref_stream import StridePatternAttr
-
-        self.expect("ub")
-        self.expect("=")
-        ub = self._parse_int_list()
-        self.expect(",")
-        self.expect("index_map")
-        self.expect("=")
-        self.expect("affine_map<")
-        index_map = self._parse_affine_map_body()
-        self.expect(">")
-        return StridePatternAttr(DenseIntAttr(ub), index_map)
 
     def _parse_snitch_stream_pattern(self) -> Attribute:
         from ..dialects.snitch_stream import StridePattern

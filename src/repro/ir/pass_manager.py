@@ -44,23 +44,6 @@ class ModulePass:
         return f"<pass {self.name}>"
 
 
-class FunctionPass(ModulePass):
-    """A pass applied independently to each function-like op.
-
-    Subclasses implement :meth:`run_on_function`; functions are discovered
-    by walking for ops whose name ends in ``.func``.
-    """
-
-    def run(self, module: Operation) -> None:
-        for op in list(module.walk()):
-            if op.name.endswith(".func"):
-                self.run_on_function(op)
-
-    def run_on_function(self, func: Operation) -> None:
-        """Transform one function in place."""
-        raise NotImplementedError
-
-
 class PassInstrumentation:
     """Observer hooks around every pass a :class:`PassManager` runs.
 
@@ -201,7 +184,6 @@ class LambdaPass(ModulePass):
 
 __all__ = [
     "ModulePass",
-    "FunctionPass",
     "PassInstrumentation",
     "PassManager",
     "PrintIRInstrumentation",

@@ -25,7 +25,7 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from ..obs.metrics import METRICS
-from .core import RECORDING, Block, IRError, Operation, Region, SSAValue
+from .core import RECORDING, IRError, Operation, SSAValue
 
 
 class RewriteStats:
@@ -128,30 +128,6 @@ class PatternRewriter:
             self.added_ops.append(op)
         self.changed = True
 
-    def insert_after(
-        self, ops: "Operation | Sequence[Operation]", anchor: Operation | None = None
-    ) -> None:
-        """Insert op(s) right after ``anchor`` (default: the matched op)."""
-        anchor = anchor or self.current_op
-        block = anchor.parent
-        if block is None:
-            raise IRError("anchor not attached to a block")
-        for op in reversed(_as_ops(ops)):
-            block.insert_op_after(op, anchor)
-            self.added_ops.append(op)
-        self.changed = True
-
-    def insert_at_start(self, block: Block, ops) -> None:
-        """Insert op(s) at the beginning of ``block``."""
-        for op in reversed(_as_ops(ops)):
-            first = block.first_op
-            if first is None:
-                block.add_op(op)
-            else:
-                block.insert_op_before(op, first)
-            self.added_ops.append(op)
-        self.changed = True
-
     # -- replacement --------------------------------------------------------------
 
     def replace_op(
@@ -215,32 +191,6 @@ class PatternRewriter:
     def erase_matched_op(self) -> None:
         """Erase the op the pattern matched."""
         self.erase_op(self.current_op)
-
-    # -- block surgery ---------------------------------------------------------------
-
-    def inline_block_before(
-        self,
-        block: Block,
-        anchor: Operation,
-        arg_values: Sequence[SSAValue],
-    ) -> None:
-        """Splice all ops of ``block`` before ``anchor``.
-
-        Block arguments are replaced with ``arg_values``.
-        """
-        if len(arg_values) != len(block.args):
-            raise IRError(
-                f"inlining block with {len(block.args)} args but "
-                f"{len(arg_values)} values were supplied"
-            )
-        for arg, value in zip(block.args, arg_values):
-            arg.replace_all_uses_with(value)
-            self.replaced_values.append(value)
-        for op in block.ops:
-            op.detach()
-            anchor.parent.insert_op_before(op, anchor)
-            self.added_ops.append(op)
-        self.changed = True
 
 
 def _as_ops(ops) -> list[Operation]:

@@ -1,23 +1,12 @@
-"""Numpy golden models for every kernel (validation oracles)."""
+"""Numpy golden models for the stencil kernels (validation oracles).
+
+The element-wise and matrix-product kernels state their numpy model
+inline, next to their builder.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def ref_fill(value: float, out: np.ndarray) -> np.ndarray:
-    """Fill: every element becomes ``value``."""
-    return np.full_like(out, value)
-
-
-def ref_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Element-wise sum."""
-    return x + y
-
-
-def ref_relu(x: np.ndarray) -> np.ndarray:
-    """Element-wise max(x, 0)."""
-    return np.maximum(x, 0.0)
 
 
 def ref_conv3x3(image: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -53,29 +42,8 @@ def ref_sum_pool3x3(image: np.ndarray) -> np.ndarray:
     return out
 
 
-def ref_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C = A @ B."""
-    return a @ b
-
-
-def ref_matmul_transposed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C = A @ B.T (B stored row-per-output)."""
-    return a @ b.T
-
-
-def ref_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """z = Y @ x (paper Figure 2's vector-matrix product)."""
-    return matrix @ vector
-
-
 __all__ = [
-    "ref_fill",
-    "ref_sum",
-    "ref_relu",
     "ref_conv3x3",
     "ref_max_pool3x3",
     "ref_sum_pool3x3",
-    "ref_matmul",
-    "ref_matmul_transposed",
-    "ref_matvec",
 ]

@@ -3,8 +3,8 @@
 Three instruments, one package (PR 10):
 
 * :mod:`repro.obs.metrics` — a thread-safe labeled metrics registry
-  (counters, gauges, histograms) with ``snapshot()``/``delta()`` and
-  JSON / Prometheus-text export.  The process-wide :data:`METRICS`
+  (counters, histograms) with ``snapshot()``/``delta()`` and JSON
+  export.  The process-wide :data:`METRICS`
   registry absorbs the formerly scattered module globals: the
   engine's decode counts are plain registry counters
   (``engine_programs_decoded``, ``engine_instructions_decoded``);
@@ -25,7 +25,7 @@ See ``docs/OBSERVABILITY.md`` for the metric names, span taxonomy and
 correlation-ID semantics.
 """
 
-from .metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import METRICS, Counter, Histogram, MetricsRegistry
 from .tracing import (
     TraceRecorder,
     correlation,
@@ -39,7 +39,6 @@ from .tracing import (
 __all__ = [
     "METRICS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "TraceRecorder",

@@ -1,4 +1,4 @@
-"""Thread-safe labeled metrics: counters, gauges, histograms.
+"""Thread-safe labeled metrics: counters and histograms.
 
 A :class:`MetricsRegistry` is a flat namespace of named, optionally
 labeled instruments.  Instruments are created on first use
@@ -18,14 +18,11 @@ Export formats:
 * :meth:`MetricsRegistry.snapshot` — flat ``{series: value}`` dict
   (histograms expand to ``_count``/``_sum``/``_min``/``_max``
   series), suitable for :meth:`MetricsRegistry.delta` arithmetic;
-* :meth:`MetricsRegistry.to_json` — nested, typed JSON;
-* :meth:`MetricsRegistry.to_prometheus` — the Prometheus text
-  exposition format (``name{label="value"} 123``).
+* :meth:`MetricsRegistry.to_json` — nested, typed JSON.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 
 
@@ -54,7 +51,7 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         """Atomically add ``amount`` (must be >= 0)."""
         if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
+            raise ValueError("counters only go up")
         with self._lock:
             self._value += amount
 
@@ -65,31 +62,6 @@ class Counter:
 
     @property
     def value(self) -> int:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A value that can go up and down (pool sizes, in-flight counts)."""
-
-    __slots__ = ("name", "labels", "_lock", "_value")
-
-    def __init__(self, name: str, labels: tuple = ()):
-        self.name = name
-        self.labels = labels
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def add(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
         with self._lock:
             return self._value
 
@@ -150,7 +122,7 @@ class Histogram:
             }
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_KINDS = {"counter": Counter, "histogram": Histogram}
 
 
 class MetricsRegistry:
@@ -180,9 +152,6 @@ class MetricsRegistry:
     def counter(self, name: str, **labels) -> Counter:
         """The counter named ``name`` with ``labels`` (created once)."""
         return self._get("counter", name, labels)
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._get("gauge", name, labels)
 
     def histogram(
         self, name: str, buckets=DEFAULT_BUCKETS, **labels
@@ -238,63 +207,21 @@ class MetricsRegistry:
 
     def to_json(self) -> dict:
         """Nested, typed export (the ``stats``/results-file format)."""
-        out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
+        out: dict = {"counters": {}, "histograms": {}}
         for series, instrument in self._items():
             if isinstance(instrument, Counter):
                 out["counters"][series] = instrument.value
-            elif isinstance(instrument, Gauge):
-                out["gauges"][series] = instrument.value
             else:
                 out["histograms"][series] = instrument.snapshot()
         return out
 
-    def to_prometheus(self) -> str:
-        """The Prometheus text exposition format."""
-        lines: list[str] = []
-        for series, instrument in self._items():
-            if isinstance(instrument, Counter):
-                lines.append(f"# TYPE {instrument.name} counter")
-                lines.append(f"{series} {instrument.value}")
-            elif isinstance(instrument, Gauge):
-                lines.append(f"# TYPE {instrument.name} gauge")
-                lines.append(f"{series} {instrument.value:g}")
-            else:
-                lines.append(f"# TYPE {instrument.name} histogram")
-                data = instrument.snapshot()
-                base, _, label_part = series.partition("{")
-                labels = label_part[:-1] if label_part else ""
-
-                def _series(suffix: str, extra: str = "") -> str:
-                    inner = ",".join(filter(None, (labels, extra)))
-                    braces = f"{{{inner}}}" if inner else ""
-                    return f"{base}{suffix}{braces}"
-
-                for bound in instrument.bounds:
-                    le = 'le="%s"' % bound
-                    lines.append(
-                        f"{_series('_bucket', le)} "
-                        f"{data['buckets'][str(bound)]}"
-                    )
-                inf = 'le="+Inf"'
-                lines.append(
-                    f"{_series('_bucket', inf)} {data['count']}"
-                )
-                lines.append(f"{_series('_sum')} {data['sum']:g}")
-                lines.append(f"{_series('_count')} {data['count']}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def dump_json(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
     def reset(self) -> None:
-        """Zero every counter/gauge and drop histograms (tests)."""
+        """Zero every counter and drop histograms (tests)."""
         with self._lock:
             instruments = list(self._instruments.items())
             for key, instrument in instruments:
                 if isinstance(instrument, Counter):
                     instrument.set(0)
-                elif isinstance(instrument, Gauge):
-                    instrument.set(0.0)
                 else:
                     del self._instruments[key]
 
@@ -308,7 +235,6 @@ METRICS = MetricsRegistry()
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "METRICS",
     "MetricsRegistry",

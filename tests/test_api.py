@@ -4,8 +4,30 @@ import numpy as np
 import pytest
 
 from repro import api, kernels
+from repro.ir import IRError
 from repro.kernels import lowlevel
 from repro.transforms.pipelines import build_pipeline
+
+#: The streaming flow with register allocation moved ahead of stream
+#: lowering: the one pass order that meets a streaming region unlowered.
+ALLOCATE_BEFORE_STREAM_LOWERING = (
+    "convert-linalg-to-memref-stream,lower-to-snitch,verify-streams,"
+    "allocate-registers,lower-snitch-stream,canonicalize,dce,"
+    "lower-riscv-scf,eliminate-identity-moves"
+)
+
+#: One small shape per Table 1 kernel: every one of them streams.
+TABLE1_SMALL = (
+    ("fill", (2, 4)),
+    ("sum", (2, 4)),
+    ("relu", (2, 4)),
+    ("conv3x3", (4, 4)),
+    ("max_pool3x3", (4, 4)),
+    ("sum_pool3x3", (4, 4)),
+    ("matmul", (2, 4, 4)),
+    ("matmul_t", (2, 4, 4)),
+    ("matvec", (4, 4)),
+)
 
 
 class TestCompileLinalg:
@@ -37,6 +59,19 @@ class TestCompileLinalg:
         )
         # Two accumulators: the peeled first step, then the FREP body.
         assert compiled.asm.count("fmadd.d") == 4
+
+    @pytest.mark.parametrize("kernel,sizes", TABLE1_SMALL)
+    def test_allocation_before_stream_lowering_refused(self, kernel, sizes):
+        """allocate-registers names the pass that must run first."""
+        builder, _ = kernels.KERNEL_BUILDERS[kernel]
+        module, _ = builder(*sizes)
+        with pytest.raises(
+            IRError,
+            match="run lower-snitch-stream before allocate-registers",
+        ):
+            api.compile_linalg(
+                module, pipeline=ALLOCATE_BEFORE_STREAM_LOWERING
+            )
 
 
 class TestRunKernel:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dialects import arith, memref, memref_stream
-from repro.dialects.stream import ReadableStreamType, WritableStreamType
 from repro.ir import AffineMap, Block, IRError, MemRefType, Region, f64
 
 
@@ -166,47 +165,3 @@ class TestDerivedAccessFacts:
         with pytest.raises(IRError, match="dimensionality"):
             g.operand_byte_strides()
 
-
-class TestStridePatternAttr:
-    def test_byte_strides_and_offset(self):
-        y_type = MemRefType(f64, (5, 200))
-        pattern = memref_stream.StridePatternAttr(
-            ub=__import__(
-                "repro.ir.attributes", fromlist=["DenseIntAttr"]
-            ).DenseIntAttr([5, 200]),
-            index_map=AffineMap.identity(2),
-        )
-        strides, offset = pattern.byte_strides_and_offset(y_type)
-        assert strides == (1600, 8)
-        assert offset == 0
-
-    def test_access_sequence_row_major(self):
-        from repro.ir.attributes import DenseIntAttr
-
-        pattern = memref_stream.StridePatternAttr(
-            ub=DenseIntAttr([2, 3]),
-            index_map=AffineMap.identity(2),
-        )
-        seq = pattern.access_sequence(MemRefType(f64, (2, 3)))
-        assert seq == [0, 8, 16, 24, 32, 40]
-
-
-class TestStreamingRegion:
-    def test_body_for_types(self):
-        region, block = memref_stream.StreamingRegionOp.body_for(
-            [f64, f64], [f64]
-        )
-        assert isinstance(block.args[0].type, ReadableStreamType)
-        assert isinstance(block.args[2].type, WritableStreamType)
-
-    def test_read_write_type_checks(self):
-        region, block = memref_stream.StreamingRegionOp.body_for(
-            [f64], [f64]
-        )
-        read = memref_stream.ReadOp(block.args[0])
-        assert read.result.type == f64
-        memref_stream.WriteOp(read.result, block.args[1])
-        with pytest.raises(IRError):
-            memref_stream.ReadOp(block.args[1])  # writable stream
-        with pytest.raises(IRError):
-            memref_stream.WriteOp(read.result, block.args[0])

@@ -278,5 +278,8 @@ class TestStridePattern:
             [reg("t2")],
             [snitch_stream.StridePattern([4], [8])] * 3,
         )
-        assert region.stream_registers() == ["ft0", "ft1", "ft2"]
+        assert [
+            arg.type.element_type.register
+            for arg in region.body_block.args
+        ] == ["ft0", "ft1", "ft2"]
         region.verify_()

@@ -94,14 +94,6 @@ class TestAffineMap:
         with pytest.raises(ValueError):
             m.strides((8,))
 
-    def test_offset_zero_for_dim_maps(self):
-        m = AffineMap.from_callable(2, lambda i, j: (i, j))
-        assert m.offset((100, 8)) == 0
-
-    def test_offset_with_constant(self):
-        m = AffineMap.from_callable(1, lambda i: (i + 3,))
-        assert m.offset((8,)) == 24
-
     def test_permute_map(self):
         """``permutation[new] = old``: over (i, k, j), matmul's A map is
         (d0, d1); reordered to the canonical (i, j, k) it is (d0, d2)."""

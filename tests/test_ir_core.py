@@ -126,17 +126,7 @@ class TestRegionsAndNesting:
         inner = make_op()
         parent = Operation(regions=[single_block_region([inner])])
         assert inner.parent_op is parent
-        assert inner.parent_block is parent.body.block
-
-    def test_parent_of_type(self):
-        class Outer(Operation):
-            name = "test.outer"
-
-        inner = make_op()
-        mid = Operation(regions=[single_block_region([inner])])
-        outer = Outer(regions=[single_block_region([mid])])
-        assert inner.parent_of_type(Outer) is outer
-        assert inner.parent_of_type(Block) is None
+        assert inner.parent is parent.body.block
 
     def test_is_ancestor_of(self):
         inner = make_op()

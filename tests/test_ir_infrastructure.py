@@ -210,34 +210,3 @@ class TestPassManager:
     def test_pipeline_spec(self):
         pm = PassManager([LambdaPass("x", lambda m: None)])
         assert pm.pipeline_spec == "x"
-
-
-class TestFunctionPass:
-    def test_runs_on_each_function(self):
-        from repro.ir.pass_manager import FunctionPass
-
-        seen = []
-
-        class Collect(FunctionPass):
-            name = "collect"
-
-            def run_on_function(self, fn):
-                seen.append(fn.sym_name)
-
-        f1 = func.FuncOp("alpha", [])
-        f1.entry_block.add_op(func.ReturnOp())
-        f2 = func.FuncOp("beta", [])
-        f2.entry_block.add_op(func.ReturnOp())
-        Collect().run(builtin.ModuleOp([f1, f2]))
-        assert seen == ["alpha", "beta"]
-
-    def test_skips_non_functions(self):
-        from repro.ir.pass_manager import FunctionPass
-
-        class Boom(FunctionPass):
-            name = "boom"
-
-            def run_on_function(self, fn):  # pragma: no cover
-                raise AssertionError("should not run")
-
-        Boom().run(builtin.ModuleOp([arith.ConstantOp.from_int(1)]))

@@ -2,8 +2,8 @@
 
 Covers the :mod:`repro.obs` subsystem end to end:
 
-* metrics — labeled counters/gauges/histograms, snapshot/delta,
-  JSON + Prometheus text export, thread safety under contention;
+* metrics — labeled counters/histograms, snapshot/delta, JSON
+  export, thread safety under contention;
 * tracing — contextvars scoping (zero-cost when disabled), parent
   linkage, correlation IDs, cross-process absorb, Chrome trace-event
   export;
@@ -80,14 +80,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("thing")
         with pytest.raises(TypeError):
-            registry.gauge("thing")
-
-    def test_gauge_set_add(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
-        gauge.set(10.0)
-        gauge.add(-3.0)
-        assert gauge.value == 7.0
+            registry.histogram("thing")
 
     def test_histogram_observe(self):
         histogram = Histogram("latency")
@@ -110,21 +103,10 @@ class TestMetricsRegistry:
     def test_to_json_shape(self):
         registry = MetricsRegistry()
         registry.counter("jobs", kind="a").inc()
-        registry.gauge("depth").set(2)
         registry.histogram("lat").observe(0.5)
         doc = registry.to_json()
-        assert set(doc) == {"counters", "gauges", "histograms"}
+        assert set(doc) == {"counters", "histograms"}
         assert doc["counters"]['jobs{kind="a"}'] == 1
-
-    def test_prometheus_text(self):
-        registry = MetricsRegistry()
-        registry.counter("jobs", kind="a").inc(2)
-        registry.histogram("lat").observe(0.5)
-        text = registry.to_prometheus()
-        assert '# TYPE jobs counter' in text
-        assert 'jobs{kind="a"} 2' in text
-        assert 'lat_bucket{le="+Inf"} 1' in text
-        assert "lat_count 1" in text
 
     def test_thread_safety_under_contention(self):
         registry = MetricsRegistry()

@@ -1,14 +1,19 @@
 """Tests for the pass registry: auto-registration, options, build."""
 
+import functools
+
 import pytest
 
-from repro.ir.pass_manager import ModulePass
+from repro.compiler import Compiler
+from repro.ir import op_registry
+from repro.ir.pass_manager import ModulePass, PassInstrumentation
 from repro.ir.pipeline_spec import (
     PassSpec,
     PipelineSpecError,
     parse_pipeline_spec,
 )
-from repro.transforms.pipelines import NAMED_PIPELINES
+from repro.kernels.builders import KERNEL_BUILDERS
+from repro.transforms.pipelines import NAMED_PIPELINES, PIPELINE_NAMES
 from repro.transforms.registry import PASS_REGISTRY, PassRegistry
 
 
@@ -31,6 +36,53 @@ EXPECTED_PASSES = {
     "verify-streams",
 }
 
+#: The dialects the linalg-level flows lower through, above the ISA.
+LOWERING_LEVELS = ("linalg", "memref_stream", "snitch_stream", "rv_scf")
+
+#: One small shape per Table 1 kernel.
+TABLE1_SHAPES = {
+    "fill": (2, 4),
+    "sum": (2, 4),
+    "relu": (2, 4),
+    "conv3x3": (4, 4),
+    "max_pool3x3": (4, 4),
+    "sum_pool3x3": (4, 4),
+    "matmul": (2, 4, 4),
+    "matmul_t": (2, 4, 4),
+    "matvec": (4, 4),
+}
+
+
+def _level_op_names() -> list[str]:
+    op_registry.populate()
+    return sorted(
+        op.name
+        for dialect in LOWERING_LEVELS
+        for op in op_registry.get_dialect(dialect).ops
+    )
+
+
+@functools.cache
+def _ops_seen_in_named_pipelines() -> frozenset[str]:
+    """Every op name in the IR after any pass of any named pipeline,
+    over one shape per Table 1 kernel."""
+
+    class SeenOps(PassInstrumentation):
+        def __init__(self):
+            self.names: set[str] = set()
+
+        def after_pass(self, pass_, module, elapsed):
+            self.names.update(op.name for op in module.walk())
+
+    seen = SeenOps()
+    for kernel, (builder, _) in KERNEL_BUILDERS.items():
+        for pipeline in PIPELINE_NAMES:
+            module, _ = builder(*TABLE1_SHAPES[kernel])
+            # The input counts too: no pass leaves linalg behind.
+            seen.names.update(op.name for op in module.walk())
+            Compiler(pipeline, instrument=seen).compile(module)
+    return frozenset(seen.names)
+
 
 class TestAutoRegistration:
     def test_every_transform_pass_registered(self):
@@ -45,6 +97,13 @@ class TestAutoRegistration:
             for spec in parse_pipeline_spec(pipeline)
         }
         assert set(PASS_REGISTRY.names()) - used == set()
+
+    @pytest.mark.parametrize("op_name", _level_op_names())
+    def test_every_level_op_appears_in_a_named_pipeline(self, op_name):
+        """An op of a lowering level that no named pipeline's IR ever
+        holds is reachable only from tests: it earns a producer and a
+        consumer, or leaves."""
+        assert op_name in _ops_seen_in_named_pipelines()
 
     def test_no_unnamed_pass_registered(self):
         assert "unnamed-pass" not in PASS_REGISTRY

@@ -285,21 +285,6 @@ def _build_ms_generic(data):
     return block, op
 
 
-def _build_ms_streaming_region(data):
-    n = data.draw(st.integers(1, 5))
-    mtype = MemRefType(f64, (n,))
-    block = Block([mtype, mtype])
-    body, _ = memref_stream.StreamingRegionOp.body_for([f64], [f64])
-    pattern = memref_stream.StridePatternAttr(
-        DenseIntAttr([n]), AffineMap.identity(1)
-    )
-    op = memref_stream.StreamingRegionOp(
-        [block.args[0]], [block.args[1]], [pattern, pattern], body
-    )
-    block.add_op(op)
-    return block, op
-
-
 def _build_rv_func(data):
     block = Block()
     op = riscv_func.FuncOp(
@@ -360,7 +345,6 @@ STRUCTURAL_BUILDERS = {
     "memref.load": _build_memref_load,
     "memref.store": _build_memref_store,
     "memref_stream.generic": _build_ms_generic,
-    "memref_stream.streaming_region": _build_ms_streaming_region,
     "rv_func.func": _build_rv_func,
     "rv_scf.for": _build_rv_scf_for,
     "rv_snitch.frep_outer": _build_frep,

@@ -11,8 +11,10 @@ from repro.backend.register_allocator import (
 from repro.backend.registers import SNITCH_STREAM_REGISTERS
 from repro.dialects import riscv, riscv_func, riscv_scf, riscv_snitch
 from repro.dialects.riscv import FloatRegisterType, IntRegisterType
+from repro.dialects.builtin import ModuleOp
 from repro.dialects.snitch_stream import StreamingRegionOp, StridePattern
 from repro.ir import Builder, IRError
+from repro.transforms.lower_snitch_stream import LowerSnitchStreamPass
 
 
 def make_func(arg_kinds=("int",)):
@@ -174,33 +176,57 @@ class TestLoopAllocation:
 
 
 class TestStreamingReservation:
-    def test_stream_registers_reserved(self):
-        """Item E: ft0-ft2 are not handed out inside streaming scopes."""
-        fn, b = make_func(["int", "int"])
-        pattern = StridePattern([8], [8])
+    """Item E: ``lower-snitch-stream`` runs first and names ft0-ft2 in
+    the IR, so exclusion (item A) keeps them out of the pool."""
+
+    def _streaming_func(self, temps_live):
+        fn, b = make_func(["int", "int", "int"])
         region = StreamingRegionOp(
-            [fn.args[0]], [fn.args[1]], [pattern, pattern]
+            [fn.args[0], fn.args[1]],
+            [fn.args[2]],
+            [StridePattern([temps_live], [8])] * 2
+            + [StridePattern([1], [8])],
         )
         b.insert(region)
         inner = Builder.at_end(region.body_block)
-        read = inner.insert(
-            riscv_snitch.ReadOp(region.body_block.args[0])
-        )
-        # Lots of concurrently live FP temps inside the region.
+        x, y, z = region.body_block.args
+        # Concurrently live FP temps inside the region.
         temps = [
-            inner.insert(riscv.FAddDOp(read.result, read.result)).rd
-            for _ in range(3)
+            inner.insert(
+                riscv.FAddDOp(
+                    inner.insert(riscv_snitch.ReadOp(x)).result,
+                    inner.insert(riscv_snitch.ReadOp(y)).result,
+                )
+            ).rd
+            for _ in range(temps_live)
         ]
         total = temps[0]
         for t in temps[1:]:
             total = inner.insert(riscv.FAddDOp(total, t)).rd
-        inner.insert(
-            riscv_snitch.WriteOp(total, region.body_block.args[1])
-        )
+        inner.insert(riscv_snitch.WriteOp(total, z))
         b.insert(riscv_func.ReturnOp())
+        return fn, temps
+
+    def test_stream_registers_reserved(self):
+        """16 temps plus the running sum fill exactly the 17
+        non-stream FP registers."""
+        fn, temps = self._streaming_func(16)
+        LowerSnitchStreamPass().run(ModuleOp([fn]))
         allocate_registers(fn)
         for t in temps:
             assert t.type.register not in SNITCH_STREAM_REGISTERS
+
+    def test_pressure_does_not_reach_stream_registers(self):
+        fn, _ = self._streaming_func(17)
+        LowerSnitchStreamPass().run(ModuleOp([fn]))
+        with pytest.raises(RegisterPressureError):
+            allocate_registers(fn)
+
+    def test_unlowered_region_refused(self):
+        """Allocating before lower-snitch-stream is a pass-order error."""
+        fn, _ = self._streaming_func(1)
+        with pytest.raises(IRError, match="lower-snitch-stream"):
+            allocate_registers(fn)
 
     def test_tied_operands_share_register(self):
         fn, b = make_func([])
@@ -221,46 +247,28 @@ class TestStreamingReservation:
 
 
 class TestUnusedAbiRegisterReuse:
-    """The paper's future-work mitigation (Section 4.3)."""
-
-    def _func_with_dead_arg(self):
-        fn, b = make_func(["int", "int"])  # a1 never used
-        li = b.insert(riscv.LiOp(1))
-        b.insert(riscv.SwOp(li.rd, fn.args[0], 0))
-        b.insert(riscv_func.ReturnOp())
-        return fn, li
+    """Item A is overly defensive: reusing the registers of arguments
+    nobody reads is the paper's future work (Section 4.3)."""
 
     def test_default_reserves_all_arguments(self):
-        fn, li = self._func_with_dead_arg()
+        fn, b = make_func(["int", "int"])  # a1 never used
         # Exhaust t-registers so the allocator would reach for a1.
-        b = Builder.before(fn.entry_block.ops[-1])
         held = [b.insert(riscv.LiOp(i)).rd for i in range(7)]
         total = held[0]
         for v in held[1:]:
             total = b.insert(riscv.AddOp(total, v)).rd
         b.insert(riscv.SwOp(total, fn.args[0], 4))
+        b.insert(riscv_func.ReturnOp())
         RegisterAllocator().allocate(fn)
         used = {v.type.register for v in held}
         assert "a1" not in used
-
-    def test_option_releases_dead_argument_register(self):
-        fn, li = self._func_with_dead_arg()
-        b = Builder.before(fn.entry_block.ops[-1])
-        held = [b.insert(riscv.LiOp(i)).rd for i in range(9)]
-        total = held[0]
-        for v in held[1:]:
-            total = b.insert(riscv.AddOp(total, v)).rd
-        b.insert(riscv.SwOp(total, fn.args[0], 4))
-        RegisterAllocator(reuse_unused_abi_registers=True).allocate(fn)
-        used = {v.type.register for v in held}
-        assert "a1" in used  # the dead argument's register was reused
 
     def test_used_argument_still_reserved(self):
         fn, b = make_func(["int"])
         li = b.insert(riscv.LiOp(5))
         b.insert(riscv.SwOp(li.rd, fn.args[0], 0))
         b.insert(riscv_func.ReturnOp())
-        RegisterAllocator(reuse_unused_abi_registers=True).allocate(fn)
+        RegisterAllocator().allocate(fn)
         assert li.rd.type.register != "a0"
 
 

@@ -119,6 +119,22 @@ class TestPipelineSpecs:
         assert code == 0
         assert capsys.readouterr().out.count("fmadd.d") == 4
 
+    def test_allocation_before_stream_lowering_refused(self):
+        spec = (
+            "convert-linalg-to-memref-stream,lower-to-snitch,"
+            "verify-streams,allocate-registers,lower-snitch-stream,"
+            "canonicalize,dce,lower-riscv-scf,eliminate-identity-moves"
+        )
+        with pytest.raises(SystemExit) as info:
+            kernel_compiler.main(
+                ["sum", "4", "4", "--pipeline", spec, "--no-asm"]
+            )
+        assert str(info.value) == (
+            "compilation failed: op snitch_stream.streaming_region "
+            "cannot be register-allocated; run lower-snitch-stream "
+            "before allocate-registers"
+        )
+
     def test_bad_pipeline_rejected_with_message(self, capsys):
         with pytest.raises(SystemExit) as info:
             kernel_compiler.main(
@@ -135,6 +151,18 @@ class TestPipelineSpecs:
         for name, spec in NAMED_PIPELINES.items():
             assert name in out
             assert spec in out
+
+    def test_list_dialects_memref_stream_holds_generic_and_yield(
+        self, capsys
+    ):
+        assert kernel_compiler.main(["--list-dialects"]) == 0
+        rows = {
+            line.split()[0]: line.split()[1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip()
+        }
+        assert rows["memref_stream"] == "2"
+        assert rows["snitch_stream"] == "1"
 
     def test_print_ir_after_all(self, capsys):
         code = kernel_compiler.main(
