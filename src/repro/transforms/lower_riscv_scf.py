@@ -2,15 +2,21 @@
 
 This is the final structural lowering: by the time it runs every value
 holds a concrete register, loop-carried values already share registers
-(allocator item D), so the loop reduces to
+(allocator item D), so the loop reduces to one of three forms:
 
-    mv   iv, lb
-    bge  iv, ub, end      # zero-trip guard
-  body:
-    ...                   # body, iter values already in place
-    add  iv, iv, step
-    blt  iv, ub, body
-  end:
+    unknown or zero trips   N >= 1, iv unused    N >= 1, iv used
+    mv   iv, lb             li   iv, N           mv   iv, lb
+    bge  iv, ub, end
+  body:                   body:                body:
+    ...                     ...                  ...
+    add  iv, iv, step       addi iv, iv, -1      addi iv, iv, step
+    blt  iv, ub, body       bnez iv, body        blt  iv, ub, body
+  end:                    end:                 end:
+
+The trip count N is known when bounds and step are ``li`` constants or
+``zero``; the loop then needs no zero-trip guard (LLVM's loop
+rotation), the ``li``s it leaves without uses are erased, and a step
+outside 12 bits keeps ``add``.
 
 Running it *after* allocation is the point of the paper's Section 3.3:
 liveness was computed on the structured form, so no basic-block analysis
@@ -22,6 +28,7 @@ from __future__ import annotations
 from ..dialects import riscv, riscv_cf, riscv_func, riscv_scf
 from ..ir.core import IRError, Operation
 from ..ir.pass_manager import ModulePass
+from .verify_streams import constant_of, trip_count
 
 
 def _collect_loops_post_order(
@@ -88,13 +95,17 @@ class LowerRiscvScfPass(ModulePass):
                 move = move_class(init, result_type=body_arg.type)
                 header.append(move)
                 body_arg.replace_all_uses_with(move.rd)
-        header += [
-            iv_init := riscv.MVOp(loop.lower_bound, result_type=iv_type),
-            riscv_cf.BgeOp(
-                iv_init.rd, loop.upper_bound, end_label
-            ),
-            riscv_cf.LabelOp(body_label),
-        ]
+        trips = trip_count(loop)
+        count_down = bool(trips) and not loop.induction_variable.has_uses
+        if count_down:
+            iv_init = riscv.LiOp(trips, result_type=iv_type)
+        else:
+            iv_init = riscv.MVOp(loop.lower_bound, result_type=iv_type)
+        header.append(iv_init)
+        if not trips:
+            guard = riscv_cf.BgeOp(iv_init.rd, loop.upper_bound, end_label)
+            header.append(guard)
+        header.append(riscv_cf.LabelOp(body_label))
         for op in header:
             block.insert_op_before(op, loop)
         loop.induction_variable.replace_all_uses_with(iv_init.rd)
@@ -118,17 +129,24 @@ class LowerRiscvScfPass(ModulePass):
             op.detach()
             block.insert_op_before(op, loop)
 
-        increment = riscv.AddOp(
-            iv_init.rd, loop.step, result_type=iv_type
-        )
-        footer = [
-            increment,
-            riscv_cf.BltOp(increment.rd, loop.upper_bound, body_label),
-            riscv_cf.LabelOp(end_label),
-        ]
-        for op in footer:
+        step = constant_of(loop.step)
+        if count_down:
+            increment = riscv.AddiOp(iv_init.rd, -1, result_type=iv_type)
+            branch = riscv_cf.BnezOp(increment.rd, body_label)
+        else:
+            increment = (
+                riscv.AddiOp(iv_init.rd, step, result_type=iv_type)
+                if trips and -2048 <= step < 2048
+                else riscv.AddOp(iv_init.rd, loop.step, result_type=iv_type)
+            )
+            branch = riscv_cf.BltOp(increment.rd, loop.upper_bound, body_label)
+        for op in (increment, branch, riscv_cf.LabelOp(end_label)):
             block.insert_op_before(op, loop)
+        controls = (loop.lower_bound, loop.upper_bound, loop.step)
         loop.erase()
+        for value in controls:
+            if isinstance(value.owner, riscv.LiOp) and not value.has_uses:
+                value.owner.erase()
 
 
 __all__ = ["LowerRiscvScfPass"]

@@ -16,7 +16,15 @@ Configure once per loop nest, arm per iteration: movers keep their
 configuration words, so when the region sits in ``rv_scf.for`` loops
 that run no other stream-config writer, the bound/stride/repetition
 words are emitted ahead of the outermost such loop and only the pointer
-writes and the ``ssrcfg`` toggles stay inside.
+writes and the ``ssrcfg`` toggles stay inside.  A zero word is written
+from ``zero``.
+
+The drain (``csrci``) lands right after the region, unless only integer
+ALU ops (a row's pointer advances) follow it in its ``rv_scf.for``
+body: then it lands at the head of that body and after the loop, so
+the advances, the loop counter and the taken back-edge issue while the
+FPU still works, and each iteration's head drains the one before (the
+first iteration's, with streaming still off, only synchronises).
 
 Stream reads become ``rv.get_register`` ops naming the stream register:
 at the assembly level, *consuming* ``ft0``/``ft1``/``ft2`` is what pops
@@ -38,6 +46,7 @@ from ..snitch.isa import (
     WORD_WRITE_POINTER_BASE,
     scfg_address,
 )
+from .lowering_kit import FunctionLowering
 
 
 def hardware_pattern(
@@ -78,6 +87,22 @@ def _config_anchor(op: snitch_stream.StreamingRegionOp) -> Operation:
     return anchor
 
 
+#: Integer ALU ops: they touch neither the FPU, nor memory, nor streams.
+_INT_ALU = (riscv.RdRsRsInstruction, riscv.RdRsImmInstruction, riscv.LiOp)
+
+
+def _drain_loop(op: snitch_stream.StreamingRegionOp):
+    """The ``rv_scf.for`` whose body only integer ALU ops (the pointer
+    advances) follow ``op`` in, else None: ``op``'s drain then moves to
+    the head of that body and after the loop."""
+    after = op.next_op
+    while isinstance(after, _INT_ALU):
+        after = after.next_op
+    if isinstance(after, riscv_scf.YieldOp):
+        return op.parent_op
+    return None
+
+
 class _LowerStreamingRegion(TypedPattern):
     op_type = snitch_stream.StreamingRegionOp
 
@@ -95,9 +120,9 @@ class _LowerStreamingRegion(TypedPattern):
 
         def li(value: int):
             if value not in constants:
-                li_op = riscv.LiOp(value)
+                li_op = FunctionLowering.li_op(value)
                 config_ops.append(li_op)
-                constants[value] = li_op.rd
+                constants[value] = li_op.results[0]
             return constants[value]
 
         n_in = len(op.inputs)
@@ -172,9 +197,12 @@ class _LowerStreamingRegion(TypedPattern):
         for body_op in body.ops:
             body_op.detach()
             op.parent.insert_op_before(body_op, op)
-        rewriter.insert_before(
-            [riscv_snitch.CsrciOp("ssrcfg", 1)], op
+        loop = _drain_loop(op)
+        drains = (
+            [op] if loop is None else [loop.body_block.first_op, loop.next_op]
         )
+        for at in drains:
+            rewriter.insert_before([riscv_snitch.CsrciOp("ssrcfg", 1)], at)
         rewriter.erase_op(op)
 
 

@@ -372,8 +372,10 @@ class _GenericLowering:
             # Peel the first step (MLIR's scf-for-loop-peeling): it
             # computes combine(init, x) as the first iteration did.  Up
             # to two steps need no loop, so each push folds into its
-            # producer.
-            results = self._emit_point([self.init] * self.factor)
+            # producer; with no step at all the init itself is pushed.
+            results = [self.init] * self.factor
+            if reduction_count:
+                results = self._emit_point(results)
             if reduction_count == 2:
                 results = self._emit_point(results)
             elif reduction_count > 2:

@@ -26,7 +26,7 @@ class StreamBalanceError(IRError):
     """A streaming region consumes/produces the wrong element count."""
 
 
-def _constant_of(value: SSAValue) -> int | None:
+def constant_of(value: SSAValue) -> int | None:
     """The statically known integer a register value holds, if any."""
     owner = value.owner
     if isinstance(owner, riscv.LiOp):
@@ -41,15 +41,15 @@ def _constant_of(value: SSAValue) -> int | None:
     return None
 
 
-def _trip_count(loop: Operation) -> int | None:
+def trip_count(loop: Operation) -> int | None:
     """Statically known iteration count of a structured loop."""
     if isinstance(loop, riscv_snitch.FrepOuter):
-        max_rep = _constant_of(loop.max_rep)
+        max_rep = constant_of(loop.max_rep)
         return None if max_rep is None else max_rep + 1
     assert isinstance(loop, riscv_scf.ForOp)
-    lower = _constant_of(loop.lower_bound)
-    upper = _constant_of(loop.upper_bound)
-    step = _constant_of(loop.step)
+    lower = constant_of(loop.lower_bound)
+    upper = constant_of(loop.upper_bound)
+    step = constant_of(loop.step)
     if None in (lower, upper, step) or step <= 0:
         return None
     if upper <= lower:
@@ -67,7 +67,7 @@ def _count_events(block: Block, stream_id, multiplier: int, totals):
             key = id(op.stream)
             totals[key] = totals.get(key, 0) + multiplier
         elif isinstance(op, (riscv_scf.ForOp, riscv_snitch.FrepOuter)):
-            trips = _trip_count(op)
+            trips = trip_count(op)
             if trips is None:
                 raise StreamBalanceError(
                     "cannot statically bound a loop inside a streaming "
@@ -116,5 +116,7 @@ class VerifyStreamsPass(ModulePass):
 __all__ = [
     "VerifyStreamsPass",
     "StreamBalanceError",
+    "constant_of",
+    "trip_count",
     "verify_streaming_region",
 ]

@@ -227,6 +227,72 @@ class TestStreamingSync:
         # FP_LATENCY each on the accumulator, and csrci drains.
         assert trace.cycles == 6 + 2 * (4 + 3 * FP_LATENCY) == 38
 
+    @pytest.mark.parametrize("engine", ["run", "run_reference"])
+    def test_csrci_on_disabled_ssrcfg_still_syncs(self, engine):
+        """Streaming was never enabled, so ``csrci`` clears nothing, yet
+        the integer core still waits for the FPU."""
+        program = "fadd.d fa0, fa1, fa2\nfadd.d fa3, fa0, fa0\n"
+        cycles = []
+        for drain in ("", "csrci ssrcfg, 1\n"):
+            machine = SnitchMachine(
+                assemble(f"main:\n{program}{drain}li t0, 1\nret")
+            )
+            cycles.append(getattr(machine, engine)("main").cycles)
+            assert not machine.streaming
+        # The dependent add issues at FP_LATENCY.  Without the drain the
+        # li issues at cycle 2; behind it, at 1 + FP_LATENCY.
+        assert cycles == [1 + FP_LATENCY, 2 + FP_LATENCY] == [5, 6]
+
+    @staticmethod
+    def _row_loop(rotated: bool) -> str:
+        """Two rows of a 4-element sum, re-armed per row.  Rotated, the
+        drain sits at the row loop's head and after the loop, as
+        ``lower-snitch-stream`` places it when only pointer advances
+        follow the region."""
+        head = "csrci ssrcfg, 1" if rotated else ""
+        return f"""
+            li t0, 3
+            scfgwi t0, {scfg_address(0, 0)}
+            li t1, 8
+            scfgwi t1, {scfg_address(0, 8)}
+            scfgwi zero, {scfg_address(0, 16)}
+            li t2, 3
+            li t3, 2
+        row:
+            {head}
+            scfgwi a0, {scfg_address(0, 24)}
+            csrsi ssrcfg, 1
+            frep.o t2, 1, 0, 0
+            fadd.d fa0, fa0, ft0
+            {"" if rotated else "csrci ssrcfg, 1"}
+            addi a0, a0, 32
+            addi t3, t3, -1
+            bnez t3, row
+            {head}
+        """
+
+    @pytest.mark.parametrize("engine", ["run", "run_reference"])
+    def test_rotated_row_loop_hides_loop_control(self, engine):
+        """Rotated, the pointer advance, the counter and the back-edge
+        issue while the FPU still adds: the row transition saves
+        3 + BRANCH_TAKEN_PENALTY cycles, the last row 3 (its branch is
+        not taken), and the first row's head ``csrci`` costs one."""
+        cycles = {}
+        for rotated in (False, True):
+            mem = TCDM()
+            base = mem.allocate(8 * 8)
+            mem.write_array(base, np.arange(8, dtype=np.float64))
+            program = assemble("main:\n" + self._row_loop(rotated) + "\nret")
+            machine = SnitchMachine(program, mem)
+            trace = getattr(machine, engine)("main", int_args={"a0": base})
+            assert bits_to_f64(machine.read_float_bits("fa0")) == 28.0
+            assert trace.ssr_reads == 8
+            cycles[rotated] = trace.cycles
+        assert cycles == {False: 47, True: 40}
+        assert cycles[False] - cycles[True] == (
+            (3 + BRANCH_TAKEN_PENALTY) + 3 - 1
+        )
+
     def test_branch_penalty_accumulates(self):
         loop = """
             li t0, 10

@@ -25,6 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import api
 from repro.kernels.builders import KERNEL_BUILDERS, ArrayArg
+from repro.tools import kernel_compiler
 from repro.transforms.pipelines import expand_pipeline
 from test_golden_asm import CASES as GOLDEN_CASES
 
@@ -40,9 +41,10 @@ REDUCTION_KERNELS = (
 #: unpeeled oracle.
 PEELED = ("ours", "table3-fuse")
 ORACLE = "table3-frep"
-#: Reduction extents: the loop-free 1 and 2, the shortest FREP (3),
-#: primes (no unroll factor divides them) and a power of two.
-EXTENTS = (1, 2, 3, 5, 7, 8, 11, 13)
+#: Reduction extents: the empty 0 (nothing to peel: the init itself
+#: is pushed), the loop-free 1 and 2, the shortest FREP (3), primes (no
+#: unroll factor divides them) and a power of two.
+EXTENTS = (0, 1, 2, 3, 5, 7, 8, 11, 13)
 
 #: Finite and non-zero: a NaN would never compare equal, and 0.0 is the
 #: value an output left unwritten already holds.
@@ -88,6 +90,8 @@ def _asm(kernel: str, sizes, pipeline: str = "ours") -> str:
     k=st.sampled_from(EXTENTS),
     n=st.integers(1, 6),
 )
+@example(kernel="matmul", m=1, k=0, n=4)
+@example(kernel="matmul_t", m=2, k=0, n=5)
 @example(kernel="matmul", m=2, k=1, n=3)
 @example(kernel="matmul", m=1, k=2, n=5)
 @example(kernel="matmul_t", m=3, k=3, n=4)
@@ -98,6 +102,7 @@ def test_matmul_like_bit_identical(kernel, m, k, n):
 
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(rows=st.integers(1, 8), cols=st.sampled_from(EXTENTS))
+@example(rows=4, cols=0)
 @example(rows=4, cols=1)
 @example(rows=3, cols=2)
 @example(rows=5, cols=3)
@@ -198,3 +203,20 @@ def test_longer_reductions_keep_the_frep_and_its_drain(k):
     asm = _asm("matmul", (2, k, 4))
     assert asm.count("frep.o") == 1
     assert "fmv.d ft2" in asm
+
+
+@pytest.mark.parametrize("pipeline", ("ours", "table3-fuse", "table3-unroll"))
+@pytest.mark.parametrize(
+    "kernel, sizes",
+    [("matmul", ("1", "0", "4")), ("matmul_t", ("3", "0", "2")),
+     ("matvec", ("5", "0"))],
+)
+def test_empty_reduction_compiles_and_runs(capsys, pipeline, kernel, sizes):
+    """K = 0: each output is the fill constant, pushed without a read."""
+    code = kernel_compiler.main(
+        [kernel, *sizes, "--pipeline", pipeline, "--run", "--no-asm"]
+    )
+    assert code == 0, capsys.readouterr()
+    assert "numpy check:     OK" in capsys.readouterr().out
+    asm = _asm(kernel, [int(size) for size in sizes], pipeline)
+    assert "fmadd.d" not in asm and "ft0" not in asm

@@ -166,11 +166,12 @@ def two_regions_per_row(n: int, m: int) -> ModuleOp:
 
 
 #: sha256 of ``two_regions_per_row(3, 4)``'s asm, in which each region
-#: re-issues its whole configuration every row — the code
-#: ``lower-snitch-stream`` emitted before it hoisted any configuration,
-#: which two writers in one loop must leave byte-identical.
+#: re-issues its whole configuration every row, as two writers in one
+#: loop require.  The second region's drain sits at the loop head and
+#: after the loop (tests/test_loop_control.py), the first's right after
+#: it.
 TWO_REGIONS_SHA256 = (
-    "6abcdab6a21dc08a6420a79e51f993846ee232a274925a126eba71e79997efaf"
+    "a913ac67d318b10a397a67aabe10b8c7f1c43e1be8bde42b91ad062961ee8ca2"
 )
 
 

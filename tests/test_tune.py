@@ -174,9 +174,11 @@ class TestTuneKernel:
         assert any(o.config.is_default for o in result.candidates)
 
     def test_strict_improvement_exists(self):
-        """matmul 1x16x64: factor 8 beats the heuristic's factor 4 —
-        the acceptance-criteria witness for the Fig. 11 sweep."""
-        result = tune_kernel("matmul", (1, 16, 64))
+        """conv3x3 8x8: factor 8 covers a whole output row, so its
+        pattern fits the SSRs without the heuristic's hoisted row loop
+        and beats factor 4 outright — the tuner's witness that the
+        search can beat the paper heuristic."""
+        result = tune_kernel("conv3x3", (8, 8))
         assert result.best.cycles < result.default_cycles
         assert result.best.config.unroll_factor == 8
 
@@ -383,12 +385,12 @@ class TestTunedSchedule:
     def test_networks_apply_tuned_schedules(self):
         """A tuned per-layer schedule drops whole-network cycles."""
         layers = [
-            networks.LayerConfig("fc", kernels.matmul, (1, 16, 64)),
-            networks.LayerConfig("act", kernels.relu, (1, 64)),
+            networks.LayerConfig("conv", kernels.conv3x3, (8, 8)),
+            networks.LayerConfig("act", kernels.relu, (8, 8)),
         ]
-        result = tune_kernel("matmul", (1, 16, 64))
+        result = tune_kernel("conv3x3", (8, 8))
         table = schedule_table([result.best])
-        assert ("matmul", (1, 16, 64)) in table
+        assert ("conv3x3", (8, 8)) in table
         default_run = networks.run_network("mini", layers)
         tuned_run = networks.run_network(
             "mini", layers, schedules=table
