@@ -19,7 +19,7 @@ Regenerate ``results/BENCH_fpu_util.json`` (held, exactly, by
 JSON schema (``schema`` = 1)::
 
     {
-      "schema": 1, "smoke": false, "seed": 0, "engine_version": 1,
+      "schema": 1, "smoke": false, "seed": 0, "engine_version": 2,
       "pipelines": ["ours", ...],
       "kernels": {
         "<kernel>": {

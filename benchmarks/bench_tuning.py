@@ -33,7 +33,7 @@ JSON schema (``schema`` = 1)::
 
     {
       "schema": 1, "smoke": false, "seed": 0,
-      "strategy": "exhaustive", "engine_version": 1,
+      "strategy": "exhaustive", "engine_version": 2,
       "candidate_budget": null,
       "entries": [
         {"group": "paper" | "nsnet2" | "alexnet" | "fig11",

@@ -23,7 +23,10 @@ unlowered region is refused), in three linear passes:
    Loop-carried values — iteration-argument operands, body block
    arguments, yield operands and loop results — are unified into one
    register first (item D).  The stream registers need no reservation
-   of their own (item E): exclusion already withholds them.
+   of their own (item E): exclusion already withholds them, across the
+   whole function — so also across a loop nest that
+   ``lower-snitch-stream`` keeps streaming-enabled from one ``csrsi``
+   before it to one ``csrci`` after it.
 
 There is **no spilling**: exhausting the pool raises
 :class:`RegisterPressureError`, and the evaluation (Table 2) shows the

@@ -149,7 +149,7 @@ class CompiledKernel:
 #: stores and cycle caches miss instead of serving the old code with a
 #: valid checksum.  (``ENGINE_VERSION`` is the same switch for the
 #: simulator's timing model.)
-COMPILER_VERSION = 4
+COMPILER_VERSION = 5
 
 
 def artifact_versions() -> tuple[int, int]:

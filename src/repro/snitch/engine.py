@@ -69,9 +69,14 @@ from .isa import (  # noqa: F401 - the codecs are named by generated code
     frep_body,
     pack_f32x2,
     round_f32,
-    scfg_action,
 )
-from .machine import STREAM_REGISTERS, SnitchMachine, budget_error
+from .machine import (
+    ARM_FIELDS,
+    STREAM_REGISTERS,
+    SnitchMachine,
+    budget_error,
+    decode_scfg,
+)
 from .memory import U32, U64, out_of_bounds
 
 #: Unified register name space: the reference interpreter keys its
@@ -99,7 +104,7 @@ _INSTRUCTIONS_DECODED = METRICS.counter("engine_instructions_decoded")
 #: autotuner persists measured cycle counts keyed on this value — bump
 #: it whenever a change alters *cycle counts* (not just throughput) so
 #: stale caches invalidate themselves instead of mis-ranking schedules.
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 
 #: Guards decode publication and the decode registry: concurrent
 #: :func:`decode` calls on one ``Program`` (e.g. a threaded compile
@@ -480,14 +485,12 @@ _FACTORIES = _Factories()
 
 def _make_scfgwi(inst: Inst, next_pc: int):
     """SSR config write, pre-decoded from the immediate; a bad word
-    raises when executed (after the issue bookkeeping), not at decode."""
+    raises when executed (after the issue bookkeeping), not at decode.
+    A pointer write waits for its mover's shadow (``DataMover.queue``)."""
     src = _u(inst.sources[0])
     text = str(inst)
-    mover = field = dimension = error = None
-    try:
-        mover, field, dimension = scfg_action(inst.imm)
-    except SimulationError as exc:
-        error = exc
+    (mover, field, dimension), error = decode_scfg(inst.imm)
+    arms = field in ARM_FIELDS
 
     def op(s):
         tr = s.trace
@@ -498,6 +501,8 @@ def _make_scfgwi(inst: Inst, next_pc: int):
         r = s.xready[src]
         if r > issue:
             issue = r
+        if arms:
+            issue = s.movers[mover].queue(issue, s.fpu_time)
         tl = s.timeline
         if tl is not None:
             tl.append((issue, "int", text))

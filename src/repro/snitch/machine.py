@@ -105,6 +105,20 @@ def budget_error(
 #: Stream-register names by data-mover index.
 STREAM_REGISTERS = ("ft0", "ft1", "ft2")
 
+#: ``scfg_action`` fields of a pointer write, which arms its mover.
+ARM_FIELDS = ("read", "write")
+
+
+def decode_scfg(address: int):
+    """``(scfg_action(address), None)``, or ``((None,) * 3, error)``
+    for a bad word: both engines raise it only after the instruction's
+    issue bookkeeping."""
+    try:
+        return scfg_action(address), None
+    except SimulationError as error:
+        return (None, None, None), error
+
+
 #: Explicit load/store accessors by access width in bytes.
 _LOAD = {4: TCDM.load_u32, 8: TCDM.load_u64}
 _STORE = {4: TCDM.store_u32, 8: TCDM.store_u64}
@@ -135,6 +149,18 @@ class DataMover:
     #: sum(index[d] * strides[d] for d in range(dims))``, so an element
     #: costs one add instead of a sum over all dimensions.
     addr: int = 0
+    #: ``fpu_time`` at the previous pointer write: the next one issues
+    #: no earlier (:meth:`queue`).
+    shadow_ready: int = 0
+
+    def queue(self, issue: int, fpu_time: int) -> int:
+        """Issue cycle of a pointer write (an arm) otherwise ready at
+        ``issue``.  The job registers are shadowed one deep: job *j+1*
+        can be queued while job *j* runs, once every FPU instruction
+        dispatched before job *j* was armed has issued."""
+        ready = self.shadow_ready
+        self.shadow_ready = fpu_time
+        return issue if issue > ready else ready
 
     def arm(self, direction: str, dims: int, base: int) -> None:
         """Arm the mover: set the base pointer and start the pattern."""
@@ -407,11 +433,16 @@ class SnitchMachine:
                 return self.program.entry(inst.target)
             self.int_time = issue + 1
             return pc + 1
+        if op.shape == "scfgwi":
+            (mover, field, dimension), error = decode_scfg(inst.imm)
+            if field in ARM_FIELDS:
+                issue = self.movers[mover].queue(issue, self.fpu_time)
         if self.record_timeline:
             self.timeline.append((issue, "int", str(inst)))
         self.int_time = issue + 1
         if op.shape == "scfgwi":
-            mover, field, dimension = scfg_action(inst.imm)
+            if error is not None:
+                raise error
             self.movers[mover].configure(field, dimension, values[0])
         elif op.shape == "csr":
             self._exec_csr(inst)

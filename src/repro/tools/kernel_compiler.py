@@ -33,6 +33,7 @@ from ..ir.core import IRError
 from ..ir.pass_manager import PrintIRInstrumentation
 from ..obs.hostprof import BytecodeCounter
 from ..ir.pipeline_spec import PipelineSpecError
+from ..tune.schedule import ScheduleError, resolve_kernel
 
 #: Kernel name -> (builder, number of size arguments) — the shared
 #: Table 1 registry (also used by the autotuner CLI).
@@ -153,11 +154,10 @@ def compile_kernel(
 ):
     """Build + compile; returns (spec, compiled).  ``count_bytecodes``
     prints the compile's bytecode table (and wins over ``print_ir``)."""
-    builder, arity = KERNEL_BUILDERS[name]
-    if len(sizes) != arity:
-        raise SystemExit(
-            f"kernel {name!r} takes {arity} sizes, got {len(sizes)}"
-        )
+    try:
+        builder, sizes = resolve_kernel(name, sizes)
+    except ScheduleError as error:
+        raise SystemExit(str(error))
     module, spec = builder(*sizes)
     instrument = PrintIRInstrumentation() if print_ir else None
     if count_bytecodes:

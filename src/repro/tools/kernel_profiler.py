@@ -28,8 +28,10 @@ from contextlib import nullcontext
 import numpy as np
 
 from .. import api, kernels
+from ..ir.core import IRError
 from ..ir.pipeline_spec import PipelineSpecError
 from ..obs.tracing import TraceRecorder, recording, span
+from ..tune.schedule import ScheduleError, resolve_kernel
 
 KERNEL_BUILDERS = kernels.KERNEL_BUILDERS
 
@@ -94,11 +96,10 @@ def profile_kernel(
     validate: bool = True,
 ):
     """Compile + profiled run; returns (CycleProfile, KernelRun)."""
-    builder, arity = KERNEL_BUILDERS[name]
-    if len(sizes) != arity:
-        raise SystemExit(
-            f"kernel {name!r} takes {arity} sizes, got {len(sizes)}"
-        )
+    try:
+        builder, sizes = resolve_kernel(name, sizes)
+    except ScheduleError as error:
+        raise SystemExit(str(error))
     module, spec = builder(*sizes)
     try:
         compiled = api.compile_linalg(
@@ -106,6 +107,8 @@ def profile_kernel(
         )
     except PipelineSpecError as error:
         raise SystemExit(f"bad --pipeline: {error}")
+    except (IRError, ValueError) as error:
+        raise SystemExit(f"compilation failed: {error}")
     args = spec.random_arguments(seed=seed)
     result = api.run_kernel(compiled, args, profile=True)
     if validate:

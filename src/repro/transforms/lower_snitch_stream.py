@@ -19,12 +19,24 @@ words are emitted ahead of the outermost such loop and only the pointer
 writes and the ``ssrcfg`` toggles stay inside.  A zero word is written
 from ``zero``.
 
-The drain (``csrci``) lands right after the region, unless only integer
-ALU ops (a row's pointer advances) follow it in its ``rv_scf.for``
-body: then it lands at the head of that body and after the loop, so
-the advances, the loop counter and the taken back-edge issue while the
-FPU still works, and each iteration's head drains the one before (the
-first iteration's, with streaming still off, only synchronises).
+Enable and drain once per loop nest: when that hoisted loop runs
+nothing besides the region but integer ALU ops (pointer advances, loop
+control) and nested loops, ``csrsi`` follows the hoisted words ahead
+of the loop, a single ``csrci`` follows the loop, and each iteration
+keeps only its pointer writes.  A pointer write then queues the next
+row's job while the FPU still works on this one: the movers shadow
+their job registers one deep (docs/MACHINE_MODEL.md, section 5).  No
+FP value can live in ``ft0``-``ft2`` across the widened enable window:
+the register allocator withholds every stream register the function
+names, function-wide.
+
+Otherwise the drain (``csrci``) lands right after the region, unless
+only integer ALU ops (a row's pointer advances) follow it in its
+``rv_scf.for`` body: then it lands at the head of that body and after
+the loop, so the advances, the loop counter and the taken back-edge
+issue while the FPU still works, and each iteration's head drains the
+one before (the first iteration's, with streaming still off, only
+synchronises).
 
 Stream reads become ``rv.get_register`` ops naming the stream register:
 at the assembly level, *consuming* ``ft0``/``ft1``/``ft2`` is what pops
@@ -71,6 +83,10 @@ def hardware_pattern(
 _CONFIG_WRITERS = (snitch_stream.StreamingRegionOp, riscv_snitch.ScfgwiOp)
 
 
+#: Integer ALU ops: they touch neither the FPU, nor memory, nor streams.
+_INT_ALU = (riscv.RdRsRsInstruction, riscv.RdRsImmInstruction, riscv.LiOp)
+
+
 def _config_anchor(op: snitch_stream.StreamingRegionOp) -> Operation:
     """The op ahead of which ``op``'s bound/stride/repeat words go.
 
@@ -87,8 +103,24 @@ def _config_anchor(op: snitch_stream.StreamingRegionOp) -> Operation:
     return anchor
 
 
-#: Integer ALU ops: they touch neither the FPU, nor memory, nor streams.
-_INT_ALU = (riscv.RdRsRsInstruction, riscv.RdRsImmInstruction, riscv.LiOp)
+#: What a loop nest may run besides its region to stay enabled: no
+#: FPU, memory or stream work (``rv.get_register`` emits nothing).
+_NEST_OPS = (*_INT_ALU, riscv.GetRegisterOp, riscv_scf.YieldOp)
+
+
+def _streams_whole_nest(
+    op: snitch_stream.StreamingRegionOp, loop: Operation
+) -> bool:
+    """Whether ``loop`` runs nothing but ``op`` and integer ALU ops
+    (pointer advances, loop control), in any nesting of loops: then
+    streaming stays enabled across the whole nest."""
+    for nested in loop.body_block.ops:
+        if isinstance(nested, riscv_scf.ForOp):
+            if not _streams_whole_nest(op, nested):
+                return False
+        elif nested is not op and not isinstance(nested, _NEST_OPS):
+            return False
+    return True
 
 
 def _drain_loop(op: snitch_stream.StreamingRegionOp):
@@ -112,9 +144,11 @@ class _LowerStreamingRegion(TypedPattern):
         rewriter: PatternRewriter,
     ) -> None:
         anchor = _config_anchor(op)
+        whole_nest = anchor is not op and _streams_whole_nest(op, anchor)
         config_ops: list[Operation] = []
-        # Pointer writes (which arm the movers) and the enable stay with
-        # the region; inside a loop nest the rest is hoisted above it.
+        # Pointer writes (which arm the movers) stay with the region;
+        # inside a loop nest the rest is hoisted above it, the enable
+        # too when nothing else runs in the nest.
         arm_ops = config_ops if anchor is op else []
         constants: dict[int, SSAValue] = {}  # one li per value
 
@@ -162,7 +196,9 @@ class _LowerStreamingRegion(TypedPattern):
                     pointer, scfg_address(mover, base + rank - 1)
                 )
             )
-        arm_ops.append(riscv_snitch.CsrsiOp("ssrcfg", 1))
+        (config_ops if whole_nest else arm_ops).append(
+            riscv_snitch.CsrsiOp("ssrcfg", 1)
+        )
         if arm_ops is not config_ops:
             rewriter.insert_before(config_ops, anchor)
         rewriter.insert_before(arm_ops, op)
@@ -198,9 +234,12 @@ class _LowerStreamingRegion(TypedPattern):
             body_op.detach()
             op.parent.insert_op_before(body_op, op)
         loop = _drain_loop(op)
-        drains = (
-            [op] if loop is None else [loop.body_block.first_op, loop.next_op]
-        )
+        if whole_nest:
+            drains = [anchor.next_op]
+        elif loop is None:
+            drains = [op]
+        else:
+            drains = [loop.body_block.first_op, loop.next_op]
         for at in drains:
             rewriter.insert_before([riscv_snitch.CsrciOp("ssrcfg", 1)], at)
         rewriter.erase_op(op)

@@ -105,7 +105,8 @@ class ScheduleConfig:
 
 
 def resolve_kernel(kernel: str, sizes: Sequence[int]):
-    """(builder, sizes) for a canonical kernel name, arity-checked."""
+    """(builder, sizes) for a canonical kernel name, arity-checked and
+    non-negative: the one size check of every CLI and the service."""
     try:
         builder, arity = KERNEL_BUILDERS[kernel]
     except KeyError:
@@ -116,6 +117,11 @@ def resolve_kernel(kernel: str, sizes: Sequence[int]):
     if len(sizes) != arity:
         raise ScheduleError(
             f"kernel {kernel!r} takes {arity} sizes, got {len(sizes)}"
+        )
+    if any(size < 0 for size in sizes):
+        raise ScheduleError(
+            f"kernel {kernel!r} sizes must be non-negative, got "
+            f"{' '.join(str(size) for size in sizes)}"
         )
     return builder, tuple(int(s) for s in sizes)
 

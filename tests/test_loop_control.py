@@ -5,20 +5,23 @@ when all three are ``li`` constants (or ``zero``) and the loop runs at
 least once, the zero-trip guard goes, and an induction variable the
 body never reads counts down from the trip count (``addi -1`` /
 ``bnez``); the bound and step ``li``s left without uses are erased.
-``lower-snitch-stream`` puts the drain (``csrci``) of a region that
-only integer ALU ops follow in its loop body at the head of that body
-and after the loop, so the pointer advances and the back-edge issue
-while the FPU still works; zero configuration words come from
-``zero``.  Three nets hold it:
+``lower-snitch-stream`` enables streaming before a hoisted loop nest
+that runs nothing but its region and integer ALU ops, and drains it
+once after the nest; otherwise it puts the drain (``csrci``) of a
+region that only integer ALU ops follow in its loop body at the head
+of that body and after the loop, so the pointer advances and the
+back-edge issue while the FPU still works; zero configuration words
+come from ``zero``.  Three nets hold it:
 
 * one hand-built loop per form, its asm shape asserted and its stores
   simulated into a poisoned array;
-* the drain placement, for one region in a loop and for two;
+* the enable and drain placement, for one region in a loop and for
+  two;
 * every golden-asm case (the 282 whose asm uses one of these forms
-  among them) matches numpy with its outputs *poisoned*:
-  ``KernelSpec.random_arguments`` zero-fills outputs, which would hide
-  a kernel that leaves an output element unwritten or accumulates
-  onto it.
+  among them, and the 9 that stream across a whole nest) matches numpy
+  with its outputs *poisoned*: ``KernelSpec.random_arguments``
+  zero-fills outputs, which would hide a kernel that leaves an output
+  element unwritten or accumulates onto it.
 """
 
 import functools
@@ -175,19 +178,29 @@ def _drains(asm: str) -> list[str]:
     ]
 
 
-def test_region_in_a_loop_drains_at_head_and_after():
-    """conv3x3 8x8 arms its streams once per output row: the drain sits
-    at the row loop's head and after the loop, nowhere else."""
+def test_hoisted_row_loop_enables_before_and_drains_after():
+    """conv3x3 8x8 arms its streams once per output row and runs only
+    pointer advances beside them: one ``csrsi`` before the row loop,
+    one ``csrci`` after it, none inside."""
     module, _ = KERNEL_BUILDERS["conv3x3"][0](8, 8)
     asm = api.compile_linalg(module, pipeline="ours").asm
-    before = _drains(asm)
-    assert len(before) == 2
-    assert before[0].startswith(".for_body")
-    assert before[1].startswith(".for_end")
+    lines = [line for line in _lines(asm) if line]
+    mnemonics = _mnemonics(asm)
+    assert mnemonics.count("csrsi") == mnemonics.count("csrci") == 1
+    enable = mnemonics.index("csrsi")
+    # The enable follows the hoisted configuration words; only the row
+    # counter's li comes between it and the loop head.
+    assert mnemonics[enable - 1] == "scfgwi"
+    assert lines[enable + 1].startswith("li ")
+    assert lines[enable + 2].startswith(".for_body")
     # The region's group loop ends, then the two pointer advances, the
-    # counter and the back-edge follow with no drain in between.
-    assert _mnemonics(asm)[-7:] == [
-        "addi", "addi", "addi", "bnez", before[1], "csrci", "ret"
+    # counter and the back-edge follow; the drain comes after the loop.
+    group_end, row_end = lines[-8], lines[-3]
+    assert group_end.startswith(".for_end")
+    assert row_end.startswith(".for_end")
+    assert _drains(asm) == [row_end]
+    assert mnemonics[-8:] == [
+        group_end, "addi", "addi", "addi", "bnez", row_end, "csrci", "ret"
     ]
 
 
@@ -219,6 +232,37 @@ def uses_loop_control_forms(asm: str) -> bool:
         or line.startswith("scfgwi zero,")
         for i, line in enumerate(lines)
     )
+
+
+def streams_whole_nest(asm: str) -> bool:
+    """Whether ``asm`` arms a stream inside a loop but toggles
+    ``ssrcfg`` in none: streaming stays enabled across a nest."""
+    depth, arms = 0, False
+    for line in _lines(asm):
+        if line.startswith(".for_body"):
+            depth += 1
+        elif line.startswith(".for_end"):
+            depth -= 1
+        elif depth and line.startswith(("csrsi", "csrci")):
+            return False
+        elif depth and line.startswith("scfgwi"):
+            arms = True
+    return arms
+
+
+def test_every_whole_nest_golden_case_is_netted():
+    """The cases whose digests moved when a hoisted nest came to be
+    enabled once and drained once: the window kernels that re-arm per
+    row."""
+    netted = [
+        case_id
+        for case_id in GOLDEN_CASES
+        if streams_whole_nest(_golden_kernel(case_id).asm)
+    ]
+    assert len(netted) == 9
+    assert {_case_kernel(case_id)[0] for case_id in netted} == {
+        "conv3x3", "max_pool3x3", "sum_pool3x3"
+    }
 
 
 def test_every_moved_golden_case_is_netted():

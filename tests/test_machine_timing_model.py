@@ -293,6 +293,97 @@ class TestStreamingSync:
             (3 + BRANCH_TAKEN_PENALTY) + 3 - 1
         )
 
+    @staticmethod
+    def _jobs(drained: bool, jobs: int = 3):
+        """``jobs`` 4-element sums, one per arm of mover 0, each on its
+        own accumulator (four chained adds: 13 FPU cycles).  Drained,
+        every job ends in ``csrci`` and the next arm re-enables; else
+        streaming stays on and each arm queues the next job.  Returns
+        (cycles, issue cycle of each arm, the sums), asserted identical
+        on both engines."""
+        setup = f"""
+            li t0, 3
+            scfgwi t0, {scfg_address(0, 0)}
+            li t1, 8
+            scfgwi t1, {scfg_address(0, 8)}
+            scfgwi zero, {scfg_address(0, 16)}
+            li t2, 3
+        """
+        arm = scfg_address(0, 24)
+        job = """
+            scfgwi a{j}, {arm}
+            {enable}
+            frep.o t2, 1, 0, 0
+            fadd.d fa{j}, fa{j}, ft0
+            {drain}
+        """
+        body = "".join(
+            job.format(
+                j=j,
+                arm=arm,
+                enable="csrsi ssrcfg, 1" if drained or j == 0 else "",
+                drain="csrci ssrcfg, 1" if drained else "",
+            )
+            for j in range(jobs)
+        )
+        tail = "" if drained else "csrci ssrcfg, 1"
+        program = assemble(f"main:\n{setup}{body}{tail}\nret")
+        outcomes = []
+        for engine in ("run", "run_reference"):
+            mem = TCDM()
+            bases = {}
+            for j in range(jobs):
+                bases[f"a{j}"] = mem.allocate(8 * 4)
+                mem.write_array(
+                    bases[f"a{j}"], np.arange(4 * j, 4 * j + 4, dtype=float)
+                )
+            machine = SnitchMachine(program, mem, record_timeline=True)
+            trace = getattr(machine, engine)("main", int_args=bases)
+            assert trace.ssr_reads == 4 * jobs
+            arms = [
+                cycle
+                for cycle, unit, text in machine.timeline
+                if text.startswith("scfgwi a")
+            ]
+            sums = [
+                bits_to_f64(machine.read_float_bits(f"fa{j}"))
+                for j in range(jobs)
+            ]
+            outcomes.append((trace.cycles, arms, sums))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    def test_rearm_in_flight_issues_at_once(self):
+        """(a) The second arm queues its job while the FPU still works
+        on the first: it issues as soon as frep.o has fed its body
+        (6 set-up, arm, enable, frep.o and its body slot).  The second
+        job's first add follows the first job's last back to back."""
+        cycles, arms, sums = self._jobs(drained=False, jobs=2)
+        assert arms == [6, 10]
+        assert sums == [0 + 1 + 2 + 3, 4 + 5 + 6 + 7]
+        assert cycles == 9 + 2 * (1 + 3 * FP_LATENCY) == 35
+
+    def test_third_arm_waits_one_job_deep(self):
+        """(b) The shadow is one deep: the third arm waits until every
+        FPU instruction dispatched before the second arm has issued —
+        the first job's adds, the last at 9 + 3 * FP_LATENCY.  Without
+        the rule, and with a two-deep shadow, it would issue at 13.
+        The FPU still runs the three jobs back to back."""
+        cycles, arms, sums = self._jobs(drained=False)
+        assert arms == [6, 10, 9 + 3 * FP_LATENCY + 1] == [6, 10, 22]
+        assert sums == [6.0, 22.0, 38.0]
+        assert cycles == 9 + 3 * (1 + 3 * FP_LATENCY) == 48
+
+    def test_arm_drain_rearm_costs_what_it_did(self):
+        """(c) An arm behind a drain never waits on the shadow: the
+        drain already put the integer core past the FPU.  Each job
+        costs arm, enable, frep.o, the body slot and three chained
+        adds, as before the shadow was modelled."""
+        cycles, arms, sums = self._jobs(drained=True)
+        assert arms == [6, 22, 38]
+        assert sums == [6.0, 22.0, 38.0]
+        assert cycles == 6 + 3 * (4 + 3 * FP_LATENCY) == 54
+
     def test_branch_penalty_accumulates(self):
         loop = """
             li t0, 10

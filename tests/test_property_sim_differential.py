@@ -203,13 +203,17 @@ def stream_config(draw):
 @st.composite
 def frep_ssr_program(draw):
     """A streaming kernel: configure 1-2 read movers (+ optionally the
-    ft2 write mover), enable streaming, FREP a random FPU body.
+    ft2 write mover), enable streaming, FREP a random FPU body — then
+    re-arm a mover up to three times with streaming left enabled, an
+    FREP after each arm, so the one-deep shadow of pointer writes
+    (``DataMover.queue``) binds.
 
     The generator does not try to balance element counts against pops —
     programs that run a stream past its end must fault *identically*
     in both engines, which is itself a property worth testing.
     """
     lines = ["main:"]
+    arms = []  # (mover, pointer word) of each configured mover
     readers = draw(st.integers(1, 2))
     for mover in range(readers):
         dims, bounds, strides, repeat = draw(stream_config())
@@ -229,6 +233,7 @@ def frep_ssr_program(draw):
             f"li t0, {SCRATCH_BASE + mover * 256}",
             f"scfgwi t0, {scfg_address(mover, 24 + dims - 1)}",
         ]
+        arms.append((mover, scfg_address(mover, 24 + dims - 1)))
     writer = draw(st.booleans())
     if writer:
         dims, bounds, strides, _ = draw(stream_config())
@@ -246,6 +251,7 @@ def frep_ssr_program(draw):
             f"li t0, {SCRATCH_BASE + 2 * 256}",
             f"scfgwi t0, {scfg_address(2, 28 + dims - 1)}",
         ]
+        arms.append((2, scfg_address(2, 28 + dims - 1)))
     stream_sources = ["ft0", "ft1"][:readers]
     result_regs = ["ft2", "fa0"] if writer else ["fa0", "fa1"]
     ops = ("fadd.d", "fmul.d", "fmadd.d", "fmv.d", "fmax.d")
@@ -261,15 +267,22 @@ def frep_ssr_program(draw):
             body.append(f"fmadd.d {rd}, {a}, {b}, {rd}")
         else:
             body.append(f"{op} {rd}, {a}, {b}")
-    trip = draw(st.integers(1, 8))
-    lines += [
-        "csrsi ssrcfg, 1",
-        f"li t1, {trip - 1}",
-        f"frep.o t1, {len(body)}, 0, 0",
-        *body,
-        "csrci ssrcfg, 1",
-        "ret",
-    ]
+    lines.append("csrsi ssrcfg, 1")
+    for rearm in range(1 + draw(st.integers(0, 3))):
+        if rearm:
+            mover, word = draw(st.sampled_from(arms))
+            offset = 8 * draw(st.integers(0, 8))
+            lines += [
+                f"li t0, {SCRATCH_BASE + mover * 256 + offset}",
+                f"scfgwi t0, {word}",
+            ]
+        trip = draw(st.integers(1, 8))
+        lines += [
+            f"li t1, {trip - 1}",
+            f"frep.o t1, {len(body)}, 0, 0",
+            *body,
+        ]
+    lines += ["csrci ssrcfg, 1", "ret"]
     return "\n".join(lines)
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.tools import kernel_compiler
+from repro.tools import kernel_compiler, kernel_profiler, kernel_tuner
 
 
 class TestArgumentParsing:
@@ -174,6 +174,47 @@ class TestPipelineSpecs:
             out
         )
         assert "// -----// IR after eliminate-identity-moves" in out
+
+
+class TestSizeChecks:
+    """One size check (``tune.schedule.resolve_kernel``) behind every
+    CLI: a negative size is refused by name, before anything is built,
+    and a compile failure is one line with a non-zero exit."""
+
+    def test_compiler_refuses_negative_size(self):
+        with pytest.raises(SystemExit, match="must be non-negative, got -1 4"):
+            kernel_compiler.main(["relu", "-1", "4"])
+
+    def test_profiler_refuses_negative_size(self):
+        with pytest.raises(
+            SystemExit, match="must be non-negative, got 1 -2 4"
+        ):
+            kernel_profiler.main(["matmul", "1", "-2", "4"])
+
+    def test_tuner_refuses_negative_size(self, capsys):
+        code = kernel_tuner.main(["matmul", "-1", "4", "4", "--no-cache"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "tuning failed: kernel 'matmul' sizes must be non-negative, "
+            "got -1 4 4\n"
+        )
+
+    def test_profiler_wrong_arity(self):
+        with pytest.raises(SystemExit, match="takes 3 sizes, got 1"):
+            kernel_profiler.main(["matmul", "4"])
+
+    def test_profiler_reports_compile_failure(self):
+        with pytest.raises(SystemExit, match="^compilation failed: "):
+            kernel_profiler.main(
+                [
+                    "sum", "4", "4", "--pipeline",
+                    "convert-linalg-to-memref-stream,allocate-registers",
+                ]
+            )
+
+    def test_zero_size_still_compiles(self, capsys):
+        assert kernel_compiler.main(["relu", "0", "4"]) == 0
+        assert ".globl relu" in capsys.readouterr().out
 
 
 class TestSmoke:
