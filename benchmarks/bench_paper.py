@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from repro import api, kernels
 from repro.compiler import CompiledKernel, artifact_versions
 from repro.kernels import lowlevel, networks
@@ -94,23 +92,19 @@ def measure(
 
     ``pipeline`` is a named pipeline, a raw pipeline spec, or
     :data:`LOWLEVEL`.  Every output is compared with the kernel's numpy
-    reference: ``atol=1e-9`` for the 64-bit kernels, ``rtol=1e-4`` for
-    the 32-bit packed-SIMD ones (whose sums round per lane).
+    reference (``KernelSpec.check``, whose tolerance follows the
+    dtype: the 32-bit packed-SIMD kernels' sums round per lane).
     """
     module, spec = builder(*sizes)
     if pipeline == LOWLEVEL:
         compiled = api.compile_lowlevel(module, spec.name)
-        tolerance = {"rtol": 1e-4}
     else:
         compiled = api.compile_linalg(
             module, pipeline=pipeline, unroll_factor=unroll_factor
         )
-        tolerance = {"atol": 1e-9}
     arguments = spec.random_arguments(seed=SEED)
     run = api.run_kernel(compiled, arguments, profile=profile)
-    for got, want in zip(run.arrays, spec.reference(*arguments)):
-        if want is not None:
-            np.testing.assert_allclose(got, want, **tolerance)
+    spec.check(arguments, run.arrays)
     return Measured(compiled, arguments, run)
 
 

@@ -32,14 +32,12 @@ cache-traffic counters are as deterministic as the cycles.  Regenerate
 JSON schema (``schema`` = 1)::
 
     {
-      "schema": 1, "smoke": false, "seed": 0,
-      "strategy": "exhaustive", "engine_version": 2,
-      "candidate_budget": null,
+      "schema": 1, "smoke": false, "seed": 0, "engine_version": 2,
       "entries": [
         {"group": "paper" | "nsnet2" | "alexnet" | "fig11",
          "kernel": "...", "sizes": [..],
          "default_cycles": .., "tuned_cycles": .., "speedup": ..,
-         "config": {"unroll_factor": .., "num_cores": ..},
+         "config": {"unroll_factor": ..},
          "pipeline_spec": "...",
          "candidates_evaluated": .., "cache_hits": ..,
          "cache_misses": .., "differential_ok": true}
@@ -101,9 +99,7 @@ def differential_check(schedule) -> bool:
     trace = SnitchMachine(fast.compiled.program, memory).run_reference(
         fast.compiled.entry, int_args=int_args, float_args=float_args
     )
-    if trace.cycles != fast.run.trace.cycles:
-        return False
-    if trace.cycles != schedule.cycles and schedule.config.num_cores == 1:
+    if not trace.cycles == fast.run.trace.cycles == schedule.cycles:
         return False
     return all(
         placement is None
@@ -116,9 +112,7 @@ def differential_check(schedule) -> bool:
 
 def tune_entry(group, kernel, sizes, cache):
     """Tune one kernel shape and render its JSON entry."""
-    result = tune_kernel(
-        kernel, sizes, strategy="exhaustive", seed=SEED, cache=cache
-    )
+    result = tune_kernel(kernel, sizes, seed=SEED, cache=cache)
     best = result.best
     ok = differential_check(best)
     entry = {
@@ -235,9 +229,7 @@ def run() -> dict:
         "schema": 1,
         "smoke": False,
         "seed": SEED,
-        "strategy": "exhaustive",
         "engine_version": ENGINE_VERSION,
-        "candidate_budget": None,
         "entries": entries,
         "networks": networks_totals,
         "summary": summary,

@@ -12,6 +12,7 @@ from . import networks
 from .builders import (
     KERNEL_BUILDERS,
     KernelSpec,
+    OracleMismatch,
     POOL_NEUTRAL_MIN,
     conv3x3,
     fill,
@@ -33,6 +34,7 @@ from .lowlevel import (
 __all__ = [
     "KERNEL_BUILDERS",
     "KernelSpec",
+    "OracleMismatch",
     "fill",
     "sum_kernel",
     "relu",

@@ -44,6 +44,18 @@ class ScalarArg:
     role: str = "in"
 
 
+#: (rtol, atol) of the numpy check per result dtype; the 32-bit
+#: kernels round per lane, so only a relative bound holds there.
+CHECK_TOLERANCES = {
+    np.dtype(np.float64): (1e-7, 1e-9),
+    np.dtype(np.float32): (1e-4, 0.0),
+}
+
+
+class OracleMismatch(ValueError):
+    """A kernel's results do not match its numpy oracle."""
+
+
 @dataclass
 class KernelSpec:
     """Calling convention + oracle + roofline for one kernel."""
@@ -81,6 +93,26 @@ class KernelSpec:
                     np.zeros(argument.shape, dtype=argument.dtype)
                 )
         return values
+
+    def check(self, arguments: Sequence, arrays: Sequence) -> None:
+        """Compare a run's ``arrays`` with the oracle on ``arguments``
+        (the inputs it ran on), within :data:`CHECK_TOLERANCES` of
+        each array's dtype; raises :class:`OracleMismatch` naming the
+        first differing argument and its worst error."""
+        expected = self.reference(*arguments)
+        for index, (got, want) in enumerate(zip(arrays, expected)):
+            if want is None:
+                continue
+            rtol, atol = CHECK_TOLERANCES[got.dtype]
+            if not np.allclose(got, want, rtol=rtol, atol=atol):
+                error = np.abs(got - want)
+                worst = np.unravel_index(np.argmax(error), error.shape)
+                raise OracleMismatch(
+                    f"{self.name}: argument {index} does not match the "
+                    f"numpy oracle: worst error {error[worst]:.3g} at "
+                    f"{tuple(map(int, worst))} (rtol {rtol:g}, atol "
+                    f"{atol:g})"
+                )
 
 
 def _memref(shape: Sequence[int]) -> MemRefType:
@@ -442,8 +474,10 @@ KERNEL_BUILDERS = {
 
 __all__ = [
     "ArrayArg",
+    "CHECK_TOLERANCES",
     "ScalarArg",
     "KernelSpec",
+    "OracleMismatch",
     "KERNEL_BUILDERS",
     "POOL_NEUTRAL_MIN",
     "fill",

@@ -72,7 +72,7 @@ class Fault:
         return type(self).RETRYABLE
 
     def describe(self) -> str:
-        """One-line form used in reports and legacy ``error`` strings."""
+        """One-line form used in reports and error messages."""
         parts = [f"{self.kind}: {self.message}"]
         if self.stage:
             parts.append(f"stage={self.stage}")

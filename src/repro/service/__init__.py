@@ -9,8 +9,10 @@ This package turns that determinism into a serving layer:
   batch server: store-first request handling, single-flight
   deduplication of identical in-flight requests, a
   :class:`~repro.runtime.workers.HardenedPool` worker tier for compile
-  and simulate jobs, and per-request structured fault reporting via
-  the :mod:`repro.runtime.faults` taxonomy;
+  jobs and ``measure`` jobs (one single-core run of the tuner's cycle
+  oracle, :func:`repro.tune.search.evaluate_config`), and per-request
+  structured fault reporting via the :mod:`repro.runtime.faults`
+  taxonomy;
 * :mod:`repro.service.journal` — :class:`RequestJournal`, the
   server's crash-safe record of accepted-but-unfinished work;
 * :mod:`repro.service.wire` — the server's end of the wire protocol:

@@ -76,9 +76,10 @@ class ServiceRequest:
     :class:`~repro.compiler.CompiledKernel` artifact.
 
     ``kind="measure"`` scores schedule ``config`` by simulated cycles
-    (the tuner's cycle oracle — multi-core configs row-partition
-    across a cluster), validated against the numpy oracle when
-    ``validate`` is set, and yields a ``{"cycles": N}`` artifact.
+    (the tuner's cycle oracle,
+    :func:`~repro.tune.search.evaluate_config`), validated against the
+    numpy oracle when ``validate`` is set, and yields a
+    ``{"cycles": N}`` artifact.
     """
 
     kind: str
@@ -218,32 +219,26 @@ def _service_task(job) -> tuple[dict | None, dict | None]:
     (The pool carries the ``worker.job`` span home from a forked
     worker; the artifact itself never holds spans.)"""
     request, deadline = job
-    stage: list[str] = ["prepare"]
-    try:
-        with span("worker.job", label=request.kernel):
-            if request.kind == "compile":
-                stage[:] = ["compile"]
-                builder, sizes = resolve_kernel(
-                    request.kernel, request.sizes
-                )
-                module, _ = builder(*sizes)
-                compiled = Compiler(request.pipeline).compile(module)
-                return compiled.to_json(), None
-            cycles = evaluate_config(
+    with span("worker.job", label=request.kernel):
+        if request.kind == "measure":
+            cycles, fault = evaluate_config(
                 request.kernel,
                 request.sizes,
                 request.config,
                 seed=request.seed,
                 validate=request.validate,
                 deadline_seconds=deadline,
-                stage_out=stage,
             )
+            if fault is not None:
+                return None, fault.to_json()
             return {"cycles": cycles}, None
-    except Exception as error:  # classify, don't propagate
-        fault = classify_error(
-            error, stage=stage[0] if stage else None
-        )
-        return None, fault.to_json()
+        try:
+            builder, sizes = resolve_kernel(request.kernel, request.sizes)
+            module, _ = builder(*sizes)
+            compiled = Compiler(request.pipeline).compile(module)
+            return compiled.to_json(), None
+        except Exception as error:  # classify, don't propagate
+            return None, classify_error(error, stage="compile").to_json()
 
 
 class _InFlight:

@@ -46,7 +46,7 @@ from ..runtime.store import ArtifactStore, StoreError
 from ..service.client import ServiceClient, ServiceError
 from ..service.server import CompileServer, ServiceRequest
 from ..service.wire import serve_forever
-from ..tune.schedule import ScheduleConfig, ScheduleError
+from ..tune.schedule import ScheduleConfig
 
 _EXIT_CODES = """\
 exit codes:
@@ -175,10 +175,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
         help="unroll-and-jam factor for measure jobs",
     )
     submit.add_argument(
-        "--cores", type=int, default=1, metavar="N",
-        help="cluster cores for measure jobs (default: 1)",
-    )
-    submit.add_argument(
         "--seed", type=int, default=0,
         help="input-data seed for measure jobs (default: 0)",
     )
@@ -270,23 +266,6 @@ def _backend(parser, args):
     parser.error("one of --socket or --store is required")
 
 
-def _request_from_args(parser, args) -> ServiceRequest:
-    try:
-        return ServiceRequest(
-            kind=args.kind,
-            kernel=args.kernel,
-            sizes=tuple(args.sizes),
-            pipeline=args.pipeline,
-            config=ScheduleConfig(
-                unroll_factor=args.unroll, num_cores=args.cores
-            ),
-            seed=args.seed,
-            validate=not args.no_validate,
-        )
-    except (StoreError, ScheduleError) as error:
-        parser.error(str(error))
-
-
 def _summarize(result: dict) -> str:
     request = result["request"]
     shape = "x".join(map(str, request["sizes"]))
@@ -354,7 +333,15 @@ def main(argv=None) -> int:
     backend = _backend(parser, args)
     try:
         if args.command == "submit":
-            request = _request_from_args(parser, args)
+            request = ServiceRequest(
+                kind=args.kind,
+                kernel=args.kernel,
+                sizes=tuple(args.sizes),
+                pipeline=args.pipeline,
+                config=ScheduleConfig(unroll_factor=args.unroll),
+                seed=args.seed,
+                validate=not args.no_validate,
+            )
             result = backend.submit(request, corr_id=args.corr_id)
             if args.asm:
                 if result["fault"] is not None:

@@ -10,13 +10,14 @@ This package closes that loop:
   :class:`ScheduleSpace` (the legal configs of one kernel) and
   :class:`TunedSchedule` (a persisted winning schedule that
   ``api``/``kernels.networks`` can apply);
-* :mod:`repro.tune.search` — :func:`tune_kernel`, one serial,
-  exhaustive search: each candidate compiled through the ``Compiler``
-  facade and scored by cycles on the predecoded engine;
+* :mod:`repro.tune.search` — :func:`evaluate_config`, the cycle
+  oracle (one single-core compile, run and numpy check, returning
+  ``(cycles, fault)``; the service's ``measure`` jobs call it too),
+  and :func:`tune_kernel`, one serial, exhaustive search over it;
 * :mod:`repro.tune.cache` — a crash-safe persistent JSON cycle cache
-  keyed by (kernel, shape, config, engine + compiler version) so
-  repeated tuning runs and CI are incremental (corrupt files
-  quarantine, concurrent savers merge).
+  keyed by (kernel, shape, config, validate, engine + compiler
+  version) so repeated tuning runs and CI are incremental (corrupt
+  files quarantine, concurrent savers merge).
 
 Every evaluation failure is classified into the structured fault
 taxonomy of :mod:`repro.runtime.faults`, shared with the service and

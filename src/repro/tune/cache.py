@@ -86,7 +86,8 @@ def _parse_entries(payload) -> dict[str, int | Fault] | None:
 
 
 class TuneCache:
-    """(kernel, shape, config, engine, compiler) -> cycles store."""
+    """(kernel, shape, config, validate, engine, compiler) -> cycles
+    store."""
 
     SCHEMA = 2
 
@@ -126,13 +127,18 @@ class TuneCache:
 
     @staticmethod
     def key(
-        kernel: str, sizes: Sequence[int], config: ScheduleConfig
+        kernel: str,
+        sizes: Sequence[int],
+        config: ScheduleConfig,
+        validate: bool,
     ) -> str:
-        """The canonical cache key of one measurement."""
+        """The canonical cache key of one measurement (``validate``
+        included: a validated search must not be served an unchecked
+        measurement, nor an unvalidated one a ``verify`` fault)."""
         shape = "x".join(str(int(s)) for s in sizes)
         engine_version, compiler_version = artifact_versions()
         return (
-            f"{kernel}/{shape}/{config.key()}"
+            f"{kernel}/{shape}/{config.key()}/validate={validate}"
             f"/engine={engine_version}/compiler={compiler_version}"
         )
 

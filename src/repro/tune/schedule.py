@@ -6,13 +6,11 @@ the bound of the dim the pass interleaves, see
 
 :class:`ScheduleConfig` names one such choice and renders it as a
 textual pipeline spec, so every tuned schedule round-trips through the
-ordinary ``Compiler``/CLI surface; it also carries a cluster core
-count, which the service's ``measure`` jobs set and the search leaves
-at one.  :class:`ScheduleSpace` enumerates the legal configs of a
-concrete kernel by probing its ``memref_stream.generic`` after
-conversion.  :class:`TunedSchedule` is the persisted artifact a search
-produces: JSON-serialisable and directly appliable to
-``api.compile_linalg`` or a network layer list.
+ordinary ``Compiler``/CLI surface.  :class:`ScheduleSpace` enumerates
+the legal configs of a concrete kernel by probing its
+``memref_stream.generic`` after conversion.  :class:`TunedSchedule` is
+the persisted artifact a search produces: JSON-serialisable and
+directly appliable to ``api.compile_linalg`` or a network layer list.
 """
 
 from __future__ import annotations
@@ -43,31 +41,21 @@ class ScheduleConfig:
     """One point in a kernel's schedule space.
 
     ``unroll_factor=None`` means "the compiler's own default": the
-    automatic unroll heuristic.  ``num_cores == 1`` is a plain
-    single-core run; more cores row-partition the kernel across a
-    cluster and score the slowest core.  Both fields are type-checked:
-    configs arrive from the wire and from files, and the factor is
-    spliced into a pipeline spec.
+    automatic unroll heuristic.  The factor is type-checked: configs
+    arrive from the wire and from files, and it is spliced into a
+    pipeline spec.
     """
 
     unroll_factor: int | None = None
-    num_cores: int = 1
 
     def __post_init__(self):
         # ``type(...) is int`` also refuses bools.
-        factor, cores = self.unroll_factor, self.num_cores
-        if not (factor is None or type(factor) is int) or not (
-            type(cores) is int and cores >= 1
-        ):
+        factor = self.unroll_factor
+        if not (factor is None or type(factor) is int):
             raise ScheduleError(
-                f"bad schedule config: unroll_factor={factor!r} (want an "
-                f"int or null), num_cores={cores!r} (want an int >= 1)"
+                f"bad schedule config: unroll_factor={factor!r} (want "
+                "an int or null)"
             )
-
-    @property
-    def is_default(self) -> bool:
-        """Whether this is exactly the untuned compiler behaviour."""
-        return self.unroll_factor is None and self.num_cores == 1
 
     def pipeline_spec(self) -> str:
         """The schedule as a round-trippable textual pipeline spec."""
@@ -78,30 +66,27 @@ class ScheduleConfig:
         factor = (
             "auto" if self.unroll_factor is None else self.unroll_factor
         )
-        return f"factor={factor}|cores={self.num_cores}"
+        return f"factor={factor}"
 
     def to_json(self) -> dict:
-        return {
-            "unroll_factor": self.unroll_factor,
-            "num_cores": self.num_cores,
-        }
+        return {"unroll_factor": self.unroll_factor}
 
     @classmethod
     def from_json(cls, data: dict) -> "ScheduleConfig":
-        # A non-null field naming no axis of this space is refused, not
-        # dropped: the record would otherwise be measured as a
-        # different schedule than the one it names.
+        # A field naming no axis of this space is refused, not dropped:
+        # the record would otherwise be measured as a different
+        # schedule than the one it names.  Older records carry retired
+        # axes at their no-op values (a null permutation, one core).
         extra = {
             name: value
             for name, value in data.items()
-            if value is not None and name not in ("unroll_factor", "num_cores")
+            if name != "unroll_factor"
+            and value is not None
+            and (name, value) != ("num_cores", 1)
         }
         if extra:
             raise ScheduleError(f"not schedule axes: {extra!r}")
-        return cls(
-            unroll_factor=data.get("unroll_factor"),
-            num_cores=data.get("num_cores", 1),
-        )
+        return cls(unroll_factor=data.get("unroll_factor"))
 
 
 def resolve_kernel(kernel: str, sizes: Sequence[int]):
@@ -316,12 +301,8 @@ class TunedSchedule:
                 pipeline_spec=data["pipeline_spec"],
                 cycles=int(data["cycles"]),
                 default_cycles=int(data["default_cycles"]),
-                engine_version=int(
-                    data.get("engine_version", artifact_versions()[0])
-                ),
-                # Records written before the field existed came from
-                # compiler version 1.
-                compiler_version=int(data.get("compiler_version", 1)),
+                engine_version=int(data["engine_version"]),
+                compiler_version=int(data["compiler_version"]),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ScheduleError(
@@ -356,21 +337,8 @@ def schedule_table(
     """(builder name, sizes) -> tuned pipeline spec.
 
     The mapping ``kernels.networks.compile_layers`` consumes to run a
-    whole network with per-layer tuned schedules.  A record with
-    ``num_cores > 1`` (artifacts arrive from files) is rejected:
-    network layers run single-core, a pipeline spec cannot express
-    cluster partitioning, and applying its spec would claim cycles the
-    run cannot reproduce.
+    whole network with per-layer tuned schedules.
     """
-    for schedule in schedules:
-        if schedule.config.num_cores != 1:
-            raise ScheduleError(
-                f"{schedule.kernel} {'x'.join(map(str, schedule.sizes))}"
-                f": schedule was tuned on {schedule.config.num_cores} "
-                "cores; a pipeline spec cannot express cluster "
-                "partitioning, so it cannot be applied to a "
-                "single-core network layer"
-            )
     return {
         schedule.builder_key(): schedule.pipeline_spec
         for schedule in schedules

@@ -4,13 +4,14 @@
 :class:`~repro.tune.schedule.ScheduleSpace` — a handful of unroll
 factors — and *measures* every config, serially and in-process:
 look it up in the :class:`~repro.tune.cache.TuneCache`; on a miss
-compile it through the ordinary ``Compiler`` facade with the config's
-pipeline spec, run it on the predecoded engine, validate against the
-numpy oracle and score it by cycles.  Every failure becomes a
-structured :class:`~repro.runtime.faults.Fault` on the candidate's
-outcome; deterministic ones are cached with their provenance, so
-reruns skip them.  The compiler default is measured first, so the
-winning schedule is never worse than the untuned pipeline.
+score it with :func:`evaluate_config`, the cycle oracle: compile it
+through the ordinary ``Compiler`` facade with the config's pipeline
+spec, run it on the predecoded engine and check it against the numpy
+oracle.  Every failure becomes a structured
+:class:`~repro.runtime.faults.Fault` on the candidate's outcome;
+deterministic ones are cached with their provenance, so reruns skip
+them.  The compiler default is measured first, so the winning
+schedule is never worse than the untuned pipeline.
 """
 
 from __future__ import annotations
@@ -19,31 +20,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .. import api
 from ..compiler import Compiler
 from ..obs.tracing import span
 from ..runtime.faults import Fault, classify_error
-from ..snitch.cluster import run_row_partitioned
 from .cache import TuneCache
 from .schedule import (
     ScheduleConfig,
     ScheduleError,
     ScheduleSpace,
     TunedSchedule,
-    cluster_plan,
     resolve_kernel,
 )
-
-
-def _validate_arrays(kernel: str, arrays, expected) -> None:
-    for got, want in zip(arrays, expected):
-        if want is not None and not np.allclose(got, want, atol=1e-8):
-            raise ScheduleError(
-                f"{kernel}: schedule produced results that do not "
-                "match the numpy oracle"
-            )
 
 
 def evaluate_config(
@@ -53,72 +41,34 @@ def evaluate_config(
     seed: int = 0,
     validate: bool = True,
     deadline_seconds: float | None = None,
-    stage_out: list[str] | None = None,
-) -> int:
-    """The cycle oracle: measured cycles of one schedule config.
+) -> tuple[int | None, Fault | None]:
+    """The cycle oracle: ``(cycles, None)`` of one schedule config, or
+    ``(None, fault)``.
 
-    Compiles the kernel with the config's pipeline spec and simulates
-    it on the predecoded engine; multi-core configs row-partition the
-    kernel across a cluster sharing one TCDM and score the slowest
-    core.  Raises (``ScheduleError`` or the underlying compiler error)
-    when the config does not compile or fails validation — the search
-    records such configs as invalid rather than ranking them.
-
-    ``deadline_seconds`` arms the simulator's cooperative wall-clock
-    watchdog.  ``stage_out``, when given, is overwritten in place with
-    the evaluation stage currently executing (``compile`` /
-    ``simulate`` / ``verify``) so a caller catching an exception can
-    attribute it to the right layer.
+    Compiles the kernel with the config's pipeline spec, simulates it
+    single-core on the predecoded engine (``deadline_seconds`` arms
+    its wall-clock watchdog) and, with ``validate``, runs
+    ``KernelSpec.check``.  An ``Exception`` becomes a fault classified
+    by the stage it escaped and stamped with the config's key.
     """
-
-    def _stage(name: str) -> None:
-        if stage_out is not None:
-            stage_out[:] = [name]
-
-    _stage("compile")
-    builder, sizes = resolve_kernel(kernel, sizes)
-    spec_text = config.pipeline_spec()
-    module, kernel_spec = builder(*sizes)
-    arguments = kernel_spec.random_arguments(seed=seed)
-    if config.num_cores == 1:
-        compiled = Compiler(spec_text).compile(module)
-        _stage("simulate")
+    stage = "compile"
+    try:
+        builder, sizes = resolve_kernel(kernel, sizes)
+        module, kernel_spec = builder(*sizes)
+        arguments = kernel_spec.random_arguments(seed=seed)
+        compiled = Compiler(config.pipeline_spec()).compile(module)
+        stage = "simulate"
         run = api.run_kernel(
             compiled, arguments, deadline_seconds=deadline_seconds
         )
         if validate:
-            _stage("verify")
-            _validate_arrays(
-                kernel, run.arrays, kernel_spec.reference(*arguments)
-            )
-        return run.trace.cycles
-    plan = cluster_plan(kernel, sizes)
-    if plan is None:
-        raise ScheduleError(
-            f"kernel {kernel!r} has no known row-partitioning"
+            stage = "verify"
+            kernel_spec.check(arguments, run.arrays)
+        return run.trace.cycles, None
+    except Exception as error:  # classify, don't rank
+        return None, classify_error(
+            error, stage=stage, candidate=config.key()
         )
-
-    def _compile_chunk(chunk_module, _spec):
-        _stage("compile")
-        compiled = Compiler(spec_text).compile(chunk_module)
-        _stage("simulate")
-        return compiled
-
-    cluster = run_row_partitioned(
-        plan.chunk_builder,
-        _compile_chunk,
-        plan.shape,
-        config.num_cores,
-        list(arguments),
-        row_parallel_args=list(plan.row_parallel_args),
-        deadline_seconds=deadline_seconds,
-    )
-    if validate:
-        _stage("verify")
-        _validate_arrays(
-            kernel, cluster.arrays, kernel_spec.reference(*arguments)
-        )
-    return cluster.cycles
 
 
 @dataclass
@@ -126,7 +76,6 @@ class CandidateOutcome:
     """One scored (or failed) schedule candidate."""
 
     config: ScheduleConfig
-    spec: str
     #: Measured cycles; None when the config failed.
     cycles: int | None
     #: Whether the score came from the persistent cache.
@@ -137,11 +86,6 @@ class CandidateOutcome:
     @property
     def valid(self) -> bool:
         return self.cycles is not None
-
-    @property
-    def error(self) -> str | None:
-        """Legacy one-line error string (from the fault)."""
-        return self.fault.describe() if self.fault is not None else None
 
 
 @dataclass
@@ -193,37 +137,6 @@ class TuneResult:
         return "\n".join(lines)
 
 
-def _measure(
-    kernel: str,
-    sizes: tuple[int, ...],
-    config: ScheduleConfig,
-    seed: int,
-    validate: bool,
-    deadline: float | None,
-) -> tuple[int | None, Fault | None]:
-    """(cycles, fault) of one config; never raises an ``Exception``."""
-    stage: list[str] = []
-    try:
-        with span("tune.candidate", candidate=config.key()):
-            cycles = evaluate_config(
-                kernel,
-                sizes,
-                config,
-                seed=seed,
-                validate=validate,
-                deadline_seconds=deadline,
-                stage_out=stage,
-            )
-        return cycles, None
-    except Exception as error:  # classify, don't rank
-        fault = classify_error(
-            error,
-            stage=stage[0] if stage else None,
-            candidate=config.key(),
-        )
-        return None, fault
-
-
 def tune_kernel(
     kernel: str,
     sizes: Sequence[int],
@@ -267,17 +180,20 @@ def tune_kernel(
     try:
         with span("tune.search", kernel=kernel):
             for config in space.configs():
-                key = TuneCache.key(space.kernel, space.sizes, config)
+                key = TuneCache.key(
+                    space.kernel, space.sizes, config, validate
+                )
                 cached, cycles, fault = cache.lookup(key)
                 if not cached:
-                    cycles, fault = _measure(
-                        space.kernel,
-                        space.sizes,
-                        config,
-                        seed,
-                        validate,
-                        deadline,
-                    )
+                    with span("tune.candidate", candidate=config.key()):
+                        cycles, fault = evaluate_config(
+                            space.kernel,
+                            space.sizes,
+                            config,
+                            seed=seed,
+                            validate=validate,
+                            deadline_seconds=deadline,
+                        )
                     if fault is None:
                         cache.put(key, cycles)
                     elif not fault.retryable:
@@ -287,7 +203,6 @@ def tune_kernel(
                 candidates.append(
                     CandidateOutcome(
                         config=config,
-                        spec=config.pipeline_spec(),
                         cycles=cycles,
                         cached=cached,
                         fault=fault,
@@ -299,7 +214,7 @@ def tune_kernel(
     if not default.valid:
         raise ScheduleError(
             f"{space.kernel}: the default schedule failed "
-            f"({default.error}); tuning has no baseline"
+            f"({default.fault.describe()}); tuning has no baseline"
         )
     best = min(
         (o for o in candidates if o.valid), key=lambda o: o.cycles
@@ -312,7 +227,7 @@ def tune_kernel(
             kernel=space.kernel,
             sizes=space.sizes,
             config=best.config,
-            pipeline_spec=best.spec,
+            pipeline_spec=best.config.pipeline_spec(),
             cycles=best.cycles,
             default_cycles=default.cycles,
         ),

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from repro import api, kernels
+from repro.kernels import OracleMismatch
+from repro.kernels.builders import ArrayArg
 from repro.transforms.pipelines import PIPELINE_NAMES
 
 KERNEL_CASES = [
@@ -109,3 +111,61 @@ def test_inputs_not_clobbered():
     result = api.run_kernel(compiled, args)
     np.testing.assert_array_equal(result.arrays[0], args[0])
     np.testing.assert_array_equal(result.arrays[1], args[1])
+
+
+class TestKernelSpecCheck:
+    """``KernelSpec.check`` at the edge of each dtype's tolerance."""
+
+    @staticmethod
+    def _spec(want):
+        return kernels.KernelSpec(
+            name="copy",
+            arguments=[ArrayArg(want.shape, "out", want.dtype.type)],
+            reference=lambda _out: [want],
+            flops=0,
+        )
+
+    @pytest.mark.parametrize(
+        "dtype, want, bound",
+        [
+            # float64: rtol 1e-7, atol 1e-9.
+            (np.float64, 0.0, 1e-9),
+            (np.float64, 1.0, 1e-9 + 1e-7),
+            (np.float64, -250.0, 1e-9 + 250 * 1e-7),
+            # float32: rtol 1e-4 and no absolute slack.
+            (np.float32, 1.0, 1e-4),
+            (np.float32, -250.0, 250 * 1e-4),
+        ],
+    )
+    def test_tolerance_boundary(self, dtype, want, bound):
+        expected = np.array([want, 0.5], dtype=dtype)
+        spec = self._spec(expected)
+        for inside in (0.99 * bound, -0.99 * bound):
+            got = np.array([want + inside, 0.5], dtype=dtype)
+            spec.check([got], [got])
+        got = np.array([want + 1.01 * bound, 0.5], dtype=dtype)
+        with pytest.raises(OracleMismatch, match="argument 0"):
+            spec.check([got], [got])
+
+    def test_float32_has_no_absolute_slack(self):
+        spec = self._spec(np.zeros(2, dtype=np.float32))
+        spec.check([None], [np.zeros(2, dtype=np.float32)])
+        with pytest.raises(OracleMismatch):
+            spec.check([None], [np.array([0.0, 1e-30], np.float32)])
+
+    def test_message_names_argument_and_worst_error(self):
+        module, spec = kernels.sum_kernel(2, 3)
+        arguments = spec.random_arguments(seed=0)
+        got = [None, None, arguments[0] + arguments[1]]
+        spec.check(arguments, got)
+        got[2][1, 2] += 0.5
+        got[2][0, 0] += 0.25
+        with pytest.raises(OracleMismatch) as info:
+            spec.check(arguments, got)
+        assert isinstance(info.value, ValueError)
+        message = str(info.value)
+        assert message.startswith(
+            "sum: argument 2 does not match the numpy oracle: "
+            "worst error 0.5 at (1, 2)"
+        )
+        assert "rtol 1e-07, atol 1e-09" in message

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernels import networks
+from repro.kernels import OracleMismatch, networks
 
 
 class TestLayerConfigs:
@@ -86,5 +86,5 @@ class TestRunNetwork:
             return module, spec
 
         layers[0].builder = bad_builder
-        with pytest.raises(AssertionError):
+        with pytest.raises(OracleMismatch, match="argument 2"):
             networks.run_network("n", layers)

@@ -289,21 +289,23 @@ class TestCompileServer:
                 )
             )
             assert result.ok
-        direct = evaluate_config("matmul", (2, 3, 4), config, seed=0)
+        direct, _ = evaluate_config("matmul", (2, 3, 4), config, seed=0)
         assert result.payload["cycles"] == direct
 
-    def test_cluster_measure_matches_direct_oracle(self, tmp_path):
-        """The multi-core oracle path left the tuner's search but stays
-        reachable through ``measure``."""
-        config = ScheduleConfig(num_cores=2)
+    def test_measure_fault_names_its_candidate(
+        self, tmp_path, break_reference
+    ):
+        """A measure job's fault carries the config key, as the
+        tuner's do."""
+        break_reference("relu")
+        config = ScheduleConfig(unroll_factor=2)
         with CompileServer(ArtifactStore(tmp_path)) as server:
             result = server.submit(
-                ServiceRequest("measure", "sum", (4, 8), config=config)
+                ServiceRequest("measure", "relu", (2, 4), config=config)
             )
-            assert result.ok
-        direct = evaluate_config("sum", (4, 8), config, seed=0)
-        single = evaluate_config("sum", (4, 8), ScheduleConfig(), seed=0)
-        assert result.payload["cycles"] == direct < single
+        assert result.source == "failed"
+        assert result.fault.kind == "verify"
+        assert result.fault.candidate == "factor=2"
 
     def test_batch_dedups_and_reports_faults(self, tmp_path):
         with CompileServer(ArtifactStore(tmp_path)) as server:
@@ -349,7 +351,7 @@ class TestCompileServer:
             "measure",
             "matmul",
             (2, 3, 4),
-            config=ScheduleConfig(unroll_factor=2, num_cores=2),
+            config=ScheduleConfig(unroll_factor=2),
             seed=7,
             validate=False,
         )
@@ -366,11 +368,13 @@ class TestCompileServer:
             {"unroll_factor": "2},dce,unroll-and-jam{factor=4"},
             {"unroll_factor": True},
             {"num_cores": 0},
-            # A config from before the interchange axis was removed:
-            # measuring it as the default would answer another question.
+            # Configs from before the core-count and interchange axes
+            # were removed: measuring them as single-core or unpermuted
+            # runs would answer another question.
+            {"num_cores": 2},
             {"permutation": [1, 0, 2], "unroll_factor": 2},
         ],
-        ids=["splice", "bool-factor", "zero-cores", "permuted"],
+        ids=["splice", "bool-factor", "zero-cores", "cores", "permuted"],
     )
     def test_untrusted_config_is_refused(self, config):
         with pytest.raises(StoreError, match="malformed service request"):
@@ -867,7 +871,7 @@ class TestTuneCacheCleanup:
     def test_stale_lock_and_tmp_do_not_block_next_run(self, tmp_path):
         path = tmp_path / "cache.json"
         cache = TuneCache(path)
-        cache.put(TuneCache.key("sum", (2, 4), ScheduleConfig()), 10)
+        cache.put(TuneCache.key("sum", (2, 4), ScheduleConfig(), True), 10)
         cache.save()
         # Simulate a SIGKILLed writer: leftover lock file + pid-tagged
         # temp from a process that no longer exists.
@@ -877,11 +881,11 @@ class TestTuneCacheCleanup:
         stale.write_text('{"half": ')
         fresh = TuneCache(path)  # must not block or raise
         hit, cycles, fault = fresh.lookup(
-            TuneCache.key("sum", (2, 4), ScheduleConfig())
+            TuneCache.key("sum", (2, 4), ScheduleConfig(), True)
         )
         assert hit and cycles == 10 and fault is None
         assert not stale.exists()  # swept on load
-        fresh.put(TuneCache.key("sum", (2, 5), ScheduleConfig()), 11)
+        fresh.put(TuneCache.key("sum", (2, 5), ScheduleConfig(), True), 11)
         fresh.save()  # must not block on the leftover lock file
         assert json.loads(path.read_text())["schema"] == 2
 
@@ -924,22 +928,23 @@ class TestServiceCli:
         code = kernel_service.main(
             [
                 "submit", "measure", "matmul", "2", "3", "4",
-                "--unroll", "2", "--cores", "2",
-                "--store", str(tmp_path / "store"),
+                "--unroll", "2", "--store", str(tmp_path / "store"),
             ]
         )
         assert code == 0
         assert "cycles" in capsys.readouterr().out
 
-    def test_bad_schedule_knobs_are_usage_errors(self, tmp_path):
+    def test_bad_schedule_knobs_are_usage_errors(self, tmp_path, capsys):
+        # Cores are not a schedule knob: a measure job runs one core.
         with pytest.raises(SystemExit) as info:
             kernel_service.main(
                 [
                     "submit", "measure", "matmul", "2", "3", "4",
-                    "--cores", "0", "--store", str(tmp_path / "store"),
+                    "--cores", "2", "--store", str(tmp_path / "store"),
                 ]
             )
         assert info.value.code == 2
+        assert "unrecognized arguments: --cores" in capsys.readouterr().err
 
     def test_batch_file_config_is_validated(self, tmp_path, capsys):
         jobs = tmp_path / "jobs.json"
@@ -1060,7 +1065,7 @@ class TestKeying:
                 compile_key("m", "p"),
                 request_key(compile_request),
                 request_key(measure_request),
-                TuneCache.key("sum", (2, 4), ScheduleConfig()),
+                TuneCache.key("sum", (2, 4), ScheduleConfig(), True),
             )
 
         cache = tmp_path / "cache.json"

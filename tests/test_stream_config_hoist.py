@@ -152,7 +152,7 @@ def test_hoisted_loop_arms_per_row(kernel):
     # Only pointer advances run beside the region: streaming stays
     # enabled across the row loop.
     assert in_loop_toggles(hoisted.asm) == 0
-    whole_row, _ = _compile(f"{kernel}-8x8/tuned/factor=8|cores=1")
+    whole_row, _ = _compile(f"{kernel}-8x8/tuned/factor=8")
     assert in_loop_scfg_fields(whole_row.asm) == set()
 
 

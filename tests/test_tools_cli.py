@@ -217,6 +217,31 @@ class TestSizeChecks:
         assert ".globl relu" in capsys.readouterr().out
 
 
+class TestNumpyCheck:
+    """A result that mismatches the numpy oracle is reported as one
+    line naming the argument and its worst error, with a non-zero
+    exit — never a traceback."""
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (kernel_profiler.main, ["relu", "4", "8"]),
+            (kernel_compiler.main, ["relu", "4", "8", "--run", "--no-asm"]),
+        ],
+        ids=["profiler", "compiler"],
+    )
+    def test_mismatch_exits_with_one_line(self, main, argv, break_reference):
+        break_reference("relu")
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        message = info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(
+            "numpy check failed: relu: argument 1 does not match the "
+            "numpy oracle: worst error 1 at "
+        )
+
+
 class TestSmoke:
     def test_module_invocation_compiles_and_runs(self):
         """CI smoke: the documented command line works end to end."""

@@ -1,12 +1,15 @@
 """Tests for the schedule-space autotuner (repro.tune)."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import api, kernels
-from repro.compiler import Compiler
+from repro.compiler import COMPILER_VERSION, Compiler
 from repro.dialects import memref_stream
 from repro.kernels import networks
 from repro.snitch.engine import ENGINE_VERSION
@@ -24,19 +27,21 @@ from repro.tune import (
     ScheduleSpace,
     TuneCache,
     TunedSchedule,
+    VerifyFault,
     evaluate_config,
     load_schedules,
     save_schedules,
     schedule_table,
     tune_kernel,
 )
-from repro.tune.schedule import cluster_plan
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 class TestScheduleConfig:
     def test_default(self):
         config = ScheduleConfig()
-        assert config.is_default
+        assert config.unroll_factor is None
         module_a, _ = kernels.matmul(2, 4, 6)
         module_b, _ = kernels.matmul(2, 4, 6)
         default_asm = api.compile_linalg(module_a, pipeline="ours").asm
@@ -46,8 +51,8 @@ class TestScheduleConfig:
         assert default_asm == tuned_asm
 
     def test_key_and_json_round_trip(self):
-        config = ScheduleConfig(unroll_factor=4, num_cores=2)
-        assert config.key() == "factor=4|cores=2"
+        config = ScheduleConfig(unroll_factor=4)
+        assert config.key() == "factor=4"
         assert ScheduleConfig.from_json(config.to_json()) == config
         assert ScheduleConfig.from_json(
             ScheduleConfig().to_json()
@@ -73,12 +78,12 @@ class TestScheduleSpace:
     def test_matmul_space(self):
         space = ScheduleSpace.for_kernel("matmul", (4, 4, 12))
         configs = list(space.configs())
-        assert configs[0].is_default
+        assert configs[0] == ScheduleConfig()
         assert space.size() == len(configs) == 4
         # N=12 is unrolled: {auto (4), 2, 3, 6}.
         keys = {c.key() for c in configs}
-        assert "factor=auto|cores=1" in keys
-        assert "factor=6|cores=1" in keys
+        assert "factor=auto" in keys
+        assert "factor=6" in keys
 
     def test_elementwise_has_no_unroll_axis(self):
         space = ScheduleSpace.for_kernel("relu", (4, 8))
@@ -129,15 +134,7 @@ class TestScheduleSpace:
         interleave: the space is the default alone."""
         space = ScheduleSpace.for_kernel("conv3x3", (0, 0))
         assert space.size() == 1
-        assert [c.key() for c in space.configs()] == ["factor=auto|cores=1"]
-
-    def test_space_has_no_core_axis(self):
-        """Cores are the caller's resource, not a searched knob: a
-        kernel with a row-partitioning still tunes single-core."""
-        assert cluster_plan("conv3x3", (8, 8)) is not None
-        space = ScheduleSpace.for_kernel("conv3x3", (8, 8))
-        assert space.size() > 1
-        assert {c.num_cores for c in space.configs()} == {1}
+        assert [c.key() for c in space.configs()] == ["factor=auto"]
 
     def test_unknown_kernel(self):
         with pytest.raises(ScheduleError, match="unknown kernel"):
@@ -150,20 +147,37 @@ class TestScheduleSpace:
 
 class TestOracle:
     def test_default_config_matches_api(self):
-        cycles = evaluate_config("matmul", (4, 8, 8), ScheduleConfig())
+        cycles, fault = evaluate_config(
+            "matmul", (4, 8, 8), ScheduleConfig()
+        )
         module, spec = kernels.matmul(4, 8, 8)
         compiled = api.compile_linalg(module, pipeline="ours")
         run = api.run_kernel(
             compiled, spec.random_arguments(seed=0)
         )
-        assert cycles == run.trace.cycles
+        assert fault is None and cycles == run.trace.cycles
 
-    def test_cluster_config_scores_slowest_core(self):
-        single = evaluate_config("sum", (16, 16), ScheduleConfig())
-        quad = evaluate_config(
-            "sum", (16, 16), ScheduleConfig(num_cores=4)
+    def test_mismatch_is_a_verify_fault(self, break_reference):
+        break_reference("relu")
+        cycles, fault = evaluate_config(
+            "relu", (4, 8), ScheduleConfig()
         )
-        assert 0 < quad < single
+        assert cycles is None
+        assert type(fault) is VerifyFault and fault.stage == "verify"
+        assert fault.candidate == "factor=auto"
+        assert "OracleMismatch: relu: argument 1" in fault.message
+        assert evaluate_config(
+            "relu", (4, 8), ScheduleConfig(), validate=False
+        )[1] is None
+
+    def test_build_error_is_a_compile_fault(self):
+        cycles, fault = evaluate_config(
+            "matmul", (-2, 3, 4), ScheduleConfig(unroll_factor=2)
+        )
+        assert cycles is None
+        assert type(fault) is CompileFault and fault.stage == "compile"
+        assert fault.candidate == "factor=2"
+        assert "non-negative" in fault.message
 
 
 class TestTuneKernel:
@@ -171,7 +185,7 @@ class TestTuneKernel:
         result = tune_kernel("matmul", (4, 4, 12))
         assert result.best.cycles <= result.default_cycles
         assert result.candidates_evaluated == 4
-        assert any(o.config.is_default for o in result.candidates)
+        assert any(o.config == ScheduleConfig() for o in result.candidates)
 
     def test_strict_improvement_exists(self):
         """conv3x3 8x8: factor 8 covers a whole output row, so its
@@ -188,7 +202,7 @@ class TestTuneKernel:
         assert [o.config for o in result.candidates] == list(
             space.configs()
         )
-        assert result.candidates[0].config.is_default
+        assert result.candidates[0].config == ScheduleConfig()
         assert result.cache_misses == space.size()
 
     def test_unknown_strategy(self):
@@ -249,11 +263,33 @@ class TestCache:
         assert second.best.cycles == first.best.cycles
 
     def test_key_includes_engine_version(self, monkeypatch):
-        key = TuneCache.key("matmul", (4, 4, 4), ScheduleConfig())
+        key = TuneCache.key("matmul", (4, 4, 4), ScheduleConfig(), True)
         assert f"engine={ENGINE_VERSION}" in key
         monkeypatch.setattr("repro.snitch.engine.ENGINE_VERSION", 999)
-        stale = TuneCache.key("matmul", (4, 4, 4), ScheduleConfig())
+        stale = TuneCache.key("matmul", (4, 4, 4), ScheduleConfig(), True)
         assert "engine=999" in stale and stale != key
+
+    def test_validated_search_is_not_served_unchecked_cycles(
+        self, tmp_path, break_reference
+    ):
+        """An unvalidated search's cycles must not answer a validated
+        one: with the oracle broken, the validated rerun measures and
+        faults instead of hitting."""
+        path = tmp_path / "cache.json"
+        tune_kernel("relu", (4, 8), cache=path, validate=False)
+        break_reference("relu")
+        with pytest.raises(ScheduleError, match="verify"):
+            tune_kernel("relu", (4, 8), cache=path, validate=True)
+
+    def test_unvalidated_search_is_not_served_verify_faults(
+        self, tmp_path, break_reference
+    ):
+        path = tmp_path / "cache.json"
+        break_reference("relu")
+        with pytest.raises(ScheduleError, match="verify"):
+            tune_kernel("relu", (4, 8), cache=path, validate=True)
+        result = tune_kernel("relu", (4, 8), cache=path, validate=False)
+        assert result.cache_misses == 1 and not result.faults
 
     def test_corrupt_file_is_quarantined(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -293,7 +329,7 @@ class TestCache:
     def test_failures_are_cached(self, tmp_path):
         path = tmp_path / "cache.json"
         cache = TuneCache(path)
-        key = TuneCache.key("matmul", (4, 4, 4), ScheduleConfig())
+        key = TuneCache.key("matmul", (4, 4, 4), ScheduleConfig(), True)
         cache.put_failure(key, CompileFault(message="does not lower"))
         cache.save()
         reopened = TuneCache(path)
@@ -347,6 +383,8 @@ class TestTunedSchedule:
             "pipeline_spec": scheduled_pipeline_spec(),
             "cycles": 600,
             "default_cycles": 600,
+            "engine_version": ENGINE_VERSION,
+            "compiler_version": COMPILER_VERSION,
         }
         with pytest.raises(ScheduleError, match="malformed"):
             TunedSchedule.from_json(record)
@@ -356,31 +394,30 @@ class TestTunedSchedule:
             load_schedules(path)
 
     def test_null_permutation_of_older_records_loads(self):
-        """Older records always wrote the field; unset, it is harmless."""
+        """Older records always wrote these fields; at the values that
+        meant "not used" they are harmless."""
         assert ScheduleConfig.from_json(
             {"permutation": None, "unroll_factor": 8, "num_cores": 1}
         ) == ScheduleConfig(unroll_factor=8)
 
-    def test_multicore_schedule_rejected_by_schedule_table(self):
-        """A cluster-measured schedule's cycles are unreachable through
-        a pipeline spec, so applying one (it may arrive from a file) to
-        single-core network layers must fail loudly instead of
-        silently running the default."""
-        config = ScheduleConfig(num_cores=4)
-        schedule = TunedSchedule(
-            kernel="sum",
-            sizes=(16, 16),
-            config=config,
-            pipeline_spec=config.pipeline_spec(),
-            cycles=evaluate_config("sum", (16, 16), config),
-            default_cycles=evaluate_config(
-                "sum", (16, 16), ScheduleConfig()
-            ),
-        )
-        loaded = TunedSchedule.from_json(schedule.to_json())
-        assert loaded.config.num_cores == 4
-        with pytest.raises(ScheduleError, match="cores"):
-            schedule_table([loaded])
+    @pytest.mark.parametrize("field", ["engine_version", "compiler_version"])
+    def test_record_without_versions_is_refused(self, field):
+        """A record that does not say which engine and compiler
+        measured its cycles cannot be stamped with today's."""
+        record = TunedSchedule(
+            kernel="relu",
+            sizes=(4, 8),
+            config=ScheduleConfig(),
+            pipeline_spec=scheduled_pipeline_spec(),
+            cycles=47,
+            default_cycles=47,
+        ).to_json()
+        assert TunedSchedule.from_json(record).is_current()
+        del record[field]
+        with pytest.raises(
+            ScheduleError, match="malformed TunedSchedule record"
+        ):
+            TunedSchedule.from_json(record)
 
     def test_networks_apply_tuned_schedules(self):
         """A tuned per-layer schedule drops whole-network cycles."""
@@ -489,6 +526,24 @@ class TestTunerCLI:
         assert code == 3
         assert "tuning failed" in capsys.readouterr().err
         assert artifact.read_bytes() == before
+
+    def test_walkthrough_matches_the_cli(self, capsys):
+        """docs/TUNING.md's console blocks are the CLI's exact output."""
+        text = (DOCS / "TUNING.md").read_text()
+        blocks = re.findall(r"```console\n(.*?)```", text, re.DOTALL)
+        prompt = "$ PYTHONPATH=src python -m repro.tools.kernel_tuner "
+        commands = []
+        for block in blocks:
+            command, *expected = block.splitlines()
+            assert command.startswith(prompt), command
+            argv = shlex.split(command[len(prompt):])
+            commands.append(argv)
+            assert kernel_tuner.main(argv) == 0
+            assert capsys.readouterr().out.splitlines() == expected
+        assert commands == [
+            ["matmul", "4", "4", "12", "--list-space"],
+            ["conv3x3", "8", "8", "--no-cache"],
+        ]
 
     def test_help_lists_only_the_search_options(self, capsys):
         with pytest.raises(SystemExit):

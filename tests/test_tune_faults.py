@@ -62,7 +62,7 @@ class TestFaultTaxonomy:
     def test_json_round_trip(self):
         fault = TimeoutFault(
             message="blew the deadline",
-            candidate="factor=1|cores=1",
+            candidate="factor=1",
             stage="simulate",
             attempts=3,
         )
@@ -184,13 +184,14 @@ class TestEngineDeadline:
         assert timed.trace.cycles == free.trace.cycles
 
     def test_evaluate_config_threads_deadline(self):
-        with pytest.raises(DeadlineExceeded):
-            evaluate_config(
-                "matmul",
-                (8, 8, 8),
-                ScheduleConfig(),
-                deadline_seconds=1e-9,
-            )
+        cycles, fault = evaluate_config(
+            "matmul",
+            (8, 8, 8),
+            ScheduleConfig(),
+            deadline_seconds=1e-9,
+        )
+        assert cycles is None
+        assert type(fault) is TimeoutFault and fault.stage == "simulate"
 
 
 # -- hardened pool --------------------------------------------------------------
@@ -381,17 +382,21 @@ def _patch_oracle(monkeypatch, failures):
     """Make the tuner's oracle fail on chosen unroll factors.
 
     ``failures`` maps a config's ``unroll_factor`` to the ``(stage,
-    exception)`` it fails with; every other config is measured for
-    real.
+    exception)`` it fails with — classified as the real oracle does,
+    except that a ``KeyboardInterrupt`` propagates; every other config
+    is measured for real.
     """
     real = evaluate_config
 
-    def oracle(kernel, sizes, config, stage_out=None, **kwargs):
+    def oracle(kernel, sizes, config, **kwargs):
         if config.unroll_factor in failures:
             stage, error = failures[config.unroll_factor]
-            stage_out[:] = [stage]
-            raise error
-        return real(kernel, sizes, config, stage_out=stage_out, **kwargs)
+            if not isinstance(error, Exception):
+                raise error
+            return None, classify_error(
+                error, stage=stage, candidate=config.key()
+            )
+        return real(kernel, sizes, config, **kwargs)
 
     monkeypatch.setattr(search, "evaluate_config", oracle)
 
@@ -411,7 +416,7 @@ class TestTunerFaults:
         result = _tune(path)
         (failed,) = [o for o in result.candidates if not o.valid]
         assert type(failed.fault) is CompileFault
-        assert failed.fault.candidate == "factor=2|cores=1"
+        assert failed.fault.candidate == "factor=2"
         assert failed.fault.stage == "compile"
         assert "does not lower" in failed.fault.message
         assert result.best.cycles <= result.default_cycles
@@ -445,7 +450,7 @@ class TestTunerFaults:
         result = _tune(path)
         (failed,) = [o for o in result.candidates if not o.valid]
         assert type(failed.fault) is SimFault and not failed.fault.retryable
-        assert failed.fault.candidate == "factor=6|cores=1"
+        assert failed.fault.candidate == "factor=6"
         monkeypatch.undo()
         rerun = _tune(path)
         (cached,) = [o for o in rerun.candidates if not o.valid]
@@ -517,7 +522,7 @@ class TestTunerCLIExitCodes:
         (line,) = [
             line
             for line in capsys.readouterr().out.splitlines()
-            if line.startswith("factor=2|")
+            if line.startswith("factor=2 ")
         ]
         assert "failed" in line and "[compile]" in line
 
