@@ -10,7 +10,7 @@ FLOPs (per the paper's methodology: an FMA counts as two) and the trace
 counters it bumps.  The assembler derives its parser table from the
 ``shape`` column, the reference interpreter (:mod:`.machine`) evaluates
 rows directly, and the fast engine (:mod:`.engine`) generates its
-closures from the same rows, so the two cannot state different
+basic blocks from the same rows, so the two cannot state different
 semantics.  ``docs/MACHINE_MODEL.md`` describes the timing model the
 latency column feeds.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf
+from math import copysign, inf
 from typing import Sequence
 
 from .memory import F32, F32X2, F64, U32, U64
@@ -100,6 +100,35 @@ def unpack_f32x2(bits: int) -> tuple[float, float]:
     return UNPACK_FF(PACK_Q(bits))
 
 
+#: The canonical NaN (``0x7ff8000000000000``; ``0x7fc00000`` once
+#: rounded to a single).
+CANONICAL_NAN = UNPACK_D(PACK_Q(0x7FF8000000000000))[0]
+
+
+def max_number(a: float, b: float) -> float:
+    """RISC-V ``fmax``: IEEE 754-2019 maximumNumber.  A NaN operand
+    yields the other one, two NaNs the canonical NaN, and +0 > -0."""
+    if a != a:
+        return b if b == b else CANONICAL_NAN
+    if b != b or a > b:
+        return a
+    if a == b == 0.0 and copysign(1.0, a) > 0:
+        return a
+    return b
+
+
+def min_number(a: float, b: float) -> float:
+    """RISC-V ``fmin``: IEEE 754-2019 minimumNumber.  A NaN operand
+    yields the other one, two NaNs the canonical NaN, and -0 < +0."""
+    if a != a:
+        return b if b == b else CANONICAL_NAN
+    if b != b or a < b:
+        return a
+    if a == b == 0.0 and copysign(1.0, a) < 0:
+        return a
+    return b
+
+
 # -- the table --------------------------------------------------------------------
 
 #: Values of :attr:`Op.unit` / :attr:`Inst.kind` — the execution-unit
@@ -168,7 +197,9 @@ class Op:
         return scope["compute"]
 
 
-def compute_source(op: Op, operands: Sequence[str]) -> tuple[list[str], str]:
+def compute_source(
+    op: Op, operands: Sequence[str], imm: str = "imm"
+) -> tuple[list[str], str]:
     """Python source of a row's compute expression over the given
     operand texts: (prelude statements, result expression).  The text
     names this module's codecs and helpers, and the immediate ``imm``."""
@@ -183,7 +214,7 @@ def compute_source(op: Op, operands: Sequence[str]) -> tuple[list[str], str]:
         name: text if mode == "x" else decode.format(text)
         for name, text, mode in zip("abc", operands, op.reads)
     }
-    result = op.expr.format(imm="imm", **values)
+    result = op.expr.format(imm=imm, **values)
     if op.fmt == "d":
         result = f"UNPACK_Q(PACK_D({result}))[0]"
     return [], result
@@ -266,22 +297,27 @@ ISA: dict[str, Op] = {
     "fsub.d": _fp("rd_rs_rs", "ff", "{a} - {b}", "d", flops=1),
     "fmul.d": _fp("rd_rs_rs", "ff", "{a} * {b}", "d", flops=1),
     "fdiv.d": _fp("rd_rs_rs", "ff", "{a} / {b}", "d", flops=1),
-    "fmax.d": _fp("rd_rs_rs", "ff", "max({a}, {b})", "d", flops=1),
-    "fmin.d": _fp("rd_rs_rs", "ff", "min({a}, {b})", "d", flops=1),
+    "fmax.d": _fp("rd_rs_rs", "ff", "max_number({a}, {b})", "d", flops=1),
+    "fmin.d": _fp("rd_rs_rs", "ff", "min_number({a}, {b})", "d", flops=1),
     "fmadd.d": _fp("fma", "fff", "{a} * {b} + {c}", "d", flops=2),
     # scalar singles live in lane 0; the high half of rd is cleared
     "fadd.s": _fp("rd_rs_rs", "ff", ("a0 + b0", "0.0"), "v", flops=1),
     "fsub.s": _fp("rd_rs_rs", "ff", ("a0 - b0", "0.0"), "v", flops=1),
     "fmul.s": _fp("rd_rs_rs", "ff", ("a0 * b0", "0.0"), "v", flops=1),
-    "fmax.s": _fp("rd_rs_rs", "ff", ("max(a0, b0)", "0.0"), "v", flops=1),
-    "fmin.s": _fp("rd_rs_rs", "ff", ("min(a0, b0)", "0.0"), "v", flops=1),
+    "fmax.s": _fp(
+        "rd_rs_rs", "ff", ("max_number(a0, b0)", "0.0"), "v", flops=1
+    ),
+    "fmin.s": _fp(
+        "rd_rs_rs", "ff", ("min_number(a0, b0)", "0.0"), "v", flops=1
+    ),
     "fmadd.s": _fp("fma", "fff", ("a0 * b0 + c0", "0.0"), "v", flops=2),
     # packed SIMD: two f32 lanes per register; rd_acc rows read rd as
     # their first source
     "vfadd.s": _fp("rd_rs_rs", "ff", ("a0 + b0", "a1 + b1"), "v", flops=2),
     "vfmul.s": _fp("rd_rs_rs", "ff", ("a0 * b0", "a1 * b1"), "v", flops=2),
     "vfmax.s": _fp(
-        "rd_rs_rs", "ff", ("max(a0, b0)", "max(a1, b1)"), "v", flops=2
+        "rd_rs_rs", "ff", ("max_number(a0, b0)", "max_number(a1, b1)"),
+        "v", flops=2,
     ),
     "vfmac.s": _fp(
         "rd_acc_rs", "fff",
@@ -411,6 +447,8 @@ __all__ = [
     "SimulationError",
     "compute_source",
     "frep_body",
+    "max_number",
+    "min_number",
     "FP_LATENCY",
     "FP_LOAD_LATENCY",
     "INT_LOAD_LATENCY",

@@ -28,12 +28,9 @@ SSR+FREP code approaches one FP instruction per cycle.
 
 What an instruction *is* — operands, semantics, latency, counters —
 lives in the :data:`repro.snitch.isa.ISA` table.  :meth:`SnitchMachine.run`
-executes closures the engine (:mod:`repro.snitch.engine`) generates
-from that table (decode once per program, FREP replayed as a
-macro-op); :meth:`SnitchMachine.run_reference` interprets the same rows
-one instruction at a time and is the differential oracle: cycles, every
-trace counter, timelines, and memory contents are asserted identical
-by the differential test suite.
+executes basic blocks the engine (:mod:`repro.snitch.engine`) generates
+from that table; :meth:`SnitchMachine.run_reference` interprets the
+same rows one instruction at a time and is the differential oracle.
 """
 
 from __future__ import annotations
@@ -75,13 +72,10 @@ class DeadlineExceeded(SimulationError):
     """A run blew its cooperative wall-clock deadline.
 
     Raised by both engines when ``deadline_seconds`` was given and the
-    wall clock passes it mid-run — a *structured* failure the tuning
-    layer maps to :class:`~repro.runtime.faults.TimeoutFault`, so a
-    pathological candidate stalls a worker for a bounded time instead
-    of hanging it.  The check is cooperative (every few thousand
-    instructions / every FREP iteration), so the trip point is
-    load-dependent; it never fires when no deadline is set, keeping
-    the engines bit-exact for ordinary runs.
+    wall clock passes it mid-run (checked every 4096 instructions and
+    every FREP iteration) — a *structured* failure the tuning layer
+    maps to :class:`~repro.runtime.faults.TimeoutFault`, so a
+    pathological candidate stalls a worker for a bounded time.
     """
 
 
@@ -203,49 +197,35 @@ class DataMover:
         self.addr = addr
         self.exhausted = True
 
-    # ``next_read``/``next_write`` are the simulator's hottest calls
-    # (one per streamed element, both engines), hence the inlined
-    # bounds check, codec and innermost-dimension advance.  The caller
-    # has already matched ``direction``.
+    # One element per call: the caller has already matched
+    # ``direction``.  The block engine inlines the same step on the
+    # mover's state held in locals.
+
+    def _step(self, memory: TCDM, access: str) -> int:
+        """Check the next element and step past it; its address."""
+        if self.exhausted:
+            raise SimulationError(f"stream {access} past end of pattern")
+        addr = self.addr
+        if addr < 0 or addr + 8 > memory.size:
+            raise out_of_bounds(addr, 8)
+        if self.repeat_count < self.repeat:
+            self.repeat_count += 1
+        elif self.index[0] < self.bounds[0]:
+            self.repeat_count = 0
+            self.index[0] += 1
+            self.addr = addr + self.strides[0]
+        else:
+            self.repeat_count = 0
+            self._carry()
+        return addr
 
     def next_read(self, memory: TCDM) -> int:
         """Pop the next element (as raw 64-bit data)."""
-        if self.exhausted:
-            raise SimulationError("stream read past end of pattern")
-        addr = self.addr
-        if addr < 0 or addr + 8 > memory.size:
-            raise out_of_bounds(addr, 8)
-        bits = _LOAD_U64(memory.data, addr)[0]
-        if self.repeat_count < self.repeat:
-            self.repeat_count += 1
-        else:
-            self.repeat_count = 0
-            i = self.index[0]
-            if i < self.bounds[0]:
-                self.index[0] = i + 1
-                self.addr = addr + self.strides[0]
-            else:
-                self._carry()
-        return bits
+        return _LOAD_U64(memory.data, self._step(memory, "read"))[0]
 
     def next_write(self, memory: TCDM, bits: int) -> None:
         """Push the next element (raw 64-bit data)."""
-        if self.exhausted:
-            raise SimulationError("stream write past end of pattern")
-        addr = self.addr
-        if addr < 0 or addr + 8 > memory.size:
-            raise out_of_bounds(addr, 8)
-        _STORE_U64(memory.data, addr, bits)
-        if self.repeat_count < self.repeat:
-            self.repeat_count += 1
-        else:
-            self.repeat_count = 0
-            i = self.index[0]
-            if i < self.bounds[0]:
-                self.index[0] = i + 1
-                self.addr = addr + self.strides[0]
-            else:
-                self._carry()
+        _STORE_U64(memory.data, self._step(memory, "write"), bits)
 
 
 class SnitchMachine:
@@ -327,13 +307,9 @@ class SnitchMachine:
         """Run from label ``entry`` until ``ret``; returns the trace.
 
         ``int_args`` seeds integer registers (``{"a0": pointer}``);
-        ``float_args`` seeds FP registers with doubles.
-
-        Executes on the predecoded closure engine
-        (:mod:`repro.snitch.engine`) — the program is decoded once
-        (cached across machines and runs) and replayed as specialized
-        closures.  Bit-exact with :meth:`run_reference`, which the
-        differential test suite asserts.
+        ``float_args`` seeds FP registers with doubles.  Runs on the
+        block engine (:mod:`repro.snitch.engine`), bit-exact with
+        :meth:`run_reference`.
         """
         from ..obs.tracing import span
         from .engine import execute
@@ -562,21 +538,9 @@ def format_timeline(
 
 
 __all__ = [
-    "SnitchMachine",
-    "SimulationError",
-    "DeadlineExceeded",
-    "DataMover",
-    "FP_LATENCY",
-    "FP_LOAD_LATENCY",
-    "INT_LOAD_LATENCY",
-    "MUL_LATENCY",
-    "BRANCH_TAKEN_PENALTY",
-    "STREAM_REGISTERS",
-    "budget_error",
-    "f64_to_bits",
-    "bits_to_f64",
-    "f32_to_bits",
-    "bits_to_f32",
-    "pack_f32x2",
-    "unpack_f32x2",
+    "SnitchMachine", "SimulationError", "DeadlineExceeded", "DataMover",
+    "FP_LATENCY", "FP_LOAD_LATENCY", "INT_LOAD_LATENCY", "MUL_LATENCY",
+    "BRANCH_TAKEN_PENALTY", "STREAM_REGISTERS", "budget_error",
+    "f64_to_bits", "bits_to_f64", "f32_to_bits", "bits_to_f32",
+    "pack_f32x2", "unpack_f32x2",
 ]

@@ -19,8 +19,8 @@ import numpy as np
 TCDM_SIZE = 128 * 1024
 
 # Prebound struct codecs: one Struct per width, compiled once, so the
-# typed accessors below (and the execution engine, which binds these
-# directly into its decoded closures) skip the per-call format parse of
+# typed accessors below (and the execution engine, whose generated
+# blocks call these directly) skip the per-call format parse of
 # ``struct.pack_into``/``unpack_from``.
 U32 = struct.Struct("<I")
 U64 = struct.Struct("<Q")

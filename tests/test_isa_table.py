@@ -188,3 +188,81 @@ class TestRoundToF32:
                 assert packed == 0x7F800000_7F800000
                 assert unpack_f32x2(packed) == (float("inf"),) * 2
                 assert machine.read_float_bits("fa3") == 0x7F800000
+
+
+#: Operand and result images of the min/max special cases.
+NAN_D = 0x7FF8000000000000  # the canonical NaN
+NAN_S = 0x7FC00000
+ODD_NAN_D = 0xFFF8000000000123  # negative, with a payload
+ODD_NAN_S = 0xFFC00123
+INF = float("inf")
+
+#: (a, b, fmax, fmin) as Python values; ``None`` is a NaN operand and,
+#: in a result, the canonical NaN.
+MINMAX_CASES = (
+    (None, 1.0, 1.0, 1.0),
+    (1.0, None, 1.0, 1.0),
+    (None, None, None, None),
+    (-0.0, 0.0, 0.0, -0.0),
+    (0.0, -0.0, 0.0, -0.0),
+    (INF, -INF, INF, -INF),
+    (-INF, 2.5, 2.5, -INF),
+    (None, -INF, -INF, -INF),
+)
+
+
+def _double(value):
+    return ODD_NAN_D if value is None else f64_to_bits(value)
+
+
+def _single(value):
+    """IEEE single image, in lane 0 of a register."""
+    if value is None:
+        return ODD_NAN_S
+    return pack_f32x2(value, 0.0) & 0xFFFFFFFF
+
+
+def _expected_single(value):
+    return NAN_S if value is None else _single(value)
+
+
+class TestMinMaxFollowRiscV:
+    """``fmin``/``fmax`` are IEEE 754-2019 minimumNumber/maximumNumber
+    (RISC-V F/D): a NaN operand yields the other, two NaNs the
+    canonical NaN, and -0 < +0 — bit-exact on both engines, in either
+    operand order."""
+
+    @staticmethod
+    def run(mnemonic, a_bits, b_bits):
+        program = assemble(f"main:\n{mnemonic} fa2, fa0, fa1\nret")
+        results = []
+        for runner in ("run", "run_reference"):
+            machine = SnitchMachine(program)
+            machine.write_float_bits("fa0", a_bits)
+            machine.write_float_bits("fa1", b_bits)
+            getattr(machine, runner)("main")
+            results.append(machine.read_float_bits("fa2"))
+        return results
+
+    @pytest.mark.parametrize("a,b,high,low", MINMAX_CASES)
+    def test_double(self, a, b, high, low):
+        for mnemonic, want in (("fmax.d", high), ("fmin.d", low)):
+            expected = NAN_D if want is None else f64_to_bits(want)
+            got = self.run(mnemonic, _double(a), _double(b))
+            assert got == [expected] * 2, (mnemonic, [hex(g) for g in got])
+
+    @pytest.mark.parametrize("a,b,high,low", MINMAX_CASES)
+    def test_single(self, a, b, high, low):
+        for mnemonic, want in (("fmax.s", high), ("fmin.s", low)):
+            expected = _expected_single(want)
+            got = self.run(mnemonic, _single(a), _single(b))
+            assert got == [expected] * 2, (mnemonic, [hex(g) for g in got])
+
+    @pytest.mark.parametrize("a,b,high,low", MINMAX_CASES)
+    def test_packed(self, a, b, high, low):
+        """``vfmax.s``: lane 0 in the given order, lane 1 swapped."""
+        a_bits = _single(a) | _single(b) << 32
+        b_bits = _single(b) | _single(a) << 32
+        expected = _expected_single(high) * (1 + (1 << 32))
+        got = self.run("vfmax.s", a_bits, b_bits)
+        assert got == [expected] * 2, [hex(g) for g in got]

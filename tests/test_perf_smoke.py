@@ -1,14 +1,18 @@
-"""Compile-time perf smoke tests (``pytest -m perf_smoke``).
+"""Compile-time and simulator perf smoke tests (``pytest -m perf_smoke``).
 
-Wall-clock assertions are flaky on shared machines, so these check the
-machine-independent efficiency metrics instead: the rewrite driver's
-counters, recorded per pass by the :class:`PassManager` instrumentation,
-and the verifier's ``ir_verify_ops_checked`` op visits.
+Wall-clock assertions are flaky on shared machines, so these check
+countable efficiency metrics instead: the rewrite driver's counters,
+recorded per pass by the :class:`PassManager` instrumentation, the
+verifier's ``ir_verify_ops_checked`` op visits, and the Python
+bytecodes the simulator executes per simulated instruction (exact on
+one CPython minor version only, so pinned to it).
 The budgets have generous headroom over the worklist driver's actual
 numbers but sit far below the fixpoint re-walk driver's (which visited
 ~220 ops compiling the same kernel), so any regression toward
 whole-module rescans trips them immediately.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ import pytest
 from repro import api, kernels
 from repro.compiler import Compiler
 from repro.obs import METRICS
+from repro.obs.hostprof import BytecodeCounter
 from repro.snitch.cluster import run_row_partitioned
 
 #: Counter ceilings for matmul(1, 8, 8); the worklist driver uses
@@ -115,4 +120,38 @@ def test_pass_stats_recorded_for_every_pass():
         set(stats)
         == {"ops_visited", "pattern_invocations", "rewrites_applied"}
         for _, stats in compiled.pass_stats
+    )
+
+
+#: Bytecodes per simulated instruction of one warm ``api.run_kernel``
+#: on the block engine, counted on CPython 3.11: the streamed FREP
+#: matmul of ``ours`` and the pointer loop of ``clang``.  The
+#: closure-per-instruction engine before it ran 380 and 170.
+SIM_BYTECODES = {"ours": ((16, 32, 16), 167.0), "clang": ((8, 64, 16), 60.6)}
+#: The CPython minor version the levels above were counted on.
+PINNED = (3, 11)
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.skipif(
+    sys.version_info[:2] != PINNED,
+    reason="bytecode counts are exact only on the CPython minor version "
+    "that pinned them (3.11)",
+)
+@pytest.mark.parametrize("pipeline", sorted(SIM_BYTECODES))
+def test_simulator_bytecodes_per_instruction(pipeline):
+    """One warm run stays within its pinned level + 15 %: a block
+    engine regression toward per-instruction dispatch trips it."""
+    sizes, level = SIM_BYTECODES[pipeline]
+    module, spec = kernels.matmul(*sizes)
+    compiled = api.compile_linalg(module, pipeline=pipeline)
+    arguments = spec.random_arguments(seed=0)
+    api.run_kernel(compiled, arguments)  # decode and generate first
+    counter = BytecodeCounter()
+    run = counter.count(api.run_kernel, compiled, arguments)
+    instructions = run.trace.int_instructions + run.trace.fpu_instructions
+    per_instruction = counter.total / instructions
+    assert per_instruction <= 1.15 * level, (
+        f"{pipeline}: {per_instruction:.1f} bytecodes per simulated "
+        f"instruction, budget {1.15 * level:.1f}"
     )

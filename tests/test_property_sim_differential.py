@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro import api, kernels
 from repro.backend.registers import FLOAT_REGISTERS, INT_REGISTERS
 from repro.snitch import SnitchMachine, TCDM, assemble
+from repro.snitch.machine import DeadlineExceeded
 from repro.snitch.isa import scfg_address
 from repro.transforms.pipelines import PIPELINE_NAMES
 
@@ -38,6 +39,7 @@ def run_differential(
     float_args=None,
     seed_memory=None,
     max_instructions=20_000,
+    record_timeline=True,
 ):
     """Execute on both engines and assert observable equivalence."""
     program = assemble(asm)
@@ -50,7 +52,7 @@ def run_differential(
             program,
             memory,
             max_instructions=max_instructions,
-            record_timeline=True,
+            record_timeline=record_timeline,
         )
         runner = machine.run_reference if reference else machine.run
         error = None
@@ -342,6 +344,124 @@ class TestRandomStreamPrograms:
             float_args={"fa1": 1.0, "fa2": 2.0},
             max_instructions=budget,
         )
+
+
+@st.composite
+def loop_nest_program(draw):
+    """A loop whose body mixes what one generated block must get right:
+    integer ops, streamed FPU ops outside FREP, pointer re-arms,
+    ``csrsi``/``csrci`` toggles (so one block is entered under
+    different stream signatures), an FREP, and a label in the middle of
+    straight-line code reached by a forward branch."""
+    lines = ["main:"] + scratch_preamble()
+    words = []
+    for mover, word in ((0, 24), (1, 24), (2, 28)):
+        lines += [
+            f"li t0, {draw(st.integers(8, 31))}",
+            f"scfgwi t0, {scfg_address(mover, 0)}",
+            "li t0, 8",
+            f"scfgwi t0, {scfg_address(mover, 8)}",
+            f"li t0, {SCRATCH_BASE + mover * 256}",
+            f"scfgwi t0, {scfg_address(mover, word)}",
+        ]
+        words.append(scfg_address(mover, word))
+    streamed = (
+        "fadd.d fa0, ft0, fa1", "fmul.d fa1, ft1, fa0",
+        "fmadd.d ft2, ft0, ft1, fa2", "fmax.d fa2, ft0, fa2",
+        "fmv.d ft2, fa0",
+    )
+    pieces = [[line] for line in draw(st.lists(int_instruction(), max_size=5))]
+    pieces += [[line] for line in draw(st.lists(fp_instruction(), max_size=3))]
+    pieces += [
+        [op] for op in draw(st.lists(st.sampled_from(streamed), max_size=4))
+    ]
+    pieces += [
+        [f"csr{kind}i ssrcfg, 1"]
+        for kind in draw(st.lists(st.sampled_from("sc"), max_size=3))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        mover = draw(st.integers(0, 2))
+        offset = 8 * draw(st.integers(0, 4))
+        pieces.append([
+            f"li t0, {SCRATCH_BASE + mover * 256 + offset}",
+            f"scfgwi t0, {words[mover]}",
+        ])
+    body = draw(st.lists(st.sampled_from(streamed), min_size=1, max_size=3))
+    pieces.append(
+        [f"li t1, {draw(st.integers(0, 10))}", f"frep.o t1, {len(body)}, 0, 0"]
+        + body
+    )
+    order = draw(st.permutations(range(len(pieces))))
+    straight = [line for index in order for line in pieces[index]]
+    if straight and draw(st.booleans()):
+        # A forward branch over part of the body to a mid-block label.
+        at = draw(st.integers(0, len(straight) - 1))
+        skip = draw(st.integers(at, len(straight)))
+        straight[skip:skip] = ["mid:"]
+        straight.insert(at, "bge t2, t3, mid")
+    trip = draw(st.integers(1, 5))
+    lines += ["csrsi ssrcfg, 1", f"li s1, {trip}", "loop:"]
+    lines += straight
+    lines += ["addi s1, s1, -1", "bnez s1, loop", "csrci ssrcfg, 1", "ret"]
+    return "\n".join(lines)
+
+
+class TestRandomLoopNests:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        nest=loop_nest_program(),
+        cut=st.floats(min_value=0.05, max_value=1.5),
+    )
+    def test_loop_nests(self, nest, cut):
+        """The budget is a drawn share of what the program executes
+        unbounded, so it trips mid-block and mid-FREP-iteration as well
+        as not at all."""
+        memory = TCDM()
+        memory.write_array(
+            SCRATCH_BASE, np.linspace(-3.0, 3.0, (3 * 256) // 8)
+        )
+        seed = bytes(memory.data[: SCRATCH_BASE + 3 * 256])
+        probe = SnitchMachine(assemble(nest), TCDM())
+        probe.memory.data[: len(seed)] = seed
+        try:  # only the count matters; a fault is compared below
+            probe.run_reference("main", float_args={"fa1": 0.5, "fa2": -1.25})
+        except Exception:
+            pass
+        for record_timeline in (True, False):  # two generated variants
+            run_differential(
+                nest,
+                float_args={"fa1": 0.5, "fa2": -1.25},
+                seed_memory=seed,
+                max_instructions=max(1, int(probe._executed * cut)),
+                record_timeline=record_timeline,
+            )
+
+    @pytest.mark.parametrize("record_timeline", (False, True))
+    def test_deadline_tick_inside_a_block(self, record_timeline):
+        """The 4096th instruction is the middle one of a three-
+        instruction loop block; both engines stop there, worded alike."""
+        program = assemble(
+            "main:\nli t0, 5000\nli t1, 0\nloop:\naddi t1, t1, 1\n"
+            "addi t0, t0, -1\nbnez t0, loop\nret"
+        )
+        machines = []
+        for runner in ("run", "run_reference"):
+            machine = SnitchMachine(
+                program, deadline_seconds=1e-9,
+                record_timeline=record_timeline,
+            )
+            with pytest.raises(DeadlineExceeded) as caught:
+                getattr(machine, runner)("main")
+            assert str(caught.value) == (
+                "wall-clock deadline of 1e-09s exceeded after 4096 "
+                "instructions"
+            )
+            machines.append(machine)
+        fast, ref = machines
+        assert fast.trace == ref.trace
+        assert fast.timeline == ref.timeline
+        assert (fast.int_time, fast._executed) == (ref.int_time, 4096)
+        assert fast.read_int("t1") == ref.read_int("t1")
 
 
 class TestPipelineKernelSweep:

@@ -1,12 +1,15 @@
-"""Unit tests for the predecoded closure engine (repro.snitch.engine).
+"""Unit tests for the block engine (repro.snitch.engine).
 
 The hypothesis-driven randomized differential suite lives in
 ``test_property_sim_differential.py``; this file pins down fixed
 behaviours: bit-exactness on handwritten programs covering every
 instruction class, decode caching (once per program, shared across
-machines and cluster cores), and the error paths both engines must
-agree on.
+machines and cluster cores), concurrent runs sharing generated code,
+and the error paths both engines must agree on.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from repro.backend.registers import FLOAT_REGISTERS, INT_REGISTERS
 from repro.snitch import SnitchMachine, SimulationError, TCDM, assemble
 from repro.obs import METRICS
 from repro.snitch.cluster import run_row_partitioned
+from repro.snitch import engine
 from repro.snitch.engine import decode
 from repro.snitch.isa import scfg_address
 from repro.snitch.machine import bits_to_f64
@@ -469,3 +473,51 @@ class TestDecodeSharing:
         np.testing.assert_allclose(cluster.arrays[2], x + y)
         assert METRICS.counter("engine_programs_decoded").value == before + 1
         assert len(cluster.cores) == 4
+
+
+class TestConcurrentRuns:
+    def test_threads_share_block_tables_and_the_shape_cache(self):
+        """Eight threads run one program and fresh copies of it at once,
+        on an emptied shape cache and a short switch interval: every
+        run matches the reference, so concurrent code generation and
+        block instantiation lose nothing that matters."""
+        n = 16
+        memory = TCDM()
+        a_base = memory.allocate(n * 8)
+        b_base = memory.allocate(n * 8)
+        memory.write_array(a_base, np.linspace(-1.0, 1.0, n))
+        memory.write_array(b_base, np.linspace(2.0, -2.0, n))
+        seed = bytes(memory.data[: b_base + n * 8])
+        asm = ssr_dot_product_asm(n, a_base, b_base)
+        shared = assemble(asm)
+
+        def run(program, reference=False):
+            machine = SnitchMachine(program, TCDM(), record_timeline=True)
+            machine.memory.data[: len(seed)] = seed
+            (machine.run_reference if reference else machine.run)("main")
+            return machine.trace, machine.timeline, machine.fpu_time
+
+        expected = run(shared, reference=True)
+        results = []
+
+        def worker(index):
+            for _ in range(5):
+                program = shared if index % 2 else assemble(asm)
+                results.append(run(program))
+
+        engine._CODE.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 40
+        assert all(result == expected for result in results)
