@@ -67,11 +67,9 @@ from .pipeline_spec import (
 )
 from .printer import Printer, print_op, value_name
 from .rewriter import (
-    REWRITE_STATS,
     PatternIndex,
     PatternRewriter,
     RewritePattern,
-    RewriteStats,
     TypedPattern,
     apply_patterns,
     apply_patterns_naive,
@@ -107,7 +105,7 @@ __all__ = [
     "Parser", "ParseError", "parse_op", "parse_module",
     # rewriter
     "PatternRewriter", "RewritePattern", "TypedPattern", "apply_patterns",
-    "apply_patterns_naive", "PatternIndex", "RewriteStats", "REWRITE_STATS",
+    "apply_patterns_naive", "PatternIndex",
     # traits
     "OpTrait", "IsTerminator", "Pure", "HasMemoryEffect",
     "IsolatedFromAbove", "SameOperandsAndResultType", "ConstantLike",

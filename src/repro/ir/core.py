@@ -71,8 +71,11 @@ class ChangeSet:
         blocks that lost an op or gained an argument: like the blocks
         of ``placed`` ops, their owner may no longer like its body.
 
-    The three rewrite-driver counts of the pass ride along, so that
-    ``PassManager.pass_stats`` is per compile, not per process.
+    Four counts of the pass ride along, so that
+    ``PassManager.pass_stats`` is per compile, not per process: the
+    rewrite drivers' ``ops_visited``, ``pattern_invocations`` and
+    ``rewrites_applied``, and ``ops_verified``, the op visits of the
+    verification after the pass (0 when nothing was verified).
     """
 
     __slots__ = (
@@ -84,6 +87,7 @@ class ChangeSet:
         "ops_visited",
         "pattern_invocations",
         "rewrites_applied",
+        "ops_verified",
     )
 
     def __init__(self):
@@ -95,6 +99,7 @@ class ChangeSet:
         self.ops_visited = 0
         self.pattern_invocations = 0
         self.rewrites_applied = 0
+        self.ops_verified = 0
 
     def __bool__(self) -> bool:
         """Whether any IR mutation was noted."""

@@ -13,7 +13,6 @@ import sys
 import time
 from typing import Callable, Sequence
 
-from ..obs.metrics import METRICS
 from ..obs.tracing import span
 from .core import RECORDING, ChangeSet, Operation
 from .printer import print_op
@@ -100,8 +99,10 @@ class PassManager:
         self.snapshots: list[tuple[str, str]] = []
         #: (pass name, seconds) pairs, recorded on every run.
         self.timings: list[tuple[str, float]] = []
-        #: (pass name, rewrite-driver counts) pairs: ops visited,
-        #: pattern invocations and rewrites applied by each pass.
+        #: (pass name, counts) pairs: the ops visited, pattern
+        #: invocations and rewrites applied by each pass's rewrite
+        #: drivers, and the op visits of the verification after it
+        #: (``ops_verified``, 0 without ``verify_each``).
         self.pass_stats: list[tuple[str, dict[str, int]]] = []
 
     def add(self, pass_: ModulePass) -> "PassManager":
@@ -138,9 +139,12 @@ class PassManager:
                     outer.absorb(changes)
             elapsed = time.perf_counter() - start
             self.timings.append((pass_.name, elapsed))
-            METRICS.histogram(
-                "compile_pass_seconds", **{"pass": pass_.name}
-            ).observe(elapsed)
+            if self.verify_each:
+                with span("ir.verify"):
+                    if incremental:
+                        size = verify_changes(module, changes, size)
+                    else:
+                        size = changes.ops_verified = verify(module)
             self.pass_stats.append(
                 (
                     pass_.name,
@@ -148,15 +152,10 @@ class PassManager:
                         "ops_visited": changes.ops_visited,
                         "pattern_invocations": changes.pattern_invocations,
                         "rewrites_applied": changes.rewrites_applied,
+                        "ops_verified": changes.ops_verified,
                     },
                 )
             )
-            if self.verify_each:
-                with span("ir.verify"):
-                    if incremental:
-                        size = verify_changes(module, changes, size)
-                    else:
-                        size = verify(module)
             if self.instrument is not None:
                 self.instrument.after_pass(pass_, module, elapsed)
             if self.snapshot:

@@ -14,9 +14,8 @@ pre-order walk, patterns are dispatched from a per-op-class index
 op), and a successful rewrite re-enqueues only the new ops and the users
 of changed values.  The original fixpoint re-walk driver is retained as
 :func:`apply_patterns_naive` — the reference oracle for differential
-tests.  Both drivers flush their counts into the process-wide
-:data:`REWRITE_STATS` counters and into the calling thread's per-pass
-recorder, from which the pass manager builds ``pass_stats``.
+tests.  Both drivers flush their counts into the calling thread's
+per-pass recorder, from which the pass manager builds ``pass_stats``.
 """
 
 from __future__ import annotations
@@ -24,69 +23,23 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from ..obs.metrics import METRICS
 from .core import RECORDING, IRError, Operation, SSAValue
 
 
-class RewriteStats:
-    """Pattern-driver counters (ops visited, invocations, rewrites).
+def _flush(visited: int, invoked: int, applied: int) -> None:
+    """Credit one driver call's counts (ops visited, pattern
+    invocations, rewrites applied) to the calling thread's per-pass
+    :class:`~repro.ir.core.ChangeSet`, if a pass manager installed one.
 
-    The process-wide totals: ``ir_rewrite_*`` counters in the
-    observability registry (:data:`repro.obs.metrics.METRICS`), which
-    concurrent compiles — the service's thread-per-connection loop —
-    update atomically.  The drivers accumulate plain local ints in
-    their hot loops and flush once per ``apply_patterns`` call via
-    :meth:`add`, which also credits the calling thread's per-pass
-    :class:`~repro.ir.core.ChangeSet`: ``PassManager.pass_stats`` (what
-    the compile-time benchmark and the ``perf_smoke`` tests read) is
-    per compile, whatever other threads rewrite meanwhile.
+    The drivers accumulate plain local ints in their hot loops and
+    flush once per call, so ``PassManager.pass_stats`` is per compile,
+    whatever other threads rewrite meanwhile.
     """
-
-    __slots__ = ("_visited", "_invoked", "_applied")
-
-    def __init__(self, registry=None):
-        registry = registry if registry is not None else METRICS
-        self._visited = registry.counter("ir_rewrite_ops_visited")
-        self._invoked = registry.counter("ir_rewrite_pattern_invocations")
-        self._applied = registry.counter("ir_rewrite_rewrites_applied")
-
-    def add(
-        self, visited: int = 0, invoked: int = 0, applied: int = 0
-    ) -> None:
-        """Atomically flush a driver's locally accumulated counts."""
-        if visited:
-            self._visited.inc(visited)
-        if invoked:
-            self._invoked.inc(invoked)
-        if applied:
-            self._applied.inc(applied)
-        tally = RECORDING.rewrites
-        if tally is not None:
-            tally.ops_visited += visited
-            tally.pattern_invocations += invoked
-            tally.rewrites_applied += applied
-
-    @property
-    def ops_visited(self) -> int:
-        return self._visited.value
-
-    @property
-    def pattern_invocations(self) -> int:
-        return self._invoked.value
-
-    @property
-    def rewrites_applied(self) -> int:
-        return self._applied.value
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self._visited.set(0)
-        self._invoked.set(0)
-        self._applied.set(0)
-
-
-#: Process-wide driver counters (both drivers update them).
-REWRITE_STATS = RewriteStats()
+    tally = RECORDING.rewrites
+    if tally is not None:
+        tally.ops_visited += visited
+        tally.pattern_invocations += invoked
+        tally.rewrites_applied += applied
 
 
 class PatternRewriter:
@@ -290,7 +243,6 @@ def apply_patterns(
     index = PatternIndex(patterns)
     if not len(index):
         return False
-    stats = REWRITE_STATS
     patterns_for = index.patterns_for
     dispatch = index._cache
     # Seed with candidate ops only: ops no pattern can match never
@@ -309,8 +261,8 @@ def apply_patterns(
     rewrite_budget = max_iterations * max(1, seed_size)
     changed_any = False
     rewrites = 0
-    # Local accumulators; flushed to the shared atomic counters once
-    # per call (including on divergence) so the hot loop stays lockless.
+    # Local accumulators; flushed to the pass's recorder once per call
+    # (including on divergence).
     visited = invoked = applied = 0
 
     def enqueue(op: Operation) -> None:
@@ -374,7 +326,7 @@ def apply_patterns(
                         enqueue(op)
                 break
     finally:
-        stats.add(visited, invoked, applied)
+        _flush(visited, invoked, applied)
     return changed_any
 
 
@@ -390,7 +342,6 @@ def apply_patterns_naive(
     produce structurally identical IR on confluent pattern sets.
     """
     pattern_list = list(patterns)
-    stats = REWRITE_STATS
     changed_any = False
     visited = invoked = applied = 0
     try:
@@ -415,7 +366,7 @@ def apply_patterns_naive(
                 return changed_any
         raise IRError("pattern application did not converge")
     finally:
-        stats.add(visited, invoked, applied)
+        _flush(visited, invoked, applied)
 
 
 __all__ = [
@@ -423,8 +374,6 @@ __all__ = [
     "RewritePattern",
     "TypedPattern",
     "PatternIndex",
-    "RewriteStats",
-    "REWRITE_STATS",
     "apply_patterns",
     "apply_patterns_naive",
 ]

@@ -26,15 +26,8 @@ differential suite holds the two to the same verdict.
 
 from __future__ import annotations
 
-from ..obs.metrics import METRICS
 from .core import Block, ChangeSet, IRError, Operation, OpResult, SSAValue
 from .traits import IsolatedFromAbove, IsTerminator
-
-#: Op visits by each entry point (one per op per kind of check).
-_CHECKED_FULL = METRICS.counter("ir_verify_ops_checked", mode="full")
-_CHECKED_INCREMENTAL = METRICS.counter(
-    "ir_verify_ops_checked", mode="incremental"
-)
 
 
 class VerificationError(IRError):
@@ -70,9 +63,7 @@ def verify(op: Operation) -> int:
     use_sets: dict[int, set[tuple[int, int]]] = {}
     _check_use_list(op, use_sets)
     op.verify_()
-    size = 1 + _verify_regions(op, set(), use_sets)
-    _CHECKED_FULL.inc(size)
-    return size
+    return 1 + _verify_regions(op, set(), use_sets)
 
 
 def _check_use_list(
@@ -202,7 +193,9 @@ def verify_changes(root: Operation, changes: ChangeSet, size: int) -> int:
     which is what :data:`~repro.ir.core.RECORDING` guarantees for code
     that mutates through :mod:`repro.ir.core` — and ``size`` is what
     the last verification of ``root`` returned; returns the size now
-    (an estimate, exact again whenever the full verifier ran).
+    (an estimate, exact again whenever the full verifier ran).  The op
+    visits made are recorded as ``changes.ops_verified``: what the
+    incremental checks visited, or the size the full verifier returned.
 
     Same verdict as ``verify(root)``.  The full verifier runs, and
     decides the diagnostic, whenever the incremental checks find a
@@ -216,7 +209,7 @@ def verify_changes(root: Operation, changes: ChangeSet, size: int) -> int:
     placed, modified = changes.placed, changes.modified
     if root not in placed and 2 * (len(placed) + len(modified)) <= size:
         try:
-            _CHECKED_INCREMENTAL.inc(_check_changes(root, changes))
+            changes.ops_verified = _check_changes(root, changes)
         except Exception:
             # Whatever went wrong — a violation, or a hook (any code)
             # choking on what a violation left behind — the oracle
@@ -224,7 +217,8 @@ def verify_changes(root: Operation, changes: ChangeSet, size: int) -> int:
             pass
         else:
             return size + len(placed) - len(changes.unlinked)
-    return verify(root)
+    size = changes.ops_verified = verify(root)
+    return size
 
 
 def _check_changes(root: Operation, changes: ChangeSet) -> int:

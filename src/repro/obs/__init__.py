@@ -1,14 +1,10 @@
-"""Unified observability layer: metrics, span tracing, profiling.
+"""Unified observability layer: span tracing and profiling.
 
-Three instruments, one package (PR 10):
+Three instruments, one package; the counts a compile, a
+simulation or a served request produce live with their owners
+(``CompiledKernel.pass_timings``/``pass_stats``, the server's
+``stats()``), not in a registry here:
 
-* :mod:`repro.obs.metrics` — a thread-safe labeled metrics registry
-  (counters, histograms) with ``snapshot()``/``delta()`` and JSON
-  export.  The process-wide :data:`METRICS`
-  registry absorbs the formerly scattered module globals: the
-  engine's decode counts are plain registry counters
-  (``engine_programs_decoded``, ``engine_instructions_decoded``);
-  ``REWRITE_STATS`` survives as a thin view over its atomic counters.
 * :mod:`repro.obs.tracing` — a ``contextvars``-based span tracer with
   parent/child propagation, correlation IDs, and Chrome trace-event
   (Perfetto-loadable) JSON export.  Disabled by default: every
@@ -20,12 +16,14 @@ Three instruments, one package (PR 10):
   FPU-arith / FPU-nonarith / FPU-stall / branch-bubble / SSR-wait /
   int-core buckets per region (FREP body vs. scalar), reproducing the
   paper's Table 1 FPU-utilization methodology.
+* :mod:`repro.obs.hostprof` — a bytecode counter that charges every
+  Python bytecode of a compile to one pass, its post-pass verify or
+  the unattributed residual.
 
-See ``docs/OBSERVABILITY.md`` for the metric names, span taxonomy and
-correlation-ID semantics.
+See ``docs/OBSERVABILITY.md`` for where each count lives, the span
+taxonomy and correlation-ID semantics.
 """
 
-from .metrics import METRICS, Counter, Histogram, MetricsRegistry
 from .tracing import (
     TraceRecorder,
     correlation,
@@ -37,10 +35,6 @@ from .tracing import (
 )
 
 __all__ = [
-    "METRICS",
-    "Counter",
-    "Histogram",
-    "MetricsRegistry",
     "TraceRecorder",
     "correlation",
     "correlation_id",

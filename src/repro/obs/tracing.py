@@ -127,10 +127,6 @@ def tracing_enabled() -> bool:
     return _RECORDER.get() is not None
 
 
-def active_recorder() -> TraceRecorder | None:
-    return _RECORDER.get()
-
-
 @contextmanager
 def recording(recorder: TraceRecorder | None = None):
     """Install (and yield) a recorder for the current context."""
@@ -214,7 +210,6 @@ def span(name: str, **attrs):
 __all__ = [
     "TraceRecorder",
     "absorb",
-    "active_recorder",
     "correlation",
     "correlation_id",
     "new_correlation_id",

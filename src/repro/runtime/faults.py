@@ -11,9 +11,10 @@ with
   :mod:`repro.service`) that names which layer failed;
 * a **retryability** class: deterministic faults (a config that does
   not compile will never compile) are final, transient faults (a
-  killed worker, a wall-clock timeout on a loaded machine) earn a
-  bounded retry with exponential backoff in
-  :class:`~repro.runtime.workers.HardenedPool`;
+  killed worker, a wall-clock timeout on a loaded machine) may
+  succeed on a retry — :class:`~repro.runtime.workers.HardenedPool`
+  re-dispatches a crashed job itself, a timed-out one is the
+  caller's to retry with a fresh budget;
 * **provenance**: the candidate's config key, the evaluation stage,
   and how many dispatch attempts were consumed.
 
@@ -148,8 +149,9 @@ class TimeoutFault(Fault):
 
     The pool watchdog SIGKILLs the worker (or the engine's cooperative
     deadline fires in-process).  Wall-clock time is load-dependent, so
-    timeouts are *transient*: retried (bounded) and never persisted to
-    the cache.
+    timeouts are *transient* and never persisted to the cache.  The
+    pool returns one at once — a re-run would spend the same deadline
+    again — and a client's retry comes with a fresh request budget.
     """
 
     KIND = "timeout"
@@ -158,7 +160,8 @@ class TimeoutFault(Fault):
 
 class WorkerCrash(Fault):
     """The worker process died (SIGKILL, OOM kill, hard crash) before
-    reporting a result.  Transient: retried and never cached."""
+    reporting a result.  Transient: the pool re-dispatches the job
+    (bounded), and it is never cached."""
 
     KIND = "worker-crash"
     RETRYABLE = True

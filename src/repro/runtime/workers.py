@@ -5,11 +5,13 @@ retry/timeout/degradation semantics of a real evaluation service:
 
 * **watchdog timeouts** — every in-flight job has a wall-clock
   deadline; a worker that blows it is SIGKILLed and the job
-  recorded as a :class:`~repro.runtime.faults.TimeoutFault` (or retried —
-  timeouts are transient);
-* **bounded retry with exponential backoff** — transient faults
-  (worker crashes, timeouts) are re-dispatched up to ``retries`` extra
-  attempts, each attempt waiting ``backoff * 2**(attempt-1)`` seconds;
+  recorded as a :class:`~repro.runtime.faults.TimeoutFault` at once
+  (re-running it would spend the deadline again; the caller's retry
+  carries a fresh budget);
+* **bounded retry with exponential backoff** — a job whose worker
+  died (:class:`~repro.runtime.faults.WorkerCrash`) is re-dispatched
+  up to ``retries`` extra attempts, each attempt waiting
+  ``backoff * 2**(attempt-1)`` seconds;
 * **automatic respawn** — a dead worker is replaced and the batch
   continues; only the in-flight job is affected, and no
   pool-infrastructure exception ever escapes to the caller;
@@ -72,7 +74,9 @@ class PoolConfig:
     workers: int = 1
     #: Per-job wall-clock deadline in seconds (None = no limit).
     deadline: float | None = None
-    #: Extra dispatch attempts for *retryable* faults.
+    #: Extra dispatch attempts for a job whose worker crashed (no
+    #: other fault is re-dispatched: a timeout would spend its
+    #: deadline again).
     retries: int = 2
     #: Base backoff before attempt N+1: ``backoff * 2**(N-1)`` seconds.
     backoff: float = 0.05
@@ -243,23 +247,14 @@ class HardenedPool:
     # -- serial path ---------------------------------------------------------
 
     def _run_serial(self, item: _Item):
-        """Evaluate one item in-process, honouring retry policy."""
-        while True:
-            item.attempts += 1
-            result, fault = self.task_fn(item.payload)
-            if fault is None:
-                return result, None
+        """Evaluate one item in-process, once: an in-process job
+        cannot crash a worker, and re-running a timed-out one would
+        spend its budget again."""
+        item.attempts += 1
+        result, fault = self.task_fn(item.payload)
+        if fault is not None:
             fault["attempts"] = item.attempts
-            if fault.get("retryable") and item.attempts <= self.config.retries:
-                self.events.append(
-                    f"retry {item.label} (attempt {item.attempts + 1}): "
-                    f"{fault.get('kind')}"
-                )
-                time.sleep(
-                    self.config.backoff * (2 ** (item.attempts - 1))
-                )
-                continue
-            return None, fault
+        return result, fault
 
     # -- parallel plumbing ---------------------------------------------------
 
@@ -293,9 +288,15 @@ class HardenedPool:
         retry_queue: deque,
         now: float,
     ) -> None:
-        """Apply retry policy to a parent-detected fault."""
+        """Re-dispatch a crashed job (within ``retries``); any other
+        fault is final.  A timed-out job is not re-run: the deadline
+        bounds the job, and a second run would spend it again — the
+        caller decides whether to retry with a fresh budget."""
         record = fault.with_attempts(item.attempts).to_json()
-        if fault.retryable and item.attempts <= self.config.retries:
+        if (
+            isinstance(fault, WorkerCrash)
+            and item.attempts <= self.config.retries
+        ):
             item.not_before = now + self.config.backoff * (
                 2 ** (item.attempts - 1)
             )

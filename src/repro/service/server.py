@@ -42,7 +42,6 @@ from dataclasses import dataclass, field, replace as _replace
 from ..compiler import CompiledKernel, Compiler, artifact_versions
 from ..ir.printer import print_op
 from ..kernels import networks
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import correlation_id, span
 from ..runtime.faults import (
     CancelledFault,
@@ -306,13 +305,9 @@ class CompileServer:
         #: Signalled whenever the in-flight request count drops —
         #: :meth:`drain` waits on it.
         self._idle = threading.Condition(self._mutex)
-        #: Per-server metrics (private registry: one server per test
-        #: must not see another's traffic).  The historical counter
-        #: names are pre-registered so :meth:`stats` always reports
-        #: the full set, zeros included.
-        self.metrics = MetricsRegistry()
-        for name in self._COUNTER_NAMES:
-            self.metrics.counter(name)
+        #: Traffic counters, every name from the start (:meth:`stats`
+        #: reports the full set, zeros included); under ``_mutex``.
+        self._counters = dict.fromkeys(self._COUNTER_NAMES, 0)
         self._fault_kinds: dict[str, int] = {}
         #: Most recent requests (key, correlation id, source,
         #: latency) — the stats-side echo of the correlation IDs.
@@ -333,23 +328,21 @@ class CompileServer:
     # -- bookkeeping ----------------------------------------------------------
 
     def _count(self, name: str, by: int = 1) -> None:
-        self.metrics.counter(name).inc(by)
+        with self._mutex:
+            self._counters[name] += by
 
     def _record_fault(self, fault: Fault) -> None:
-        self.metrics.counter("faults").inc()
         with self._mutex:
+            self._counters["faults"] += 1
             self._fault_kinds[fault.kind] = (
                 self._fault_kinds.get(fault.kind, 0) + 1
             )
 
     def _finish(self, result: ServiceResult) -> ServiceResult:
         """Stamp the context's correlation ID on a resolved result and
-        record it in the latency histogram + recent-request ring."""
+        record it in the recent-request ring."""
         cid = correlation_id() or ""
         result.correlation_id = cid
-        self.metrics.histogram(
-            "request_latency_seconds", source=result.source
-        ).observe(result.latency)
         with self._mutex:
             self._recent.append(
                 {
@@ -781,21 +774,17 @@ class CompileServer:
     def stats(self) -> dict:
         """Traffic, dedup, faults, pool health, cache sizes, store."""
         with self._mutex:
+            counters = dict(self._counters)
             fault_kinds = dict(self._fault_kinds)
             recent = list(self._recent)
             inflight = len(self._inflight)
             draining = self._draining
             inflight_requests = self._inflight_requests
-        counters = {
-            name: self.metrics.counter(name).value
-            for name in self._COUNTER_NAMES
-        }
         return {
             "uptime_seconds": time.monotonic() - self.started_at,
             "counters": counters,
             "fault_kinds": fault_kinds,
             "recent": recent,
-            "metrics": self.metrics.to_json(),
             "inflight": inflight,
             "lifecycle": {
                 "draining": draining,

@@ -42,7 +42,6 @@ import weakref
 from time import monotonic
 
 from ..backend.registers import FLOAT_REGISTERS, INT_REGISTERS
-from ..obs.metrics import METRICS
 from ..obs.tracing import span
 from .assembler import AssemblerError, Program
 from .isa import ISA, KIND_BRANCH, KIND_FPU, KIND_FREP, KIND_JUMP, KIND_RET
@@ -72,9 +71,6 @@ _LOAD_U32 = U32.unpack_from
 _STORE_U32 = U32.pack_into
 _LOADER = {4: "_LOAD_U32", 8: "_LOAD_U64"}
 _STORER = {4: "_STORE_U32", 8: "_STORE_U64"}
-
-_PROGRAMS_DECODED = METRICS.counter("engine_programs_decoded")
-_INSTRUCTIONS_DECODED = METRICS.counter("engine_instructions_decoded")
 
 #: Version of the engine's timing semantics.  The schedule-space
 #: autotuner persists measured cycle counts keyed on this value — bump
@@ -796,8 +792,6 @@ def _decode_miss(program: Program) -> DecodedProgram:
     }
     decoded = DecodedProgram(program, blocks)
     program._decoded = decoded
-    _PROGRAMS_DECODED.inc()
-    _INSTRUCTIONS_DECODED.inc(n)
     _DECODE_REGISTRY[id(program)] = weakref.ref(program)
     _prune_decode_registry()
     return decoded

@@ -127,7 +127,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--retries", type=int, default=2, metavar="N",
-        help="extra attempts for transient job faults (default: 2)",
+        help="extra attempts for a job whose worker crashed; a timed-out "
+        "job is not re-run (default: 2)",
     )
     serve.add_argument(
         "--max-bytes", type=int, default=None, metavar="N",

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.kernels.builders import KERNEL_BUILDERS
+from repro.snitch import engine
 
 
 @pytest.fixture
@@ -26,3 +27,18 @@ def break_reference(monkeypatch):
         monkeypatch.setitem(KERNEL_BUILDERS, kernel, (broken, arity))
 
     return apply
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The programs the simulator's engine decodes from now on, one
+    entry per decode (its ``_decode_miss`` calls)."""
+    calls = []
+    miss = engine._decode_miss
+
+    def spy(program):
+        calls.append(program)
+        return miss(program)
+
+    monkeypatch.setattr(engine, "_decode_miss", spy)
+    return calls

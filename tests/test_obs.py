@@ -1,35 +1,25 @@
-"""The observability layer: metrics registry, span tracer, profiler.
+"""The observability layer: span tracer, profiler, bytecode counter.
 
 Covers the :mod:`repro.obs` subsystem end to end:
 
-* metrics — labeled counters/histograms, snapshot/delta, JSON
-  export, thread safety under contention;
 * tracing — contextvars scoping (zero-cost when disabled), parent
   linkage, correlation IDs, cross-process absorb, Chrome trace-event
   export;
 * profiler — the Table 1 cycle-attribution invariants (buckets
   partition the run exactly; FPU-arith agrees with the trace) and
   observer-effect freedom (profiled and traced runs stay bit-exact);
-* the migrated counters: decode counts live in the registry only,
-  ``REWRITE_STATS`` flushes into registry counters;
+* host bytecode attribution: the parts partition the total;
 * ``ExecutionTrace`` JSON round-trip and multi-core merge.
 """
 
 import json
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from repro import api, kernels
-from repro.ir.rewriter import REWRITE_STATS
-from repro.obs.metrics import (
-    METRICS,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.obs.profiler import BUCKETS, CycleProfiler
 from repro.obs.tracing import (
     TraceRecorder,
@@ -41,133 +31,10 @@ from repro.obs.tracing import (
     span,
     tracing_enabled,
 )
-from repro.snitch import TCDM, assemble, decode
+from repro.snitch import TCDM
 from repro.snitch.machine import SnitchMachine
 from repro.snitch.trace import ExecutionTrace
 from repro.transforms.pipelines import PIPELINE_NAMES
-
-
-# -- metrics registry ---------------------------------------------------------
-
-
-class TestMetricsRegistry:
-    def test_counter_inc_and_value(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("jobs")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
-    def test_counter_rejects_negative(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.counter("jobs").inc(-1)
-
-    def test_labels_separate_series(self):
-        registry = MetricsRegistry()
-        registry.counter("jobs", kind="compile").inc(2)
-        registry.counter("jobs", kind="measure").inc(3)
-        assert registry.counter("jobs", kind="compile").value == 2
-        assert registry.counter("jobs", kind="measure").value == 3
-
-    def test_same_name_same_labels_same_instance(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a", x="1") is registry.counter(
-            "a", x="1"
-        )
-
-    def test_kind_collision_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("thing")
-        with pytest.raises(TypeError):
-            registry.histogram("thing")
-
-    def test_histogram_observe(self):
-        histogram = Histogram("latency")
-        for value in (0.002, 0.002, 5.0):
-            histogram.observe(value)
-        snap = histogram.snapshot()
-        assert snap["count"] == 3
-        assert snap["sum"] == pytest.approx(5.004)
-        assert snap["min"] == pytest.approx(0.002)
-        assert snap["max"] == pytest.approx(5.0)
-
-    def test_snapshot_and_delta(self):
-        registry = MetricsRegistry()
-        registry.counter("jobs").inc(2)
-        before = registry.snapshot()
-        registry.counter("jobs").inc(3)
-        delta = registry.delta(before)
-        assert delta["jobs"] == 3
-
-    def test_to_json_shape(self):
-        registry = MetricsRegistry()
-        registry.counter("jobs", kind="a").inc()
-        registry.histogram("lat").observe(0.5)
-        doc = registry.to_json()
-        assert set(doc) == {"counters", "histograms"}
-        assert doc["counters"]['jobs{kind="a"}'] == 1
-
-    def test_thread_safety_under_contention(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("hits")
-
-        def hammer():
-            for _ in range(10_000):
-                counter.inc()
-
-        threads = [
-            threading.Thread(target=hammer) for _ in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert counter.value == 80_000
-
-    def test_reset(self):
-        registry = MetricsRegistry()
-        registry.counter("jobs").inc(5)
-        registry.reset()
-        assert registry.counter("jobs").value == 0
-
-
-# -- legacy counter migration (satellite: thread-safety hole) ----------------
-
-
-class TestMigratedCounters:
-    def test_decode_stats_backed_by_registry(self):
-        programs = METRICS.counter("engine_programs_decoded")
-        instructions = METRICS.counter("engine_instructions_decoded")
-        before = programs.value, instructions.value
-        decode(assemble("main:\nli t0, 1\nret"))
-        assert (programs.value, instructions.value) == (
-            before[0] + 1, before[1] + 2,
-        )
-
-    def test_rewrite_stats_snapshot_delta(self):
-        before = METRICS.snapshot()
-        REWRITE_STATS.add(visited=2, invoked=1, applied=1)
-        delta = METRICS.delta(before)
-        assert delta["ir_rewrite_ops_visited"] == 2
-        assert delta["ir_rewrite_pattern_invocations"] == 1
-        assert delta["ir_rewrite_rewrites_applied"] == 1
-
-    def test_rewrite_stats_concurrent_adds(self):
-        before = METRICS.snapshot()
-
-        def hammer():
-            for _ in range(5_000):
-                REWRITE_STATS.add(visited=1)
-
-        threads = [
-            threading.Thread(target=hammer) for _ in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert METRICS.delta(before)["ir_rewrite_ops_visited"] == 20_000
 
 
 # -- span tracing -------------------------------------------------------------
@@ -523,11 +390,6 @@ class TestHostBytecodes:
                 return traced
 
             real_settrace(lambda *call: tally(on_call(*call)))
-
-        # Pass timings feed a histogram whose min/max/bucket updates
-        # depend on the clock; a constant clock keeps two compiles'
-        # counts comparable.
-        monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
 
         def compile_once(counter):
             module, _ = kernels.conv3x3(4, 4)

@@ -1,17 +1,19 @@
 """Compile-time and simulator perf smoke tests (``pytest -m perf_smoke``).
 
 Wall-clock assertions are flaky on shared machines, so these check
-countable efficiency metrics instead: the rewrite driver's counters,
-recorded per pass by the :class:`PassManager` instrumentation, the
-verifier's ``ir_verify_ops_checked`` op visits, and the Python
-bytecodes the simulator executes per simulated instruction (exact on
-one CPython minor version only, so pinned to it).
+countable efficiency metrics instead: the rewrite driver's counters
+and the verifier's op visits (``ops_verified``), recorded per pass in
+``pass_stats`` by the :class:`PassManager`, the Python bytecodes the
+simulator executes per simulated instruction (exact on one CPython
+minor version only, so pinned to it), and that a compile's bytecode
+count repeats exactly.
 The budgets have generous headroom over the worklist driver's actual
 numbers but sit far below the fixpoint re-walk driver's (which visited
 ~220 ops compiling the same kernel), so any regression toward
 whole-module rescans trips them immediately.
 """
 
+import gc
 import sys
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 
 from repro import api, kernels
 from repro.compiler import Compiler
-from repro.obs import METRICS
+from repro.ir import verify
 from repro.obs.hostprof import BytecodeCounter
 from repro.snitch.cluster import run_row_partitioned
 
@@ -63,41 +65,37 @@ WHOLE_MODULE_VERIFY_OPS = 585
 @pytest.mark.perf_smoke
 def test_verification_is_proportional_to_what_changed():
     module, _ = kernels.matmul(1, 8, 8)
-    before = METRICS.snapshot()
-    Compiler("ours").compile(module)
-    delta = METRICS.delta(before)
-    checked = sum(
-        delta[f'ir_verify_ops_checked{{mode="{mode}"}}']
-        for mode in ("full", "incremental")
+    checked = verify(module)  # what the compile's input check visits
+    compiled = Compiler("ours").compile(module)
+    checked += sum(
+        stats["ops_verified"] for _, stats in compiled.pass_stats
     )
-    assert checked <= 0.7 * WHOLE_MODULE_VERIFY_OPS, (
+    assert 0 < checked <= 0.7 * WHOLE_MODULE_VERIFY_OPS, (
         f"the verifier visited {checked} ops; post-pass verification "
         "regressed toward whole-module re-verification"
     )
 
 
 @pytest.mark.perf_smoke
-def test_simulator_decodes_once_per_program():
+def test_simulator_decodes_once_per_program(decodes):
     """The predecoded engine's decode must run once per program — not
     once per run: repeated runs of one compiled kernel share a decode."""
     module, spec = kernels.matmul(1, 8, 8)
     compiled = Compiler("ours").compile(module)
     arguments = spec.random_arguments(seed=0)
-    before = METRICS.counter("engine_programs_decoded").value
     for _ in range(3):
         api.run_kernel(compiled, arguments)
-    assert METRICS.counter("engine_programs_decoded").value == before + 1
+    assert len(decodes) == 1
 
 
 @pytest.mark.perf_smoke
-def test_simulator_decodes_once_per_cluster():
+def test_simulator_decodes_once_per_cluster(decodes):
     """...and not once per core: equal-shape cluster cores share both
     the compiled kernel and its decoded program."""
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, (8, 6))
     y = rng.uniform(-1, 1, (8, 6))
     z = np.zeros((8, 6))
-    before = METRICS.counter("engine_programs_decoded").value
     run_row_partitioned(
         kernels.sum_kernel,
         lambda module, spec: api.compile_linalg(module, pipeline="ours"),
@@ -106,7 +104,7 @@ def test_simulator_decodes_once_per_cluster():
         [x, y, z],
         row_parallel_args=[0, 1, 2],
     )
-    assert METRICS.counter("engine_programs_decoded").value == before + 1
+    assert len(decodes) == 1
 
 
 @pytest.mark.perf_smoke
@@ -118,9 +116,37 @@ def test_pass_stats_recorded_for_every_pass():
     ]
     assert all(
         set(stats)
-        == {"ops_visited", "pattern_invocations", "rewrites_applied"}
+        == {
+            "ops_visited",
+            "pattern_invocations",
+            "rewrites_applied",
+            "ops_verified",
+        }
         for _, stats in compiled.pass_stats
     )
+
+
+@pytest.mark.perf_smoke
+def test_compile_bytecodes_are_exact():
+    """A warm compile of a fresh module runs the same bytecodes every
+    time: no instrument on the compile path follows the clock."""
+
+    def compile_fresh():
+        module, _ = kernels.conv3x3(8, 8)
+        counter = BytecodeCounter()
+        # Finalizers of other tests' garbage are not the compile's:
+        # none may run inside the count.
+        gc.collect()
+        gc.disable()
+        try:
+            counter.count(Compiler("ours").compile, module)
+        finally:
+            gc.enable()
+        return counter.total
+
+    compile_fresh()  # imports, caches
+    totals = {compile_fresh() for _ in range(6)}
+    assert len(totals) == 1, f"bytecode totals spread: {sorted(totals)}"
 
 
 #: Bytecodes per simulated instruction of one warm ``api.run_kernel``

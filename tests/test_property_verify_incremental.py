@@ -50,7 +50,6 @@ from repro.ir.printer import print_op
 from repro.ir.traits import IsTerminator
 from repro.ir.verifier import VerificationError, verify, verify_changes
 from repro.kernels import lowlevel
-from repro.obs import METRICS
 from repro.transforms.pipelines import NAMED_PIPELINES, build_pipeline
 
 
@@ -519,13 +518,6 @@ def test_explicit_corruption_is_rejected_by_both(
 # -- the recorder's contract ------------------------------------------------------
 
 
-def _checked() -> int:
-    return sum(
-        METRICS.counter("ir_verify_ops_checked", mode=mode).value
-        for mode in ("full", "incremental")
-    )
-
-
 def test_empty_change_set_visits_no_op(monkeypatch):
     module = parse_module(_stage_text(0, 6))
     changes = recorded(lambda: None)
@@ -536,9 +528,8 @@ def test_empty_change_set_visits_no_op(monkeypatch):
 
     monkeypatch.setattr(verifier, "verify", forbidden)
     monkeypatch.setattr(verifier, "_check_changes", forbidden)
-    before = _checked()
     assert verify_changes(module, changes, 42) == 42
-    assert _checked() == before
+    assert changes.ops_verified == 0
 
 
 def test_an_analysis_pass_records_nothing():
@@ -548,32 +539,38 @@ def test_an_analysis_pass_records_nothing():
     assert not recorded(lambda: analysis.run(module))
 
 
-def test_which_verifier_runs_where():
+def test_which_verifier_runs_where(monkeypatch):
     """Full after the first and the last pass and after a wholesale
     lowering; nothing after an analysis; incremental elsewhere."""
     module, _ = kernels.matmul(4, 8, 8)
-    full = METRICS.counter("ir_verify_ops_checked", mode="full")
-    incremental = METRICS.counter(
-        "ir_verify_ops_checked", mode="incremental"
-    )
-    ran = []
+    checks = []
+    check_changes = verifier._check_changes
+
+    def spy(root, changes):
+        visits = check_changes(root, changes)
+        checks.append(visits)
+        return visits
+
+    monkeypatch.setattr(verifier, "_check_changes", spy)
+    incremental = []
 
     class Watch:
         def before_pass(self, pass_, module):
-            self.before = full.value, incremental.value
+            self.checked = len(checks)
 
         def after_pass(self, pass_, module, elapsed):
-            after = full.value, incremental.value
-            ran.append(
-                (
-                    pass_.name,
-                    "full" if after[0] > self.before[0]
-                    else "incremental" if after[1] > self.before[1]
-                    else "nothing",
-                )
-            )
+            incremental.append(len(checks) > self.checked)
 
-    Compiler("ours", instrument=Watch()).compile(module)
+    compiled = Compiler("ours", instrument=Watch()).compile(module)
+    ran = [
+        (
+            name,
+            "incremental" if checked
+            else "full" if stats["ops_verified"]
+            else "nothing",
+        )
+        for (name, stats), checked in zip(compiled.pass_stats, incremental)
+    ]
     modes = dict(ran)
     assert modes["convert-linalg-to-memref-stream"] == "full"
     assert modes["lower-to-snitch"] == "full"
@@ -655,6 +652,7 @@ def test_pass_stats_are_per_compile_under_concurrency():
                 "ops_visited": 0,
                 "pattern_invocations": 0,
                 "rewrites_applied": 0,
+                "ops_verified": 0,
             },
         )
     ]

@@ -18,7 +18,6 @@ from repro import compiler as compiler_module
 from repro.compiler import CompiledKernel, Compiler
 from repro.kernels import lowlevel, networks
 from repro.kernels.builders import KERNEL_BUILDERS
-from repro.obs import METRICS
 from repro.obs.tracing import correlation, recording
 from repro.service import (
     ArtifactStore,
@@ -775,10 +774,9 @@ class TestDecodeCache:
 
     teardown_method = setup_method
 
-    def test_threaded_hammer_decodes_once(self):
+    def test_threaded_hammer_decodes_once(self, decodes):
         module, _ = kernels.conv3x3(4, 4)
         program = api.compile_linalg(module).program
-        before = METRICS.counter("engine_programs_decoded").value
         barrier = threading.Barrier(8)
         decoded = []
 
@@ -793,9 +791,9 @@ class TestDecodeCache:
             thread.join()
         assert len(decoded) == 8
         assert all(d is decoded[0] for d in decoded)
-        assert METRICS.counter("engine_programs_decoded").value == before + 1
+        assert decodes == [program]
 
-    def test_clear_drops_memoized_decodes(self):
+    def test_clear_drops_memoized_decodes(self, decodes):
         module, _ = kernels.sum_kernel(2, 4)
         program = api.compile_linalg(module).program
         engine.decode(program)
@@ -803,9 +801,8 @@ class TestDecodeCache:
         engine.clear_decode_cache()
         assert engine.decode_cache_size() == 0
         assert not hasattr(program, "_decoded")
-        before = METRICS.counter("engine_programs_decoded").value
         engine.decode(program)  # transparently re-decodes
-        assert METRICS.counter("engine_programs_decoded").value == before + 1
+        assert decodes == [program, program]
 
     def test_dead_programs_pruned(self):
         module, _ = kernels.sum_kernel(2, 4)

@@ -45,6 +45,7 @@ from repro.runtime.faults import (
     FaultInjector,
     Injection,
 )
+from repro.service import server as server_module
 from repro.service.server import request_key
 from repro.service import wire
 from repro.service.wire import _clear_stale_socket
@@ -273,6 +274,30 @@ class TestRequestDeadlines:
             assert (
                 server.stats()["lifecycle"]["request_deadline"] == 0.0
             )
+
+    def test_timed_out_job_is_not_rerun(self, tmp_path, monkeypatch):
+        """Regression: the pool re-ran a timed-out job with a fresh
+        copy of its budget (three runs, 4x the budget, on one
+        request); the timeout now comes back at once, and a retry is
+        the client's, with a fresh request budget."""
+        calls = []
+        evaluate = server_module.evaluate_config
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["deadline_seconds"])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "evaluate_config", spy)
+        budget = 0.15
+        request = ServiceRequest("measure", "matmul", (32, 64, 64))
+        with CompileServer(
+            ArtifactStore(tmp_path), request_deadline=budget
+        ) as server:
+            result = server.submit(request)
+        assert result.fault is not None and result.fault.kind == "timeout"
+        assert result.fault.attempts == 1
+        assert len(calls) == 1 and 0 < calls[0] <= budget
+        assert result.latency < 2 * budget
 
     def test_deadline_rides_the_wire(self, tmp_path):
         socket_path, thread, _ = _spawn_server(tmp_path)

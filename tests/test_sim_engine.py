@@ -17,7 +17,6 @@ import pytest
 from repro import api, kernels
 from repro.backend.registers import FLOAT_REGISTERS, INT_REGISTERS
 from repro.snitch import SnitchMachine, SimulationError, TCDM, assemble
-from repro.obs import METRICS
 from repro.snitch.cluster import run_row_partitioned
 from repro.snitch import engine
 from repro.snitch.engine import decode
@@ -420,13 +419,12 @@ class TestErrorParity:
 
 
 class TestDecodeSharing:
-    def test_decode_cached_on_program(self):
+    def test_decode_cached_on_program(self, decodes):
         program = assemble("main:\nli t0, 1\nret")
-        before = METRICS.counter("engine_programs_decoded").value
         first = decode(program)
         second = decode(program)
         assert first is second
-        assert METRICS.counter("engine_programs_decoded").value == before + 1
+        assert decodes == [program]
 
     def test_decode_invalidated_on_program_edit(self):
         """A length-preserving instruction replacement or a label remap
@@ -442,24 +440,22 @@ class TestDecodeSharing:
         program.labels["main"] = 1
         assert decode(program) is not redecoded
 
-    def test_two_machines_share_one_decode(self):
+    def test_two_machines_share_one_decode(self, decodes):
         program = assemble("main:\nli t0, 1\nli t1, 2\nret")
-        before = METRICS.counter("engine_programs_decoded").value
         SnitchMachine(program).run("main")
         SnitchMachine(program).run("main")
-        assert METRICS.counter("engine_programs_decoded").value == before + 1
+        assert decodes == [program]
 
     def test_compiled_kernel_program_is_cached(self):
         module, _ = kernels.matmul(1, 4, 4)
         compiled = api.compile_linalg(module, pipeline="ours")
         assert compiled.program is compiled.program
 
-    def test_cluster_cores_share_one_decode(self):
+    def test_cluster_cores_share_one_decode(self, decodes):
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, (8, 6))
         y = rng.uniform(-1, 1, (8, 6))
         z = np.zeros((8, 6))
-        before = METRICS.counter("engine_programs_decoded").value
         cluster = run_row_partitioned(
             kernels.sum_kernel,
             lambda module, spec: api.compile_linalg(
@@ -471,7 +467,7 @@ class TestDecodeSharing:
             row_parallel_args=[0, 1, 2],
         )
         np.testing.assert_allclose(cluster.arrays[2], x + y)
-        assert METRICS.counter("engine_programs_decoded").value == before + 1
+        assert len(decodes) == 1
         assert len(cluster.cores) == 4
 
 
