@@ -112,6 +112,20 @@ class TestTracing:
         reloaded = json.loads(path.read_text())
         assert reloaded["traceEvents"]
 
+    def test_every_pass_opens_a_span(self):
+        """A compile's pass spans name the passes ``pass_timings``
+        times, in order: the span is the other record of pass time."""
+        module, _ = kernels.matmul(1, 4, 4)
+        with recording() as recorder:
+            compiled = api.compile_linalg(module, pipeline="ours")
+        spans = [
+            event["name"][len("pass."):]
+            for event in recorder.events_json()
+            if event["name"].startswith("pass.")
+        ]
+        assert spans == [name for name, _ in compiled.pass_timings]
+        assert spans
+
     def test_nested_recorders_innermost_wins(self):
         with recording() as outer:
             with recording() as inner:

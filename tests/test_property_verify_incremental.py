@@ -532,6 +532,69 @@ def test_empty_change_set_visits_no_op(monkeypatch):
     assert changes.ops_verified == 0
 
 
+def _insert_a_constant(module):
+    """A small, valid change: one unused constant at the top of the
+    first function's body."""
+    anchor = module.block.first_op.regions[0].blocks[0].first_op
+    anchor.parent.insert_op_before(arith.ConstantOp.from_int(0), anchor)
+
+
+def test_a_full_verification_records_the_module_size():
+    """A manager of one pass verifies in full after it: the op visits
+    recorded are the size ``verify`` returns."""
+    module = parse_module(_stage_text(0, 6))
+    manager = PassManager([LambdaPass("only", lambda m: None)])
+    manager.run(module)
+    ((name, stats),) = manager.pass_stats
+    assert name == "only"
+    assert stats["ops_verified"] == verify(module) > 0
+
+
+def test_an_incremental_verification_records_its_visits(monkeypatch):
+    module, _ = kernels.matmul(2, 4, 2)
+    visits = []
+    check_changes = verifier._check_changes
+
+    def spy(root, changes):
+        visits.append(check_changes(root, changes))
+        return visits[-1]
+
+    monkeypatch.setattr(verifier, "_check_changes", spy)
+    manager = PassManager(
+        [
+            LambdaPass("first", lambda m: None),
+            LambdaPass("insert", _insert_a_constant),
+            LambdaPass("last", lambda m: None),
+        ]
+    )
+    manager.run(module)
+    verified = {
+        name: stats["ops_verified"] for name, stats in manager.pass_stats
+    }
+    assert len(visits) == 1
+    assert verified["insert"] == visits[0]
+    assert 0 < visits[0] < verified["last"] == verify(module)
+
+
+def test_a_fallback_verification_records_the_full_size():
+    """A change too large for the last count falls back to the full
+    verifier, whose size is what is recorded."""
+    module = parse_module(_stage_text(0, 6))
+    changes = recorded(lambda: _insert_a_constant(module))
+    size = verify(module)
+    assert verify_changes(module, changes, 1) == size
+    assert changes.ops_verified == size
+
+
+def test_no_verification_records_zero():
+    module, _ = kernels.matmul(1, 8, 8)
+    manager = build_pipeline("ours", verify_each=False)
+    manager.run(module)
+    stats = [counts for _, counts in manager.pass_stats]
+    assert all(counts["ops_verified"] == 0 for counts in stats)
+    assert sum(counts["rewrites_applied"] for counts in stats) > 0
+
+
 def test_an_analysis_pass_records_nothing():
     module = parse_module(_stage_text(0, 5))
     analysis = build_pipeline(BASES[0][1]).passes[5]

@@ -1,4 +1,4 @@
-"""Worklist rewrite driver: stale-op handling, dispatch, views.
+"""Worklist rewrite driver: stale-op handling, dispatch, counts, views.
 
 The headline regression here is stale-op rewriting: ``Operation.erase``
 detaches the op but ops nested inside its regions keep their ``parent``
@@ -7,6 +7,8 @@ walk list) can hold ops living inside an already-erased subtree.  The
 driver must drop those instead of rewriting dead IR (which would, for
 example, resurrect uses of outside values through RAUW).
 """
+
+import threading
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.ir import (
     apply_patterns_naive,
     single_block_region,
 )
+from repro.ir.core import RECORDING, ChangeSet
 
 
 class _RegionHolder(Operation):
@@ -229,6 +232,121 @@ class TestAdjacencyReEnqueue:
         driver(module, self._patterns())
         assert mid.parent is None  # the intervening op was erased
         assert "after-const" in consumer.attributes
+
+
+def _chain_of_adds(length):
+    """``c = 7; a1 = c + c; a2 = a1 + c; ...``: ``_RewriteAddsToLhs``
+    folds every add away, one rewrite each."""
+    constant = arith.ConstantOp.from_int(7)
+    ops = [constant]
+    value = constant.result
+    for _ in range(length):
+        add = arith.AddiOp(value, constant.result)
+        ops.append(add)
+        value = add.result
+    return builtin.ModuleOp(ops)
+
+
+def _counted(call):
+    """Run ``call`` with a fresh per-pass recorder installed, as the
+    pass manager does; returns the recorder."""
+    changes = ChangeSet()
+    RECORDING.rewrites = changes
+    try:
+        call()
+    finally:
+        RECORDING.rewrites = None
+    return changes
+
+
+def _counts(changes):
+    return (
+        changes.ops_visited,
+        changes.pattern_invocations,
+        changes.rewrites_applied,
+    )
+
+
+@pytest.mark.parametrize(
+    "driver", [apply_patterns, apply_patterns_naive]
+)
+class TestDriverCounts:
+    """Each driver call credits its counts to the calling thread's
+    per-pass recorder (what ``pass_stats`` reports) and keeps none of
+    its own."""
+
+    def test_counts_credit_the_installed_recorder(self, driver):
+        module = _chain_of_adds(5)
+        changes = _counted(
+            lambda: driver(module, [_RewriteAddsToLhs()])
+        )
+        visited, invoked, applied = _counts(changes)
+        assert applied == 5
+        assert applied <= invoked <= visited
+        assert not [
+            op for op in module.walk() if isinstance(op, arith.AddiOp)
+        ]
+
+    def test_identical_calls_credit_identical_counts(self, driver):
+        """No count carries over from an earlier call, with or without
+        a recorder installed."""
+        driver(_chain_of_adds(4), [_RewriteAddsToLhs()])
+        assert RECORDING.rewrites is None
+        first, second = (
+            _counted(
+                lambda: driver(_chain_of_adds(4), [_RewriteAddsToLhs()])
+            )
+            for _ in range(2)
+        )
+        assert _counts(first) == _counts(second)
+        assert _counts(first)[2] == 4
+
+    def test_counts_flush_when_the_driver_diverges(self, driver):
+        class Flip(RewritePattern):
+            def match_and_rewrite(self, op, rewriter):
+                if isinstance(op, arith.AddiOp):
+                    rewriter.replace_op(
+                        op, arith.AddiOp(op.rhs, op.lhs)
+                    )
+
+        module = _chain_of_adds(1)
+        changes = ChangeSet()
+        RECORDING.rewrites = changes
+        try:
+            with pytest.raises(IRError, match="did not converge"):
+                driver(module, [Flip()], max_iterations=5)
+        finally:
+            RECORDING.rewrites = None
+        visited, invoked, applied = _counts(changes)
+        assert 5 <= applied <= invoked <= visited
+
+
+def test_concurrent_drivers_count_only_their_own_rewrites():
+    """Threads rewriting at once each see exactly their own counts:
+    the recorder is thread-local, not a shared total."""
+    threads, rounds, length = 4, 50, 3
+    ready = threading.Barrier(threads, timeout=30)
+    applied = []
+
+    def work():
+        changes = ChangeSet()
+        RECORDING.rewrites = changes
+        try:
+            ready.wait()
+            for _ in range(rounds):
+                apply_patterns(_chain_of_adds(length), [_RewriteAddsToLhs()])
+        finally:
+            RECORDING.rewrites = None
+        applied.append(changes.rewrites_applied)
+
+    workers = [threading.Thread(target=work) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    assert applied == [rounds * length] * threads
+    assert RECORDING.rewrites is None
 
 
 class _RecordConstants(TypedPattern):

@@ -428,6 +428,66 @@ class TestCompileServer:
         assert stats["pool"]["workers"] == 1
         assert "store" in stats
 
+    def test_stats_reports_every_counter_from_the_start(self, tmp_path):
+        with CompileServer(ArtifactStore(tmp_path)) as server:
+            stats = server.stats()
+        assert stats["counters"] == {
+            "requests": 0,
+            "store_hits": 0,
+            "computed": 0,
+            "deduped_in_batch": 0,
+            "joined_inflight": 0,
+            "faults": 0,
+            "rejected_overload": 0,
+            "rejected_draining": 0,
+            "deadline_expired": 0,
+        }
+        assert stats["fault_kinds"] == {} and stats["recent"] == []
+        assert "metrics" not in stats  # one record of each count
+
+    def test_counters_are_exact_under_contention(self, tmp_path):
+        """Eight threads submitting at once: every request is counted
+        exactly once, and so is every store hit."""
+        threads, rounds = 8, 25
+        request = ServiceRequest("compile", "sum", (2, 4))
+        with CompileServer(ArtifactStore(tmp_path)) as server:
+            assert server.submit(request).source == "computed"
+            barrier = threading.Barrier(threads, timeout=30)
+            sources = []
+
+            def hammer():
+                barrier.wait()
+                for _ in range(rounds):
+                    sources.append(server.submit(request).source)
+
+            workers = [
+                threading.Thread(target=hammer) for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+            counters = server.stats()["counters"]
+        assert sources == ["store"] * threads * rounds
+        assert counters["requests"] == 1 + threads * rounds
+        assert counters["store_hits"] == threads * rounds
+        assert counters["computed"] == 1
+
+    def test_fault_count_agrees_with_fault_kinds(self, tmp_path):
+        with CompileServer(ArtifactStore(tmp_path)) as server:
+            for shape in ((2, 4), (4, 4)):
+                result = server.submit(
+                    ServiceRequest(
+                        "compile", "relu", shape, pipeline="no-such-pass"
+                    )
+                )
+                assert result.fault is not None
+            stats = server.stats()
+        assert stats["counters"]["faults"] == 2
+        assert sum(stats["fault_kinds"].values()) == 2
+        assert len(stats["recent"]) == 2
+
 
 class _SpyJournal(RequestJournal):
     """A journal that also logs its traffic."""

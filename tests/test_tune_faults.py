@@ -226,6 +226,15 @@ def _sleep_task(seconds):
     return 1, None
 
 
+#: What ``_timeout_task`` ran (serial pools run tasks in-process).
+_TIMEOUT_CALLS = []
+
+
+def _timeout_task(payload):
+    _TIMEOUT_CALLS.append(payload)
+    return None, TimeoutFault(message="blew the deadline").to_json()
+
+
 def _pairs(payloads):
     return [(f"task-{pos}", payload) for pos, payload in enumerate(payloads)]
 
@@ -267,6 +276,31 @@ class TestHardenedPool:
         assert cycles is None
         assert Fault.from_json(fault).kind == "timeout"
         assert any("watchdog" in event for event in pool.events)
+
+    def test_serial_timeout_is_returned_at_once(self):
+        """A timed-out job is not re-run: a second run would spend the
+        same deadline again."""
+        _TIMEOUT_CALLS.clear()
+        config = PoolConfig(workers=1, retries=2, backoff=0.01)
+        with HardenedPool(_timeout_task, config) as pool:
+            [(cycles, fault)] = pool.map([("slow", "payload")])
+        assert cycles is None
+        assert Fault.from_json(fault).kind == "timeout"
+        assert fault["attempts"] == 1
+        assert _TIMEOUT_CALLS == ["payload"]
+        assert not any("retry" in event for event in pool.events)
+
+    def test_watchdog_timeout_is_not_redispatched(self):
+        config = PoolConfig(workers=2, deadline=0.3, retries=2, backoff=0.01)
+        with HardenedPool(_sleep_task, config) as pool:
+            results = pool.map([("quick", 0.0), ("hung", 30.0)])
+        assert results[0] == (1, None)
+        cycles, fault = results[1]
+        assert cycles is None
+        assert Fault.from_json(fault).kind == "timeout"
+        assert fault["attempts"] == 1
+        assert sum("watchdog" in event for event in pool.events) == 1
+        assert not any("retry" in event for event in pool.events)
 
     def test_repeated_pool_death_degrades_to_serial(self):
         config = PoolConfig(
