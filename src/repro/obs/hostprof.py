@@ -25,6 +25,7 @@ function is installed only while :meth:`BytecodeCounter.count` runs.
 
 from __future__ import annotations
 
+import gc
 import sys
 from dataclasses import dataclass
 
@@ -73,7 +74,13 @@ class BytecodeCounter(PassInstrumentation):
 
     def count(self, body, *args):
         """``body(*args)``, counting the bytecodes this thread runs in
-        it; returns what ``body`` returns."""
+        it; returns what ``body`` returns.
+
+        The cyclic collector is held off for the count (after one
+        collection, so earlier garbage is gone) and restored after:
+        a collection runs finalizers and ``gc.callbacks`` in whatever
+        frame triggers it, which would charge Python that is not
+        ``body``'s to it, by allocation timing."""
 
         def charge(frame, event, arg):
             if event == "opcode":
@@ -99,11 +106,16 @@ class BytecodeCounter(PassInstrumentation):
                 self._verify_frame = frame
             return charge
 
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
         sys.settrace(on_call)
         try:
             return body(*args)
         finally:
             sys.settrace(None)
+            if enabled:
+                gc.enable()
 
     def report(self) -> str:
         """Per pass: self count, then its post-pass verify; then the

@@ -12,9 +12,9 @@ with
 * a **retryability** class: deterministic faults (a config that does
   not compile will never compile) are final, transient faults (a
   killed worker, a wall-clock timeout on a loaded machine) may
-  succeed on a retry — :class:`~repro.runtime.workers.HardenedPool`
-  re-dispatches a crashed job itself, a timed-out one is the
-  caller's to retry with a fresh budget;
+  succeed on a retry, which is the caller's to make —
+  :class:`~repro.runtime.workers.HardenedPool` returns both at once,
+  and :class:`~repro.service.client.ServiceClient` resends them;
 * **provenance**: the candidate's config key, the evaluation stage,
   and how many dispatch attempts were consumed.
 
@@ -160,8 +160,8 @@ class TimeoutFault(Fault):
 
 class WorkerCrash(Fault):
     """The worker process died (SIGKILL, OOM kill, hard crash) before
-    reporting a result.  Transient: the pool re-dispatches the job
-    (bounded), and it is never cached."""
+    reporting a result.  Transient: the pool returns it at once, the
+    service client may resend the job, and it is never cached."""
 
     KIND = "worker-crash"
     RETRYABLE = True

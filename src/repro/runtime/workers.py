@@ -1,17 +1,16 @@
 """Hardened worker pool for service jobs.
 
 :class:`HardenedPool` fans work out over forked processes with the
-retry/timeout/degradation semantics of a real evaluation service:
+timeout/isolation/degradation semantics of a real evaluation service:
 
 * **watchdog timeouts** — every in-flight job has a wall-clock
   deadline; a worker that blows it is SIGKILLed and the job
-  recorded as a :class:`~repro.runtime.faults.TimeoutFault` at once
-  (re-running it would spend the deadline again; the caller's retry
-  carries a fresh budget);
-* **bounded retry with exponential backoff** — a job whose worker
-  died (:class:`~repro.runtime.faults.WorkerCrash`) is re-dispatched
-  up to ``retries`` extra attempts, each attempt waiting
-  ``backoff * 2**(attempt-1)`` seconds;
+  recorded as a :class:`~repro.runtime.faults.TimeoutFault`;
+* **crash isolation** — a job whose worker died comes back as a
+  :class:`~repro.runtime.faults.WorkerCrash`.  Neither fault is
+  re-dispatched: the pool runs each job once, and retrying is the
+  caller's decision (the service's is
+  :class:`~repro.service.client.ServiceClient`'s one bounded loop);
 * **automatic respawn** — a dead worker is replaced and the batch
   continues; only the in-flight job is affected, and no
   pool-infrastructure exception ever escapes to the caller;
@@ -54,7 +53,7 @@ from ..obs.tracing import (
     recording,
     tracing_enabled,
 )
-from .faults import Fault, TimeoutFault, WorkerCrash
+from .faults import TimeoutFault, WorkerCrash
 
 #: Fork-start workers inherit the already-imported package (no
 #: per-worker re-import) and need no picklable entry point.  Platforms
@@ -74,12 +73,6 @@ class PoolConfig:
     workers: int = 1
     #: Per-job wall-clock deadline in seconds (None = no limit).
     deadline: float | None = None
-    #: Extra dispatch attempts for a job whose worker crashed (no
-    #: other fault is re-dispatched: a timeout would spend its
-    #: deadline again).
-    retries: int = 2
-    #: Base backoff before attempt N+1: ``backoff * 2**(N-1)`` seconds.
-    backoff: float = 0.05
     #: Worker deaths (crashes + watchdog kills) tolerated before the
     #: pool degrades to serial evaluation for the rest of the run.
     respawn_limit: int = 4
@@ -160,13 +153,11 @@ def _worker_main(conn, task_fn) -> None:
 
 @dataclass
 class _Item:
-    """One job's work, across attempts."""
+    """One job's work."""
 
     pos: int  #: index into the caller's task list (result slot)
     label: str  #: job provenance
     payload: object
-    attempts: int = 0  #: dispatch attempts started so far
-    not_before: float = 0.0  #: backoff gate for the next dispatch
 
 
 class _Worker:
@@ -202,8 +193,8 @@ class HardenedPool:
 
     One pool serves a whole server (batches reuse warm workers); call
     :meth:`close` when done.  :attr:`events` accumulates a human-
-    readable log of every respawn, retry, watchdog kill, and
-    degradation — the server's stats surface it.
+    readable log of every respawn, watchdog kill, and degradation —
+    the server's stats surface it.
     """
 
     def __init__(self, task_fn, config: PoolConfig):
@@ -244,18 +235,6 @@ class HardenedPool:
         while len(self._workers) < self.config.workers:
             self._spawn()
 
-    # -- serial path ---------------------------------------------------------
-
-    def _run_serial(self, item: _Item):
-        """Evaluate one item in-process, once: an in-process job
-        cannot crash a worker, and re-running a timed-out one would
-        spend its budget again."""
-        item.attempts += 1
-        result, fault = self.task_fn(item.payload)
-        if fault is not None:
-            fault["attempts"] = item.attempts
-        return result, fault
-
     # -- parallel plumbing ---------------------------------------------------
 
     def _spawn(self) -> _Worker | None:
@@ -280,34 +259,6 @@ class HardenedPool:
         else:
             self.events.append(f"worker respawn ({reason})")
 
-    def _finish_or_retry(
-        self,
-        item: _Item,
-        fault: Fault,
-        results: dict,
-        retry_queue: deque,
-        now: float,
-    ) -> None:
-        """Re-dispatch a crashed job (within ``retries``); any other
-        fault is final.  A timed-out job is not re-run: the deadline
-        bounds the job, and a second run would spend it again — the
-        caller decides whether to retry with a fresh budget."""
-        record = fault.with_attempts(item.attempts).to_json()
-        if (
-            isinstance(fault, WorkerCrash)
-            and item.attempts <= self.config.retries
-        ):
-            item.not_before = now + self.config.backoff * (
-                2 ** (item.attempts - 1)
-            )
-            retry_queue.append(item)
-            self.events.append(
-                f"retry {item.label} (attempt {item.attempts + 1}): "
-                f"{fault.kind}"
-            )
-        else:
-            results[item.pos] = (None, record)
-
     def map(self, tasks) -> list:
         """Evaluate ``tasks`` (``(label, payload)`` pairs); returns one
         ``(result, fault_json)`` per task, in order.
@@ -321,7 +272,7 @@ class HardenedPool:
             for pos, (label, payload) in enumerate(tasks)
         ]
         results: dict[int, tuple] = {}
-        if self.parallel and len(items) > 1:
+        if self.parallel:
             try:
                 self._map_parallel(items, results)
             except KeyboardInterrupt:
@@ -330,7 +281,7 @@ class HardenedPool:
         # Serial path, and the tail of a degraded parallel run.
         for item in items:
             if item.pos not in results:
-                results[item.pos] = self._run_serial(item)
+                results[item.pos] = self.task_fn(item.payload)
         return [results[pos] for pos in range(len(items))]
 
     def _map_parallel(self, items, results) -> None:
@@ -340,32 +291,25 @@ class HardenedPool:
         traced = tracing_enabled()
         corr_id = correlation_id()
         pending = deque(items)
-        retry_queue: deque = deque()
         while len(results) < len(items):
             if self.degraded:
                 self._teardown_workers()
                 return  # map() drains the rest serially
-            now = time.monotonic()
-            while retry_queue and retry_queue[0].not_before <= now:
-                pending.append(retry_queue.popleft())
             in_flight = sum(1 for w in self._workers if w.item is not None)
-            want = min(
-                config.workers,
-                in_flight + len(pending) + len(retry_queue),
-            )
+            want = min(config.workers, in_flight + len(pending))
             while len(self._workers) < want:
                 self._spawn()
             # Dispatch to idle workers.
+            now = time.monotonic()
             for worker in list(self._workers):
                 if worker.item is not None or not pending:
                     continue
                 item = pending.popleft()
-                item.attempts += 1
                 try:
                     worker.conn.send((item.payload, traced, corr_id))
                 except (BrokenPipeError, OSError):
-                    # Died while idle: respawn, re-dispatch next round.
-                    item.attempts -= 1
+                    # Died while idle, before the job reached it:
+                    # respawn, dispatch next round.
                     pending.appendleft(item)
                     self._discard(worker)
                     self._note_death("worker died while idle")
@@ -378,28 +322,7 @@ class HardenedPool:
                 )
             busy = [w for w in self._workers if w.item is not None]
             if not busy:
-                if pending or retry_queue:
-                    # Waiting out a backoff window (or all dispatches
-                    # failed this round).
-                    time.sleep(
-                        min(
-                            _MAX_POLL,
-                            max(
-                                0.0,
-                                min(
-                                    (
-                                        i.not_before
-                                        for i in retry_queue
-                                    ),
-                                    default=now,
-                                )
-                                - now,
-                            ),
-                        )
-                        or 0.01
-                    )
-                    continue
-                return
+                continue  # every dispatch failed this round
             timeout = _MAX_POLL
             for worker in busy:
                 if worker.deadline_at is not None:
@@ -408,46 +331,30 @@ class HardenedPool:
                 [w.conn for w in busy], timeout=max(0.0, timeout)
             )
             by_conn = {w.conn: w for w in busy}
-            now = time.monotonic()
             for conn in ready:
                 worker = by_conn.get(conn)
                 if worker is None or worker.item is None:
                     continue
-                item = worker.item
+                item, worker.item = worker.item, None
                 try:
-                    (result, fault), events = conn.recv()
+                    outcome, events = conn.recv()
                 except (EOFError, OSError):
-                    # The worker died mid-measure (SIGKILL, OOM...).
-                    worker.item = None
+                    # The worker died mid-job (SIGKILL, OOM, _exit...).
                     self._discard(worker)
-                    self._note_death(
-                        f"worker crashed measuring {item.label}"
-                    )
-                    self._finish_or_retry(
-                        item,
-                        WorkerCrash(
-                            message=(
-                                "worker process died before reporting "
-                                "a result"
-                            ),
-                            candidate=item.label,
-                            stage="worker",
+                    self._note_death(f"worker crashed running {item.label}")
+                    outcome = None, WorkerCrash(
+                        message=(
+                            "worker process died before reporting "
+                            "a result"
                         ),
-                        results,
-                        retry_queue,
-                        now,
-                    )
-                    continue
-                worker.item = None
-                absorb(events)
-                if fault is not None:
-                    fault = Fault.from_json(fault)
-                    self._finish_or_retry(
-                        item, fault, results, retry_queue, now
-                    )
+                        candidate=item.label,
+                        stage="worker",
+                    ).to_json()
                 else:
-                    results[item.pos] = (result, None)
+                    absorb(events)
+                results[item.pos] = outcome
             # Watchdog: kill workers that blew their deadline.
+            now = time.monotonic()
             for worker in list(self._workers):
                 item = worker.item
                 if (
@@ -462,20 +369,14 @@ class HardenedPool:
                     f"watchdog killed worker: {item.label} exceeded "
                     f"{config.deadline:g}s deadline"
                 )
-                self._finish_or_retry(
-                    item,
-                    TimeoutFault(
-                        message=(
-                            f"exceeded {config.deadline:g}s wall-clock "
-                            "deadline; worker killed by watchdog"
-                        ),
-                        candidate=item.label,
-                        stage="simulate",
+                results[item.pos] = None, TimeoutFault(
+                    message=(
+                        f"exceeded {config.deadline:g}s wall-clock "
+                        "deadline; worker killed by watchdog"
                     ),
-                    results,
-                    retry_queue,
-                    now,
-                )
+                    candidate=item.label,
+                    stage="simulate",
+                ).to_json()
 
     def _teardown_workers(self) -> None:
         for worker in self._workers:

@@ -21,11 +21,12 @@ This package turns that determinism into a serving layer:
   with documented exit codes, and a chaos injection layer via
   ``REPRO_FAULTS``);
 * :mod:`repro.service.client` — :class:`ServiceClient`:
-  connect/call timeouts, bounded retry with exponential backoff +
-  jitter, transparent reconnect across server restarts, and a circuit
-  breaker (:class:`CircuitOpenError`) that half-opens on a probe
-  ping.  Transport failures surface as :class:`ServiceUnavailable`
-  carrying a structured taxonomy fault.
+  connect/call timeouts, transparent reconnect across server restarts,
+  and the service's one retry loop — at most ``1 + retries`` round
+  trips a call, with exponential backoff + jitter, resending the
+  transport-failed and retryably-faulted requests.  The server and its
+  worker pool never retry.  Transport failures surface as
+  :class:`ServiceUnavailable` carrying a structured taxonomy fault.
 
 The service's shared machinery sits one layer down in
 :mod:`repro.runtime`: the fault taxonomy (shared with the tuner), the
@@ -41,12 +42,7 @@ See ``docs/SERVICE.md``.
 """
 
 from ..runtime.store import ArtifactStore, StoreError
-from .client import (
-    CircuitOpenError,
-    ServiceClient,
-    ServiceError,
-    ServiceUnavailable,
-)
+from .client import ServiceClient, ServiceError, ServiceUnavailable
 from .journal import RequestJournal
 from .server import CompileServer, ServiceRequest, ServiceResult
 from .wire import (
@@ -63,7 +59,6 @@ __all__ = [
     "EXIT_SIGINT",
     "EXIT_SIGTERM",
     "ArtifactStore",
-    "CircuitOpenError",
     "CompileServer",
     "RequestJournal",
     "ServiceClient",

@@ -32,17 +32,17 @@ batch down.
 
 The server's end of the protocol — the accept loop, drain, exit
 codes, chaos injection — is :mod:`repro.service.wire`.
-:class:`ServiceClient` documents this end's resilience: every failure
-it surfaces is either a structured fault *on a result* or a
-:class:`ServiceError` carrying a taxonomy fault — never a raw
-``EOFError`` or a hang.
+:class:`ServiceClient` documents this end's resilience: it holds the
+service's one retry loop (the server and its worker pool run each job
+once), and every failure it surfaces is either a structured fault *on
+a result* or a :class:`ServiceError` carrying a taxonomy fault — never
+a raw ``EOFError`` or a hang.
 """
 
 from __future__ import annotations
 
 import random
 import socket
-import threading
 import time
 from multiprocessing.connection import Connection
 from pathlib import Path
@@ -68,21 +68,15 @@ class ServiceError(RuntimeError):
 
 
 class ServiceUnavailable(ServiceError):
-    """The server could not be reached (or never answered) after the
-    client's bounded retries.  Carries the structured taxonomy
-    :attr:`fault` (``transport`` or ``timeout``) so callers — and the
-    chaos property — always see a classified failure, never a raw
-    ``EOFError``."""
+    """The server could not be reached (or never answered) on the
+    client's last round trip.  Carries the structured taxonomy
+    :attr:`fault` (``transport`` or ``timeout``, its ``attempts`` the
+    round trips made) so callers — and the chaos property — always see
+    a classified failure, never a raw ``EOFError``."""
 
     def __init__(self, message: str, fault: Fault):
         super().__init__(message)
         self.fault = fault
-
-
-class CircuitOpenError(ServiceUnavailable):
-    """The client's circuit breaker is open: consecutive transport
-    failures crossed the threshold, so calls fail fast without
-    touching the socket until a half-open probe ``ping`` succeeds."""
 
 
 class ServiceClient:
@@ -104,22 +98,24 @@ class ServiceClient:
       connection / to wait for a reply (None = wait forever).  A
       wedged server surfaces a structured ``timeout`` fault instead
       of blocking the caller.
-    * ``retries`` / ``backoff`` / ``max_backoff`` / ``jitter`` —
-      bounded retry for *retryable* failures only (transport errors,
-      timeouts, server-side ``overload``/``cancelled``/``timeout``
-      faults); deterministic faults (compile, verify, sim) are
-      returned immediately.  Attempt N waits
+    * ``retries`` / ``backoff`` / ``max_backoff`` / ``jitter`` — the
+      service's one retry loop.  Each attempt is one round trip and a
+      call makes at most ``1 + retries``.  A transport failure
+      (connect error, lost connection, reply timeout) resends every
+      pending request; a reply resends only the requests whose fault
+      is retryable (``overload``, ``cancelled``, ``timeout``,
+      ``worker-crash``) — deterministic faults (compile, verify, sim)
+      are final at once.  Attempt N waits
       ``min(max_backoff, backoff * 2**(N-1)) * (1 + jitter * U[0,1))``
-      seconds — the jitter de-synchronizes herds of retrying clients.
-    * ``breaker_threshold`` / ``breaker_cooldown`` — after
-      ``breaker_threshold`` *consecutive* transport-level failures
-      the circuit opens: calls raise :class:`CircuitOpenError`
-      immediately (no socket traffic) until ``breaker_cooldown``
-      seconds pass, then one probe ``ping`` half-opens it.
+      seconds before the next — the jitter de-synchronizes herds of
+      retrying clients.
 
-    Transport failures that outlive the retry budget raise
-    :class:`ServiceUnavailable` carrying the taxonomy fault; job
-    failures always come back *on the result*, never as exceptions.
+    The fault a call surfaces carries the round trips it took in
+    ``attempts``: on :class:`ServiceUnavailable` when the last one
+    found no server, or on the result when its reply still held a
+    fault.  Job failures always come back *on the result*, never as
+    exceptions.  Nothing below the client retries: the server and its
+    worker pool dispatch each job once.
     """
 
     def __init__(
@@ -131,8 +127,6 @@ class ServiceClient:
         backoff: float = 0.05,
         max_backoff: float = 2.0,
         jitter: float = 0.25,
-        breaker_threshold: int = 5,
-        breaker_cooldown: float = 1.0,
     ):
         self.address = str(socket_path)
         self.connect_timeout = connect_timeout
@@ -141,11 +135,6 @@ class ServiceClient:
         self.backoff = backoff
         self.max_backoff = max_backoff
         self.jitter = jitter
-        self.breaker_threshold = max(1, int(breaker_threshold))
-        self.breaker_cooldown = breaker_cooldown
-        self._lock = threading.Lock()
-        self._consecutive_failures = 0
-        self._open_until: float | None = None
 
     # -- transport ------------------------------------------------------------
 
@@ -218,65 +207,6 @@ class ServiceClient:
             except OSError:
                 pass
 
-    # -- circuit breaker ------------------------------------------------------
-
-    def _breaker_gate(self) -> None:
-        """Fail fast while the circuit is open; half-open probe after
-        the cooldown."""
-        with self._lock:
-            if self._open_until is None:
-                return
-            remaining = self._open_until - time.monotonic()
-            if remaining > 0:
-                raise CircuitOpenError(
-                    f"circuit open ({self._consecutive_failures} "
-                    f"consecutive transport failures); failing fast "
-                    f"for another {remaining:.2f}s",
-                    fault=TransportFault(
-                        message="circuit breaker open; failing fast",
-                        stage="circuit",
-                    ),
-                )
-        # Half-open: one probe ping decides.
-        fault = self._probe()
-        with self._lock:
-            if fault is None:
-                self._consecutive_failures = 0
-                self._open_until = None
-                return
-            self._open_until = (
-                time.monotonic() + self.breaker_cooldown
-            )
-        raise CircuitOpenError(
-            "half-open probe ping failed; circuit re-opened",
-            fault=fault,
-        )
-
-    def _probe(self) -> Fault | None:
-        """One ``ping`` round trip: None when the server answered it,
-        else the fault that says why not."""
-        reply, fault = self._call_once({"op": "ping"})
-        if fault is None and not (
-            isinstance(reply, dict) and reply.get("pong")
-        ):
-            fault = TransportFault(
-                message="probe ping got a malformed reply",
-                stage="circuit",
-            )
-        return fault
-
-    def _record_outcome(self, ok: bool) -> None:
-        with self._lock:
-            if ok:
-                self._consecutive_failures = 0
-                self._open_until = None
-                return
-            self._consecutive_failures += 1
-            if self._consecutive_failures >= self.breaker_threshold:
-                self._open_until = (
-                    time.monotonic() + self.breaker_cooldown
-                )
-
     def _sleep_backoff(self, attempt: int) -> None:
         delay = min(
             self.max_backoff, self.backoff * (2 ** (attempt - 1))
@@ -285,44 +215,78 @@ class ServiceClient:
 
     # -- calls ----------------------------------------------------------------
 
-    def _call(self, message: dict, retries: int | None = None) -> dict:
-        """One protocol call with transport retry + circuit breaker.
+    def _call(
+        self,
+        message: dict,
+        requests: list[ServiceRequest] | None = None,
+        retries: int | None = None,
+    ):
+        """The client's one retry loop: a round trip per attempt, at
+        most ``1 + retries`` of them.
 
-        Raises :class:`CircuitOpenError` while the breaker is open,
-        :class:`ServiceUnavailable` (with the taxonomy fault) once the
-        retry budget is exhausted, and plain :class:`ServiceError` for
-        protocol-level failures reported by the server.
+        Without ``requests``, returns the reply once the server
+        answers.  With them, each attempt's message carries the
+        pending ones (``request`` for a submit, ``requests`` for a
+        batch) and the results come back in order: a transport fault
+        keeps every pending slot for the next attempt, a reply keeps
+        only the slots whose fault is retryable.  A fault on a reply
+        is stamped with the attempt it came back on.
+
+        Raises :class:`ServiceUnavailable` (with the taxonomy fault)
+        when the last attempt found no server, and plain
+        :class:`ServiceError` for a protocol-level error the server
+        reported.
         """
         budget = self.retries if retries is None else retries
-        self._breaker_gate()
+        results: list = [None] * len(requests or ())
+        pending = list(range(len(results)))
+        submit = message["op"] == "submit"
         attempt = 0
         while True:
             attempt += 1
+            if requests is not None:
+                wanted = [requests[pos].to_json() for pos in pending]
+                if submit:
+                    message["request"] = wanted[0]
+                else:
+                    message["requests"] = wanted
             reply, fault = self._call_once(message)
             if fault is None:
-                self._record_outcome(True)
                 if not isinstance(reply, dict):
                     raise ServiceError(f"malformed reply: {reply!r}")
                 if not reply.get("ok"):
                     raise ServiceError(
                         reply.get("error", "unknown server error")
                     )
-                return reply
-            self._record_outcome(False)
-            if fault.retryable and attempt <= budget:
-                self._sleep_backoff(attempt)
-                continue
-            raise ServiceUnavailable(
-                fault.describe(),
-                fault=fault.with_attempts(attempt),
-            )
+                if requests is None:
+                    return reply
+                absorb(reply.get("spans"))
+                fresh = [reply["result"]] if submit else reply["results"]
+                for pos, result in zip(pending, fresh):
+                    if result["fault"] is not None:
+                        result["fault"]["attempts"] = attempt
+                    results[pos] = result
+                pending = [
+                    pos for pos in pending if self._retryable(results[pos])
+                ]
+                if not pending:
+                    return results
+            if attempt > budget:
+                if fault is None:
+                    return results
+                fault = fault.with_attempts(attempt)
+                raise ServiceUnavailable(fault.describe(), fault=fault)
+            self._sleep_backoff(attempt)
 
     def ping(self) -> bool:
-        """One probe round-trip; False (never an exception) when the
-        server is unreachable or answers garbage."""
-        ok = self._probe() is None
-        self._record_outcome(ok)
-        return ok
+        """One probe round trip, never retried: False (never an
+        exception) when the server is unreachable or answers garbage."""
+        reply, fault = self._call_once({"op": "ping"})
+        return (
+            fault is None
+            and isinstance(reply, dict)
+            and bool(reply.get("pong"))
+        )
 
     @staticmethod
     def _retryable(result: dict) -> bool:
@@ -338,9 +302,10 @@ class ServiceClient:
         """Resolve one request; returns the ServiceResult as JSON.
 
         Retryable *server-side* faults (overload, drain, request
-        deadline) are retried with backoff just like transport
-        failures — the store makes the retry cheap.  Deterministic
-        faults come back immediately on the result.
+        deadline, worker crash) are resent with backoff within the
+        same budget as transport failures — the store makes the
+        retry cheap.  Deterministic faults come back at once on the
+        result.
 
         A correlation id is minted per call (inherited from an
         enclosing :func:`repro.obs.tracing.correlation` scope, or
@@ -361,10 +326,10 @@ class ServiceClient:
     ) -> list[dict]:
         """Resolve a batch; one result JSON per request, in order.
 
-        Slots that come back with *retryable* faults (overload,
-        drain, deadline) are resubmitted as a smaller batch, up to
-        the retry budget; everything else keeps its first result.
-        The whole batch (retries included) shares one correlation id.
+        Slots that come back with *retryable* faults are resent as a
+        smaller batch, within the same budget; everything else keeps
+        its first result.  The whole batch (retries included) shares
+        one correlation id.
         """
         return self._resolve(
             "batch", requests, deadline, corr_id, size=len(requests)
@@ -378,42 +343,16 @@ class ServiceClient:
         corr_id: str | None,
         **span_attrs,
     ) -> list[dict]:
-        """Send ``requests`` as one ``op`` message and resubmit the
-        slots that come back retryable, up to the retry budget."""
+        """Send ``requests`` as ``op`` messages through :meth:`_call`,
+        under one correlation id and one client span."""
         cid = corr_id or correlation_id() or new_correlation_id()
-        results: list = [None] * len(requests)
-        positions = list(range(len(requests)))
-        attempt = 0
+        message: dict = {"op": op, "corr_id": cid}
+        if deadline is not None:
+            message["deadline"] = deadline
+        if tracing_enabled():
+            message["trace"] = True
         with correlation(cid), span(f"client.{op}", **span_attrs):
-            while True:
-                attempt += 1
-                wanted = [requests[pos].to_json() for pos in positions]
-                message: dict = {"op": op, "corr_id": cid}
-                if op == "submit":
-                    message["request"] = wanted[0]
-                else:
-                    message["requests"] = wanted
-                if deadline is not None:
-                    message["deadline"] = deadline
-                if tracing_enabled():
-                    message["trace"] = True
-                reply = self._call(message)
-                absorb(reply.get("spans"))
-                fresh = (
-                    [reply["result"]]
-                    if op == "submit"
-                    else reply["results"]
-                )
-                for pos, result in zip(positions, fresh):
-                    results[pos] = result
-                positions = [
-                    pos
-                    for pos in positions
-                    if self._retryable(results[pos])
-                ]
-                if not positions or attempt > self.retries:
-                    return results
-                self._sleep_backoff(attempt)
+            return self._call(message, requests)
 
     def stats(self) -> dict:
         return self._call({"op": "stats"})["stats"]
@@ -428,7 +367,6 @@ class ServiceClient:
 
 
 __all__ = [
-    "CircuitOpenError",
     "ServiceClient",
     "ServiceError",
     "ServiceUnavailable",

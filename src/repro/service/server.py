@@ -15,8 +15,11 @@ measure a schedule config's cycles — and resolution is store-first:
    computing is awaited instead of recomputed;
 4. remaining jobs fan out across a
    :class:`~repro.runtime.workers.HardenedPool` (watchdog timeouts,
-   bounded retry, crash respawn, degradation to serial — PR 6's
-   service-grade worker tier);
+   crash isolation and respawn, degradation to serial).  Each job is
+   dispatched once: a crashed or timed-out job comes back as a
+   retryable fault, and only :class:`~repro.service.client.ServiceClient`
+   retries.  With ``workers=1`` jobs run in the server's own process;
+   with more, every job runs in a forked worker;
 5. results are persisted to the store; failures come back as
    structured :class:`~repro.runtime.faults.Fault` values on the result,
    never as exceptions — a batch always returns one result per
@@ -261,7 +264,6 @@ class CompileServer:
         store: ArtifactStore,
         workers: int = 1,
         deadline: float | None = None,
-        retries: int = 2,
         max_inflight: int | None = None,
         request_deadline: float | None = None,
         journal: RequestJournal | None = None,
@@ -285,11 +287,7 @@ class CompileServer:
         )
         self.pool = HardenedPool(
             _service_task,
-            PoolConfig(
-                workers=max(1, workers),
-                deadline=deadline,
-                retries=retries,
-            ),
+            PoolConfig(workers=max(1, workers), deadline=deadline),
         )
         # Fork workers before any connection exists (prestart says why).
         self.pool.prestart()

@@ -282,7 +282,6 @@ def serve_forever(
     socket_path: str | Path,
     workers: int = 1,
     deadline: float | None = None,
-    retries: int = 2,
     max_bytes: int | None = None,
     ready=None,
     max_inflight: int | None = None,
@@ -323,7 +322,6 @@ def serve_forever(
         store,
         workers=workers,
         deadline=deadline,
-        retries=retries,
         max_inflight=max_inflight,
         request_deadline=request_deadline,
         journal=journal,

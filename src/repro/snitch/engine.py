@@ -720,10 +720,9 @@ class _Table(dict):
 class DecodedProgram:
     """One program split into basic blocks, decode run once."""
 
-    __slots__ = ("program", "n", "insts", "labels", "blocks", "tables")
+    __slots__ = ("n", "insts", "labels", "blocks", "tables")
 
     def __init__(self, program: Program, blocks: dict):
-        self.program = program
         #: Loop block leader -> end: run as one function.
         self.blocks = blocks
         self.tables: dict = {}

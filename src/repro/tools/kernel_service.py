@@ -97,13 +97,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--client-retries", type=int, default=3, metavar="N",
-            help="bounded retries for transport errors and retryable "
-            "server faults (default: 3)",
-        )
-        sub.add_argument(
-            "--breaker-threshold", type=int, default=5, metavar="N",
-            help="consecutive transport failures that open the "
-            "client circuit breaker (default: 5)",
+            help="round trips after the first for transport errors and "
+            "retryable faults: a call makes at most 1 + N (default: 3)",
         )
 
     serve = commands.add_parser(
@@ -119,16 +114,14 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker processes for compile/measure jobs (default: 1)",
+        help="worker processes for compile/measure jobs: 1 runs each "
+        "job in the server's own process, N >= 2 runs every job in a "
+        "forked worker, so a job that crashes one comes back as a "
+        "worker-crash fault (default: 1)",
     )
     serve.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="per-job wall-clock deadline (default: none)",
-    )
-    serve.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="extra attempts for a job whose worker crashed; a timed-out "
-        "job is not re-run (default: 2)",
     )
     serve.add_argument(
         "--max-bytes", type=int, default=None, metavar="N",
@@ -260,7 +253,6 @@ def _backend(parser, args):
             connect_timeout=args.connect_timeout,
             call_timeout=args.call_timeout,
             retries=args.client_retries,
-            breaker_threshold=args.breaker_threshold,
         )
     if store:
         return _InProcessBackend(store)
@@ -324,7 +316,6 @@ def main(argv=None) -> int:
             args.socket,
             workers=args.workers,
             deadline=args.deadline,
-            retries=args.retries,
             max_bytes=args.max_bytes,
             max_inflight=args.max_inflight,
             request_deadline=args.request_deadline,

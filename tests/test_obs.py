@@ -12,6 +12,7 @@ Covers the :mod:`repro.obs` subsystem end to end:
 * ``ExecutionTrace`` JSON round-trip and multi-core merge.
 """
 
+import gc
 import json
 import sys
 import threading
@@ -434,6 +435,41 @@ class TestHostBytecodes:
 
         BytecodeCounter().count(lambda: None)
         assert sys.gettrace() is None
+
+    def test_the_collector_runs_nothing_inside_the_count(self):
+        """Python the cyclic collector runs (finalizers, ``gc.callbacks``)
+        is not the body's: a collection due on every allocation, with a
+        Python callback installed, leaves the count as it was, and the
+        collector's on/off state is restored after."""
+        from repro.obs.hostprof import BytecodeCounter
+
+        def count():
+            counter = BytecodeCounter()
+            counter.count(lambda: [[index] for index in range(500)])
+            return counter.total
+
+        plain = count()
+        phases = []
+
+        def callback(phase, info):
+            phases.append(phase)
+
+        threshold = gc.get_threshold()
+        gc.set_threshold(1)
+        gc.callbacks.append(callback)
+        try:
+            assert count() == plain
+        finally:
+            gc.callbacks.remove(callback)
+            gc.set_threshold(*threshold)
+        assert phases  # the callback ran, outside the count
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            count()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 # -- observer-effect freedom (satellite) -------------------------------------

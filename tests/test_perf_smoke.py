@@ -13,7 +13,6 @@ numbers but sit far below the fixpoint re-walk driver's (which visited
 whole-module rescans trips them immediately.
 """
 
-import gc
 import sys
 
 import numpy as np
@@ -134,14 +133,7 @@ def test_compile_bytecodes_are_exact():
     def compile_fresh():
         module, _ = kernels.conv3x3(8, 8)
         counter = BytecodeCounter()
-        # Finalizers of other tests' garbage are not the compile's:
-        # none may run inside the count.
-        gc.collect()
-        gc.disable()
-        try:
-            counter.count(Compiler("ours").compile, module)
-        finally:
-            gc.enable()
+        counter.count(Compiler("ours").compile, module)
         return counter.total
 
     compile_fresh()  # imports, caches

@@ -3,6 +3,7 @@ batch server, wire protocol, CLI, and the long-lived-process cache
 knobs (engine decode cache, network layer memo, tune-cache hygiene).
 """
 
+import gc
 import json
 import multiprocessing
 import os
@@ -865,15 +866,21 @@ class TestDecodeCache:
         assert decodes == [program, program]
 
     def test_dead_programs_pruned(self):
+        """A dropped kernel's decode goes with it, no cyclic collection
+        needed: a decode holds no reference back to its program, so
+        the cache size does not follow the collector's timing."""
         module, _ = kernels.sum_kernel(2, 4)
-        program = api.compile_linalg(module).program
-        engine.decode(program)
-        assert engine.decode_cache_size() >= 1
-        del program
-        import gc
-
-        gc.collect()  # Program <-> DecodedProgram is a cycle
-        assert engine.decode_cache_size() == 0
+        gc.collect()
+        gc.disable()
+        try:
+            before = engine.decode_cache_size()
+            kernel = api.compile_linalg(module)
+            engine.decode(kernel.program)
+            assert engine.decode_cache_size() == before + 1
+            del kernel
+            assert engine.decode_cache_size() == before
+        finally:
+            gc.enable()
 
 
 class TestLayerMemo:

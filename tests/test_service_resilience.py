@@ -1,5 +1,5 @@
 """Resilient service lifecycle tests: request deadlines, admission
-backpressure, client retry + circuit breaker, graceful drain, the
+backpressure, the client's one retry loop, graceful drain, the
 crash-safe request journal, and service-level chaos (the
 ``REPRO_FAULTS`` injection layer).
 
@@ -29,7 +29,6 @@ from repro.service import (
     EXIT_CRASH,
     EXIT_OK,
     ArtifactStore,
-    CircuitOpenError,
     CompileServer,
     RequestJournal,
     ServiceClient,
@@ -44,6 +43,7 @@ from repro.runtime.faults import (
     SERVICE_ACTIONS,
     FaultInjector,
     Injection,
+    TransportFault,
 )
 from repro.service import server as server_module
 from repro.service.server import request_key
@@ -128,47 +128,144 @@ class TestClientTimeouts:
         assert excinfo.value.fault.attempts == 3  # 1 + 2 retries
 
 
-# -- circuit breaker ------------------------------------------------------------
+# -- the one retry loop ---------------------------------------------------------
 
 
-class TestCircuitBreaker:
-    def test_opens_fails_fast_and_recovers(self, tmp_path):
-        socket_path = tmp_path / "service.sock"
-        client = ServiceClient(
-            socket_path,
-            retries=0,
-            backoff=0.001,
-            breaker_threshold=2,
-            breaker_cooldown=0.2,
+def _count_round_trips(client):
+    """Record every message ``client`` sends; returns the record."""
+    sent = []
+    send = client._call_once
+
+    def counted(message):
+        sent.append(message)
+        return send(message)
+
+    client._call_once = counted
+    return sent
+
+
+#: A server whose every ``measure`` job kills the process running it.
+_POISON_SERVER = """
+import os, sys
+from repro.service import server, wire
+
+def poison(*args, **kwargs):
+    os._exit(9)
+
+server.evaluate_config = poison
+sys.exit(wire.serve_forever(sys.argv[1], sys.argv[2], workers=2))
+"""
+
+
+class TestOneRetryLoop:
+    def test_submit_makes_at_most_one_plus_retries_round_trips(
+        self, tmp_path
+    ):
+        """Regression: the resubmit loop wrapped a transport retry
+        loop, so ``retries=3`` made 16 round trips against this plan
+        (three dropped connections, then a refused admission, over
+        and over) and the returned fault said ``attempts`` 1."""
+        plan = [
+            Injection(
+                index,
+                "reject-admission" if index % 4 == 3 else "drop-connection",
+            )
+            for index in range(16)
+        ]
+        socket_path, thread, _ = _spawn_server(
+            tmp_path, injector=FaultInjector(plan)
         )
-        # Two consecutive transport failures open the circuit.
-        for _ in range(2):
-            with pytest.raises(ServiceUnavailable):
-                client.submit(TINY)
-        with pytest.raises(CircuitOpenError):
-            client.submit(TINY)
-        # Half-open after the cooldown: the probe ping fails against
-        # a still-dead server, so the circuit re-opens.
-        time.sleep(0.25)
-        with pytest.raises(CircuitOpenError):
-            client.submit(TINY)
-        # Bring a real server up on the same path; after the
-        # cooldown the probe succeeds and the call goes through.
-        _, thread, _ = _spawn_server(tmp_path)
-        time.sleep(0.25)
+        client = ServiceClient(socket_path, retries=3, backoff=0.001)
+        sent = _count_round_trips(client)
         result = client.submit(TINY)
-        assert result["fault"] is None
+        assert len(sent) == 4
+        assert result["fault"]["kind"] == "overload"
+        assert result["fault"]["attempts"] == 4
         _stop(client, thread)
 
-    def test_success_resets_failure_count(self, tmp_path):
-        socket_path, thread, _ = _spawn_server(tmp_path)
-        client = ServiceClient(
-            socket_path, retries=0, breaker_threshold=2
+    def test_transport_fault_resends_all_a_reply_the_retryable(self):
+        """The loop's two rules on scripted round trips: a lost
+        connection resends every pending request, a reply only the
+        slots whose fault is retryable; each fault says the round
+        trip it came back on."""
+
+        def result(request, fault=None):
+            return {"request": request, "fault": fault, "payload": None}
+
+        def overload():
+            return {"kind": "overload", "retryable": True, "attempts": 1}
+
+        sent = []
+
+        def scripted(message):
+            requests = message["requests"]
+            sent.append([request["kernel"] for request in requests])
+            if len(sent) == 1:
+                return None, TransportFault(message="dropped")
+            if len(sent) == 2:
+                compile_fault = {"kind": "compile", "retryable": False}
+                results = [
+                    result(requests[0]),
+                    result(requests[1], compile_fault),
+                    result(requests[2], overload()),
+                ]
+            else:
+                results = [result(requests[0], overload())]
+            return {"ok": True, "results": results}, None
+
+        client = ServiceClient("unused.sock", retries=3, backoff=0.0)
+        client._call_once = scripted
+        results = client.batch([TINY, TINY2, TINY3])
+        everything = ["sum", "fill", "relu"]
+        assert sent == [everything, everything, ["relu"], ["relu"]]
+        assert results[0]["fault"] is None
+        assert results[1]["fault"] == {
+            "kind": "compile", "retryable": False, "attempts": 2
+        }
+        assert results[2]["fault"]["kind"] == "overload"
+        assert results[2]["fault"]["attempts"] == 4
+
+    def test_poison_job_on_a_parallel_server_is_a_worker_crash(
+        self, tmp_path
+    ):
+        """Regression: a ``workers=2`` server ran a batch of one in its
+        own process, so one ``submit`` of a job that kills its process
+        killed the server.  Every job now runs in a forked worker: the
+        crash comes back on the result after ``1 + retries`` worker
+        deaths, and the server keeps answering."""
+        socket_path = tmp_path / "poison.sock"
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                _POISON_SERVER,
+                str(tmp_path / "store"),
+                str(socket_path),
+            ],
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=Path(__file__).resolve().parent.parent,
         )
-        client._record_outcome(False)
-        assert client.ping()  # success clears the streak
-        assert client._consecutive_failures == 0
-        _stop(client, thread)
+        try:
+            client = ServiceClient(socket_path, retries=2, backoff=0.01)
+            deadline = time.monotonic() + 60
+            while not client.ping():
+                assert process.poll() is None, "the server exited"
+                assert time.monotonic() < deadline, "no server came up"
+                time.sleep(0.05)
+            result = client.submit(ServiceRequest("measure", "sum", (2, 4)))
+            assert result["fault"]["kind"] == "worker-crash"
+            assert result["fault"]["attempts"] == 3
+            assert client.ping()
+            pool = client.stats()["pool"]
+            assert not pool["degraded"]
+            assert len(pool["events"]) == 3  # one respawn per death
+            assert all("respawn" in event for event in pool["events"])
+            client.shutdown()
+            assert process.wait(timeout=30) == EXIT_OK
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=30)
 
 
 # -- admission control (backpressure) -------------------------------------------
@@ -702,8 +799,6 @@ class TestServiceChaosProperty:
                 call_timeout=30.0,
                 retries=1,
                 backoff=0.01,
-                breaker_threshold=3,
-                breaker_cooldown=0.05,
             )
             calls = [
                 lambda: client.submit(TINY),
@@ -714,7 +809,6 @@ class TestServiceChaosProperty:
                 try:
                     outcome = call()
                 except ServiceUnavailable as error:
-                    # Includes CircuitOpenError; always classified.
                     assert error.fault.kind in FAULT_KINDS
                     continue
                 results = (
