@@ -1,7 +1,7 @@
 """Hardened worker pool for service jobs.
 
 :class:`HardenedPool` fans work out over forked processes with the
-timeout/isolation/degradation semantics of a real evaluation service:
+timeout/isolation semantics of a real evaluation service:
 
 * **watchdog timeouts** — every in-flight job has a wall-clock
   deadline; a worker that blows it is SIGKILLed and the job
@@ -11,22 +11,28 @@ timeout/isolation/degradation semantics of a real evaluation service:
   re-dispatched: the pool runs each job once, and retrying is the
   caller's decision (the service's is
   :class:`~repro.service.client.ServiceClient`'s one bounded loop);
-* **automatic respawn** — a dead worker is replaced and the batch
-  continues; only the in-flight job is affected, and no
-  pool-infrastructure exception ever escapes to the caller;
-* **graceful degradation to serial** — when fork is unavailable, or
-  workers keep dying (more than ``respawn_limit`` respawns), the pool
-  kills its workers and finishes the remaining jobs in-process,
-  relying on the engine's cooperative deadline
-  (:class:`~repro.snitch.machine.DeadlineExceeded`) for hang
-  protection.
+* **one death, one job** — every worker death is charged to exactly
+  one job: the one it was running, or, for a worker that died while
+  idle, the one being handed to it.  A dead worker is replaced
+  lazily and the batch continues; no pool-infrastructure exception
+  ever escapes to the caller.
+
+A parallel pool runs every job in a worker, always.  Whether it is
+parallel is decided once, at construction: ``workers <= 1``, or a
+platform without fork, evaluates in-process, relying on the engine's
+cooperative deadline (:class:`~repro.snitch.machine.DeadlineExceeded`)
+for hang protection.
 
 The pool is task-agnostic: ``task_fn(payload) -> (result, fault_json)``
 must never raise (the service's job function classifies its own
-exceptions into faults).  Workers are fork-started (they inherit the
-loaded package; platforms without fork run serially) and communicate
-over one pipe each, which is what makes per-worker kill-and-respawn
-possible at all — a shared queue cannot attribute a death to a task.
+exceptions into faults).  Workers are fork-started on the first
+parallel :meth:`HardenedPool.map` (they inherit the loaded package)
+and communicate over one pipe each, which is what makes per-worker
+kill-and-respawn possible at all — a shared queue cannot attribute a
+death to a task.  A forked worker holds only its own pipe end: it
+closes every guarded connection, siblings' parent-side pipe ends and
+its own included, so it sees EOF — and exits — as soon as the
+process that forked it dies.
 
 The pool carries the **trace context** across the process boundary
 it owns: a forked worker cannot read the caller's recorder or
@@ -73,18 +79,18 @@ class PoolConfig:
     workers: int = 1
     #: Per-job wall-clock deadline in seconds (None = no limit).
     deadline: float | None = None
-    #: Worker deaths (crashes + watchdog kills) tolerated before the
-    #: pool degrades to serial evaluation for the rest of the run.
-    respawn_limit: int = 4
 
 
-#: Connections that must not leak into worker processes.  A server
-#: prestarts its pool before accepting (:meth:`HardenedPool.prestart`
-#: says why), but a worker *respawned* after a crash still forks
-#: mid-connection, so every worker closes the tracked connections
-#: first thing.  A listener must NOT be tracked: ``Listener.close``
-#: unlinks the socket file, which would yank it out from under the
-#: parent.
+#: Connections that must not leak into worker processes: every worker
+#: closes them first thing.  They are the server's and client's socket
+#: connections (a peer in the same process would otherwise never see
+#: EOF on a connection it closed) and each worker's parent-side pipe
+#: end (a worker holding one would never see EOF when the parent
+#: dies).  A listener must NOT be tracked: ``Listener.close`` unlinks
+#: the socket file, which would yank it out from under the parent.  A
+#: worker forked after the listener inherits it, and that is harmless:
+#: the worker exits on its pipe's EOF, so it cannot outlive the server
+#: and keep the socket path looking live.
 _GUARDED_CONNECTIONS: set = set()
 
 
@@ -160,6 +166,15 @@ class _Item:
     payload: object
 
 
+def _crash(item: _Item) -> tuple:
+    """The (result, fault_json) of a job whose worker died."""
+    return None, WorkerCrash(
+        message="worker process died before reporting a result",
+        candidate=item.label,
+        stage="worker",
+    ).to_json()
+
+
 class _Worker:
     """One fork-started worker process and its pipe."""
 
@@ -170,13 +185,16 @@ class _Worker:
         self.process = ctx.Process(
             target=_worker_main, args=(child_conn, task_fn), daemon=True
         )
+        self.conn = parent_conn
+        # This worker and every sibling forked after it close this end.
+        guard_connection(parent_conn)
         self.process.start()
         child_conn.close()
-        self.conn = parent_conn
         self.item: _Item | None = None
         self.deadline_at: float | None = None
 
     def kill(self) -> None:
+        unguard_connection(self.conn)
         try:
             self.process.kill()
         except (OSError, ValueError):
@@ -193,71 +211,32 @@ class HardenedPool:
 
     One pool serves a whole server (batches reuse warm workers); call
     :meth:`close` when done.  :attr:`events` accumulates a human-
-    readable log of every respawn, watchdog kill, and degradation —
-    the server's stats surface it.
+    readable log of every respawn and watchdog kill — the server's
+    stats surface it.
     """
 
     def __init__(self, task_fn, config: PoolConfig):
         self.task_fn = task_fn
         self.config = config
         self.events: list[str] = []
-        self.degraded = config.workers > 1 and not _FORK_AVAILABLE
-        if self.degraded:
+        self.parallel = config.workers > 1 and _FORK_AVAILABLE
+        if config.workers > 1 and not _FORK_AVAILABLE:
             self.events.append(
                 "fork unavailable on this platform: evaluating serially"
             )
         self._ctx = (
-            multiprocessing.get_context("fork") if _FORK_AVAILABLE else None
+            multiprocessing.get_context("fork") if self.parallel else None
         )
         self._workers: list[_Worker] = []
-        self._respawns = 0
-
-    @property
-    def parallel(self) -> bool:
-        return (
-            self.config.workers > 1
-            and self._ctx is not None
-            and not self.degraded
-        )
-
-    def prestart(self) -> None:
-        """Fork the full worker complement now (idempotent).
-
-        Workers normally fork lazily on the first parallel
-        :meth:`map`.  A long-lived server must fork them *before* it
-        accepts connections: a child forked mid-connection inherits
-        every open connection fd, and a same-process peer then never
-        sees EOF on a connection it has closed.  No-op when the pool
-        would run serially anyway.
-        """
-        if not self.parallel:
-            return
-        while len(self._workers) < self.config.workers:
-            self._spawn()
 
     # -- parallel plumbing ---------------------------------------------------
 
-    def _spawn(self) -> _Worker | None:
-        worker = _Worker(self._ctx, self.task_fn)
-        self._workers.append(worker)
-        return worker
-
-    def _discard(self, worker: _Worker) -> None:
+    def _bury(self, worker: _Worker, reason: str) -> None:
+        """Kill and drop a dead or overdue worker; the next dispatch
+        round forks its replacement."""
         worker.kill()
-        if worker in self._workers:
-            self._workers.remove(worker)
-
-    def _note_death(self, reason: str) -> None:
-        self._respawns += 1
-        if self._respawns > self.config.respawn_limit:
-            self.degraded = True
-            self.events.append(
-                f"pool died repeatedly ({self._respawns} respawns, "
-                f"limit {self.config.respawn_limit}); degrading to "
-                f"serial evaluation [{reason}]"
-            )
-        else:
-            self.events.append(f"worker respawn ({reason})")
+        self._workers.remove(worker)
+        self.events.append(f"worker respawn ({reason})")
 
     def map(self, tasks) -> list:
         """Evaluate ``tasks`` (``(label, payload)`` pairs); returns one
@@ -267,21 +246,18 @@ class HardenedPool:
         structured fault.  ``KeyboardInterrupt`` propagates after the
         workers are torn down.
         """
+        if not self.parallel:
+            return [self.task_fn(payload) for _, payload in tasks]
         items = [
             _Item(pos=pos, label=label, payload=payload)
             for pos, (label, payload) in enumerate(tasks)
         ]
         results: dict[int, tuple] = {}
-        if self.parallel:
-            try:
-                self._map_parallel(items, results)
-            except KeyboardInterrupt:
-                self.close()
-                raise
-        # Serial path, and the tail of a degraded parallel run.
-        for item in items:
-            if item.pos not in results:
-                results[item.pos] = self.task_fn(item.payload)
+        try:
+            self._map_parallel(items, results)
+        except KeyboardInterrupt:
+            self.close()
+            raise
         return [results[pos] for pos in range(len(items))]
 
     def _map_parallel(self, items, results) -> None:
@@ -292,13 +268,10 @@ class HardenedPool:
         corr_id = correlation_id()
         pending = deque(items)
         while len(results) < len(items):
-            if self.degraded:
-                self._teardown_workers()
-                return  # map() drains the rest serially
             in_flight = sum(1 for w in self._workers if w.item is not None)
             want = min(config.workers, in_flight + len(pending))
             while len(self._workers) < want:
-                self._spawn()
+                self._workers.append(_Worker(self._ctx, self.task_fn))
             # Dispatch to idle workers.
             now = time.monotonic()
             for worker in list(self._workers):
@@ -308,11 +281,9 @@ class HardenedPool:
                 try:
                     worker.conn.send((item.payload, traced, corr_id))
                 except (BrokenPipeError, OSError):
-                    # Died while idle, before the job reached it:
-                    # respawn, dispatch next round.
-                    pending.appendleft(item)
-                    self._discard(worker)
-                    self._note_death("worker died while idle")
+                    # Died while idle: the job handed to it is charged.
+                    self._bury(worker, f"worker died while idle: {item.label}")
+                    results[item.pos] = _crash(item)
                     continue
                 worker.item = item
                 worker.deadline_at = (
@@ -332,24 +303,14 @@ class HardenedPool:
             )
             by_conn = {w.conn: w for w in busy}
             for conn in ready:
-                worker = by_conn.get(conn)
-                if worker is None or worker.item is None:
-                    continue
+                worker = by_conn[conn]
                 item, worker.item = worker.item, None
                 try:
                     outcome, events = conn.recv()
                 except (EOFError, OSError):
                     # The worker died mid-job (SIGKILL, OOM, _exit...).
-                    self._discard(worker)
-                    self._note_death(f"worker crashed running {item.label}")
-                    outcome = None, WorkerCrash(
-                        message=(
-                            "worker process died before reporting "
-                            "a result"
-                        ),
-                        candidate=item.label,
-                        stage="worker",
-                    ).to_json()
+                    self._bury(worker, f"worker crashed running {item.label}")
+                    outcome = _crash(item)
                 else:
                     absorb(events)
                 results[item.pos] = outcome
@@ -364,10 +325,10 @@ class HardenedPool:
                 ):
                     continue
                 worker.item = None
-                self._discard(worker)
-                self._note_death(
+                self._bury(
+                    worker,
                     f"watchdog killed worker: {item.label} exceeded "
-                    f"{config.deadline:g}s deadline"
+                    f"{config.deadline:g}s deadline",
                 )
                 results[item.pos] = None, TimeoutFault(
                     message=(
@@ -378,14 +339,11 @@ class HardenedPool:
                     stage="simulate",
                 ).to_json()
 
-    def _teardown_workers(self) -> None:
+    def close(self) -> None:
+        """Shut down worker processes (idempotent)."""
         for worker in self._workers:
             worker.kill()
         self._workers = []
-
-    def close(self) -> None:
-        """Shut down worker processes (idempotent)."""
-        self._teardown_workers()
 
     def __enter__(self):
         return self

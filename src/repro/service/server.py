@@ -15,11 +15,12 @@ measure a schedule config's cycles — and resolution is store-first:
    computing is awaited instead of recomputed;
 4. remaining jobs fan out across a
    :class:`~repro.runtime.workers.HardenedPool` (watchdog timeouts,
-   crash isolation and respawn, degradation to serial).  Each job is
-   dispatched once: a crashed or timed-out job comes back as a
-   retryable fault, and only :class:`~repro.service.client.ServiceClient`
-   retries.  With ``workers=1`` jobs run in the server's own process;
-   with more, every job runs in a forked worker;
+   crash isolation and respawn).  Each job is dispatched once: a
+   crashed or timed-out job comes back as a retryable fault, and only
+   :class:`~repro.service.client.ServiceClient` retries.  With
+   ``workers=1`` jobs run in the server's own process; with more,
+   every job runs in a worker forked on first use, which holds only
+   its own pipe end and so exits when the server dies;
 5. results are persisted to the store; failures come back as
    structured :class:`~repro.runtime.faults.Fault` values on the result,
    never as exceptions — a batch always returns one result per
@@ -289,8 +290,6 @@ class CompileServer:
             _service_task,
             PoolConfig(workers=max(1, workers), deadline=deadline),
         )
-        # Fork workers before any connection exists (prestart says why).
-        self.pool.prestart()
         self.started_at = time.monotonic()
         self._mutex = threading.Lock()
         #: Worker-pool access is serialized: HardenedPool.map is not
@@ -793,7 +792,6 @@ class CompileServer:
             },
             "pool": {
                 "workers": self.pool.config.workers,
-                "degraded": self.pool.degraded,
                 "events": list(self.pool.events),
             },
             "caches": {

@@ -35,7 +35,6 @@ from repro.snitch import engine
 from repro.tools import kernel_service
 from repro.tune import TuneCache, evaluate_config, tune_kernel
 from repro.tune.schedule import ScheduleConfig
-from repro.runtime.workers import HardenedPool, PoolConfig
 
 #: Table 1 kernels at small, fast shapes.
 TABLE1 = (
@@ -758,32 +757,7 @@ class TestWireProtocol:
 # -- fork safety ----------------------------------------------------------------
 
 
-def _echo_task(payload):
-    return payload, None
-
-
 class TestForkSafety:
-    def test_pool_prestart_forks_full_complement(self):
-        pool = HardenedPool(_echo_task, PoolConfig(workers=2))
-        if not pool.parallel:
-            pytest.skip("fork start method unavailable")
-        try:
-            pool.prestart()
-            assert len(pool._workers) == 2
-            pool.prestart()  # idempotent
-            assert len(pool._workers) == 2
-            results = pool.map([("a", 1), ("b", 2)])
-            assert [result for result, _ in results] == [1, 2]
-            assert all(fault is None for _, fault in results)
-        finally:
-            pool.close()
-
-    def test_server_prestarts_workers(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        with CompileServer(store, workers=2) as server:
-            if server.pool.parallel:
-                assert len(server.pool._workers) == 2
-
     def test_parallel_batch_does_not_wedge_server(self, tmp_path):
         # Regression: workers used to fork lazily during the first
         # parallel batch, inheriting the accepted connection fd; when

@@ -5,9 +5,9 @@ crash-safe request journal, and service-level chaos (the
 
 The drills at the bottom are the headline guarantees: a kill -9'd
 server restarts cleanly (stale socket cleared, journal swept, zero
-corrupt store entries) and every client call under any injection plan
-terminates with a valid result or a taxonomy fault — never a hang,
-never a raw ``EOFError``.
+corrupt store entries, no forked worker left alive) and every client
+call under any injection plan terminates with a valid result or a
+taxonomy fault — never a hang, never a raw ``EOFError``.
 """
 
 import json
@@ -157,6 +157,33 @@ sys.exit(wire.serve_forever(sys.argv[1], sys.argv[2], workers=2))
 """
 
 
+def _start_poison_server(tmp_path, **client_kwargs):
+    """``_POISON_SERVER`` as a subprocess; returns (process, client)
+    once it answers ``ping``."""
+    process = subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            _POISON_SERVER,
+            str(tmp_path / "store"),
+            str(tmp_path / "poison.sock"),
+        ],
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=Path(__file__).resolve().parent.parent,
+    )
+    client = ServiceClient(
+        tmp_path / "poison.sock", backoff=0.01, **client_kwargs
+    )
+    deadline = time.monotonic() + 60
+    while not client.ping():
+        if process.poll() is not None or time.monotonic() > deadline:
+            process.kill()
+            process.wait(timeout=30)
+            pytest.fail("the poison server did not come up")
+        time.sleep(0.05)
+    return process, client
+
+
 class TestOneRetryLoop:
     def test_submit_makes_at_most_one_plus_retries_round_trips(
         self, tmp_path
@@ -225,41 +252,26 @@ class TestOneRetryLoop:
         assert results[2]["fault"]["kind"] == "overload"
         assert results[2]["fault"]["attempts"] == 4
 
+    @pytest.mark.parametrize("retries", [2, 5])
     def test_poison_job_on_a_parallel_server_is_a_worker_crash(
-        self, tmp_path
+        self, tmp_path, retries
     ):
         """Regression: a ``workers=2`` server ran a batch of one in its
-        own process, so one ``submit`` of a job that kills its process
-        killed the server.  Every job now runs in a forked worker: the
-        crash comes back on the result after ``1 + retries`` worker
-        deaths, and the server keeps answering."""
-        socket_path = tmp_path / "poison.sock"
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-c",
-                _POISON_SERVER,
-                str(tmp_path / "store"),
-                str(socket_path),
-            ],
-            env={**os.environ, "PYTHONPATH": "src"},
-            cwd=Path(__file__).resolve().parent.parent,
-        )
+        own process, and later, after ``respawn_limit`` worker deaths,
+        every job — so a poison job killed the server either way.
+        Every job now runs in a forked worker and each death is
+        charged to one attempt: the crash comes back on the result
+        after ``1 + retries`` deaths, and the server keeps
+        answering."""
+        process, client = _start_poison_server(tmp_path, retries=retries)
         try:
-            client = ServiceClient(socket_path, retries=2, backoff=0.01)
-            deadline = time.monotonic() + 60
-            while not client.ping():
-                assert process.poll() is None, "the server exited"
-                assert time.monotonic() < deadline, "no server came up"
-                time.sleep(0.05)
             result = client.submit(ServiceRequest("measure", "sum", (2, 4)))
             assert result["fault"]["kind"] == "worker-crash"
-            assert result["fault"]["attempts"] == 3
+            assert result["fault"]["attempts"] == 1 + retries
             assert client.ping()
-            pool = client.stats()["pool"]
-            assert not pool["degraded"]
-            assert len(pool["events"]) == 3  # one respawn per death
-            assert all("respawn" in event for event in pool["events"])
+            events = client.stats()["pool"]["events"]
+            assert len(events) == 1 + retries  # one respawn per death
+            assert all("respawn" in event for event in events)
             client.shutdown()
             assert process.wait(timeout=30) == EXIT_OK
         finally:
@@ -752,6 +764,91 @@ class TestKillDrill:
                 if p is not None and p.poll() is None:
                     p.kill()
                     p.wait(timeout=30)
+
+
+    def test_kill9_of_a_parallel_server_takes_its_workers_down(
+        self, tmp_path
+    ):
+        """Regression: every forked worker kept the parent's end of its
+        own pipe, so SIGKILLing a ``workers=2`` server left its workers
+        running as orphans, and a respawned one (forked after the
+        listener) kept the socket path answering connects: ``ping``
+        hung for its whole ``call_timeout`` and a new ``serve`` on the
+        path refused to start.  A worker now holds only its own pipe
+        end and exits on its EOF."""
+        process, client = _start_poison_server(
+            tmp_path, retries=0, call_timeout=5.0
+        )
+        workers: list[int] = []
+        restarted = None
+        try:
+            crashed = client.submit(ServiceRequest("measure", "sum", (2, 4)))
+            assert crashed["fault"]["kind"] == "worker-crash"
+            results = client.batch([TINY, TINY2])
+            assert [r["source"] for r in results] == ["computed"] * 2
+            workers = _children(process.pid)
+            assert len(workers) == 2  # both forked after the listener
+            process.kill()
+            process.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while any(map(_alive, workers)):
+                assert time.monotonic() < deadline, "workers outlived it"
+                time.sleep(0.05)
+            start = time.monotonic()
+            assert not client.ping()
+            assert time.monotonic() - start < client.call_timeout / 2
+            restarted = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro.tools.kernel_service",
+                    "serve",
+                    "--store",
+                    str(tmp_path / "store"),
+                    "--socket",
+                    str(tmp_path / "poison.sock"),
+                ],
+                env={**os.environ, "PYTHONPATH": "src"},
+                cwd=Path(__file__).resolve().parent.parent,
+            )
+            deadline = time.monotonic() + 60
+            while not client.ping():
+                assert restarted.poll() is None, "serve refused the path"
+                assert time.monotonic() < deadline, "no server came up"
+                time.sleep(0.05)
+            client.shutdown()
+            assert restarted.wait(timeout=30) == EXIT_OK
+        finally:
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            for p in (process, restarted):
+                if p is not None and p.poll() is None:
+                    p.kill()
+                    p.wait(timeout=30)
+
+
+def _children(pid: int) -> list[int]:
+    """The live child processes of ``pid`` (read from ``/proc``)."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit() and _alive(int(entry.name)):
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:
+                continue
+            if int(stat.rpartition(")")[2].split()[1]) == pid:
+                children.append(int(entry.name))
+    return children
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
 
 
 # -- the chaos property ---------------------------------------------------------

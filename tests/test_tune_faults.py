@@ -1,4 +1,4 @@
-"""Degraded-path tests: fault taxonomy, hardened pool, crash-safe
+"""Failure-path tests: fault taxonomy, hardened pool, crash-safe
 cache, deadline watchdogs, and the chaos property.
 
 The tuner's failure paths are driven by patching its cycle oracle
@@ -213,14 +213,6 @@ def _crash_once_task(marker):
     return 99, None
 
 
-def _crash_in_worker_task(_payload):
-    # Dies in a worker process, succeeds in the parent: the pool can
-    # only finish this batch by degrading to serial.
-    if multiprocessing.parent_process() is not None:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return 7, None
-
-
 def _sleep_task(seconds):
     time.sleep(seconds)
     return 1, None
@@ -270,7 +262,28 @@ class TestHardenedPool:
                 (99, None),
                 (99, None),
             ]
-        assert not pool.degraded
+
+    def test_idle_worker_death_is_charged_to_the_job_handed_to_it(self):
+        """A worker that dies between two maps dies idle: the job
+        handed to it comes back as a crash on its first attempt (it is
+        not re-queued), the other jobs succeed, and the next map runs
+        clean on the respawned pool."""
+        with HardenedPool(_ok_task, PoolConfig(workers=2)) as pool:
+            assert pool.map(_pairs([1, 2])) == [(10, None), (20, None)]
+            victim = pool._workers[0].process
+            victim.kill()
+            victim.join(timeout=30)
+            results = pool.map(_pairs([1, 2, 3, 4]))
+            value, fault = results[0]
+            assert value is None
+            assert Fault.from_json(fault).kind == "worker-crash"
+            assert fault["attempts"] == 1
+            assert results[1:] == [(20, None), (30, None), (40, None)]
+            assert pool.events == [
+                "worker respawn (worker died while idle: task-0)"
+            ]
+            assert pool.map(_pairs([5, 6])) == [(50, None), (60, None)]
+            assert len(pool.events) == 1
 
     def test_deadline_watchdog_kills_and_records_timeout(self):
         config = PoolConfig(workers=2, deadline=0.3)
@@ -311,32 +324,15 @@ class TestHardenedPool:
         [event] = pool.events
         assert "watchdog" in event
 
-    def test_repeated_pool_death_degrades_to_serial(self):
-        config = PoolConfig(workers=2, respawn_limit=1)
-        with HardenedPool(_crash_in_worker_task, config) as pool:
-            results = pool.map(_pairs([None] * 4))
-        # Each job whose worker died is returned as a crash (the
-        # second death degrades the pool; a third job may have died
-        # beside it); the pool then runs the rest in-process.
-        crashed = [
-            Fault.from_json(fault).kind
-            for _, fault in results
-            if fault is not None
-        ]
-        assert crashed == ["worker-crash"] * len(crashed)
-        assert 2 <= len(crashed) <= 3
-        assert [value for value, fault in results if fault is None] == (
-            [7] * (4 - len(crashed))
-        )
-        assert pool.degraded
-        assert any("degrading to serial" in e for e in pool.events)
-
     def test_no_fork_means_serial_from_the_start(self, monkeypatch):
         from repro.runtime import workers as workers_mod
 
         monkeypatch.setattr(workers_mod, "_FORK_AVAILABLE", False)
         with HardenedPool(_ok_task, PoolConfig(workers=4)) as pool:
-            assert pool.degraded and not pool.parallel
+            assert not pool.parallel
+            assert pool.events == [
+                "fork unavailable on this platform: evaluating serially"
+            ]
             results = pool.map(_pairs([1, 2]))
         assert results == [(10, None), (20, None)]
 
