@@ -1,18 +1,26 @@
 """Tests for the IRDL-style declarative definition layer."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.dialects import riscv
 from repro.dialects.riscv import FloatRegisterType, IntRegisterType
+from repro.dialects.stream import ReadableStreamType, WritableStreamType
 from repro.ir import op_registry
 from repro.ir.attributes import (
+    ArrayAttr,
+    Attribute,
     DenseIntAttr,
+    FunctionType,
     IntAttr,
+    MemRefType,
     StringAttr,
+    TypeAttribute,
     f64,
     index,
 )
-from repro.ir.core import Block, IRError, Operation
+from repro.ir.core import Block, IRError, Operation, Region
 from repro.ir.irdl import (
     AnyAttr,
     AnyOf,
@@ -20,6 +28,7 @@ from repro.ir.irdl import (
     Dialect,
     EqAttr,
     ParamAttr,
+    SEGMENT_ATTR,
     SameAs,
     attr_def,
     coerce_constraint,
@@ -327,6 +336,290 @@ class TestInheritedDefinitions:
                 outs = __import__(
                     "repro.ir.irdl", fromlist=["var_result_def"]
                 ).var_result_def()
+
+
+# ---------------------------------------------------------------------------
+# Every declarative diagnostic, word for word
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Alien(TypeAttribute):
+    """A type no dialect constraint admits (bar "any attribute")."""
+
+    def __str__(self) -> str:
+        return "!testdl.alien"
+
+
+ALIEN = _Alien()
+
+#: Two distinct values of each attribute class a spec constrains to.
+SAMPLES = {
+    Attribute: (f64, index),
+    ArrayAttr: (ArrayAttr([]), ArrayAttr([IntAttr(0)])),
+    DenseIntAttr: (DenseIntAttr([0]), DenseIntAttr([1])),
+    FloatRegisterType: (FloatRegisterType("ft0"), FloatRegisterType("ft1")),
+    FunctionType: (FunctionType([], []), FunctionType([f64], [])),
+    IntAttr: (IntAttr(0), IntAttr(1)),
+    IntRegisterType: (IntRegisterType("t0"), IntRegisterType("t1")),
+    MemRefType: (MemRefType(f64, [4]), MemRefType(f64, [8])),
+    ReadableStreamType: (
+        ReadableStreamType(FloatRegisterType()),
+        ReadableStreamType(FloatRegisterType("ft0")),
+    ),
+    StringAttr: (StringAttr("a"), StringAttr("b")),
+    WritableStreamType: (
+        WritableStreamType(FloatRegisterType()),
+        WritableStreamType(FloatRegisterType("ft0")),
+    ),
+}
+
+
+def sample(constraint, k: int = 0):
+    """The ``k``-th (0 or 1) value that meets ``constraint``."""
+    if isinstance(constraint, AnyAttr):
+        chosen = (f64, index)[k]
+    elif isinstance(constraint, EqAttr):
+        chosen = constraint.attr
+    elif isinstance(constraint, AnyOf):
+        chosen = sample(constraint.choices[0], k)
+    else:  # BaseAttr, ParamAttr
+        chosen = SAMPLES[constraint.attr_class][k]
+    assert constraint.satisfied_by(chosen), (constraint, chosen)
+    return chosen
+
+
+@irdl_op_definition
+class _EveryConstraintOp(Operation):
+    """A test op spelling the constraint forms no dialect op uses."""
+
+    name = "testdl.every"
+    __slots__ = ()
+
+    exact = operand_def(EqAttr(f64))
+    either = operand_def(AnyOf(IntRegisterType, FloatRegisterType))
+    mixed = operand_def(AnyOf(IntRegisterType, EqAttr(index)))
+    label = attr_def(AnyOf(StringAttr, IntAttr))
+    mode = opt_attr_def(IntAttr)
+    result = result_def(EqAttr(f64), default=f64)
+
+
+@irdl_op_definition
+class _TypedSegmentsOp(Operation):
+    """A test op whose segment-encoded groups are type-constrained."""
+
+    name = "testdl.typed_segments"
+    __slots__ = ()
+
+    ints = var_operand_def(IntRegisterType)
+    floats = var_operand_def(FloatRegisterType)
+
+
+@irdl_op_definition
+class _MiddleOp(Operation):
+    """A test op: fixed operands on both sides of a variadic group."""
+
+    name = "testdl.middle"
+    __slots__ = ()
+
+    head = operand_def(IntRegisterType)
+    body = var_operand_def(FloatRegisterType)
+    tail = operand_def(IntRegisterType)
+
+
+def valid_parts(op_class) -> dict:
+    """Operands (by field), result types, attributes and a region
+    count that pass every declarative check of ``op_class``."""
+    spec = op_class.irdl_spec
+    return {
+        "operands": {
+            n: [] if d.variadic else [sample(d.constraint)]
+            for n, d in spec.operands
+        },
+        "results": [
+            sample(d.constraint) for _, d in spec.results if not d.variadic
+        ],
+        "attributes": {n: sample(d.constraint) for n, d in spec.attrs},
+        "regions": len(spec.regions),
+        "segments": None,
+    }
+
+
+def build(op_class, operands, results, attributes, regions, segments):
+    """The op, bypassing the constructor's own checks.  ``segments``:
+    ``None`` derives the segment attribute from the operand groups,
+    ``"missing"`` leaves it out."""
+    attributes = dict(attributes)
+    if op_class.irdl_spec.segmented and segments != "missing":
+        attributes[SEGMENT_ATTR] = segments or DenseIntAttr(
+            [len(group) for group in operands.values()]
+        )
+    op = object.__new__(op_class)
+    Operation.__init__(
+        op,
+        operands=[value(t) for group in operands.values() for t in group],
+        result_types=results,
+        attributes=attributes,
+        regions=[Region([Block()]) for _ in range(regions)],
+    )
+    return op
+
+
+def declarative_cases(op_class):
+    """``(id, op_class, parts, message)`` for each violation the spec
+    of ``op_class`` can express."""
+    spec = op_class.irdl_spec
+    name = op_class.name
+    base = valid_parts(op_class)
+    operands, results = base["operands"], base["results"]
+
+    def case(label, message, **changes):
+        return (f"{name}-{label}", op_class, {**base, **changes},
+                f"{name}: {message}")
+
+    total = len(spec.operands)
+    fixed = [n for n, d in spec.operands if not d.variadic]
+    if spec.segmented:
+        yield case(
+            "segments-missing", f"missing {SEGMENT_ATTR} attribute",
+            segments="missing",
+        )
+        yield case(
+            "segments-length",
+            f"{SEGMENT_ATTR} names {total + 1} group(s), expected {total}",
+            segments=DenseIntAttr([0] * (total + 1)),
+        )
+        for sizes in ([1] + [0] * (total - 1), [-1] + [0] * (total - 2) + [1]):
+            yield case(
+                f"segments-{sizes}",
+                f"{SEGMENT_ATTR} {sizes} does not cover 0 operand(s)",
+                segments=DenseIntAttr(sizes),
+            )
+    elif len(fixed) == total:
+        yield case(
+            "operand-count",
+            f"expected {total} operand(s), got {total + 1}",
+            operands={**operands, "extra": [f64]},
+        )
+    elif fixed:
+        yield case(
+            "operand-count",
+            f"expected at least {len(fixed)} operand(s), "
+            f"got {len(fixed) - 1}",
+            operands={n: g for n, g in operands.items() if n != fixed[0]},
+        )
+    for field, definition in spec.operands:
+        constraint = definition.constraint
+        if constraint.satisfied_by(ALIEN):
+            continue
+        group = [sample(constraint), ALIEN] if definition.variadic else [ALIEN]
+        yield case(
+            f"operand-{field}",
+            f"operand '{field}' has type {ALIEN}, expected "
+            f"{constraint.describe()}",
+            operands={**operands, field: group},
+        )
+    if spec.variadic_results:
+        [(field, definition)] = spec.results
+        constraint = definition.constraint
+        if not constraint.satisfied_by(ALIEN):
+            yield case(
+                f"result-{field}",
+                f"result '{field}' has type {ALIEN}, expected "
+                f"{constraint.describe()}",
+                results=[sample(constraint), ALIEN],
+            )
+    else:
+        yield case(
+            "result-count",
+            f"expected {len(results)} result(s), got {len(results) + 1}",
+            results=results + [f64],
+        )
+        for i, (field, definition) in enumerate(spec.results):
+            constraint = definition.constraint
+            if not constraint.satisfied_by(ALIEN):
+                yield case(
+                    f"result-{field}",
+                    f"result '{field}' has type {ALIEN}, expected "
+                    f"{constraint.describe()}",
+                    results=results[:i] + [ALIEN] + results[i + 1 :],
+                )
+    attributes = base["attributes"]
+    for key, definition in spec.attrs:
+        if not definition.optional:
+            yield case(
+                f"attribute-{key}-missing",
+                f"missing attribute '{key}'",
+                attributes={k: a for k, a in attributes.items() if k != key},
+            )
+        constraint = definition.constraint
+        if not constraint.satisfied_by(ALIEN):
+            yield case(
+                f"attribute-{key}",
+                f"attribute '{key}' must be {constraint.describe()}, "
+                f"got {ALIEN}",
+                attributes={**attributes, key: ALIEN},
+            )
+    regions = base["regions"]
+    yield case(
+        "region-count",
+        f"expected {regions} region(s), got {regions + 1}",
+        regions=regions + 1,
+    )
+    if SameOperandsAndResultType in op_class.traits:
+        first, second = spec.operands[:2]
+        yield case(
+            "same-type-operands",
+            "operand types differ",
+            operands={**operands, second[0]: [sample(second[1].constraint, 1)]},
+        )
+        yield case(
+            "same-type-result",
+            "result type differs from operands",
+            results=[sample(spec.results[0][1].constraint, 1)],
+        )
+
+
+DECLARATIVE_CLASSES = [
+    op_registry.lookup(name) for name in op_registry.registered_names()
+] + [
+    _PairOp, _VariadicOp, _SegmentedOp, _SameTypeOp, _EveryConstraintOp,
+    _TypedSegmentsOp, _MiddleOp,
+]
+DECLARATIVE_CASES = [
+    case for op_class in DECLARATIVE_CLASSES
+    for case in declarative_cases(op_class)
+]
+
+
+class TestGeneratedVerifyMessages:
+    """The exact text of every diagnostic a spec can give, for every
+    registered op and the test ops spelling the remaining forms."""
+
+    @pytest.mark.parametrize(
+        "op_class, parts, message",
+        [case[1:] for case in DECLARATIVE_CASES],
+        ids=[case[0] for case in DECLARATIVE_CASES],
+    )
+    def test_message(self, op_class, parts, message):
+        op = build(op_class, **parts)
+        with pytest.raises(IRError) as info:
+            op.verify_()
+        assert str(info.value) == message
+
+    def test_every_registered_op_is_covered(self):
+        covered = {case[1].name for case in DECLARATIVE_CASES}
+        assert set(op_registry.registered_names()) <= covered
+
+    def test_every_constraint_form_is_covered(self):
+        labels = {case[0].partition("-")[2] for case in DECLARATIVE_CASES}
+        assert {
+            "operand-count", "segments-missing", "segments-length",
+            "result-count", "region-count", "same-type-operands",
+            "same-type-result", "operand-exact", "operand-either",
+            "operand-mixed", "operand-ints", "operand-body", "operand-tail",
+            "result-loop_results", "attribute-label", "attribute-mode",
+        } <= labels
 
 
 class TestSuccessors:
