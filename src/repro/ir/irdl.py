@@ -23,11 +23,13 @@ enforces every declared arity and type constraint::
 Ops keep the plain :class:`~repro.ir.core.Operation` storage underneath,
 so the intrusive linked-list IR and the worklist rewrite driver are
 untouched; the decorator only installs class-level properties (all
-``__slots__``-compatible) and precompiled check closures.  Structural
-invariants that cannot be expressed as per-field constraints (body
-terminators, yield arities, cross-operand correlations) live in an
-optional ``verify_extra_`` hook that the generated ``verify_`` calls
-last.
+``__slots__``-compatible) and a ``verify_`` stub.  On its first call
+the stub writes the class's hook as Python source holding just the
+checks its spec needs — ``isinstance`` tests, literal counts, constant
+messages — compiled once per class shape.  Structural invariants that
+cannot be expressed as per-field constraints (body terminators, yield
+arities, cross-operand correlations) live in an optional
+``verify_extra_`` hook that the generated ``verify_`` calls last.
 
 :class:`Dialect` groups the op (and attribute) classes of one namespace
 into a first-class object; the registry, the parser's name lookup, the
@@ -37,6 +39,8 @@ driven from these objects instead of module scans.
 
 from __future__ import annotations
 
+import linecache
+import threading
 from typing import Sequence
 
 from .attributes import (
@@ -408,9 +412,7 @@ class OpSpec:
         attrs = list(base_spec.attrs) if base_spec else []
         regions = list(base_spec.regions) if base_spec else []
         for name, value in list(op_class.__dict__.items()):
-            if isinstance(value, VarOperandDef) or isinstance(
-                value, OperandDef
-            ):
+            if isinstance(value, OperandDef):  # VarOperandDef too
                 operands.append((name, value))
             elif isinstance(value, ResultDef):
                 results.append((name, value))
@@ -503,11 +505,6 @@ def _operand_accessors(spec: OpSpec):
                 start, stop = _segment_bounds(self, _i)
                 return tuple(self._operands[start:stop])
 
-        elif not variadic_at:
-
-            def get(self, _i=i):
-                return self._operands[_i]
-
         elif definition.variadic:
             tail = total - i - 1
 
@@ -516,14 +513,10 @@ def _operand_accessors(spec: OpSpec):
                     self._operands[_i : len(self._operands) - _tail]
                 )
 
-        elif i < variadic_at[0]:
+        else:  # fixed: after the variadic group, index from the end
+            after = variadic_at and i > variadic_at[0]
 
-            def get(self, _i=i):
-                return self._operands[_i]
-
-        else:  # fixed operand after the variadic group: index from end
-
-            def get(self, _i=i - total):
+            def get(self, _i=i - total if after else i):
                 return self._operands[_i]
 
         accessors[name] = property(get, doc=definition.doc or None)
@@ -783,179 +776,198 @@ def _compile_init(op_class: type, spec: OpSpec):
 # Verification synthesis
 # ---------------------------------------------------------------------------
 
+#: Hook source -> the factory closing it over its constants.  Counts are
+#: literals in the source; every other constant (classes, field names,
+#: ``describe()`` strings) is a parameter ``k<i>``, so op classes of one
+#: shape share one code object.
+_SHAPES: dict[str, object] = {}
+_SHAPES_LOCK = threading.Lock()
 
-def _compile_verify(op_class: type, spec: OpSpec):
-    """Precompile the declarative checks into one ``verify_`` closure."""
-    odefs = spec.operands
-    total = len(odefs)
-    variadic_at = [i for i, (_, d) in enumerate(odefs) if d.variadic]
-    segmented = spec.segmented
-    exact_operands = total if not variadic_at else None
-    min_operands = total - len(variadic_at)
-    # (index, field, constraint) triples for constrained fixed operands;
-    # indices are from the front before the variadic group and from the
-    # back after it.
-    fixed_checks = []
-    var_check = None
-    for i, (name, definition) in enumerate(odefs):
-        constrained = type(definition.constraint) is not AnyAttr
-        if segmented:
-            if constrained:
-                fixed_checks.append((i, name, definition.constraint))
-            continue
-        if definition.variadic:
-            if constrained:
-                var_check = (i, total - i - 1, name, definition.constraint)
-        elif constrained:
-            index = i if not variadic_at or i < variadic_at[0] else i - total
-            fixed_checks.append((index, name, definition.constraint))
-    result_defs = spec.results
-    variadic_results = spec.variadic_results
-    exact_results = None if variadic_results else len(result_defs)
-    result_checks = [
-        (i, name, d.constraint)
-        for i, (name, d) in enumerate(result_defs)
-        if type(d.constraint) is not AnyAttr
-    ]
-    var_result_check = None
-    if variadic_results:
-        name, definition = result_defs[0]
-        if type(definition.constraint) is not AnyAttr:
-            var_result_check = (name, definition.constraint)
-        result_checks = []
-    attr_checks = [
-        (
-            name,
-            definition.optional,
-            definition.constraint
-            if type(definition.constraint) is not AnyAttr
-            else None,
+
+class _HookWriter:
+    """Writes the body of one op class's ``verify_`` as source lines."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.constants: list = []
+
+    def const(self, value) -> str:
+        self.constants.append(value)
+        return f"k{len(self.constants) - 1}"
+
+    def fail(self, condition: str, message: str, depth: int = 0) -> None:
+        """Raise ``<op name>: <message>`` (an f-string) if ``condition``."""
+        pad = "    " * depth
+        self.lines += [
+            f"{pad}if {condition}:",
+            f'{pad}    raise IRError(f"{{self.name}}: {message}")',
+        ]
+
+    def count(self, what: str, items: str, num: int) -> None:
+        self.fail(
+            items if num == 0 else f"len({items}) != {num}",
+            f"expected {num} {what}(s), got {{len({items})}}",
         )
-        for name, definition in spec.attrs
-    ]
-    num_regions = len(spec.regions)
-    same_type = SameOperandsAndResultType in op_class.traits
+
+    def rejects(self, constraint: Constraint, subject: str) -> str | None:
+        """A condition true when ``subject`` fails ``constraint``."""
+        kind, choices = type(constraint), getattr(constraint, "choices", ())
+        if kind is AnyAttr:
+            return None
+        if kind is EqAttr:
+            return f"not {subject} == {self.const(constraint.attr)}"
+        if kind is BaseAttr:
+            classes = constraint.attr_class
+        elif kind is AnyOf and all(type(c) is BaseAttr for c in choices):
+            classes = tuple(c.attr_class for c in choices)
+        else:
+            return f"not {self.const(constraint.satisfied_by)}({subject})"
+        return f"not isinstance({subject}, {self.const(classes)})"
+
+    def check_type(self, what, field, constraint, subject, over=None):
+        """Check the type ``subject``, for each ``v`` in ``over`` if
+        given."""
+        condition = self.rejects(constraint, subject)
+        if condition is not None:
+            if over is not None:
+                self.lines.append(f"for v in {over}:")
+            self.fail(
+                condition,
+                f"{what} '{{{self.const(field)}}}' has type {{{subject}}}, "
+                f"expected {{{self.const(constraint.describe())}}}",
+                over is not None,
+            )
+
+
+def _write_verify(op_class: type) -> _HookWriter:
+    """The checks ``op_class``'s spec, traits and ``verify_extra_``
+    need, in the order their diagnostics are defined."""
+    spec, hook = op_class.irdl_spec, _HookWriter()
+    odefs, total = spec.operands, len(spec.operands)
+    variadic_at = [i for i, (_, d) in enumerate(odefs) if d.variadic]
+    count = "len(self._operands)"
+    if spec.segmented:
+        sizes = [f"n{i}" for i in range(total)]
+        hook.lines.append(f"sizes = self.attributes.get({SEGMENT_ATTR!r})")
+        hook.fail(
+            "not isinstance(sizes, DenseIntAttr)",
+            f"missing {SEGMENT_ATTR} attribute",
+        )
+        hook.lines.append("sizes = sizes.values")
+        hook.fail(
+            f"len(sizes) != {total}",
+            f"{SEGMENT_ATTR} names {{len(sizes)}} group(s), expected {total}",
+        )
+        hook.fail(
+            f"min(sizes) < 0 or sum(sizes) != {count}",
+            f"{SEGMENT_ATTR} {{list(sizes)}} does not cover {{{count}}} "
+            "operand(s)",
+        )
+        if any(type(d.constraint) is not AnyAttr for _, d in odefs):
+            hook.lines.append(f"{', '.join(sizes)} = sizes")
+    elif not variadic_at:
+        hook.count("operand", "self._operands", total)
+    elif total > 1:
+        hook.fail(
+            f"{count} < {total - 1}",
+            f"expected at least {total - 1} operand(s), got {{{count}}}",
+        )
+    # Fixed operands after the variadic group index from the end.
+    cut = variadic_at[0] if variadic_at else total
+    for i, (name, d) in enumerate(odefs):
+        if not d.variadic:
+            hook.check_type(
+                "operand", name, d.constraint,
+                f"self._operands[{i - total if i > cut else i}].type",
+            )
+    for i in variadic_at:
+        (name, d), tail = odefs[i], total - i - 1
+        if spec.segmented:
+            span = f"{' + '.join(sizes[:i])}:{' + '.join(sizes[: i + 1])}"
+        else:
+            span = f"{i}:{f'{count} - {tail}' if tail else ''}"
+        hook.check_type(
+            "operand", name, d.constraint, "v.type", f"self._operands[{span}]"
+        )
+    if spec.variadic_results:
+        [(name, d)] = spec.results
+        hook.check_type("result", name, d.constraint, "v.type", "self.results")
+    else:
+        hook.count("result", "self.results", len(spec.results))
+        for i, (name, d) in enumerate(spec.results):
+            hook.check_type(
+                "result", name, d.constraint, f"self.results[{i}].type"
+            )
+    for key, d in spec.attrs:
+        if d.optional and type(d.constraint) is AnyAttr:
+            continue
+        key = hook.const(key)
+        hook.lines.append(f"a = self.attributes.get({key})")
+        if not d.optional:
+            hook.fail("a is None", f"missing attribute '{{{key}}}'")
+        condition = hook.rejects(d.constraint, "a")
+        if condition is not None:
+            hook.fail(
+                f"a is not None and {condition}" if d.optional else condition,
+                f"attribute '{{{key}}}' must be "
+                f"{{{hook.const(d.constraint.describe())}}}, got {{a}}",
+            )
+    hook.count("region", "self.regions", len(spec.regions))
+    if SameOperandsAndResultType in op_class.traits:
+        hook.lines += [
+            "if self._operands or self.results:",
+            "    reference = (self._operands or self.results)[0].type",
+            "    for v in self._operands:",
+        ]
+        hook.fail("v.type != reference", "operand types differ", 2)
+        hook.lines.append("    for v in self.results:")
+        hook.fail(
+            "v.type != reference", "result type differs from operands", 2
+        )
+    if getattr(op_class, "verify_extra_", None) is not None:
+        hook.lines.append("self.verify_extra_()")
+    return hook
+
+
+def _install_verify(op_class: type):
+    """Generate ``op_class.verify_``, compiling its shape on first use."""
+    hook = _write_verify(op_class)
+    params = ", ".join(f"k{i}" for i in range(len(hook.constants)))
+    body = "".join(f"        {line}\n" for line in hook.lines)
+    source = (
+        f"def make({params}):\n    def verify_(self):\n{body}"
+        "    return verify_\n"
+    )
+    with _SHAPES_LOCK:  # one compile and one file name per shape
+        make = _SHAPES.get(source)
+        if make is None:
+            name = f"<repro.ir.irdl: verify_ shape {len(_SHAPES)}>"
+            lines = source.splitlines(True)
+            linecache.cache[name] = (len(source), None, lines, name)
+            scope = {"IRError": IRError, "DenseIntAttr": DenseIntAttr}
+            exec(compile(source, name, "exec"), scope)
+            make = _SHAPES[source] = scope["make"]
+    verify_ = op_class.verify_ = make(*hook.constants)
+    verify_.__qualname__ = f"{op_class.__qualname__}.verify_"
+    return verify_
+
+
+def _verify_stub(op_class: type):
+    """A ``verify_`` generating the hook for the class it is first
+    called on.  Every subclass gets its own (``_stub_subclass``): a hook
+    generated for a base class would miss a subclass's own traits and
+    ``verify_extra_``."""
 
     def verify_(self):
-        operands = self._operands
-        count = len(operands)
-        if exact_operands is not None:
-            if count != exact_operands:
-                raise IRError(
-                    f"{self.name}: expected {exact_operands} operand(s), "
-                    f"got {count}"
-                )
-        elif not segmented:
-            if count < min_operands:
-                raise IRError(
-                    f"{self.name}: expected at least {min_operands} "
-                    f"operand(s), got {count}"
-                )
-        else:
-            sizes_attr = self.attributes.get(SEGMENT_ATTR)
-            if not isinstance(sizes_attr, DenseIntAttr):
-                raise IRError(
-                    f"{self.name}: missing {SEGMENT_ATTR} attribute"
-                )
-            sizes = sizes_attr.values
-            if len(sizes) != total:
-                raise IRError(
-                    f"{self.name}: {SEGMENT_ATTR} names {len(sizes)} "
-                    f"group(s), expected {total}"
-                )
-            if any(s < 0 for s in sizes) or sum(sizes) != count:
-                raise IRError(
-                    f"{self.name}: {SEGMENT_ATTR} {list(sizes)} does not "
-                    f"cover {count} operand(s)"
-                )
-        if segmented:
-            for i, name, constraint in fixed_checks:
-                start, stop = _segment_bounds(self, i)
-                for value in operands[start:stop]:
-                    if not constraint.satisfied_by(value.type):
-                        raise IRError(
-                            f"{self.name}: operand '{name}' has type "
-                            f"{value.type}, expected "
-                            f"{constraint.describe()}"
-                        )
-        else:
-            for index, name, constraint in fixed_checks:
-                value_type = operands[index].type
-                if not constraint.satisfied_by(value_type):
-                    raise IRError(
-                        f"{self.name}: operand '{name}' has type "
-                        f"{value_type}, expected {constraint.describe()}"
-                    )
-            if var_check is not None:
-                start, tail, name, constraint = var_check
-                for value in operands[start : count - tail]:
-                    if not constraint.satisfied_by(value.type):
-                        raise IRError(
-                            f"{self.name}: operand '{name}' has type "
-                            f"{value.type}, expected "
-                            f"{constraint.describe()}"
-                        )
-        results = self.results
-        if exact_results is not None and len(results) != exact_results:
-            raise IRError(
-                f"{self.name}: expected {exact_results} result(s), "
-                f"got {len(results)}"
-            )
-        for i, name, constraint in result_checks:
-            result_type = results[i].type
-            if not constraint.satisfied_by(result_type):
-                raise IRError(
-                    f"{self.name}: result '{name}' has type "
-                    f"{result_type}, expected {constraint.describe()}"
-                )
-        if var_result_check is not None:
-            name, constraint = var_result_check
-            for result in results:
-                if not constraint.satisfied_by(result.type):
-                    raise IRError(
-                        f"{self.name}: result '{name}' has type "
-                        f"{result.type}, expected {constraint.describe()}"
-                    )
-        attributes = self.attributes
-        for key, optional, constraint in attr_checks:
-            attr = attributes.get(key)
-            if attr is None:
-                if not optional:
-                    raise IRError(
-                        f"{self.name}: missing attribute '{key}'"
-                    )
-            elif constraint is not None and not constraint.satisfied_by(
-                attr
-            ):
-                raise IRError(
-                    f"{self.name}: attribute '{key}' must be "
-                    f"{constraint.describe()}, got {attr}"
-                )
-        if len(self.regions) != num_regions:
-            raise IRError(
-                f"{self.name}: expected {num_regions} region(s), got "
-                f"{len(self.regions)}"
-            )
-        if same_type and (operands or self.results):
-            reference = (
-                operands[0].type if operands else self.results[0].type
-            )
-            for value in operands:
-                if value.type != reference:
-                    raise IRError(f"{self.name}: operand types differ")
-            for result in self.results:
-                if result.type != reference:
-                    raise IRError(
-                        f"{self.name}: result type differs from operands"
-                    )
-        # Resolved at call time, not decoration time: a subclass of a
-        # decorated shape class may add (or override) the hook.
-        extra = getattr(self, "verify_extra_", None)
-        if extra is not None:
-            extra()
+        return _install_verify(type(self))(self)
 
     verify_.__qualname__ = f"{op_class.__qualname__}.verify_"
     return verify_
+
+
+def _stub_subclass(cls) -> None:
+    if "verify_" not in cls.__dict__:
+        cls.verify_ = _verify_stub(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -967,11 +979,10 @@ def irdl_op_definition(op_class: type) -> type:
     """Derive accessors, constructor and verification from field defs.
 
     The class is modified in place: every field descriptor in the class
-    body is replaced by a named ``property``, ``verify_`` is installed
-    from the precompiled declarative checks (it calls an optional
-    ``verify_extra_`` hook last for structural invariants), and a
-    keyword ``__init__`` is synthesized unless the class (or a mixin
-    below :class:`Operation`) defines its own.
+    body is replaced by a named ``property``, ``verify_`` (and that of
+    every subclass) is a stub generating the declarative checks on
+    first call, and a keyword ``__init__`` is synthesized unless the
+    class (or a mixin below :class:`Operation`) defines its own.
     """
     if not (isinstance(op_class, type) and issubclass(op_class, Operation)):
         raise TypeError("@irdl_op_definition expects an Operation subclass")
@@ -1001,7 +1012,8 @@ def irdl_op_definition(op_class: type) -> type:
         setattr(
             op_class, name, property(get_region, doc=definition.doc or None)
         )
-    op_class.verify_ = _compile_verify(op_class, spec)
+    op_class.verify_ = _verify_stub(op_class)
+    op_class.__init_subclass__ = classmethod(_stub_subclass)
     if op_class.__init__ is Operation.__init__:
         op_class.__init__ = _compile_init(op_class, spec)
     return op_class

@@ -102,14 +102,6 @@ def _use_recorded(op, index, operand, use_sets) -> bool:
     return (id(op), index) in use_set
 
 
-#: Op classes overriding the (no-op) default ``verify_`` hook — skips
-#: a virtual call per op per round for the common hook-less classes.
-#: Probed inline by ``_verify_block`` (its hot loop deliberately
-#: inlines both this cache lookup and ``_use_recorded``'s short-list
-#: fast path).
-_HAS_VERIFY_HOOK: dict[type, bool] = {}
-
-
 def _verify_regions(
     op: Operation,
     enclosing_values: set[int],
@@ -144,7 +136,6 @@ def _verify_block(
     for arg in block.args:
         defined_add(id(arg))
     last_op = block.last_op
-    has_hook_cache = _HAS_VERIFY_HOOK
     checked = block._num_ops
     op = block.first_op
     while op is not None:
@@ -164,15 +155,9 @@ def _verify_block(
                 raise _missing_use(op, index)
             if id(operand) not in defined:
                 raise _not_dominated(op, operand)
-        cls = op.__class__
-        if IsTerminator in cls.traits and op is not last_op:
+        if IsTerminator in op.__class__.traits and op is not last_op:
             raise _terminator_not_last(op)
-        hook = has_hook_cache.get(cls)
-        if hook is None:
-            hook = cls.verify_ is not Operation.verify_
-            has_hook_cache[cls] = hook
-        if hook:
-            op.verify_()
+        op.verify_()
         if op.regions:
             checked += _verify_regions(op, defined, use_sets)
         for result in op.results:

@@ -1,5 +1,9 @@
 """Tests for the IRDL-style declarative definition layer."""
 
+import os
+import subprocess
+import sys
+import traceback
 from dataclasses import dataclass
 
 import pytest
@@ -345,7 +349,7 @@ class TestInheritedDefinitions:
 
 @dataclass(frozen=True)
 class _Alien(TypeAttribute):
-    """A type no dialect constraint admits (bar "any attribute")."""
+    """A type only unconstrained and any-``Attribute`` fields admit."""
 
     def __str__(self) -> str:
         return "!testdl.alien"
@@ -620,6 +624,66 @@ class TestGeneratedVerifyMessages:
             "operand-mixed", "operand-ints", "operand-body", "operand-tail",
             "result-loop_results", "attribute-label", "attribute-mode",
         } <= labels
+
+
+class TestGeneratedHooks:
+    """``verify_`` is generated per class on first call, its code
+    compiled once per shape and its source kept for tracebacks."""
+
+    def test_importing_generates_no_hook(self):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        script = (
+            "import repro\n"
+            "from repro.ir import irdl, op_registry\n"
+            "op_registry.populate()\n"
+            "print(len(op_registry.registered_names()), len(irdl._SHAPES))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True,
+            text=True, env=env, timeout=120, check=True,
+        )
+        registered, shapes = map(int, done.stdout.split())
+        assert registered >= 80 and shapes == 0
+
+    def test_same_shape_classes_share_code(self):
+        a = value(IntRegisterType("t0"))
+        riscv.AddOp(a, a).verify_()
+        riscv.SubOp(a, a).verify_()
+        add, sub = riscv.AddOp.verify_, riscv.SubOp.verify_
+        assert add is not sub
+        assert add.__code__ is sub.__code__
+        assert add.__qualname__ == f"{riscv.AddOp.__qualname__}.verify_"
+
+    def test_hook_of_a_verified_class_is_not_inherited(self):
+        """A subclass made after its base was verified checks its own
+        ``verify_extra_``."""
+        base = _SameTypeOp(value(f64), value(f64))
+        base.verify_()
+
+        class StrictOp(_SameTypeOp):
+            __slots__ = ()
+
+            def verify_extra_(self):
+                raise IRError("strict")
+
+        with pytest.raises(IRError, match="strict"):
+            StrictOp(value(f64), value(f64)).verify_()
+        base.verify_()
+
+    def test_traceback_shows_hook_source(self):
+        bad = object.__new__(riscv.AddOp)
+        Operation.__init__(
+            bad, operands=[value(f64)] * 2, result_types=[IntRegisterType()]
+        )
+        with pytest.raises(IRError) as info:
+            bad.verify_()
+        text = "".join(traceback.format_exception(info.value))
+        assert '<repro.ir.irdl: verify_ shape ' in text
+        assert (
+            "raise IRError(f\"{self.name}: operand '{k1}' has type "
+            "{self._operands[0].type}, expected {k2}\")"
+        ) in text
 
 
 class TestSuccessors:
