@@ -61,6 +61,8 @@ _VALUE_ID = re.compile(r"%[A-Za-z0-9_.$]+")
 _INTEGER = re.compile(r"-?\d+")
 _FLOAT = re.compile(r"-?\d+\.\d*(e[+-]?\d+)?|-?\d+e[+-]?\d+")
 _STRING = re.compile(r'"([^"\\]*)"')
+_SCALAR_TYPE = re.compile(r"[fi]\d+")
+_DIM = re.compile(r"d\d+")
 #: Whitespace and ``//`` line comments, in any mix (always matches,
 #: possibly empty), and what such a run can start with.
 _SKIP = re.compile(r"(?:[ \t\n\r]+|//[^\n]*)*")
@@ -333,7 +335,7 @@ class Parser:
             self.expect("->")
             result_types = self._parse_type_list()
             return FunctionType(operand_types, result_types)
-        token = self.match(re.compile(r"[fi]\d+"))
+        token = self.match(_SCALAR_TYPE)
         if token is not None:
             width = int(token[1:])
             return (
@@ -444,7 +446,7 @@ class Parser:
         self.expect("(")
         num_dims = 0
         while not self.accept(")"):
-            self.expect_match(re.compile(r"d\d+"), "dim name")
+            self.expect_match(_DIM, "dim name")
             num_dims += 1
             if not self.peek(")"):
                 self.expect(",")
@@ -474,7 +476,7 @@ class Parser:
             expr = self._parse_affine_expr()
             self.expect(")")
             return expr
-        token = self.match(re.compile(r"d\d+"))
+        token = self.match(_DIM)
         if token is not None:
             return AffineDimExpr(int(token[1:]))
         token = self.expect_match(_INTEGER, "affine term")

@@ -12,16 +12,31 @@ that each advance contiguously: every integer instruction covers
 its stall gap ``[prev_fpu_end, issue)`` plus one busy cycle
 ``[issue, issue+1)``.  Both timelines therefore partition
 ``[0, their final time)`` with no holes, and total cycles is their
-max — so painting per-cycle claims from both sides into one array
-yields a complete attribution with **zero idle cycles** and buckets
-that sum exactly to the total.
-
-Buckets (painted in ascending priority; later overwrites earlier, so
+max.  Where both sides claim a cycle, the higher-priority claim wins:
 a cycle where the FPU retires arithmetic counts as ``fpu_arith`` even
 if the integer core was also busy — the utilization semantics — while
 a cycle where the FPU merely *waits* is charged to whatever the
 machine was actually doing, so scalar-pipeline kernels show their
-address-arithmetic bottleneck as ``int_core``, not as FPU stalls):
+address-arithmetic bottleneck as ``int_core``, not as FPU stalls.
+
+Under those invariants every bucket has a closed form, counted in one
+pass over each timeline — no per-cycle array:
+
+* FPU busy cycles always win: ``fpu_arith`` / ``fpu_nonarith`` are the
+  counts of FPU timeline rows (one flag lookup per distinct row text);
+* ``fpu_stall`` is each row's gap ``[prev_end, issue)`` clipped to
+  start at the final ``int_time`` — below it the integer timeline has
+  a claim on every cycle, and any integer claim outranks a stall;
+* each integer bucket is its claims' lengths minus the FPU-busy
+  cycles inside them; the claims partition ``[0, int_time)``, so
+  ``int_core`` is what the few ``ssr_wait`` and ``branch_bubble``
+  claims leave of it;
+* ``idle`` is ``cycles`` minus the sum of the buckets: 0 when both
+  timelines are contiguous.  A hole in the integer claims makes it
+  positive; overlapping claims, or two FPU rows sharing a cycle, make
+  it negative — a timing-model change that breaks contiguity is loud.
+
+Buckets, in ascending priority:
 
 ``fpu_stall``
     FPU waiting on operand latency or dispatch while the integer
@@ -60,7 +75,11 @@ run — zero cost when disabled.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 
 from ..snitch.isa import ISA, KIND_BRANCH, KIND_JUMP
 
@@ -74,21 +93,37 @@ BUCKETS = (
     "branch_bubble",
 )
 
-#: Paint order (ascending priority: later overwrites earlier).  FPU
-#: busy cycles always win (dual issue — the FPU working is the useful
-#: outcome); int-side attributions beat bare FPU stalls.
-PAINT_ORDER = (
-    "fpu_stall",
-    "int_core",
-    "ssr_wait",
-    "branch_bubble",
-    "fpu_nonarith",
-    "fpu_arith",
-)
-
 REGIONS = ("scalar", "frep_body")
 
-_IDLE = 0  # array code for "no claim" — must never survive finalize
+#: What :meth:`CycleProfiler.step` does per mnemonic, looked up once
+#: per step: ``None`` (a plain ``int_core`` span, the common case),
+#: ``"frep"``, ``"transfer"`` (branch or jump) or ``"csrci"``.
+_STEP_KIND = {
+    mnemonic: (
+        "frep" if mnemonic == "frep.o"
+        else "transfer" if op.unit in (KIND_BRANCH, KIND_JUMP)
+        else "csrci" if mnemonic == "csrci"
+        else None
+    )
+    for mnemonic, op in ISA.items()
+}
+
+# Field getters of timeline rows ``(issue, unit, text)`` and integer
+# claims ``(start, end, bucket)``: finalize maps them in C.
+_ISSUE = _START = itemgetter(0)
+_END = itemgetter(1)
+_TEXT = itemgetter(2)
+
+
+def _stretches(windows, timeline):
+    """The issue timeline cut at the FREP windows into ``(region,
+    rows)`` stretches, in timeline order."""
+    at = 0
+    for tl0, tl1 in windows:
+        yield "scalar", timeline[at:tl0]
+        yield "frep_body", timeline[tl0:tl1]
+        at = tl1
+    yield "scalar", timeline[at:]
 
 
 @dataclass
@@ -101,8 +136,9 @@ class CycleProfile:
     buckets: dict = field(default_factory=dict)
     #: region -> bucket -> cycles; grand total is ``cycles``.
     regions: dict = field(default_factory=dict)
-    #: cycles no claim covered — 0 by construction; kept visible so a
-    #: future timing-model change that breaks contiguity is loud.
+    #: ``cycles`` minus the buckets' sum — 0 while both timelines are
+    #: contiguous; kept visible so a timing-model change that breaks
+    #: contiguity is loud (positive: a hole, negative: an overlap).
     idle: int = 0
 
     @property
@@ -182,111 +218,101 @@ class CycleProfiler:
         """One executed instruction (``frep.o`` with its whole replay
         is one step): the integer timeline moved ``it0 -> it1`` and the
         issue timeline grew from ``tl0`` to ``tl1`` rows."""
-        op = ISA[inst.mnemonic]
-        if inst.mnemonic == "frep.o":
+        kind = _STEP_KIND[inst.mnemonic]
+        if kind is None:
+            # Plain integer work, or the single dispatch slot of a
+            # standalone FPU instruction.  Scoreboard stalls are the
+            # integer core's problem, so the whole span is int_core.
+            self._int_claims.append((it0, it1, "int_core"))
+        elif kind == "frep":
             # frep.o issue + body dispatch into the sequencer; the FPU
             # rows appended during this step are the FREP body.
             self._int_claims.append((it0, it1, "int_core"))
             if tl1 > tl0:
                 self._frep_windows.append((tl0, tl1))
-        elif op.unit in (KIND_BRANCH, KIND_JUMP):
-            if pc_next != pc + 1:  # taken: trailing penalty
-                split = it1 - op.latency
-                self._int_claims.append((it0, split, "int_core"))
-                self._int_claims.append((split, it1, "branch_bubble"))
-            else:
-                self._int_claims.append((it0, it1, "int_core"))
-        elif inst.mnemonic == "csrci":
+        elif kind == "transfer" and pc_next != pc + 1:
+            # Taken: the trailing cycles are the penalty.
+            split = it1 - ISA[inst.mnemonic].latency
+            self._int_claims.append((it0, split, "int_core"))
+            self._int_claims.append((split, it1, "branch_bubble"))
+        elif kind == "csrci":
             # One issue cycle, then the stream-disable drain: the
             # integer core parks until the FPU catches up.
             self._int_claims.append((it0, it0 + 1, "int_core"))
             if it1 > it0 + 1:
                 self._int_claims.append((it0 + 1, it1, "ssr_wait"))
         else:
-            # Plain integer work, or the single dispatch slot of a
-            # standalone FPU instruction.  Scoreboard stalls are the
-            # integer core's problem, so the whole span is int_core.
             self._int_claims.append((it0, it1, "int_core"))
 
     # -- report ------------------------------------------------------------------
 
     def finalize(self, machine) -> CycleProfile:
-        """Paint all claims into a cycle array and tally buckets."""
-        total = max(machine.int_time, machine.fpu_time)
-        trace = machine.trace
+        """Count every bucket in closed form from the two timelines
+        (see the module docstring): one pass over the issue timeline,
+        one over the integer claims."""
+        int_time, timeline = machine.int_time, machine.timeline
+        total = max(int_time, machine.fpu_time)
+        regions = {region: dict.fromkeys(BUCKETS, 0) for region in REGIONS}
 
-        # (region, bucket) -> small int code, in paint order.
-        codes: dict[tuple[str, str], int] = {}
-        claims: list[tuple[int, int, int]] = []
+        # FPU side, one stretch of the issue timeline at a time: the
+        # FREP windows are frep_body, the rows between them scalar.
+        # ``busy`` gathers every FPU issue cycle, ascending.
+        busy: list[int] = []
+        stretches = []  # (region, first, last) index ranges of busy
+        texts: dict[str, list[str]] = {region: [] for region in REGIONS}
+        for region, rows in _stretches(self._frep_windows, timeline):
+            fpu = [row for row in rows if row[1] == "fpu"]
+            texts[region] += map(_TEXT, fpu)
+            stretches.append((region, len(busy), len(busy) + len(fpu)))
+            busy += map(_ISSUE, fpu)
 
-        def claim(start: int, end: int, region: str, bucket: str) -> None:
-            start, end = max(0, start), min(end, total)
-            if start >= end:
-                return
-            key = (region, bucket)
-            code = codes.setdefault(key, len(codes) + 1)
-            claims.append((start, end, code))
+        for region, tally in regions.items():
+            for text, rows in Counter(texts[region]).items():
+                arith = ISA[text.split(None, 1)[0]].flops
+                tally["fpu_arith" if arith else "fpu_nonarith"] += rows
 
-        for start, end, bucket in self._int_claims:
-            claim(start, end, "scalar", bucket)
+        # A stall is a row's gap [prev_end, issue) clipped to start at
+        # int_time; rows issued before int_time have none left.
+        gap_from, tail = int_time, bisect_left(busy, int_time)
+        for region, first, last in stretches:
+            tally = regions[region]
+            for issue in busy[max(first, tail):last]:
+                if issue > gap_from:
+                    tally["fpu_stall"] += issue - gap_from
+                gap_from = issue + 1
 
-        # FPU side from the issue timeline: stall gap then busy cycle,
-        # per instruction, contiguous over [0, fpu_time).
-        windows = iter(self._frep_windows)
-        window = next(windows, None)
-        prev_end = 0
-        for index, (issue, unit, text) in enumerate(machine.timeline):
-            if unit != "fpu":
-                continue
-            while window is not None and index >= window[1]:
-                window = next(windows, None)
-            in_frep = window is not None and window[0] <= index < window[1]
-            region = "frep_body" if in_frep else "scalar"
-            if issue > prev_end:
-                claim(prev_end, issue, region, "fpu_stall")
-            op = text.split(None, 1)[0]
-            bucket = "fpu_arith" if ISA[op].flops else "fpu_nonarith"
-            claim(issue, issue + 1, region, bucket)
-            prev_end = issue + 1
+        # Integer side: a claim [s, e) keeps e - s cycles less the busy
+        # issues in it, below(e) - below(s).  The claims partition
+        # [0, int_time), so int_core is their total length less all
+        # busy issues below int_time, less what the few ssr_wait and
+        # branch_bubble claims keep.
+        claims = self._int_claims
+        below = partial(bisect_left, busy)
+        scalar = regions["scalar"]
+        for start, end, bucket in [
+            claim for claim in claims if claim[2] != "int_core"
+        ]:
+            scalar[bucket] += end - start - below(end) + below(start)
+        scalar["int_core"] = (
+            sum(map(_END, claims)) - sum(map(_START, claims))
+            - below(int_time) - scalar["ssr_wait"] - scalar["branch_bubble"]
+        )
 
-        # Paint in bucket-priority order; later paints overwrite, so a
-        # cycle claimed by both sides lands in the higher bucket.
-        priority = {
-            bucket: rank for rank, bucket in enumerate(PAINT_ORDER)
+        buckets = {
+            bucket: sum(tally[bucket] for tally in regions.values())
+            for bucket in BUCKETS
         }
-        rank_of = {
-            code: priority[bucket]
-            for (_, bucket), code in codes.items()
-        }
-        array = bytearray(total)
-        for start, end, code in sorted(
-            claims, key=lambda item: rank_of[item[2]]
-        ):
-            array[start:end] = bytes([code]) * (end - start)
-
-        buckets = {bucket: 0 for bucket in BUCKETS}
-        regions = {
-            region: {bucket: 0 for bucket in BUCKETS}
-            for region in REGIONS
-        }
-        for (region, bucket), code in codes.items():
-            count = array.count(code)
-            buckets[bucket] += count
-            regions[region][bucket] += count
-        idle = array.count(_IDLE)
-
         return CycleProfile(
             cycles=total,
-            flops=trace.flops,
+            flops=machine.trace.flops,
             buckets=buckets,
             regions=regions,
-            idle=idle,
+            idle=total - sum(buckets.values()),
         )
 
 
 __all__ = [
     "BUCKETS",
-    "PAINT_ORDER",
     "REGIONS",
     "CycleProfile",
     "CycleProfiler",

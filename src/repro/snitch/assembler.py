@@ -21,6 +21,7 @@ class AssemblerError(Exception):
 
 
 _MEM_OPERAND = re.compile(r"^(-?\d+)\((\w+)\)$")
+_LABEL = re.compile(r"[\w.$]+")
 
 
 @dataclass
@@ -71,7 +72,7 @@ def assemble(text: str) -> Program:
         while ":" in line:
             label, _, line = line.partition(":")
             label = label.strip()
-            if not re.fullmatch(r"[\w.$]+", label):
+            if not _LABEL.fullmatch(label):
                 raise AssemblerError(f"bad label {label!r}")
             program.labels[label] = len(program.instructions)
             line = line.strip()

@@ -34,6 +34,7 @@ from repro.ir.irdl import (
     ParamAttr,
     SEGMENT_ATTR,
     SameAs,
+    _verify_stub,
     attr_def,
     coerce_constraint,
     irdl_op_definition,
@@ -271,17 +272,38 @@ class TestGeneratedVerify:
     def test_no_handwritten_declarative_verify(self):
         """No dialect op may hand-roll what its spec already checks.
 
-        Every registered op either inherits the generated ``verify_``
-        (its class dict chain holds the compiled closure) or confines
-        bespoke logic to ``verify_extra_``.
+        Every registered op's ``verify_`` is either the stub that
+        generates its hook on first call or a generated hook, and
+        confines bespoke logic to ``verify_extra_``.
         """
         for name in op_registry.registered_names():
             op_class = op_registry.lookup(name)
             assert hasattr(op_class, "irdl_spec"), name
-            verify = op_class.verify_
-            assert getattr(verify, "__qualname__", "").endswith(
-                "verify_"
-            ), name
+            assert _generated_verify(op_class), name
+
+    def test_handwritten_verify_is_caught(self):
+        """A leaf class below a decorated one that writes its own
+        ``verify_`` keeps it, and the check above rejects it."""
+
+        class HandOp(riscv.RdRsRsInstruction):
+            name = "rv.hand_test"
+            __slots__ = ()
+
+            def verify_(self):
+                pass
+
+        assert not _generated_verify(HandOp)
+        assert _generated_verify(riscv.RdRsRsInstruction)
+
+
+def _generated_verify(op_class) -> bool:
+    """``op_class.verify_`` is the first-call stub or a generated
+    hook — judged by its code object, which a hand-written ``verify_``
+    with the same name cannot share."""
+    code = op_class.verify_.__code__
+    return code is _verify_stub(op_class).__code__ or (
+        code.co_filename.startswith("<repro.ir.irdl: verify_ shape")
+    )
 
 
 class TestInheritedDefinitions:

@@ -21,7 +21,12 @@ import numpy as np
 import pytest
 
 from repro import api, kernels
-from repro.obs.profiler import BUCKETS, CycleProfiler
+from repro.obs.profiler import (
+    BUCKETS,
+    REGIONS,
+    CycleProfile,
+    CycleProfiler,
+)
 from repro.obs.tracing import (
     TraceRecorder,
     absorb,
@@ -33,6 +38,7 @@ from repro.obs.tracing import (
     tracing_enabled,
 )
 from repro.snitch import TCDM
+from repro.snitch.isa import ISA, Inst
 from repro.snitch.machine import SnitchMachine
 from repro.snitch.trace import ExecutionTrace
 from repro.transforms.pipelines import PIPELINE_NAMES
@@ -234,6 +240,113 @@ TABLE1_SMALL = (
 )
 
 
+#: The same nine kernels at the cycle-ledger sizes
+#: (``benchmarks/bench_fpu_util.py``), and matmul once more at the
+#: profile_sweep workload's 1-row FREP GEMM shape.
+TABLE1_LEDGER = (
+    ("fill", (8, 16)),
+    ("sum", (8, 16)),
+    ("relu", (8, 16)),
+    ("conv3x3", (8, 8)),
+    ("max_pool3x3", (8, 8)),
+    ("sum_pool3x3", (8, 8)),
+    ("matmul", (4, 8, 8)),
+    ("matmul_t", (4, 8, 8)),
+    ("matvec", (8, 16)),
+    ("matmul", (1, 48, 48)),
+)
+
+#: Paint order of the oracle (ascending priority: later overwrites
+#: earlier) — the bucket priority the closed form encodes.
+PAINT_ORDER = (
+    "fpu_stall",
+    "int_core",
+    "ssr_wait",
+    "branch_bubble",
+    "fpu_nonarith",
+    "fpu_arith",
+)
+
+
+def _painted_profile(claims, windows, timeline, int_time, fpu_time):
+    """The per-cycle painting attribution the closed form replaced —
+    the oracle: every claim from both timelines painted onto one
+    ``bytearray(cycles)`` in priority order, then counted (``flops``
+    is left 0)."""
+    total = max(int_time, fpu_time)
+
+    # (region, bucket) -> small int code; 0 is "no claim".
+    codes: dict = {}
+    painted: list = []
+
+    def claim(start, end, region, bucket):
+        start, end = max(0, start), min(end, total)
+        if start >= end:
+            return
+        code = codes.setdefault((region, bucket), len(codes) + 1)
+        painted.append((start, end, code))
+
+    for start, end, bucket in claims:
+        claim(start, end, "scalar", bucket)
+    windows = iter(windows)
+    window = next(windows, None)
+    prev_end = 0
+    for index, (issue, unit, text) in enumerate(timeline):
+        if unit != "fpu":
+            continue
+        while window is not None and index >= window[1]:
+            window = next(windows, None)
+        in_frep = window is not None and window[0] <= index < window[1]
+        region = "frep_body" if in_frep else "scalar"
+        if issue > prev_end:
+            claim(prev_end, issue, region, "fpu_stall")
+        op = text.split(None, 1)[0]
+        bucket = "fpu_arith" if ISA[op].flops else "fpu_nonarith"
+        claim(issue, issue + 1, region, bucket)
+        prev_end = issue + 1
+
+    rank = {bucket: index for index, bucket in enumerate(PAINT_ORDER)}
+    rank_of = {code: rank[bucket] for (_, bucket), code in codes.items()}
+    array = bytearray(total)
+    for start, end, code in sorted(painted, key=lambda c: rank_of[c[2]]):
+        array[start:end] = bytes([code]) * (end - start)
+    buckets = dict.fromkeys(BUCKETS, 0)
+    regions = {region: dict.fromkeys(BUCKETS, 0) for region in REGIONS}
+    for (region, bucket), code in codes.items():
+        buckets[bucket] += array.count(code)
+        regions[region][bucket] += array.count(code)
+    return CycleProfile(
+        cycles=total, buckets=buckets, regions=regions,
+        idle=array.count(0),
+    )
+
+
+def _assert_matches_painting(machine, profile):
+    profiler = machine.profiler
+    painted = _painted_profile(
+        profiler._int_claims, profiler._frep_windows, machine.timeline,
+        machine.int_time, machine.fpu_time,
+    )
+    painted.flops = machine.trace.flops
+    assert profile.to_json() == painted.to_json()
+    assert profile.idle == 0
+
+
+def _cell_id(value) -> str:
+    """``matmul``, ``(4, 8, 8)`` -> ``matmul``, ``4x8x8``."""
+    return "x".join(map(str, value)) if isinstance(value, tuple) else value
+
+
+class _Timelines:
+    """A hand-made end state of a run: what ``finalize`` reads."""
+
+    def __init__(self, int_time, timeline):
+        self.int_time = int_time
+        self.timeline = timeline
+        self.fpu_time = max((row[0] + 1 for row in timeline), default=0)
+        self.trace = ExecutionTrace()
+
+
 class TestCycleProfiler:
     @pytest.mark.parametrize("pipeline", sorted(PIPELINE_NAMES))
     @pytest.mark.parametrize("kernel,sizes", TABLE1_SMALL)
@@ -249,6 +362,84 @@ class TestCycleProfiler:
         )
         assert fast.to_json() == oracle.to_json()
         assert sum(fast.buckets.values()) == fast.cycles
+
+    @pytest.mark.parametrize("reference", (False, True), ids=("engine", "ref"))
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINE_NAMES))
+    @pytest.mark.parametrize(
+        "kernel,sizes", TABLE1_SMALL + TABLE1_LEDGER, ids=_cell_id
+    )
+    def test_closed_form_equals_painting(
+        self, kernel, sizes, pipeline, reference
+    ):
+        """The closed-form count against the per-cycle painting it
+        replaced, on the same claims and timeline.  The engine ==
+        reference test above runs both sides through one ``finalize``,
+        so only this one can catch a wrong closed form."""
+        builder, _ = kernels.KERNEL_BUILDERS[kernel]
+        module, spec = builder(*sizes)
+        compiled = api.compile_linalg(module, pipeline=pipeline)
+        machine, profile = _machine_run(
+            compiled, spec, profile=True, reference=reference
+        )
+        _assert_matches_painting(machine, profile)
+
+    @pytest.mark.parametrize("reference", (False, True), ids=("engine", "ref"))
+    @pytest.mark.parametrize(
+        "kernel,sizes",
+        (
+            ("lowlevel_matmul_t_f32", (16, 8)),
+            ("lowlevel_sum_f32", (4, 8)),
+            ("lowlevel_relu_f32", (4, 8)),
+            ("lowlevel_fill_f64", (4, 8)),
+        ),
+    )
+    def test_closed_form_equals_painting_lowlevel(
+        self, kernel, sizes, reference
+    ):
+        """The packed-SIMD and other dialect-level kernels of the
+        profile_sweep workload."""
+        module, spec = getattr(kernels, kernel)(*sizes)
+        compiled = api.compile_lowlevel(module, spec.name)
+        machine, profile = _machine_run(
+            compiled, spec, profile=True, reference=reference
+        )
+        _assert_matches_painting(machine, profile)
+
+    def test_closed_form_equals_painting_scalar_loop(self):
+        """The profile_sweep workload's scalar_loop kernel: explicit
+        loads/stores and taken branches on every iteration."""
+        module, spec = kernels.matmul(1, 16, 16)
+        compiled = api.compile_linalg(module, pipeline="table3-baseline")
+        machine, profile = _machine_run(compiled, spec, profile=True)
+        _assert_matches_painting(machine, profile)
+        assert profile.buckets["branch_bubble"] > 0
+
+    def test_integer_claim_hole_leaves_idle(self):
+        """Cycle 2 has no integer claim and the FPU is not busy in it:
+        the closed form leaves it idle.  The painting oracle charges it
+        to the FPU stall under it and reads ``idle == 0``."""
+        profiler = CycleProfiler()
+        profiler.step(Inst("addi"), 0, 1, 0, 2, 0, 0)
+        profiler.step(Inst("addi"), 1, 2, 3, 5, 0, 1)
+        machine = _Timelines(5, [(4, "fpu", "fadd.d ft3, ft0, ft1")])
+        profile = profiler.finalize(machine)
+        assert profile.cycles == 5
+        assert profile.buckets["int_core"] == 3
+        assert profile.idle == 1
+
+    def test_fpu_rows_sharing_a_cycle_leave_idle(self):
+        """Two FPU rows issued in one cycle: the painting oracle reads
+        ``idle == 0`` here, the closed form counts both rows and goes
+        negative."""
+        profiler = CycleProfiler()
+        profiler.step(Inst("addi"), 0, 1, 0, 1, 0, 0)
+        machine = _Timelines(1, [
+            (issue, "fpu", "fadd.d ft3, ft0, ft1") for issue in (0, 1, 1, 2)
+        ])
+        profile = profiler.finalize(machine)
+        assert profile.cycles == 3
+        assert profile.buckets["fpu_arith"] == 4
+        assert profile.idle == -1
 
     @pytest.mark.parametrize(
         "pipeline", ("ours", "table3-scalar", "table3-baseline")

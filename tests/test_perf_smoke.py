@@ -4,9 +4,10 @@ Wall-clock assertions are flaky on shared machines, so these check
 countable efficiency metrics instead: the rewrite driver's counters
 and the verifier's op visits (``ops_verified``), recorded per pass in
 ``pass_stats`` by the :class:`PassManager`, the Python bytecodes the
-simulator executes per simulated instruction (exact on one CPython
-minor version only, so pinned to it), and that a compile's bytecode
-count repeats exactly and stays at its pinned level.
+simulator executes per simulated instruction, plain and with the cycle
+profiler attached (exact on one CPython minor version only, so pinned
+to it), and that a compile's bytecode count repeats exactly and stays
+at its pinned level.
 The budgets have generous headroom over the worklist driver's actual
 numbers but sit far below the fixpoint re-walk driver's (which visited
 ~220 ops compiling the same kernel), so any regression toward
@@ -14,6 +15,7 @@ whole-module rescans trips them immediately.
 """
 
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -147,33 +149,56 @@ def test_compile_bytecodes_are_exact():
 #: matmul of ``ours`` and the pointer loop of ``clang``.  The
 #: closure-per-instruction engine before it ran 380 and 170.
 SIM_BYTECODES = {"ours": ((16, 32, 16), 167.0), "clang": ((8, 64, 16), 60.6)}
+#: The same with ``profile=True``: the engine's step reports plus the
+#: closed-form bucket count.  Painting every cycle onto an array ran
+#: 333.1 and 346.6.
+PROFILE_BYTECODES = {
+    "ours": ((16, 32, 16), 193.7), "clang": ((8, 64, 16), 138.1),
+}
 #: The CPython minor version the levels above were counted on.
 PINNED = (3, 11)
 
-
-@pytest.mark.perf_smoke
-@pytest.mark.skipif(
+pinned_bytecodes = pytest.mark.skipif(
     sys.version_info[:2] != PINNED,
     reason="bytecode counts are exact only on the CPython minor version "
     "that pinned them (3.11)",
 )
-@pytest.mark.parametrize("pipeline", sorted(SIM_BYTECODES))
-def test_simulator_bytecodes_per_instruction(pipeline):
-    """One warm run stays within its pinned level + 15 %: a block
-    engine regression toward per-instruction dispatch trips it."""
-    sizes, level = SIM_BYTECODES[pipeline]
+
+
+def _assert_run_within_level(pipeline, levels, profile):
+    """One warm run stays within its pinned level + 15 %."""
+    sizes, level = levels[pipeline]
     module, spec = kernels.matmul(*sizes)
     compiled = api.compile_linalg(module, pipeline=pipeline)
     arguments = spec.random_arguments(seed=0)
-    api.run_kernel(compiled, arguments)  # decode and generate first
+    run_kernel = partial(api.run_kernel, profile=profile)
+    run_kernel(compiled, arguments)  # decode and generate first
     counter = BytecodeCounter()
-    run = counter.count(api.run_kernel, compiled, arguments)
+    run = counter.count(run_kernel, compiled, arguments)
     instructions = run.trace.int_instructions + run.trace.fpu_instructions
     per_instruction = counter.total / instructions
     assert per_instruction <= 1.15 * level, (
         f"{pipeline}: {per_instruction:.1f} bytecodes per simulated "
         f"instruction, budget {1.15 * level:.1f}"
     )
+
+
+@pytest.mark.perf_smoke
+@pinned_bytecodes
+@pytest.mark.parametrize("pipeline", sorted(SIM_BYTECODES))
+def test_simulator_bytecodes_per_instruction(pipeline):
+    """A block engine regression toward per-instruction dispatch trips
+    the level."""
+    _assert_run_within_level(pipeline, SIM_BYTECODES, profile=False)
+
+
+@pytest.mark.perf_smoke
+@pinned_bytecodes
+@pytest.mark.parametrize("pipeline", sorted(PROFILE_BYTECODES))
+def test_profiled_simulator_bytecodes_per_instruction(pipeline):
+    """A profiler regression toward per-cycle painting, or a costlier
+    ``step``, trips the level."""
+    _assert_run_within_level(pipeline, PROFILE_BYTECODES, profile=True)
 
 
 #: Bytecodes of one warm ``ours`` compile of conv3x3(8, 8), counted on
@@ -183,11 +208,7 @@ COMPILE_BYTECODES = 284_369
 
 
 @pytest.mark.perf_smoke
-@pytest.mark.skipif(
-    sys.version_info[:2] != PINNED,
-    reason="bytecode counts are exact only on the CPython minor version "
-    "that pinned them (3.11)",
-)
+@pinned_bytecodes
 def test_compile_bytecodes_at_level():
     """One warm compile stays within its pinned level + 5 %: a fall-back
     to interpreted verify checks (+12 %) trips it."""
